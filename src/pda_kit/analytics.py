@@ -15,7 +15,7 @@ coefficients by 2^(f * (d_max - d_k)) instead.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -92,27 +92,22 @@ class QueryPlan:
     frac_bits: int
     postprocess: Callable[[dict[str, float]], dict]
     description: str
-    meta: dict = field(default_factory=dict)
 
     def windows(self) -> list[pda.Window]:
         return [s.query.window for s in self.steps]
 
 
-def _sum_query(
-    participants: Sequence[int], window_start: int
-) -> tuple[pda.PdaQuery, dict[int, int]]:
+def _sum_query(participants: Sequence[int], window_start: int) -> pda.PdaQuery:
     """Query whose k-th term is owned by the k-th participant, all coefficients 1."""
     ids = tuple(sorted(participants))
     m = len(ids)
-    owner_of = {k: ids[k] for k in range(m)}
     exponents = {ids[k]: {k: 1} for k in range(m)}
-    query = pda.PdaQuery(
+    return pda.PdaQuery(
         coeffs=(1,) * m,
         exponents=exponents,
         participants=ids,
         window=pda.Window(window_start, m),
     )
-    return query, owner_of
 
 
 def plan_mean_variance(
@@ -126,8 +121,8 @@ def plan_mean_variance(
     ids = tuple(sorted(participants))
     if len(ids) < theta_min:
         raise GroupTooSmall(f"|P|={len(ids)} below theta_min={theta_min}")
-    q1, _ = _sum_query(ids, window_start)
-    q2, _ = _sum_query(ids, window_start + len(ids))
+    q1 = _sum_query(ids, window_start)
+    q2 = _sum_query(ids, window_start + len(ids))
     steps = [
         PlanStep("sum_x", (column,), q1, 1 << frac_bits),
         PlanStep("sum_xx", (column, column), q2, 1 << (2 * frac_bits)),
@@ -174,14 +169,14 @@ def plan_linear_regression(
     start = window_start
     for r in range(dim):
         for c in range(r, dim):
-            q, _ = _sum_query(ids, start)
+            q = _sum_query(ids, start)
             start += len(ids)
             cols = design[r] + design[c]
             steps.append(
                 PlanStep(f"A_{r}_{c}", cols, q, 1 << (frac_bits * len(cols)))
             )
     for r in range(dim):
-        q, _ = _sum_query(ids, start)
+        q = _sum_query(ids, start)
         start += len(ids)
         cols = design[r] + ("y",)
         steps.append(PlanStep(f"b_{r}", cols, q, 1 << (frac_bits * len(cols))))
@@ -215,7 +210,6 @@ def plan_linear_regression(
             f"over {len(ids)} users"
             + (f", ridge {ridge_lambda}" if ridge_lambda else "")
         ),
-        meta={"dim": dim},
     )
 
 
@@ -237,10 +231,16 @@ def run_plan(
     for idx, step in enumerate(plan.steps):
         ids = step.query.participants
         data = {i: [1] * step.query.m for i in ids}
+        total = 0
         for k in range(step.query.m):
             owner = ids[k]
             raw = step.monomial(rows[owner], plan.frac_bits)
             data[owner][k] = to_residue(raw, n_mod)
+            total += raw
+        if 2 * abs(total) >= n_mod:
+            raise FixedPointOverflow(
+                f"step {step.name}: |sum| {abs(total)} does not fit below {n_mod}/2"
+            )
         value, _ = netsim.run_pda_aggregation(
             system,
             step.query,

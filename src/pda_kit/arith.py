@@ -17,17 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bus import Bus
-from .errors import (
-    GroupTooSmall,
-    IncompleteGroup,
-    KeyMissing,
-    MixedKinds,
-    NonInvertibleBroadcast,
-    NotInvertible,
-    ExtractionFailed,
-    NotInSubgroup,
-)
-from .numtheory import dlog_one_plus_m, gen_safe_prime, lagrange_weights, mod_inv
+from .errors import GroupTooSmall, IncompleteGroup, KeyMissing, MixedKinds
+from .numtheory import gen_safe_prime, lagrange_weights, ring_exchange, share_exchange
 from .rng import Rng
 
 
@@ -108,24 +99,6 @@ def setup(kappa: int, n: int, n_min: int, rng: Rng) -> ArithParams:
 # ceremonies
 # ---------------------------------------------------------------------------
 
-def ring_masks(y: Mapping[int, int], r: Mapping[int, int], modulus: int) -> dict[int, int]:
-    """Y_i = (y_{i+1} * y_{i-1}^{-1})^{r_i} around the ID-ordered ring.
-
-    When y_i = g^{r_i} the exponents telescope, so prod Y_i = 1.
-    """
-    ring = sorted(y)
-    out: dict[int, int] = {}
-    for idx, i in enumerate(ring):
-        nxt = y[ring[(idx + 1) % len(ring)]]
-        prv = y[ring[(idx - 1) % len(ring)]]
-        try:
-            base = nxt * mod_inv(prv, modulus) % modulus
-        except NotInvertible as exc:
-            raise NonInvertibleBroadcast(f"broadcast before party {i}") from exc
-        out[i] = pow(base, r[i], modulus)
-    return out
-
-
 def initialize(
     bus: Bus,
     params: ArithParams,
@@ -142,17 +115,8 @@ def initialize(
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     m2 = params.master_modulus
     g1 = rng.fork("init:g1").unit(m2)
-    dropouts = set(dropouts)
-
     r = {i: rng.fork(f"init:party:{i}").randrange(1, m2) for i in ids}
-
-    bus.begin_round()
-    for i in ids:
-        if i not in dropouts:
-            bus.post(i, "ring-share", (pow(g1, r[i], m2),))
-    msgs = bus.end_round()
-    y = {m.sender: m.body[0] for m in bus.require_one_from_each(msgs, ids).values()}
-    return ring_masks(y, r, m2)
+    return ring_exchange(bus, m2, g1, r, absent=set(dropouts))
 
 
 def keygen(
@@ -170,57 +134,22 @@ def keygen(
     cancel and the subgroup dlog of the remaining product is its share
     R_i^(k) = sum_j poly_j(i) mod p(p-1).
     """
-    ids = sorted(master_keys)
     m = params.key_modulus
-    m2 = params.master_modulus
-    ks = list(degrees) if degrees is not None else list(range(params.n_min, len(ids) + 1))
-    shares: dict[int, dict[int, int]] = {i: {} for i in ids}
+    ks = degrees if degrees is not None else range(params.n_min, len(master_keys) + 1)
 
-    for k in ks:
-        coeffs = {
-            j: [
-                rng.fork(f"keygen:party:{j}:k:{k}:c:{t}").randbelow(m)
-                for t in range(1, k)
-            ]
-            for j in ids
-        }
+    def coefficients(j: int, k: int) -> list[int]:
+        return [rng.fork(f"keygen:party:{j}:k:{k}:c:{t}").randbelow(m) for t in range(1, k)]
 
-        def poly(j: int, x: int) -> int:
-            acc = 0
-            for c in reversed(coeffs[j]):
-                acc = (acc + c) * x % m
-            return acc
-
-        bus.begin_round()
-        for j in ids:
-            kj = master_keys[j]
-            for i in ids:
-                if i == j:
-                    continue
-                c = kj * (1 + poly(j, i) * m) % m2
-                bus.post(j, f"keyshare:{k}", (c,), to=i)
-        msgs = bus.end_round()
-
-        for i in ids:
-            product = master_keys[i] * (1 + poly(i, i) * m) % m2
-            for msg in msgs:
-                if msg.to == i:
-                    product = product * msg.body[0] % m2
-            try:
-                shares[i][k] = dlog_one_plus_m(product, m)
-            except NotInSubgroup as exc:
-                raise ExtractionFailed(
-                    f"share product for party {i}, k={k} is not a (1+M) power"
-                ) from exc
-
-    return {i: ArithEncKey(id=i, shares=shares[i]) for i in ids}
+    shares = share_exchange(bus, m, master_keys, ks, coefficients, "keyshare")
+    return {i: ArithEncKey(id=i, shares=shares[i]) for i in shares}
 
 
 # ---------------------------------------------------------------------------
 # encryption
 # ---------------------------------------------------------------------------
 
-def _mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
+def mask_exponent(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
+    """R_i^(|P|) * lambda_{i,P}: the mask share party i adds over group P."""
     ids = tuple(sorted(group))
     if len(ids) < params.n_min:
         raise GroupTooSmall(f"|P|={len(ids)} below n_min={params.n_min}")
@@ -236,7 +165,7 @@ def _mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
 def encrypt_add(
     params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
 ) -> ArithCiphertext:
-    mask = _mask(params, key, group)
+    mask = mask_exponent(params, key, group)
     return ArithCiphertext(
         kind="add",
         value=(x + mask) % params.p,
@@ -248,7 +177,7 @@ def encrypt_add(
 def encrypt_mul(
     params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
 ) -> ArithCiphertext:
-    mask = _mask(params, key, group)
+    mask = mask_exponent(params, key, group)
     value = x % params.p * pow(params.g, mask % (params.p - 1), params.p) % params.p
     return ArithCiphertext(
         kind="mul", value=value, participant=key.id, group=tuple(sorted(group))

@@ -10,10 +10,8 @@ a pure function of the ceremony inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-from .errors import PartyMissing
 
 
 def hex_len(value: int) -> int:
@@ -115,20 +113,6 @@ class Bus:
         for rnd in self.rounds:
             yield from rnd
 
-    def round(self, index: int) -> list[Message]:
-        return self.rounds[index]
-
-    def require_one_from_each(
-        self, msgs: Sequence[Message], expected: Sequence[int]
-    ) -> dict[int, Message]:
-        seen: dict[int, Message] = {}
-        for m in msgs:
-            seen[m.sender] = m
-        missing = [p for p in expected if p not in seen]
-        if missing:
-            raise PartyMissing(f"no message from parties {missing}")
-        return seen
-
     # --- accounting / export --------------------------------------------------
 
     def received_bytes(self, party: int, rnd: int) -> int:
@@ -137,9 +121,6 @@ class Bus:
 
     def sent_total(self, party: int) -> int:
         return sum(v for (p, _), v in self.sent.items() if p == party)
-
-    def received_total(self, party: int) -> int:
-        return sum(self.received_bytes(party, rnd) for rnd in range(1, len(self.rounds) + 1))
 
     def traffic_report(self) -> list[dict]:
         rows = []
@@ -178,7 +159,6 @@ class CeremonyResult:
     outputs: object
     bus: Bus
     seed: int | str | bytes | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def round_count(self) -> int:

@@ -97,22 +97,11 @@ def cmd_keygen(args) -> None:
     if "n_min" in doc:
         params = arith.ArithParams.from_json(doc)
         ids = tuple(range(1, params.n + (2 if args.authority else 1)))
-
-        def driver(bus, rng):
-            masters = arith.initialize(bus, params, rng.fork("initialize"), ids=ids)
-            return arith.keygen(bus, params, rng.fork("keygen"), masters)
-
-        result = netsim.run_ceremony(driver, ids, seed)
-        for key in result.outputs.values():
-            (keys_dir / f"user_{key.id}.json").write_text(
-                json.dumps(key.to_json(), sort_keys=True) + "\n"
-            )
-        report = {
-            "scheme": "arith",
-            "users": len(ids),
-            "rounds": result.round_count,
-            "traffic": result.traffic_report(),
-        }
+        result = netsim.run_ceremony(
+            netsim.run_arith_keygen, ids, seed, params=params, ids=ids
+        )
+        _, keys = result.outputs
+        report = {"scheme": "arith"}
     else:
         params = pda.PdaParams.from_json(doc)
         rng = Rng(seed)
@@ -127,21 +116,17 @@ def cmd_keygen(args) -> None:
             params=params,
             hardened_k=args.hardened_k,
         )
-        for key in result.outputs.values():
-            (keys_dir / f"user_{key.id}.json").write_text(
-                json.dumps(key.to_json(), sort_keys=True) + "\n"
-            )
+        keys = result.outputs
         (keys_dir / "aggregator.json").write_text(
             json.dumps(paillier.to_json(agg_keys), sort_keys=True) + "\n"
         )
         (keys_dir / "registry.jsonl").write_text("")
-        report = {
-            "scheme": "pda",
-            "users": len(ids),
-            "hardened_k": args.hardened_k,
-            "rounds": result.round_count,
-            "traffic": result.traffic_report(),
-        }
+        report = {"scheme": "pda", "hardened_k": args.hardened_k}
+    for key in keys.values():
+        (keys_dir / f"user_{key.id}.json").write_text(
+            json.dumps(key.to_json(), sort_keys=True) + "\n"
+        )
+    report.update(users=len(ids), rounds=result.round_count, traffic=result.traffic_report())
     if args.transcript:
         Path(args.transcript).write_text(result.transcript_jsonl())
     _emit(report, args.out)

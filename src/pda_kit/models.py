@@ -14,14 +14,12 @@ additive round and publishes the recovered sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
 from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
-from .numtheory import lagrange_weights
 
 
 @dataclass(frozen=True)
@@ -132,17 +130,6 @@ def _term_factor(term: PolyTerm, user: int, x: int, p: int, fold_coeff: bool) ->
     return value
 
 
-def _completion_exponent(
-    params: arith.ArithParams,
-    key: arith.ArithEncKey,
-    group: Sequence[int],
-) -> int:
-    """R_completer^(|group|) * lambda, the mask share the completer adds."""
-    ids = tuple(sorted(group))
-    lam = lagrange_weights(ids).weights[key.id]
-    return key.shares[len(ids)] * lam
-
-
 def _extra_additive(
     bus: Bus,
     params: arith.ArithParams,
@@ -182,7 +169,7 @@ def _extra_additive(
     bus.end_round()
 
     masked = sum(cts.values())
-    completion = _completion_exponent(params, enc_keys[completer], group)
+    completion = arith.mask_exponent(params, enc_keys[completer], group)
     own = partial.get(completer, 0)
     total = (masked + own + completion) % p
 
@@ -232,7 +219,7 @@ def authority_aggregate(
             bus.post(i, f"enc-mul:{k}", (ct.value,))
     bus.end_round()
 
-    completion = _completion_exponent(params, enc_keys[virtual_id], group)
+    completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
     g_comp = pow(params.g, completion % (p - 1), p)
     total = 0
     for k, _ in multi:
@@ -245,20 +232,6 @@ def authority_aggregate(
         bus, params, enc_keys, sigma, data, completer=virtual_id, broadcast_sum=False
     )) % p
     return total
-
-
-def extra_additive_round(
-    bus: Bus,
-    params: arith.ArithParams,
-    enc_keys: Mapping[int, arith.ArithEncKey],
-    sigma_terms: Sequence[tuple[int, PolyTerm]],
-    data: Mapping[int, int],
-    virtual_id: int,
-) -> int:
-    """Standalone sigma-sum recovery for the authority model."""
-    return _extra_additive(
-        bus, params, enc_keys, sigma_terms, data, completer=virtual_id, broadcast_sum=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +295,3 @@ def all_participants_aggregate(
         )) % p
 
     return {i: total for i in group}
-
-
-def load_polynomial(path) -> AggPolynomial:
-    with open(path) as fh:
-        return AggPolynomial.from_json(json.load(fh))

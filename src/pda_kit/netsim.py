@@ -53,6 +53,17 @@ class ArithSystem:
     virtual_id: int | None = None
 
 
+def run_arith_keygen(
+    bus: Bus,
+    rng: Rng,
+    params: arith.ArithParams,
+    ids: Sequence[int],
+) -> tuple[dict[int, int], dict[int, arith.ArithEncKey]]:
+    """Initialize then Keygen over `ids`: master keys and encryption keys."""
+    masters = arith.initialize(bus, params, rng.fork("initialize"), ids=ids)
+    return masters, arith.keygen(bus, params, rng.fork("keygen"), masters)
+
+
 def build_arith_system(
     kappa: int,
     n: int,
@@ -66,13 +77,9 @@ def build_arith_system(
     rng = Rng(seed)
     params = arith.setup(kappa, n, n_min, rng.fork("setup"))
     ids = tuple(range(1, n + 2)) if with_authority else tuple(range(1, n + 1))
-
-    def driver(bus: Bus, crng: Rng):
-        masters = arith.initialize(bus, params, crng.fork("initialize"), ids=ids)
-        keys = arith.keygen(bus, params, crng.fork("keygen"), masters)
-        return masters, keys
-
-    result = run_ceremony(driver, ids, seed, observers=observers)
+    result = run_ceremony(
+        run_arith_keygen, ids, seed, observers=observers, params=params, ids=ids
+    )
     masters, keys = result.outputs
     system = ArithSystem(
         params=params,

@@ -2,7 +2,10 @@
 
 Covers probabilistic prime generation (safe primes and correlated
 semiprimes), denominator-cleared Lagrange weights, the (1+M)-subgroup
-discrete log, and the deterministic hash into the hidden subgroup.
+discrete log, the deterministic hash into the hidden subgroup, and the
+two key ceremonies both schemes run on the bus: the ring exchange and
+the blinded (1+M)-power share exchange.  The schemes differ only in the
+ring (p^2(p-1)^2 or N~^2) and in what they feed these ceremonies.
 All values are plain Python ints; modular results are reduced into
 [0, modulus).
 """
@@ -13,12 +16,16 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
+from .bus import Bus
 from .errors import (
     DuplicateId,
+    ExtractionFailed,
+    NonInvertibleBroadcast,
     NotInSubgroup,
     NotInvertible,
+    PartyMissing,
     StrictChainNotFound,
 )
 from .rng import Rng
@@ -41,20 +48,6 @@ SMALL_PRIMES = _sieve(2000)
 # ---------------------------------------------------------------------------
 # modular helpers
 # ---------------------------------------------------------------------------
-
-def mod_mul(a: int, b: int, modulus: int) -> int:
-    if modulus <= 1:
-        raise ValueError("modulus must exceed 1")
-    return (a * b) % modulus
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    if modulus <= 1:
-        raise ValueError("modulus must exceed 1")
-    if exponent < 0:
-        raise ValueError("negative exponent; invert first")
-    return pow(base, exponent, modulus)
-
 
 def mod_inv(a: int, modulus: int) -> int:
     if modulus <= 1:
@@ -311,3 +304,122 @@ def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") ->
     width = (n_tilde.bit_length() + 7) // 8 + 16
     exponent = int.from_bytes(hashlib.shake_256(material).digest(width), "big") % n_tilde
     return pow(h, exponent, n)
+
+
+# ---------------------------------------------------------------------------
+# key ceremonies shared by both schemes
+# ---------------------------------------------------------------------------
+
+def ring_exchange(
+    bus: Bus,
+    modulus: int,
+    generator: int,
+    exponents: Mapping[int, int],
+    hops: int = 0,
+    absent: Collection[int] = (),
+    late: Mapping[int, Callable[[dict[int, int]], int]] | None = None,
+) -> dict[int, int]:
+    """Ring exchange yielding Y_i with prod Y_i = 1 mod `modulus`.
+
+    Every party i of the ID-ordered ring broadcasts y_i = generator^{r_i}
+    with r_i = exponents[i].  With hops=0, Y_i = (y_{i+1} * y_{i-1}^{-1})^{r_i}
+    and the exponents telescope.  With hops=k the base
+    y_{i+k+1} * y_{i-1}^{-1} is relayed through parties i+k, ..., i+1,
+    each raising it to its own exponent, before party i applies r_i --
+    one extra bus round per hop.
+
+    Parties in `absent` never broadcast, which fails the exchange with
+    PartyMissing.  Parties in `late` broadcast in a second round, the
+    value their callback picks after seeing the first round's broadcasts.
+    """
+    ring = sorted(exponents)
+    late = late or {}
+
+    bus.begin_round()
+    for i in ring:
+        if i not in absent and i not in late:
+            bus.post(i, "ring-share", (pow(generator, exponents[i], modulus),))
+    y = {m.sender: m.body[0] for m in bus.end_round()}
+
+    if late:
+        bus.begin_round()
+        for i, pick in late.items():
+            bus.post(i, "ring-share", (pick(dict(y)),))
+        for m in bus.end_round():
+            y[m.sender] = m.body[0]
+    missing = [i for i in ring if i not in y]
+    if missing:
+        raise PartyMissing(f"no ring broadcast from parties {missing}")
+
+    for i in ring:
+        if math.gcd(y[i], modulus) != 1:
+            raise NonInvertibleBroadcast(f"broadcast of party {i} is not a unit")
+
+    def at(idx: int) -> int:
+        return ring[idx % len(ring)]
+
+    # Relay value destined for target i is held by party i+hop after each round.
+    current = {
+        i: y[at(idx + hops + 1)] * mod_inv(y[at(idx - 1)], modulus) % modulus
+        for idx, i in enumerate(ring)
+    }
+    for hop in range(hops, 0, -1):
+        bus.begin_round()
+        for idx, target in enumerate(ring):
+            value = pow(current[target], exponents[at(idx + hop)], modulus)
+            bus.post(at(idx + hop), "ring-relay", (target, value), to=at(idx + hop - 1))
+        for m in bus.end_round():
+            current[m.body[0]] = m.body[1]
+
+    return {i: pow(current[i], exponents[i], modulus) for i in ring}
+
+
+def share_exchange(
+    bus: Bus,
+    modulus: int,
+    blinds: Mapping[int, int],
+    degrees: Iterable[int],
+    coefficients: Callable[[int, int], Sequence[int]],
+    kind: str,
+) -> dict[int, dict[int, int]]:
+    """Blinded (1+M)-power share exchange, one bus round per degree.
+
+    For degree d each party j draws the coefficients c_1.. of a
+    zero-constant polynomial q_j(x) = sum_t c_t x^t over Z_M
+    (`coefficients(j, d)`) and sends party i the message
+    blinds[j] * (1+M)^{q_j(i)} mod M^2, of kind "<kind>:<d>".  The
+    blinds multiply to 1, so the product of party i's own factor and
+    its inbox is (1+M)^{sum_j q_j(i)}, and the subgroup dlog gives i's
+    point on the summed polynomial.  Returns party -> degree -> point.
+    """
+    ids = sorted(blinds)
+    m2 = modulus * modulus
+    points: dict[int, dict[int, int]] = {i: {} for i in ids}
+
+    for d in degrees:
+        coeffs = {j: coefficients(j, d) for j in ids}
+
+        def share(j: int, x: int) -> int:
+            acc = 0
+            for c in reversed(coeffs[j]):
+                acc = (acc + c) * x % modulus
+            return blinds[j] * (1 + acc * modulus) % m2
+
+        bus.begin_round()
+        for j in ids:
+            for i in ids:
+                if i != j:
+                    bus.post(j, f"{kind}:{d}", (share(j, i),), to=i)
+        inbox = {i: share(i, i) for i in ids}
+        for msg in bus.end_round():
+            inbox[msg.to] = inbox[msg.to] * msg.body[0] % m2
+
+        for i in ids:
+            try:
+                points[i][d] = dlog_one_plus_m(inbox[i], modulus)
+            except NotInSubgroup as exc:
+                raise ExtractionFailed(
+                    f"{kind}:{d} product for party {i} is not a (1+M) power"
+                ) from exc
+
+    return points

@@ -110,10 +110,6 @@ def decrypt(keys: AggKeyPair, ct: int) -> int:
     return (u - 1) // keys.n * keys.mu % keys.n
 
 
-def add(pk: AggPublicKey, c1: int, c2: int) -> int:
-    return c1 * c2 % pk.nsq
-
-
 def scale(pk: AggPublicKey, ct: int, k: int) -> int:
     if k < 0:
         raise ValueError("negative scalars must be sign-normalized first")

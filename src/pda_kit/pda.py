@@ -15,29 +15,25 @@ of the subgroup order, so the masks multiply to one.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import paillier
 from .bus import Bus
 from .errors import (
-    ExtractionFailed,
     GroupBelowThreshold,
     KeyMissing,
     MissingEncoding,
-    NonInvertibleBroadcast,
-    NotInSubgroup,
-    PartyMissing,
     RingTooSmall,
     SlotReused,
 )
 from .numtheory import (
-    dlog_one_plus_m,
     gen_correlated_moduli,
     hash_to_subgroup,
     lagrange_weights,
     mod_inv,
+    ring_exchange,
+    share_exchange,
 )
 from .rng import Rng
 
@@ -323,64 +319,21 @@ def ring_share(
     ceremony.
     """
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
-    ring = sorted(ids)
     nt = params.N_tilde
     if k_collusion < 0:
         raise ValueError("k_collusion must be >= 0")
-    if len(ring) <= k_collusion + 2:
+    if len(ids) <= k_collusion + 2:
         raise RingTooSmall(
             f"hardened ring with k={k_collusion} needs more than {k_collusion + 2} parties"
         )
-    adaptive = dict(adaptive or {})
 
-    r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ring}
-
-    bus.begin_round()
-    for i in ring:
-        if i not in adaptive:
-            bus.post(i, "ring-share", (pow(params.g_tilde, r[i], nt),))
-    msgs = bus.end_round()
-    y = {m.sender: m.body[0] for m in msgs}
-
-    if adaptive:
-        # Rushing parties publish only after seeing the honest broadcasts.
-        bus.begin_round()
-        for i, pick in adaptive.items():
-            chosen = pick(dict(y), r[i], rng.fork(f"ring:adaptive:{i}"))
-            bus.post(i, "ring-share", (chosen,))
-        for m in bus.end_round():
-            y[m.sender] = m.body[0]
-    missing = [i for i in ring if i not in y]
-    if missing:
-        raise PartyMissing(f"no ring broadcast from parties {missing}")
-
-    for i in ring:
-        if math.gcd(y[i], nt) != 1:
-            raise NonInvertibleBroadcast(f"broadcast of party {i} is not a unit")
-
-    pos = {i: idx for idx, i in enumerate(ring)}
-    size = len(ring)
-
-    def at(idx: int) -> int:
-        return ring[idx % size]
-
-    def base_for(i: int) -> int:
-        ahead = y[at(pos[i] + k_collusion + 1)]
-        behind = y[at(pos[i] - 1)]
-        return ahead * mod_inv(behind, nt) % nt
-
-    # Relay value destined for target i is held by party i+hop after each round.
-    current = {i: base_for(i) for i in ring}
-    for hop in range(k_collusion, 0, -1):
-        bus.begin_round()
-        for target in ring:
-            holder = at(pos[target] + hop)
-            value = pow(current[target], r[holder], nt)
-            bus.post(holder, "ring-relay", (target, value), to=at(pos[target] + hop - 1))
-        for m in bus.end_round():
-            current[m.body[0]] = m.body[1]
-
-    return {i: pow(current[i], r[i], nt) for i in ring}
+    r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
+    # Rushing parties publish only after seeing the honest broadcasts.
+    late = {
+        i: lambda seen, i=i, pick=pick: pick(seen, r[i], rng.fork(f"ring:adaptive:{i}"))
+        for i, pick in (adaptive or {}).items()
+    }
+    return ring_exchange(bus, nt, params.g_tilde, r, hops=k_collusion, late=late)
 
 
 # ---------------------------------------------------------------------------
@@ -407,52 +360,17 @@ def keygen(
     range); restricting is an optimization for large ceremonies that need
     a single group size.
     """
-    ids = sorted(y_shares)
     nt = params.N_tilde
-    nt2 = nt * nt
-    ks = list(degrees) if degrees is not None else list(range(2, len(ids)))
-    blind = {j: pow(y_shares[j], nt, nt2) for j in ids}
-    evaluations: dict[int, dict[int, int]] = {i: {} for i in ids}
+    ks = degrees if degrees is not None else range(2, len(y_shares))
+    blinds = {j: pow(y, nt, nt * nt) for j, y in y_shares.items()}
 
-    for d in ks:
-        coeffs = {
-            j: [
-                rng.fork(f"keygen:party:{j}:d:{d}:c:{t}").unit(nt)
-                for t in range(1, d + 1)
-            ]
-            for j in ids
-        }
+    def coefficients(j: int, d: int) -> list[int]:
+        return [rng.fork(f"keygen:party:{j}:d:{d}:c:{t}").unit(nt) for t in range(1, d + 1)]
 
-        def poly(j: int, x: int) -> int:
-            acc = 0
-            for c in reversed(coeffs[j]):
-                acc = (acc + c) * x % nt
-            return acc
-
-        bus.begin_round()
-        for j in ids:
-            for i in ids:
-                if i == j:
-                    continue
-                q = blind[j] * (1 + poly(j, i) * nt) % nt2
-                bus.post(j, f"key-query:{d}", (q,), to=i)
-        msgs = bus.end_round()
-
-        for i in ids:
-            product = blind[i] * (1 + poly(i, i) * nt) % nt2
-            for msg in msgs:
-                if msg.to == i:
-                    product = product * msg.body[0] % nt2
-            try:
-                evaluations[i][d] = dlog_one_plus_m(product, nt)
-            except NotInSubgroup as exc:
-                raise ExtractionFailed(
-                    f"query product for user {i}, degree {d} is not a (1+N~) power"
-                ) from exc
-
+    points = share_exchange(bus, nt, blinds, ks, coefficients, "key-query")
     return {
-        i: PdaEncKey(id=i, evaluations=evaluations[i], hardened_k=hardened_k)
-        for i in ids
+        i: PdaEncKey(id=i, evaluations=evaluations, hardened_k=hardened_k)
+        for i, evaluations in points.items()
     }
 
 

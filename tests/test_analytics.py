@@ -100,6 +100,21 @@ def test_plan_window_reuse_rejected(small_pda):
         analytics.run_plan(small_pda, plan, rows, seed=4, registry=registry)
 
 
+def test_plan_sum_overflow_rejected():
+    # every value fits below N/2 but their sum does not; the protocol
+    # would return the sum mod N, decoded as a small wrong number
+    system, _ = netsim.build_pda_system(kappa=16, n=8, theta_min=3, seed=909, m_max=8)
+    ids = sorted(system.enc_keys)
+    x = system.params.N // 2 - 1
+    step = analytics.PlanStep("sum_x", ("x",), analytics._sum_query(ids, 0), 1)
+    plan = analytics.QueryPlan([step], 0, lambda sums: {}, "sum of x")
+    rows = {i: {"x": float(x)} for i in ids}
+    registry = pda.SlotRegistry()
+    with pytest.raises(FixedPointOverflow, match="sum_x"):
+        analytics.run_plan(system, plan, rows, seed=5, registry=registry)
+    assert registry.windows == []  # rejected before any window is claimed
+
+
 def test_plan_windows_disjoint(small_pda):
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["a", "b"], 12)
     windows = plan.windows()

@@ -16,6 +16,7 @@ from pda_kit.errors import (
     NonInvertibleBroadcast,
     PartyMissing,
 )
+from pda_kit.numtheory import ring_exchange
 from pda_kit.rng import Rng
 
 
@@ -68,17 +69,16 @@ def test_params_json_roundtrip():
 
 def test_ring_masks_frozen_toy():
     # Z_23*, g1=5, r=(3,4,6): y=(10,4,8) and Y=(3,18,3), product 1
-    y = {1: pow(5, 3, 23), 2: pow(5, 4, 23), 3: pow(5, 6, 23)}
-    assert y == {1: 10, 2: 4, 3: 8}
-    masks = arith.ring_masks(y, {1: 3, 2: 4, 3: 6}, 23)
+    bus = Bus((1, 2, 3))
+    masks = ring_exchange(bus, 23, 5, {1: 3, 2: 4, 3: 6})
+    assert {m.sender: m.body[0] for m in bus.rounds[0]} == {1: 10, 2: 4, 3: 8}
     assert masks == {1: 3, 2: 18, 3: 3}
     assert masks[1] * masks[2] * masks[3] % 23 == 1
 
 
 def test_ring_masks_equal_exponents_telescope():
     g1, r, m = 5, 7, 2309
-    y = {i: pow(g1, r, m) for i in (1, 2, 3)}
-    masks = arith.ring_masks(y, {1: r, 2: r, 3: r}, m)
+    masks = ring_exchange(Bus((1, 2, 3)), m, g1, {1: r, 2: r, 3: r})
     prod = 1
     for v in masks.values():
         prod = prod * v % m
@@ -86,8 +86,9 @@ def test_ring_masks_equal_exponents_telescope():
 
 
 def test_ring_masks_non_invertible_broadcast():
+    # party 1 broadcasts 2 after the others; gcd(2,10)>1
     with pytest.raises(NonInvertibleBroadcast):
-        arith.ring_masks({1: 2, 2: 5, 3: 7}, {1: 1, 2: 1, 3: 1}, 10)  # gcd(2,10)>1
+        ring_exchange(Bus((1, 2, 3)), 10, 3, {1: 1, 2: 1, 3: 1}, late={1: lambda seen: 2})
 
 
 def test_initialize_master_product_and_round_shape():

@@ -151,13 +151,19 @@ def test_extra_round_frozen_sum():
 
 
 def test_extra_round_empty_sigma_is_noop(arith_system):
+    # only multi-owner terms: the extra additive round never opens
     system, _ = arith_system
-    bus = Bus(system.ids)
-    out = models.extra_additive_round(
-        bus, system.params, system.enc_keys, [], {}, system.virtual_id
+    poly = models.AggPolynomial(
+        terms=(term(2, {1: 1, 2: 1}), term(3, {3: 2, 4: 1})), participants=(1, 2, 3, 4)
     )
-    assert out == 0
-    assert bus.rounds == []
+    data = {1: 3, 2: 5, 3: 7, 4: 2}
+    bus = Bus(system.ids)
+    out = models.authority_aggregate(
+        bus, system.params, system.enc_keys, system.virtual_id, poly, data
+    )
+    assert out == oracle_eval(poly, data, system.params.p)
+    assert len(bus.rounds) == 1
+    assert not [m for m in bus.messages() if m.kind == "enc-add-sigma"]
 
 
 def test_sigma_group_too_small(arith_system):

@@ -19,8 +19,6 @@ from pda_kit.numtheory import (
     lagrange_weights,
     lift_correlated_prime,
     mod_inv,
-    mod_mul,
-    mod_pow,
 )
 from pda_kit.rng import Rng
 
@@ -42,18 +40,9 @@ def test_mod_inv_known():
     assert mod_inv(8, 23) == 3  # 8*3 = 24 = 1 mod 23
 
 
-def test_mod_pow_zero_exponent():
-    for x in (0, 1, 5, 1234):
-        assert mod_pow(x, 0, 97) == 1
-
-
 def test_mod_inv_non_unit():
     with pytest.raises(NotInvertible):
         mod_inv(6, 110)  # gcd = 2
-
-
-def test_mod_mul_reduces():
-    assert mod_mul(7, 9, 11) == 63 % 11
 
 
 # ---------------------------------------------------------------------------
