@@ -293,35 +293,30 @@ def cmd_bench(args) -> None:
         window=pda.Window(0, m),
     )
     rng = Rng(f"{seed}:bench")
-    weights = pda.lagrange_weights(group).reduced(params.N_tilde)
     xs = [rng.randbelow(params.N) for _ in range(m)]
     u1, u2 = query.special_users()
     ordinary_id = next(i for i in group if i not in (u1, u2))
 
     rows: dict[str, dict] = {}
     rows["pda_encode_ordinary"] = _time_op(
-        lambda: pda.encode_ordinary(
-            params, system.enc_keys[ordinary_id], query, xs, weights=weights
-        ),
+        lambda: pda.encode_ordinary(params, system.enc_keys[ordinary_id], query, xs),
         iterations,
     )
 
     others = {
-        i: pda.encode_ordinary(params, system.enc_keys[i], query, xs, weights=weights)
+        i: pda.encode_ordinary(params, system.enc_keys[i], query, xs)
         for i in group
         if i not in (u1, u2)
     }
-    own = pda.encode_ordinary(params, system.enc_keys[u1], query, xs, weights=weights)
+    own = pda.encode_ordinary(params, system.enc_keys[u1], query, xs)
     rows["pda_encode_user2"] = _time_op(
         lambda: pda.encode_user2(
-            params, system.agg_pk, system.enc_keys[u2], query, xs,
-            rng.fork("u2"), weights=weights,
+            params, system.agg_pk, system.enc_keys[u2], query, xs, rng.fork("u2")
         ),
         iterations,
     )
     user2_cts = pda.encode_user2(
-        params, system.agg_pk, system.enc_keys[u2], query, xs,
-        rng.fork("u2-final"), weights=weights,
+        params, system.agg_pk, system.enc_keys[u2], query, xs, rng.fork("u2-final")
     )
     rows["pda_encode_user1"] = _time_op(
         lambda: pda.encode_user1(

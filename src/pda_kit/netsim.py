@@ -203,8 +203,6 @@ def run_pda_aggregation(
 
     u1, u2 = query.special_users()
     ordinary = [i for i in query.participants if i not in (u1, u2)]
-    weights = pda.lagrange_weights(sorted(query.participants)).reduced(params.N_tilde)
-    h_cache: dict[int, int] = {}
 
     def driver(bus: Bus, crng: Rng):
         bus.begin_round()
@@ -220,14 +218,7 @@ def run_pda_aggregation(
         bus.begin_round()
         others: dict[int, dict[int, int]] = {}
         for i in ordinary:
-            enc = pda.encode_ordinary(
-                params,
-                system.enc_keys[i],
-                query,
-                data[i],
-                weights=weights,
-                h_cache=h_cache,
-            )
+            enc = pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
             others[i] = enc
             bus.post(i, "encode", tuple(enc[k] for k in range(query.m)))
         user2_cts = pda.encode_user2(
@@ -237,20 +228,11 @@ def run_pda_aggregation(
             query,
             data[u2],
             crng.fork(f"user2:{u2}"),
-            weights=weights,
-            h_cache=h_cache,
         )
         bus.post(u2, "encode-enc", tuple(user2_cts[k] for k in range(query.m)))
         bus.end_round()
 
-        own = pda.encode_ordinary(
-            params,
-            system.enc_keys[u1],
-            query,
-            data[u1],
-            weights=weights,
-            h_cache=h_cache,
-        )
+        own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
         blinded = pda.encode_user1(
             params,
             system.agg_pk,

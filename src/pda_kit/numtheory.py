@@ -1,8 +1,9 @@
 """Modular big-integer substrate shared by both aggregation schemes.
 
 Covers probabilistic prime generation (safe primes and correlated
-semiprimes), denominator-cleared Lagrange weights, the (1+M)-subgroup
-discrete log, the deterministic hash into the hidden subgroup, and the
+semiprimes), denominator-cleared Lagrange weights (built once per
+group), the (1+M)-subgroup discrete log, the public slot exponent a_t
+of the hash H(t) = h^{a_t} into the hidden subgroup, and the
 two key ceremonies both schemes run on the bus: the ring exchange and
 the blinded (1+M)-power share exchange.  The schemes differ only in the
 ring (p^2(p-1)^2 or N~^2) and in what they feed these ceremonies.
@@ -12,10 +13,12 @@ All values are plain Python ints; modular results are reduced into
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .bus import Bus
@@ -235,19 +238,23 @@ class LagrangeWeights:
 
     weights[i] = scale * L_{i,P}(0) exactly, so for every polynomial q of
     degree <= |P|-1 with q(0) = 0 the weighted sum of its evaluations is
-    scale * q(0) = 0 over the integers, hence 0 modulo anything.
+    scale * q(0) = 0 over the integers, hence 0 modulo anything.  One
+    instance is shared by every caller with the same group, so `weights`
+    is a read-only mapping.
     """
 
     participants: tuple[int, ...]
     weights: Mapping[int, int]
     scale: int
 
-    def reduced(self, modulus: int) -> dict[int, int]:
-        return {i: w % modulus for i, w in self.weights.items()}
-
 
 def lagrange_weights(participants: Iterable[int]) -> LagrangeWeights:
-    ids = tuple(participants)
+    """Weights of the group P; `participants` is P in any order."""
+    return _lagrange_weights(tuple(sorted(participants)))
+
+
+@functools.lru_cache(maxsize=128)
+def _lagrange_weights(ids: tuple[int, ...]) -> LagrangeWeights:
     if len(set(ids)) != len(ids):
         raise DuplicateId(f"repeated IDs in {ids}")
     if len(ids) < 2:
@@ -264,7 +271,7 @@ def lagrange_weights(participants: Iterable[int]) -> LagrangeWeights:
         exact[i] = value
     scale = math.lcm(*[v.denominator for v in exact.values()])
     weights = {i: int(v * scale) for i, v in exact.items()}
-    return LagrangeWeights(participants=ids, weights=weights, scale=scale)
+    return LagrangeWeights(participants=ids, weights=MappingProxyType(weights), scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +292,8 @@ def dlog_one_plus_m(y: int, m: int) -> int:
 _HASH_DOMAIN = b"pda-kit/hash-to-subgroup/v1"
 
 
-def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") -> int:
-    """Deterministic H(t) = h^(XOF(seed || t) mod N~) mod N.
-
-    Output lies in <h>; when h has order dividing N~ the result is an
-    N~-th root of unity mod N.
-    """
+def slot_exponent(t: int, n_tilde: int, seed: bytes = b"") -> int:
+    """Public exponent a_t = XOF(seed || t) mod N~ of the slot hash H(t) = h^{a_t}."""
     if t < 0:
         raise ValueError("time slots are non-negative")
     t_bytes = t.to_bytes(max(1, (t.bit_length() + 7) // 8), "big")
@@ -302,8 +305,16 @@ def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") ->
         + t_bytes
     )
     width = (n_tilde.bit_length() + 7) // 8 + 16
-    exponent = int.from_bytes(hashlib.shake_256(material).digest(width), "big") % n_tilde
-    return pow(h, exponent, n)
+    return int.from_bytes(hashlib.shake_256(material).digest(width), "big") % n_tilde
+
+
+def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") -> int:
+    """Deterministic H(t) = h^{a_t} mod N, with a_t = slot_exponent(t).
+
+    Output lies in <h>; when h has order dividing N~ the result is an
+    N~-th root of unity mod N, and H(t)^s = h^{a_t * s mod N~}.
+    """
+    return pow(h, slot_exponent(t, n_tilde, seed), n)
 
 
 # ---------------------------------------------------------------------------

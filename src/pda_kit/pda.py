@@ -5,11 +5,13 @@ values, one special user bridges into the aggregator's homomorphic
 encryption, a second special user blinds the per-term ciphertexts, and
 the aggregator learns exactly the polynomial value and nothing else.
 
-Masks are powers of a hash into the hidden subgroup <h> of Z_N*, with
-exponents q^(d)(i) * lambda_{i,P}: evaluations of jointly generated
-zero-constant polynomials times denominator-cleared Lagrange weights.
-Over any admissible participant set the mask exponents sum to a multiple
-of the subgroup order, so the masks multiply to one.
+User i's mask for slot t is H(t)^{s_i} = h^{a_t * s_i mod N~}, where
+H(t) = h^{a_t} hashes into the hidden subgroup <h> of Z_N* with a public
+exponent a_t, and s_i = q^(d)(i) * lambda_{i,P}: the evaluation of a
+jointly generated zero-constant polynomial times the denominator-cleared
+Lagrange weight of the group.  Over any admissible participant set the
+s_i sum to a multiple of N~, which the order of h divides, so the masks
+multiply to one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .numtheory import (
     mod_inv,
     ring_exchange,
     share_exchange,
+    slot_exponent,
 )
 from .rng import Rng
 
@@ -393,50 +396,30 @@ def _group_degree(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
     return d
 
 
-def mask_exponent(
-    params: PdaParams,
-    key: PdaEncKey,
-    group: Sequence[int],
-    weights: Mapping[int, int] | None = None,
-) -> int:
-    """q^(|P|-1)(i) * lambda_{i,P} reduced mod N~."""
+def mask_exponent(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> int:
+    """s = q^(|P|-1)(i) * lambda_{i,P} reduced mod N~."""
     d = _group_degree(params, key, group)
-    if weights is None:
-        weights = lagrange_weights(sorted(group)).reduced(params.N_tilde)
-    return key.evaluations[d] * weights[key.id] % params.N_tilde
+    return key.evaluations[d] * lagrange_weights(group).weights[key.id] % params.N_tilde
 
 
-def encode_value(
-    params: PdaParams,
-    key: PdaEncKey,
-    group: Sequence[int],
-    x: int,
-    e: int,
-    t: int,
-    weights: Mapping[int, int] | None = None,
-    h_cache: dict[int, int] | None = None,
-) -> int:
-    """C(x) = x^e * H(t)^{q * lambda} mod N."""
-    exp = mask_exponent(params, key, group, weights)
-    if h_cache is not None and t in h_cache:
-        ht = h_cache[t]
-    else:
-        ht = params.hash_slot(t)
-        if h_cache is not None:
-            h_cache[t] = ht
-    mask = pow(ht, exp, params.N)
+def _encode(params: PdaParams, s: int, x: int, e: int, t: int) -> int:
+    """x^e * H(t)^s mod N, with H(t)^s = h^{a_t * s mod N~} as ord(h) | N~."""
+    a_t = slot_exponent(t, params.N_tilde, params.hash_seed)
+    mask = pow(params.h, a_t * s % params.N_tilde, params.N)
     if e == 0:
         return mask
     return pow(x % params.N, e, params.N) * mask % params.N
 
 
+def encode_value(
+    params: PdaParams, key: PdaEncKey, group: Sequence[int], x: int, e: int, t: int
+) -> int:
+    """C(x) = x^e * H(t)^{q * lambda} mod N."""
+    return _encode(params, mask_exponent(params, key, group), x, e, t)
+
+
 def encode_ordinary(
-    params: PdaParams,
-    key: PdaEncKey,
-    query: PdaQuery,
-    xs: Sequence[int],
-    weights: Mapping[int, int] | None = None,
-    h_cache: dict[int, int] | None = None,
+    params: PdaParams, key: PdaEncKey, query: PdaQuery, xs: Sequence[int]
 ) -> dict[int, int]:
     """All m encoded values of one user for one query.
 
@@ -447,19 +430,11 @@ def encode_ordinary(
         raise ValueError("need one value per term")
     if key.id not in query.participants:
         raise KeyMissing(f"user {key.id} not in the query group")
-    out = {}
-    for k in range(query.m):
-        out[k] = encode_value(
-            params,
-            key,
-            query.participants,
-            xs[k],
-            query.exponent(key.id, k),
-            query.window.slot(k),
-            weights=weights,
-            h_cache=h_cache,
-        )
-    return out
+    s = mask_exponent(params, key, query.participants)
+    return {
+        k: _encode(params, s, xs[k], query.exponent(key.id, k), query.window.slot(k))
+        for k in range(query.m)
+    }
 
 
 def encode_user2(
@@ -469,11 +444,9 @@ def encode_user2(
     query: PdaQuery,
     xs: Sequence[int],
     rng: Rng,
-    weights: Mapping[int, int] | None = None,
-    h_cache: dict[int, int] | None = None,
 ) -> dict[int, int]:
     """User 2's bridge: ordinary encodings wrapped in the aggregator's encryption."""
-    plain = encode_ordinary(params, key, query, xs, weights=weights, h_cache=h_cache)
+    plain = encode_ordinary(params, key, query, xs)
     return {k: paillier.encrypt(agg_pk, v, rng=rng) for k, v in plain.items()}
 
 

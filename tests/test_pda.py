@@ -165,12 +165,11 @@ def test_mask_cancellation_invariant(pda_system):
     for _ in range(25):
         size = rnd.randint(params.theta_min, len(ids))
         group = sorted(rnd.sample(ids, size))
-        weights = pda.lagrange_weights(group).reduced(params.N_tilde)
         t = rnd.randrange(1 << 20)
         ht = params.hash_slot(t)
         prod = 1
         for i in group:
-            exp = pda.mask_exponent(params, system.enc_keys[i], group, weights)
+            exp = pda.mask_exponent(params, system.enc_keys[i], group)
             prod = prod * pow(ht, exp, params.N) % params.N
         assert prod == 1
 
@@ -195,10 +194,16 @@ def test_encode_pure_mask(pda_system):
     params = system.params
     group = sorted(system.enc_keys)
     key = system.enc_keys[group[0]]
-    weights = pda.lagrange_weights(group).reduced(params.N_tilde)
+    s = pda.mask_exponent(params, key, group)
     c = pda.encode_value(params, key, group, x=1, e=0, t=17)
-    expected = pow(params.hash_slot(17), pda.mask_exponent(params, key, group, weights), params.N)
+    expected = pow(params.hash_slot(17), s, params.N)
     assert c == expected
+    # the fixed-base path h^{a_t * s} agrees with H(t)^s * x^e for every e
+    rnd = random.Random(17)
+    for e in (1, 2, 5):
+        x, t = rnd.randrange(params.N), rnd.randrange(1 << 20)
+        c = pda.encode_value(params, key, group, x=x, e=e, t=t)
+        assert c == pow(params.hash_slot(t), s, params.N) * pow(x, e, params.N) % params.N
 
 
 def test_encode_deterministic(pda_system):
@@ -278,15 +283,14 @@ def test_blinded_and_unblinded_aggregate_identically(pda_system):
     rnd = random.Random(8)
     data = {i: [rnd.randrange(params.N) for _ in range(query.m)] for i in query.participants}
     u1, u2 = query.special_users()
-    weights = pda.lagrange_weights(sorted(query.participants)).reduced(params.N_tilde)
     others = {
-        i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i], weights=weights)
+        i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
         for i in query.participants
         if i not in (u1, u2)
     }
-    own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1], weights=weights)
+    own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
     cts = pda.encode_user2(
-        params, system.agg_pk, system.enc_keys[u2], query, data[u2], Rng("u2"), weights=weights
+        params, system.agg_pk, system.enc_keys[u2], query, data[u2], Rng("u2")
     )
     blinded = pda.encode_user1(params, system.agg_pk, query, own, others, cts, Rng("u1"))
 
@@ -321,16 +325,14 @@ def test_single_blinded_term_hides_term_value(pda_system):
             for i in query.participants
         }
         u1, u2 = query.special_users()
-        weights = pda.lagrange_weights(sorted(query.participants)).reduced(params.N_tilde)
         others = {
-            i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i], weights=weights)
+            i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
             for i in query.participants
             if i not in (u1, u2)
         }
-        own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1], weights=weights)
+        own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
         cts = pda.encode_user2(
-            params, system.agg_pk, system.enc_keys[u2], query, data[u2],
-            Rng(f"u2:{trial}"), weights=weights,
+            params, system.agg_pk, system.enc_keys[u2], query, data[u2], Rng(f"u2:{trial}")
         )
         blinded = pda.encode_user1(
             params, system.agg_pk, query, own, others, cts, Rng(f"u1:{trial}")
