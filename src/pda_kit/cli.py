@@ -8,6 +8,7 @@ exit non-zero with {"error": code, "detail": ...} on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import statistics
@@ -153,26 +154,29 @@ def _load_pda_system(args) -> netsim.PdaSystem:
 
 
 def _query_data(query: pda.PdaQuery, path: str, modulus: int) -> dict[int, list[int]]:
-    with open(path, newline="") as fh:
-        import csv
+    def integer(cell: str | None, what: str) -> int:
+        try:
+            return int(cell)
+        except (TypeError, ValueError):
+            raise CliError("bad-data", f"{path}: {what} is not an integer: {cell!r}") from None
 
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CliError("bad-data", "empty CSV")
+        columns = [f"x{k}" if f"x{k}" in reader.fieldnames else "x" for k in range(query.m)]
+        if "x" in columns and "x" not in reader.fieldnames:
+            raise CliError("bad-data", f"{path}: need columns x0..x{query.m - 1} or x")
         rows = {}
         for idx, record in enumerate(reader, start=1):
-            user = int(record["user"]) if "user" in record else idx
+            user = integer(record["user"], f"user of row {idx}") if "user" in record else idx
             rows[user] = record
     data = {}
     for i in query.participants:
         record = rows.get(i)
         if record is None:
             raise CliError("bad-data", f"no data row for user {i}")
-        values = []
-        for k in range(query.m):
-            cell = record.get(f"x{k}", record.get("x", "1"))
-            values.append(int(cell) % modulus)
-        data[i] = values
+        data[i] = [integer(record[col], f"{col} of user {i}") % modulus for col in columns]
     return data
 
 

@@ -48,7 +48,7 @@ class ExtractionFailed(ProtocolError):
 
 
 class RingTooSmall(ProtocolError):
-    """Hardened ring exchange needs more participants than supplied."""
+    """Ring exchange needs more participants than supplied."""
 
 
 # --- encryption / aggregation ----------------------------------------------

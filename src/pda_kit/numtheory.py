@@ -29,6 +29,7 @@ from .errors import (
     NotInSubgroup,
     NotInvertible,
     PartyMissing,
+    RingTooSmall,
     StrictChainNotFound,
 )
 from .rng import Rng
@@ -339,11 +340,17 @@ def ring_exchange(
     each raising it to its own exponent, before party i applies r_i --
     one extra bus round per hop.
 
+    A ring of hops+2 parties or fewer is refused with RingTooSmall: at
+    hops+2 the base y_{i+hops+1} * y_{i-1}^{-1} is 1, so every Y_i would
+    be 1 and blind nothing.
+
     Parties in `absent` never broadcast, which fails the exchange with
     PartyMissing.  Parties in `late` broadcast in a second round, the
     value their callback picks after seeing the first round's broadcasts.
     """
     ring = sorted(exponents)
+    if len(ring) <= hops + 2:
+        raise RingTooSmall(f"ring with {hops} relay hops needs more than {hops + 2} parties")
     late = late or {}
 
     bus.begin_round()

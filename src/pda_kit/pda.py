@@ -17,6 +17,7 @@ multiply to one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,9 +25,11 @@ from . import paillier
 from .bus import Bus
 from .errors import (
     GroupBelowThreshold,
+    GroupTooSmall,
     KeyMissing,
     MissingEncoding,
-    RingTooSmall,
+    NotInSubgroup,
+    NotInvertible,
     SlotReused,
 )
 from .numtheory import (
@@ -73,7 +76,8 @@ class PdaParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PdaParams":
-        return cls(
+        """Load, then check that ord(h) | N~, g~ is a unit and 3 <= theta_min <= n."""
+        params = cls(
             N=int(doc["n_cap"], 16),
             N_tilde=int(doc["n_tilde"], 16),
             g=int(doc["g"], 16),
@@ -83,6 +87,13 @@ class PdaParams:
             n=int(doc["n"]),
             theta_min=int(doc["theta_min"]),
         )
+        if not (1 < params.h < params.N and pow(params.h, params.N_tilde, params.N) == 1):
+            raise NotInSubgroup("h is not an N~-th root of unity mod N")
+        if math.gcd(params.g_tilde, params.N_tilde) != 1:
+            raise NotInvertible("g~ is not a unit mod N~")
+        if not 3 <= params.theta_min <= params.n:
+            raise GroupTooSmall(f"theta_min={params.theta_min} outside [3, n={params.n}]")
+        return params
 
 
 @dataclass
@@ -325,10 +336,6 @@ def ring_share(
     nt = params.N_tilde
     if k_collusion < 0:
         raise ValueError("k_collusion must be >= 0")
-    if len(ids) <= k_collusion + 2:
-        raise RingTooSmall(
-            f"hardened ring with k={k_collusion} needs more than {k_collusion + 2} parties"
-        )
 
     r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
     # Rushing parties publish only after seeing the honest broadcasts.

@@ -15,6 +15,7 @@ from pda_kit.errors import (
     MixedKinds,
     NonInvertibleBroadcast,
     PartyMissing,
+    RingTooSmall,
 )
 from pda_kit.numtheory import ring_exchange
 from pda_kit.rng import Rng
@@ -89,6 +90,17 @@ def test_ring_masks_non_invertible_broadcast():
     # party 1 broadcasts 2 after the others; gcd(2,10)>1
     with pytest.raises(NonInvertibleBroadcast):
         ring_exchange(Bus((1, 2, 3)), 10, 3, {1: 1, 2: 1, 3: 1}, late={1: lambda seen: 2})
+
+
+def test_initialize_refuses_two_party_ring():
+    # on two parties y_{i+1} = y_{i-1}, so every master key would be 1
+    params = arith.setup(16, 3, 3, Rng(1))
+    bus = Bus((1, 2))
+    with pytest.raises(RingTooSmall):
+        arith.initialize(bus, params, Rng("i"), ids=(1, 2))
+    assert bus.rounds == []
+    with pytest.raises(RingTooSmall):
+        ring_exchange(Bus((1, 2, 3)), 23, 5, {1: 3, 2: 4, 3: 6}, hops=1)
 
 
 def test_initialize_master_product_and_round_shape():

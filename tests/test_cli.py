@@ -141,6 +141,48 @@ def test_aggregate_window_reuse_fails(keyring, capsys):
     assert err["error"] == "SlotReused"
 
 
+def test_aggregate_rejects_params_with_h_outside_subgroup(keyring, tmp_path, capsys):
+    params, keys = keyring
+    doc = json.loads(params.read_text())
+    doc["h"] = format(int(doc["h"], 16) + 1, "x")
+    broken = tmp_path / "params.json"
+    broken.write_text(json.dumps(doc))
+    code = run_cli(
+        "aggregate", "--params", broken, "--keys", keys,
+        "--query", FIXTURES / "toy_query.json",
+        "--data", FIXTURES / "toy_data.csv",
+        "--seed", "16",
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotInSubgroup"
+
+
+@pytest.mark.parametrize(
+    "csv_text",
+    [
+        "user,x0,x1\n1,5,1\n,7,1\n3,1,3\n",  # empty user cell
+        "user,x0,x1\n1,5,1\ntwo,7,1\n3,1,3\n",  # non-integer user cell
+        "user,x0,x1\n1,5,1\n2,,1\n3,1,3\n",  # empty value cell
+        "user,x0,x1\n1,5,1\n2,7,1.5\n3,1,3\n",  # non-integer value cell
+        "user,x0,x1\n1,5,1\n2,7\n3,1,3\n",  # short row
+        "user,x0,y\n1,5,1\n2,7,1\n3,1,3\n",  # neither x1 nor x
+        "user,value\n1,5\n2,7\n3,1\n",  # neither x<k> nor x
+    ],
+)
+def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
+    params, keys = keyring
+    data = tmp_path / "data.csv"
+    data.write_text(csv_text)
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", keys,
+        "--query", FIXTURES / "toy_query.json", "--data", data, "--seed", "17",
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-data"
+
+
 def test_demo_stats(tmp_path, capsys):
     data = tmp_path / "stats.csv"
     data.write_text("x\n2\n4\n6\n")

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -162,11 +164,21 @@ def test_lagrange_pair_identity():
         assert a * w.weights[a] + b * w.weights[b] == 0
 
 
+def fraction_lagrange_at_zero(ids, i):
+    """Oracle: L_{i,P}(0) = prod_{j != i} j / (j - i) as one exact fraction."""
+    num = den = 1
+    for j in ids:
+        if j != i:
+            num *= j
+            den *= j - i
+    return Fraction(num, den)
+
+
 def test_lagrange_zero_constant_cancellation_sweep():
-    # random zero-constant polynomials over random moduli
+    # random zero-constant polynomials over random moduli, on unsorted groups
     rnd = random.Random(20_240_601)
-    for _ in range(200):
-        size = rnd.randint(2, 12)
+    for trial in range(200):
+        size = rnd.randint(2, 12 if trial % 4 else 40)
         ids = rnd.sample(range(1, 65), size)
         modulus = rnd.randint(2, 1 << 64)
         coeffs = [rnd.randrange(modulus) for _ in range(size - 1)]
@@ -180,6 +192,16 @@ def test_lagrange_zero_constant_cancellation_sweep():
         w = lagrange_weights(ids)
         total = sum(w.weights[i] * q(i) for i in ids)
         assert total % modulus == 0
+
+        exact = {i: fraction_lagrange_at_zero(ids, i) for i in ids}
+        assert w.scale == math.lcm(*(v.denominator for v in exact.values()))
+        assert dict(w.weights) == {i: v * w.scale for i, v in exact.items()}
+        assert w.participants == tuple(sorted(ids))
+        # one shared instance per group, whose mapping refuses writes
+        assert lagrange_weights(reversed(ids)) is w
+        with pytest.raises(TypeError):
+            w.weights[ids[0]] = 0
+        assert w.weights[ids[0]] == exact[ids[0]] * w.scale
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from pda_kit import netsim, paillier, pda
+from pda_kit import netsim, numtheory, paillier, pda
 from pda_kit.bus import Bus
 from pda_kit.errors import (
     ExtractionFailed,
     GroupBelowThreshold,
+    GroupTooSmall,
     KeyMissing,
     MissingEncoding,
+    NotInSubgroup,
+    NotInvertible,
     RingTooSmall,
     SlotReused,
 )
@@ -55,6 +58,22 @@ def test_setup_rejects_bad_thresholds():
 def test_params_json_roundtrip():
     params = pda.setup(8, 4, 3, Rng(3))
     assert pda.PdaParams.from_json(params.to_json()) == params
+
+
+def test_params_from_json_rejects_broken_fields():
+    doc = pda.setup(8, 4, 3, Rng(3)).to_json()
+    h, n_cap = int(doc["h"], 16), int(doc["n_cap"], 16)
+    cases = [
+        ({"h": format(h + 1, "x")}, NotInSubgroup),
+        ({"h": "1"}, NotInSubgroup),
+        ({"h": format(h + n_cap, "x")}, NotInSubgroup),  # congruent, but not below N
+        ({"g_tilde": doc["n_tilde"]}, NotInvertible),
+        ({"theta_min": 2}, GroupTooSmall),
+        ({"theta_min": 5}, GroupTooSmall),  # above n = 4
+    ]
+    for change, error in cases:
+        with pytest.raises(error):
+            pda.PdaParams.from_json({**doc, **change})
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +473,33 @@ def test_round_structure(pda_system):
     assert kinds1 == {"encode", "encode-enc"}
     kinds2 = {m.kind for m in result.bus.rounds[2]}
     assert kinds2 == {"blinded-term"}
+
+
+def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
+    # one fixed-base pow per (user, slot) for the mask, one more per x^e with e > 0
+    system, _ = pda_system
+    params = system.params
+    ids = tuple(sorted(system.enc_keys))
+    m = 3
+    exponents = {i: {k: (i + k) % 3 for k in range(m)} for i in ids}
+    query = pda.PdaQuery(
+        coeffs=(1,) * m, exponents=exponents, participants=ids, window=pda.Window(9500, m)
+    )
+    data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
+    calls = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod == params.N and exp >= 0:
+            calls.append(exp)
+        return pow(base, exp, mod)
+
+    for module in (pda, numtheory):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    value, _ = netsim.run_pda_aggregation(
+        system, query, data, seed=9, registry=pda.SlotRegistry()
+    )
+    monkeypatch.undo()
+    assert value == pda.evaluate_query(query, data, params.N)
+    positive = sum(1 for i in ids for k in range(m) if query.exponent(i, k) > 0)
+    assert 0 < positive < len(ids) * m
+    assert len(calls) == len(ids) * m + positive
