@@ -15,6 +15,7 @@ coefficients by 2^(f * (d_max - d_k)) instead.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -262,7 +263,20 @@ def read_rows(path) -> tuple[list[str], dict[int, dict[str, float]]]:
     """Header names the features; column 'y' is the dependent variable.
 
     Rows become users 1..n in file order unless a 'user' column is present.
+    An empty, missing, non-numeric or non-finite cell raises ValueError
+    naming its row and column.
     """
+
+    def cell(record: dict, idx: int, column: str, kind: type) -> int | float:
+        text = record[column]
+        try:
+            value = kind(text)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"row {idx}, column {column!r}: not a finite number: {text!r}")
+        return value
+
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -270,7 +284,7 @@ def read_rows(path) -> tuple[list[str], dict[int, dict[str, float]]]:
         names = [c for c in reader.fieldnames if c not in ("user",)]
         rows: dict[int, dict[str, float]] = {}
         for idx, record in enumerate(reader, start=1):
-            user = int(record["user"]) if "user" in record and record["user"] else idx
-            rows[user] = {c: float(record[c]) for c in names}
+            user = cell(record, idx, "user", int) if "user" in record else idx
+            rows[user] = {c: cell(record, idx, c, float) for c in names}
     features = [c for c in names if c != "y"]
     return features, rows

@@ -202,7 +202,10 @@ def cmd_aggregate(args) -> None:
 
 def cmd_demo(args) -> None:
     seed = _seed(args)
-    features, rows = analytics.read_rows(args.data)
+    try:
+        features, rows = analytics.read_rows(args.data)
+    except ValueError as exc:
+        raise CliError("bad-data", f"{args.data}: {exc}") from None
     n = len(rows)
     system, _ = netsim.build_pda_system(
         args.kappa, n, 3, seed, m_max=max(8, n)

@@ -78,7 +78,7 @@ class IncompleteBroadcast(ProtocolError):
 
 
 class ResultOverflow(ProtocolError):
-    """Aggregate exceeds the plaintext bound, so the modular result wrapped."""
+    """Aggregate exceeds (or could exceed) the plaintext bound and would wrap."""
 
 
 class MissingEncoding(ProtocolError):

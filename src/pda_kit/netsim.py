@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult, Observer
-from .errors import ProtocolError, SingularSystem
+from .errors import ProtocolError, ResultOverflow, SingularSystem
 from .numtheory import mod_inv
 from .rng import Rng
 
@@ -193,11 +193,16 @@ def run_pda_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Declaration round, then the two broadcast rounds of one evaluation.
 
-    The window is claimed against the registry before any message is
-    emitted; an overlap aborts with an empty transcript.
+    A query whose term sum the aggregator key cannot hold is refused
+    before its window is claimed.  The window is claimed against the
+    registry before any message is emitted; an overlap aborts with an
+    empty transcript.
     """
     params = system.params
     query.validate(params)
+    need, have = paillier.required_bits(params.N, query.m), system.agg_pk.n.bit_length()
+    if have < need:
+        raise ResultOverflow(f"{query.m} terms need a {need}-bit aggregator key, have {have}")
     registry = registry if registry is not None else system.registry
     registry.claim(query.window)
 

@@ -47,6 +47,8 @@ def _sieve(limit: int) -> list[int]:
 
 
 SMALL_PRIMES = _sieve(2000)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SMALL_PRIMORIAL = math.prod(SMALL_PRIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +79,16 @@ def _mr_bases(n: int, rounds: int) -> Iterable[int]:
         yield 2 + chunk % span
 
 
+def _sieved(n: int) -> bool:
+    """True unless n has a prime factor below 2000 other than itself."""
+    return n in _SMALL_PRIME_SET or math.gcd(n, _SMALL_PRIMORIAL) == 1
+
+
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    if n < 2:
+    if n < 2 or not _sieved(n):
         return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n in _SMALL_PRIME_SET:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -116,23 +120,23 @@ def gen_safe_prime(bits: int, rng: Rng) -> SafePrimePair:
 
     Candidates restart at a fresh random point every iteration to avoid
     the bias of increment-only scans.  Deterministic given the stream.
+    Both members are sieved, then screened with one Miller-Rabin round,
+    before either gets the full test.  The one-round base is the first
+    base of the full test, so the screens reject nothing it would accept.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
     while True:
         q = rng.odd_with_top_bit(bits - 1)
         p = 2 * q + 1
-        ok = True
-        for sp in SMALL_PRIMES:
-            if q % sp == 0 and q != sp:
-                ok = False
-                break
-            if p % sp == 0 and p != sp:
-                ok = False
-                break
-        if not ok:
+        if not (_sieved(q) and _sieved(p)):
             continue
-        if is_probable_prime(q) and is_probable_prime(p):
+        if (
+            is_probable_prime(q, 1)
+            and is_probable_prime(p, 1)
+            and is_probable_prime(q)
+            and is_probable_prime(p)
+        ):
             return SafePrimePair(p=p, p_prime=q)
 
 

@@ -5,10 +5,12 @@ E(m1)*E(m2) = E(m1+m2) and E(m)^a = E(m*a).  The generator is fixed to
 n+1, so encryption uses (1+n)^m = 1 + m*n (mod n^2) without a modexp.
 
 The aggregator's modulus must be wide enough that the integer sum of all
-blinded term plaintexts never wraps: with term values below N^2, scalars
-below N and at most m_max terms that is 3*|N| + ceil(log2 m_max) + 2 bits
-(see `required_bits`).  The final reduction mod N then recovers the exact
-polynomial value.
+blinded term plaintexts never wraps.  User 1 scales each user-2 encoding
+C < N once, by a scalar e < N that already holds the coefficient, so a
+term plaintext is C*e < N^2 and m_max terms sum below m_max*N^2 <
+2^(2*|N| + ceil(log2 m_max)).  A modulus of 2*|N| + ceil(log2 m_max) + 1
+bits is at least that large (see `required_bits`), and the final
+reduction mod N then recovers the exact polynomial value.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def keygen(bits: int, rng: Rng) -> AggKeyPair:
 
 
 def required_bits(outer_modulus: int, m_max: int) -> int:
-    """Minimum |n| so that m_max blinded terms never wrap the integer sum."""
+    """Minimum |n| so that m_max blinded terms, each below N^2, never wrap."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    return 3 * outer_modulus.bit_length() + (m_max - 1).bit_length() + 2
+    return 2 * outer_modulus.bit_length() + (m_max - 1).bit_length() + 1
 
 
 def encrypt(pk: AggPublicKey, m: int, rng: Rng | None = None, r: int | None = None) -> int:

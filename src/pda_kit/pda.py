@@ -480,11 +480,14 @@ def encode_user1(
     user2_cts: Mapping[int, int],
     rng: Rng,
 ) -> list[int]:
-    """Blinded term ciphertexts {K_k * V_k^{c_k}} published by user 1.
+    """Blinded term ciphertexts {K_k * E(C(x_2k))^{e_k}} published by user 1.
 
-    V_k = E(C(x_2k))^{prod_{i != 2} C(x_ik) mod N}; the blinding units
-    multiply to 1 so the aggregate is unaffected while no single term
-    ciphertext decrypts to its term value.
+    e_k = c_k * prod_{i != 2} C(x_ik) mod N folds the coefficient into the
+    one scalar, so each term costs a single homomorphic scale.  Its
+    plaintext C(x_2k) * e_k stays below N^2, and sum_k C(x_2k) * e_k is
+    congruent to f(x_P) mod N.  The blinding units multiply to 1 so the
+    aggregate is unaffected while no single term ciphertext decrypts to
+    its term value.
     """
     u1, u2 = query.special_users()
     expected = [i for i in query.participants if i not in (u1, u2)]
@@ -500,12 +503,10 @@ def encode_user1(
     units = blinding_units(agg_pk, query.m, rng.fork("user1:blind"))
     out = []
     for k in range(query.m):
-        exp = own_encodings[k]
+        e = query.coeffs[k] * own_encodings[k] % params.N
         for i in expected:
-            exp = exp * other_encodings[i][k] % params.N
-        v = paillier.scale(agg_pk, user2_cts[k], exp)
-        c = query.coeffs[k] % params.N
-        out.append(units[k] * paillier.scale(agg_pk, v, c) % agg_pk.nsq)
+            e = e * other_encodings[i][k] % params.N
+        out.append(units[k] * paillier.scale(agg_pk, user2_cts[k], e) % agg_pk.nsq)
     return out
 
 

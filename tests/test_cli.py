@@ -183,6 +183,46 @@ def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
     assert json.loads(capsys.readouterr().err)["error"] == "bad-data"
 
 
+def test_aggregate_refuses_query_wider_than_aggregator_key(keyring, tmp_path, capsys):
+    params, _ = keyring
+    keys = tmp_path / "keys"
+    assert run_cli(
+        "keygen", "--params", params, "--keys", keys, "--seed", "18", "--m-max", "1",
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", keys,
+        "--query", FIXTURES / "toy_query.json",
+        "--data", FIXTURES / "toy_data.csv",
+        "--seed", "19",
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ResultOverflow"
+    assert (keys / "registry.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "csv_text, where",
+    [
+        ("x\n2\nabc\n6\n", "row 2, column 'x'"),  # non-numeric cell
+        ("x\n2\n4\ninf\n", "row 3, column 'x'"),  # non-finite cell
+        ("user,x\n1,2\n,4\n3,6\n", "row 2, column 'user'"),  # empty user cell
+    ],
+)
+def test_demo_rejects_bad_data(tmp_path, capsys, csv_text, where):
+    data = tmp_path / "stats.csv"
+    data.write_text(csv_text)
+    code = run_cli("demo", "stats", "--data", data, "--kappa", "16", "--seed", "23")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "bad-data"
+    assert where in err["detail"]
+
+
 def test_demo_stats(tmp_path, capsys):
     data = tmp_path / "stats.csv"
     data.write_text("x\n2\n4\n6\n")

@@ -43,16 +43,16 @@ GOLDEN = {
         "77784e7a048dde47e0bf374a25a5ec6f"
     ),
     "pda_system_k0": (
-        "e046d3e730dd71e6e1e8dc63b2ba5217"
-        "dea95229f5edd99813853be395b228b7"
+        "e2bdc3058a40cd8522ef0a6af4772205"
+        "887d04e4e00259885980aece9cb73c79"
     ),
     "pda_system_k1": (
-        "278cd9a61971940ed4967e719be88019"
-        "17f715cf4d15a76a5682b98998eafc2a"
+        "2a8bfd6523be4d55842059b45d31ad68"
+        "8f955886a6a9b8da2801a54a1715fc08"
     ),
     "pda_aggregation": (
-        "ccc2ef522f6c218ebfa79091c985e08b"
-        "106a19a6a9954caf6780ba04d60bcd2f"
+        "c26c5526137780eeaa101279ceb7c7ec"
+        "6493dd01f5a63d8384095e54327eb087"
     ),
     "rushing_k0": (
         "93f20dbf1b86e686045c2748dc1cb9ac"

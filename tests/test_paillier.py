@@ -104,9 +104,9 @@ def test_keygen_bits_and_gcd():
 
 def test_required_bits():
     n = (1 << 64) - 59  # 64 bits
-    assert paillier.required_bits(n, 8) == 3 * 64 + 3 + 2
-    assert paillier.required_bits(n, 1) == 3 * 64 + 0 + 2
-    assert paillier.required_bits(n, 5) == 3 * 64 + 3 + 2
+    assert paillier.required_bits(n, 8) == 2 * 64 + 3 + 1
+    assert paillier.required_bits(n, 1) == 2 * 64 + 0 + 1
+    assert paillier.required_bits(n, 5) == 2 * 64 + 3 + 1
 
 
 def test_json_roundtrip(toy_keys):

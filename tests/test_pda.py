@@ -14,6 +14,7 @@ from pda_kit.errors import (
     MissingEncoding,
     NotInSubgroup,
     NotInvertible,
+    ResultOverflow,
     RingTooSmall,
     SlotReused,
 )
@@ -503,3 +504,110 @@ def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
     positive = sum(1 for i in ids for k in range(m) if query.exponent(i, k) > 0)
     assert 0 < positive < len(ids) * m
     assert len(calls) == len(ids) * m + positive
+
+
+def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
+    # m encrypts by user 2, one scale a term by user 1, one decrypt
+    system, _ = pda_system
+    params = system.params
+    nsq = system.agg_pk.nsq
+    ids = tuple(sorted(system.enc_keys))
+    m = 4
+    query = pda.PdaQuery(
+        coeffs=(3, 5, 7, 11),
+        exponents={i: {k: 1 + (i + k) % 2 for k in range(m)} for i in ids},
+        participants=ids,
+        window=pda.Window(9600, m),
+    )
+    data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
+    calls = []
+    scales = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod == nsq and exp >= 0:
+            calls.append(exp)
+        return pow(base, exp, mod)
+
+    def counting_scale(pk, ct, k, scale=paillier.scale):
+        scales.append(k)
+        return scale(pk, ct, k)
+
+    for module in (pda, paillier, numtheory):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(paillier, "scale", counting_scale)
+    value, _ = netsim.run_pda_aggregation(
+        system, query, data, seed=10, registry=pda.SlotRegistry()
+    )
+    monkeypatch.undo()
+    assert value == pda.evaluate_query(query, data, params.N)
+    assert len(scales) == m
+    assert len(calls) == 2 * m + 1
+
+
+def test_worst_case_terms_do_not_wrap(pda_system):
+    # Every encoding, user-2 plaintext and coefficient is N-1, with m_max
+    # terms and a key of exactly required_bits(N, m_max) bits.  Three
+    # members make e_k = (N-1)^3 = N-1 (mod N), so every term plaintext is
+    # (N-1)^2, the largest one user 1 can produce.
+    system, _ = pda_system
+    params = system.params
+    top = params.N - 1
+    m_max = 16
+    bits = paillier.required_bits(params.N, m_max)
+    keys = paillier.keygen(bits, Rng("worst-case:key"))
+    assert keys.n.bit_length() == bits
+    pk = keys.public()
+    ids = (1, 2, 3)
+    query = pda.PdaQuery(
+        coeffs=(top,) * m_max,
+        exponents={i: {k: 1 for k in range(m_max)} for i in ids},
+        participants=ids,
+        window=pda.Window(0, m_max),
+    )
+    assert query.special_users() == (1, 2)
+    top_terms = {k: top for k in range(m_max)}
+    rng = Rng("worst-case:user2")
+    user2_cts = {k: paillier.encrypt(pk, top, rng=rng) for k in range(m_max)}
+    blinded = pda.encode_user1(
+        params, pk, query, top_terms, {3: top_terms}, user2_cts, Rng("worst-case:user1")
+    )
+    acc = 1
+    for ct in blinded:
+        acc = acc * ct % pk.nsq
+    exact = m_max * top * top
+    assert exact.bit_length() >= bits - 2  # the bound is nearly reached
+    # and it holds for every N of this width, not only this one
+    widest = (1 << params.N.bit_length()) - 1
+    assert m_max * (widest - 1) ** 2 < 1 << (bits - 1)
+    assert paillier.decrypt(keys, acc) == exact
+    assert pda.aggregate(params, keys, blinded) == exact % params.N
+
+
+def test_query_beyond_aggregator_key_refused_before_claim():
+    system, _ = netsim.build_pda_system(kappa=16, n=3, theta_min=3, seed=20_240_504, m_max=1)
+    params = system.params
+    top = params.N - 1
+    assert system.agg_pk.n.bit_length() == paillier.required_bits(params.N, 1)
+    ids = (1, 2, 3)
+
+    def query(m, start):
+        return pda.PdaQuery(
+            coeffs=(top,) * m,
+            exponents={i: {k: 1 for k in range(m)} for i in ids},
+            participants=ids,
+            window=pda.Window(start, m),
+        )
+
+    registry = pda.SlotRegistry()
+    wide = query(64, 0)
+    with pytest.raises(ResultOverflow):
+        netsim.run_pda_aggregation(
+            system, wide, {i: [top] * 64 for i in ids}, seed=1, registry=registry
+        )
+    assert registry.windows == []
+    one = query(1, 0)
+    value, _ = netsim.run_pda_aggregation(
+        system, one, {i: [top] for i in ids}, seed=2, registry=registry
+    )
+    assert value == pda.evaluate_query(one, {i: [top] for i in ids}, params.N)
+    assert registry.windows == [one.window]
