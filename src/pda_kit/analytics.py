@@ -259,12 +259,15 @@ def run_plan(
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def read_rows(path) -> tuple[list[str], dict[int, dict[str, float]]]:
+def read_rows(
+    path, kind: type = float
+) -> tuple[list[str], dict[int, dict[str, int | float]]]:
     """Header names the features; column 'y' is the dependent variable.
 
     Rows become users 1..n in file order unless a 'user' column is present.
-    An empty, missing, non-numeric or non-finite cell raises ValueError
-    naming its row and column.
+    Cells are read as `kind`: float for analytics, int for values mod N,
+    which a float cannot carry exactly.  An empty, missing, non-numeric or
+    non-finite cell, or a repeated user, raises ValueError naming its row.
     """
 
     def cell(record: dict, idx: int, column: str, kind: type) -> int | float:
@@ -273,8 +276,9 @@ def read_rows(path) -> tuple[list[str], dict[int, dict[str, float]]]:
             value = kind(text)
         except (TypeError, ValueError):
             value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"row {idx}, column {column!r}: not a finite number: {text!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"row {idx}, column {column!r}: not {what}: {text!r}")
         return value
 
     with open(path, newline="") as fh:
@@ -282,9 +286,11 @@ def read_rows(path) -> tuple[list[str], dict[int, dict[str, float]]]:
         if reader.fieldnames is None:
             raise ValueError("empty CSV")
         names = [c for c in reader.fieldnames if c not in ("user",)]
-        rows: dict[int, dict[str, float]] = {}
+        rows: dict[int, dict[str, int | float]] = {}
         for idx, record in enumerate(reader, start=1):
             user = cell(record, idx, "user", int) if "user" in record else idx
-            rows[user] = {c: cell(record, idx, c, float) for c in names}
+            if user in rows:
+                raise ValueError(f"row {idx}: repeated user {user}")
+            rows[user] = {c: cell(record, idx, c, kind) for c in names}
     features = [c for c in names if c != "y"]
     return features, rows

@@ -1,4 +1,4 @@
-"""Operator entry point: parameter generation, ceremonies, demos, attacks, benchmarks.
+"""Operator entry point: parameter generation, ceremonies, aggregation, demos, attacks.
 
 Every simulation subcommand requires a seed (flag or PDA_KIT_SEED) so
 runs are replayable bit-exactly.  Reports are JSON on stdout; failures
@@ -8,29 +8,16 @@ exit non-zero with {"error": code, "detail": ...} on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from . import analytics, arith, netsim, paillier, pda
-from .bus import hex_len
 from .errors import ProtocolError
 from .rng import Rng
 
 SEED_ENV = "PDA_KIT_SEED"
-
-# Published C/GMP baseline timings at kappa=512, reported side by side for
-# context only; wall-clock comparisons never gate anything.
-BASELINE_MS_KAPPA512 = {
-    "pda_aggregate": 0.28,
-    "pda_encode_user1": 9.846,
-    "pda_encode_user2": 9.458,
-    "pda_encode_ordinary": 0.129,
-}
 
 
 class CliError(ProtocolError):
@@ -56,13 +43,18 @@ def _emit(doc: dict, out: str | None) -> None:
     print(text)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise CliError("missing-file", str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise CliError("bad-json", f"{path}: {exc}") from exc
+
+
+def _read_rows(path: str, kind: type) -> tuple[list[str], dict[int, dict]]:
+    try:
+        return analytics.read_rows(path, kind)
+    except ValueError as exc:
+        raise CliError("bad-data", f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -70,23 +62,14 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_params(args) -> None:
-    seed = _seed(args)
-    rng = Rng(seed)
+    rng = Rng(_seed(args)).fork("setup")
     if args.scheme == "arith":
-        params = arith.setup(args.kappa, args.n, args.min_group or 3, rng.fork("setup"))
-        doc = params.to_json()
+        params = arith.setup(args.kappa, args.n, args.min_group or 3, rng)
     else:
         params = pda.setup(
-            args.kappa,
-            args.n,
-            args.min_group or 3,
-            rng.fork("setup"),
-            strict_safe=args.strict_safe_primes,
+            args.kappa, args.n, args.min_group or 3, rng, strict_safe=args.strict_safe_primes
         )
-        doc = params.to_json()
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(text)
-    print(text, end="")
+    _emit(params.to_json(), args.out)
 
 
 def cmd_keygen(args) -> None:
@@ -138,7 +121,7 @@ def _load_pda_system(args) -> netsim.PdaSystem:
     keys_dir = Path(args.keys)
     enc_keys = {}
     for path in sorted(keys_dir.glob("user_*.json")):
-        key = pda.PdaEncKey.from_json(json.loads(path.read_text()))
+        key = pda.PdaEncKey.from_json(_load_json(path))
         enc_keys[key.id] = key
     if not enc_keys:
         raise CliError("missing-keys", f"no user key files under {keys_dir}")
@@ -154,30 +137,14 @@ def _load_pda_system(args) -> netsim.PdaSystem:
 
 
 def _query_data(query: pda.PdaQuery, path: str, modulus: int) -> dict[int, list[int]]:
-    def integer(cell: str | None, what: str) -> int:
-        try:
-            return int(cell)
-        except (TypeError, ValueError):
-            raise CliError("bad-data", f"{path}: {what} is not an integer: {cell!r}") from None
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CliError("bad-data", "empty CSV")
-        columns = [f"x{k}" if f"x{k}" in reader.fieldnames else "x" for k in range(query.m)]
-        if "x" in columns and "x" not in reader.fieldnames:
-            raise CliError("bad-data", f"{path}: need columns x0..x{query.m - 1} or x")
-        rows = {}
-        for idx, record in enumerate(reader, start=1):
-            user = integer(record["user"], f"user of row {idx}") if "user" in record else idx
-            rows[user] = record
-    data = {}
-    for i in query.participants:
-        record = rows.get(i)
-        if record is None:
-            raise CliError("bad-data", f"no data row for user {i}")
-        data[i] = [integer(record[col], f"{col} of user {i}") % modulus for col in columns]
-    return data
+    features, rows = _read_rows(path, int)
+    columns = [f"x{k}" if f"x{k}" in features else "x" for k in range(query.m)]
+    if "x" in columns and "x" not in features:
+        raise CliError("bad-data", f"{path}: need columns x0..x{query.m - 1} or x")
+    missing = [i for i in query.participants if i not in rows]
+    if missing:
+        raise CliError("bad-data", f"{path}: no data row for users {missing}")
+    return {i: [rows[i][col] % modulus for col in columns] for i in query.participants}
 
 
 def cmd_aggregate(args) -> None:
@@ -202,13 +169,16 @@ def cmd_aggregate(args) -> None:
 
 def cmd_demo(args) -> None:
     seed = _seed(args)
-    try:
-        features, rows = analytics.read_rows(args.data)
-    except ValueError as exc:
-        raise CliError("bad-data", f"{args.data}: {exc}") from None
-    n = len(rows)
+    features, rows = _read_rows(args.data, float)
+    n, theta_min = len(rows), 3
+    if n < theta_min:
+        raise CliError("bad-data", f"{args.data}: need {theta_min} rows or more, got {n}")
+    if not features:
+        raise CliError("bad-data", f"{args.data}: no feature column besides 'y'")
+    if args.analysis == "regress" and "y" not in next(iter(rows.values())):
+        raise CliError("bad-data", f"{args.data}: regress needs a 'y' column")
     system, _ = netsim.build_pda_system(
-        args.kappa, n, 3, seed, m_max=max(8, n)
+        args.kappa, n, theta_min, seed, m_max=max(8, n)
     )
     if args.analysis == "stats":
         column = "x" if "x" in features else features[0]
@@ -269,128 +239,6 @@ def cmd_attack(args) -> None:
         )
 
 
-def _time_op(fn, iterations: int) -> dict:
-    samples = []
-    for _ in range(iterations):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1000.0)
-    return {
-        "iterations": iterations,
-        "min_ms": min(samples),
-        "max_ms": max(samples),
-        "mean_ms": statistics.fmean(samples),
-        "median_ms": statistics.median(samples),
-        "std_ms": statistics.pstdev(samples),
-    }
-
-
-def cmd_bench(args) -> None:
-    seed = _seed(args)
-    iterations = args.iterations
-    system, _ = netsim.build_pda_system(args.kappa, args.n, 3, seed, m_max=8)
-    params = system.params
-    ids = sorted(system.enc_keys)
-    group = tuple(ids)
-    m = 4
-    query = pda.PdaQuery(
-        coeffs=(1,) * m,
-        exponents={i: {k: 1 for k in range(m)} for i in group},
-        participants=group,
-        window=pda.Window(0, m),
-    )
-    rng = Rng(f"{seed}:bench")
-    xs = [rng.randbelow(params.N) for _ in range(m)]
-    u1, u2 = query.special_users()
-    ordinary_id = next(i for i in group if i not in (u1, u2))
-
-    rows: dict[str, dict] = {}
-    rows["pda_encode_ordinary"] = _time_op(
-        lambda: pda.encode_ordinary(params, system.enc_keys[ordinary_id], query, xs),
-        iterations,
-    )
-
-    others = {
-        i: pda.encode_ordinary(params, system.enc_keys[i], query, xs)
-        for i in group
-        if i not in (u1, u2)
-    }
-    own = pda.encode_ordinary(params, system.enc_keys[u1], query, xs)
-    rows["pda_encode_user2"] = _time_op(
-        lambda: pda.encode_user2(
-            params, system.agg_pk, system.enc_keys[u2], query, xs, rng.fork("u2")
-        ),
-        iterations,
-    )
-    user2_cts = pda.encode_user2(
-        params, system.agg_pk, system.enc_keys[u2], query, xs, rng.fork("u2-final")
-    )
-    rows["pda_encode_user1"] = _time_op(
-        lambda: pda.encode_user1(
-            params, system.agg_pk, query, own, others, user2_cts, rng.fork("u1")
-        ),
-        iterations,
-    )
-    blinded = pda.encode_user1(
-        params, system.agg_pk, query, own, others, user2_cts, rng.fork("u1-final")
-    )
-    rows["pda_aggregate"] = _time_op(
-        lambda: pda.aggregate(params, system.agg_keys, blinded), iterations
-    )
-
-    arith_sys, _ = netsim.build_arith_system(args.kappa, args.n, 3, f"{seed}:arith")
-    akey = arith_sys.enc_keys[1]
-    agroup = arith_sys.ids
-    x = rng.randbelow(arith_sys.params.p)
-    rows["arith_encrypt_add"] = _time_op(
-        lambda: arith.encrypt_add(arith_sys.params, akey, agroup, x), iterations
-    )
-    rows["arith_encrypt_mul"] = _time_op(
-        lambda: arith.encrypt_mul(arith_sys.params, akey, agroup, x), iterations
-    )
-    adds = [
-        arith.encrypt_add(arith_sys.params, arith_sys.enc_keys[i], agroup, x)
-        for i in agroup
-    ]
-    muls = [
-        arith.encrypt_mul(arith_sys.params, arith_sys.enc_keys[i], agroup, x)
-        for i in agroup
-    ]
-    rows["arith_decrypt_add"] = _time_op(
-        lambda: arith.decrypt(arith_sys.params, adds), iterations
-    )
-    rows["arith_decrypt_mul"] = _time_op(
-        lambda: arith.decrypt(arith_sys.params, muls), iterations
-    )
-
-    report_rows = []
-    for name, stats in rows.items():
-        row = {"algorithm": name, **stats}
-        if args.kappa == 512 and name in BASELINE_MS_KAPPA512:
-            row["baseline_ms"] = BASELINE_MS_KAPPA512[name]
-        report_rows.append(row)
-
-    sample_c = next(iter(others.values()))[0]
-    byte_counts = {
-        "encoded_value_bytes": hex_len(sample_c),
-        "paillier_ct_bytes": hex_len(user2_cts[0]),
-        "blinded_term_bytes": hex_len(blinded[0]),
-        "pda_key_bytes": len(
-            json.dumps(system.enc_keys[ordinary_id].to_json(), sort_keys=True)
-        ),
-        "arith_key_bytes": len(json.dumps(akey.to_json(), sort_keys=True)),
-    }
-    _emit(
-        {
-            "kappa": args.kappa,
-            "n": args.n,
-            "rows": report_rows,
-            "bytes": byte_counts,
-        },
-        args.out,
-    )
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -402,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
+    def common(p):
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("gen-params", help="generate and write public parameters")
@@ -456,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("bench", help="microbenchmarks with byte counts")
-    p.add_argument("--kappa", type=int, default=512)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--iterations", type=int, default=100)
-    common(p)
-    p.set_defaults(fn=cmd_bench)
-
     return parser
 
 
@@ -471,16 +311,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
+        return 0
     except CliError as exc:
-        print(json.dumps({"error": exc.code, "detail": exc.detail}), file=sys.stderr)
-        return 2
+        error, detail, status = exc.code, exc.detail, 2
+    except FileNotFoundError as exc:
+        error, detail, status = "missing-file", str(exc), 2
     except ProtocolError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        error, detail, status = type(exc).__name__, str(exc), 1
+    print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

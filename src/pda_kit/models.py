@@ -180,6 +180,50 @@ def _extra_additive(
     return total
 
 
+def _multiplicative_round(
+    bus: Bus,
+    params: arith.ArithParams,
+    enc_keys: Mapping[int, arith.ArithEncKey],
+    poly: AggPolynomial,
+    data: Mapping[int, int],
+    group: tuple[int, ...],
+    senders: Sequence[int],
+) -> tuple[list[int], list[tuple[int, PolyTerm]]]:
+    """The round both flows share: each sender broadcasts its factor of
+    every multi-owner term, encrypted multiplicatively over `group`, with
+    the lowest participant folding in the coefficient.
+
+    Returns the product of each multi-owner term's ciphertexts, once every
+    participant has sent, and the single-owner terms left for the extra
+    additive round.
+    """
+    poly.validate()
+    p = params.p
+    if len(group) < params.n_min:
+        raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
+    sigma_idx, _ = detect_single_value_terms(poly)
+    multi = [(k, t) for k, t in enumerate(poly.terms) if k not in sigma_idx]
+    sigma = [(k, poly.terms[k]) for k in sigma_idx]
+    fold_owner = min(poly.participants)
+
+    bus.begin_round()
+    products = []
+    for k, term in multi:
+        product = 1
+        for i in senders:
+            x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
+            ct = arith.encrypt_mul(params, enc_keys[i], group, x_hat)
+            product = product * ct.value % p
+            bus.post(i, f"enc-mul:{k}", (ct.value,))
+        products.append(product)
+    bus.end_round()
+
+    missing = set(poly.participants) - set(senders)
+    if products and missing:
+        raise IncompleteBroadcast(f"product terms miss ciphertexts from {sorted(missing)}")
+    return products, sigma
+
+
 # ---------------------------------------------------------------------------
 # authority-participant model
 # ---------------------------------------------------------------------------
@@ -199,39 +243,17 @@ def authority_aggregate(
     term with the virtual mask share g^{R*lambda} and sums.  Single-owner
     terms go through the extra additive round instead of being broadcast.
     """
-    poly.validate()
     p = params.p
     group = tuple(sorted(set(poly.participants) | {virtual_id}))
-    if len(group) < params.n_min:
-        raise GroupTooSmall(f"|P*|={len(group)} below n_min={params.n_min}")
-    sigma_idx, _ = detect_single_value_terms(poly)
-    multi = [(k, t) for k, t in enumerate(poly.terms) if k not in sigma_idx]
-    sigma = [(k, poly.terms[k]) for k in sigma_idx]
-    fold_owner = min(poly.participants)
-
-    bus.begin_round()
-    received: dict[int, dict[int, int]] = {k: {} for k, _ in multi}
-    for k, term in multi:
-        for i in poly.participants:
-            x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
-            ct = arith.encrypt_mul(params, enc_keys[i], group, x_hat)
-            received[k][i] = ct.value
-            bus.post(i, f"enc-mul:{k}", (ct.value,))
-    bus.end_round()
-
+    products, sigma = _multiplicative_round(
+        bus, params, enc_keys, poly, data, group, senders=poly.participants
+    )
     completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
     g_comp = pow(params.g, completion % (p - 1), p)
-    total = 0
-    for k, _ in multi:
-        product = g_comp
-        for value in received[k].values():
-            product = product * value % p
-        total = (total + product) % p
-
-    total = (total + _extra_additive(
+    total = sum(g_comp * product for product in products) + _extra_additive(
         bus, params, enc_keys, sigma, data, completer=virtual_id, broadcast_sum=False
-    )) % p
-    return total
+    )
+    return total % p
 
 
 # ---------------------------------------------------------------------------
@@ -252,46 +274,15 @@ def all_participants_aggregate(
     single-owner terms use the extra additive round with the lowest-ID
     owner completing the mask and publishing the sum.
     """
-    poly.validate()
-    p = params.p
     group = tuple(sorted(poly.participants))
-    if len(group) < params.n_min:
-        raise GroupTooSmall(f"|P|={len(group)} below n_min={params.n_min}")
-    dropouts = set(dropouts)
-    sigma_idx, sigma_owners = detect_single_value_terms(poly)
-    multi = [(k, t) for k, t in enumerate(poly.terms) if k not in sigma_idx]
-    sigma = [(k, poly.terms[k]) for k in sigma_idx]
-    fold_owner = min(group)
-
-    bus.begin_round()
-    received: dict[int, dict[int, int]] = {k: {} for k, _ in multi}
-    for k, term in multi:
-        for i in group:
-            if i in dropouts:
-                continue
-            x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
-            ct = arith.encrypt_mul(params, enc_keys[i], group, x_hat)
-            received[k][i] = ct.value
-            bus.post(i, f"enc-mul:{k}", (ct.value,))
-    bus.end_round()
-
-    for k, _ in multi:
-        if set(received[k]) != set(group):
-            raise IncompleteBroadcast(
-                f"term {k} missing ciphertexts from {sorted(set(group) - set(received[k]))}"
-            )
-
-    total = 0
-    for k, _ in multi:
-        product = 1
-        for value in received[k].values():
-            product = product * value % p
-        total = (total + product) % p
-
+    products, sigma = _multiplicative_round(
+        bus, params, enc_keys, poly, data, group,
+        senders=[i for i in group if i not in dropouts],
+    )
+    total = sum(products)
     if sigma:
-        designated = min(sigma_owners)
-        total = (total + _extra_additive(
+        designated = min(term.owners[0] for _, term in sigma)
+        total += _extra_additive(
             bus, params, enc_keys, sigma, data, completer=designated, broadcast_sum=True
-        )) % p
-
-    return {i: total for i in group}
+        )
+    return {i: total % params.p for i in group}

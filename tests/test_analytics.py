@@ -194,3 +194,16 @@ def test_read_rows_with_user_column(tmp_path):
     features, rows = analytics.read_rows(csv_path)
     assert features == ["x"]
     assert set(rows) == {7, 9}
+
+
+def test_read_rows_int_cells_stay_exact(tmp_path):
+    # a value mod a 1041-bit N is past float range and must not be rounded
+    big = (1 << 1100) + 1
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(f"user,x0,x1\n3,{big},5\n1,2,{-big}\n")
+    features, rows = analytics.read_rows(csv_path, int)
+    assert features == ["x0", "x1"]
+    assert rows == {3: {"x0": big, "x1": 5}, 1: {"x0": 2, "x1": -big}}
+    csv_path.write_text("x\n1\n2.5\n")
+    with pytest.raises(ValueError, match="row 2, column 'x': not an integer"):
+        analytics.read_rows(csv_path, int)

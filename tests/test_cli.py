@@ -1,11 +1,14 @@
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
 from pda_kit import cli
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(*argv):
@@ -169,6 +172,7 @@ def test_aggregate_rejects_params_with_h_outside_subgroup(keyring, tmp_path, cap
         "user,x0,x1\n1,5,1\n2,7\n3,1,3\n",  # short row
         "user,x0,y\n1,5,1\n2,7,1\n3,1,3\n",  # neither x1 nor x
         "user,value\n1,5\n2,7\n3,1\n",  # neither x<k> nor x
+        "user,x0,x1\n1,5,1\n1,7,1\n2,7,1\n3,1,3\n",  # repeated user
     ],
 )
 def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
@@ -209,18 +213,25 @@ def test_aggregate_refuses_query_wider_than_aggregator_key(keyring, tmp_path, ca
         ("x\n2\nabc\n6\n", "row 2, column 'x'"),  # non-numeric cell
         ("x\n2\n4\ninf\n", "row 3, column 'x'"),  # non-finite cell
         ("user,x\n1,2\n,4\n3,6\n", "row 2, column 'user'"),  # empty user cell
+        ("user,x\n1,2\n1,4\n3,6\n", "row 2: repeated user 1"),
+        ("x\n2\n4\n", "need 3 rows or more, got 2"),
+        ("y\n1\n2\n3\n", "no feature column"),
+        ("x\n2\n4\n6\n", "regress needs a 'y' column"),
     ],
 )
 def test_demo_rejects_bad_data(tmp_path, capsys, csv_text, where):
     data = tmp_path / "stats.csv"
     data.write_text(csv_text)
-    code = run_cli("demo", "stats", "--data", data, "--kappa", "16", "--seed", "23")
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["error"] == "bad-data"
-    assert where in err["detail"]
+    # every case fails under regress; all but the missing 'y' also under stats
+    analyses = ["regress"] if "'y'" in where else ["stats", "regress"]
+    for analysis in analyses:
+        code = run_cli("demo", analysis, "--data", data, "--kappa", "16", "--seed", "23")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "bad-data"
+        assert where in err["detail"]
 
 
 def test_demo_stats(tmp_path, capsys):
@@ -269,27 +280,6 @@ def test_attack_collusion_undetermined(capsys):
     assert len(out["witnesses"]) == 2
 
 
-def test_bench_schema_and_deterministic_bytes(tmp_path, capsys):
-    reports = []
-    for run in range(2):
-        assert run_cli(
-            "bench", "--kappa", "24", "--n", "4", "--iterations", "3",
-            "--seed", "26",
-        ) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    names = {row["algorithm"] for row in reports[0]["rows"]}
-    assert {
-        "pda_encode_ordinary", "pda_encode_user1", "pda_encode_user2",
-        "pda_aggregate", "arith_encrypt_add", "arith_encrypt_mul",
-        "arith_decrypt_add", "arith_decrypt_mul",
-    } <= names
-    for row in reports[0]["rows"]:
-        assert row["min_ms"] <= row["median_ms"] <= row["max_ms"]
-    # byte counts are deterministic and gate; timings never do
-    assert reports[0]["bytes"] == reports[1]["bytes"]
-    assert all(v > 0 for v in reports[0]["bytes"].values())
-
-
 def test_missing_file_error(tmp_path, capsys):
     code = run_cli(
         "aggregate", "--params", tmp_path / "nope.json", "--keys", tmp_path,
@@ -299,3 +289,49 @@ def test_missing_file_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "missing-file"
+
+
+def test_missing_data_file_error(keyring, tmp_path, capsys):
+    params, keys = keyring
+    nope = tmp_path / "nope.csv"
+    for argv in (
+        ["aggregate", "--params", params, "--keys", keys,
+         "--query", FIXTURES / "toy_query.json", "--data", nope],
+        ["demo", "stats", "--data", nope],
+        ["demo", "regress", "--data", nope],
+    ):
+        code = run_cli(*argv, "--seed", "27")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "missing-file"
+
+
+def test_corrupt_user_key_is_bad_json(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    (copy / "user_1.json").write_text('{"id": 1, "evaluations": ')
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", copy,
+        "--query", FIXTURES / "toy_query.json",
+        "--data", FIXTURES / "toy_data.csv",
+        "--seed", "28",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "bad-json"
+    assert "user_1.json" in err["detail"]
+
+
+def test_readme_cli_block_parses():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(c) for c in commands if c.startswith("pda-kit ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
