@@ -18,7 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .bus import Bus
 from .errors import GroupTooSmall, IncompleteGroup, KeyMissing, MixedKinds
-from .numtheory import gen_safe_prime, lagrange_weights, ring_exchange, share_exchange
+from .numtheory import (
+    fixed_base_pow,
+    gen_safe_prime,
+    lagrange_weights,
+    ring_exchange,
+    share_exchange,
+)
 from .rng import Rng
 
 
@@ -178,7 +184,8 @@ def encrypt_mul(
     params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
 ) -> ArithCiphertext:
     mask = mask_exponent(params, key, group)
-    value = x % params.p * pow(params.g, mask % (params.p - 1), params.p) % params.p
+    p = params.p
+    value = x % p * fixed_base_pow(params.g, mask % (p - 1), p, p - 1) % p
     return ArithCiphertext(
         kind="mul", value=value, participant=key.id, group=tuple(sorted(group))
     )

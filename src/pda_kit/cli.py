@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, arith, netsim, paillier, pda
-from .errors import ProtocolError
+from .errors import DuplicateId, InvalidKey, ProtocolError
 from .rng import Rng
 
 SEED_ENV = "PDA_KIT_SEED"
@@ -75,8 +75,7 @@ def cmd_gen_params(args) -> None:
 def cmd_keygen(args) -> None:
     seed = _seed(args)
     doc = _load_json(args.params)
-    keys_dir = Path(args.keys)
-    keys_dir.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}  # key-directory file name -> content
 
     if "n_min" in doc:
         params = arith.ArithParams.from_json(doc)
@@ -101,19 +100,37 @@ def cmd_keygen(args) -> None:
             hardened_k=args.hardened_k,
         )
         keys = result.outputs
-        (keys_dir / "aggregator.json").write_text(
-            json.dumps(paillier.to_json(agg_keys), sort_keys=True) + "\n"
-        )
-        (keys_dir / "registry.jsonl").write_text("")
+        files["aggregator.json"] = json.dumps(paillier.to_json(agg_keys), sort_keys=True) + "\n"
+        files["registry.jsonl"] = ""
         report = {"scheme": "pda", "hardened_k": args.hardened_k}
     for key in keys.values():
-        (keys_dir / f"user_{key.id}.json").write_text(
-            json.dumps(key.to_json(), sort_keys=True) + "\n"
-        )
+        files[f"user_{key.id}.json"] = json.dumps(key.to_json(), sort_keys=True) + "\n"
     report.update(users=len(ids), rounds=result.round_count, traffic=result.traffic_report())
+    # the transcript goes first, so a path that cannot be written leaves no key files
     if args.transcript:
         Path(args.transcript).write_text(result.transcript_jsonl())
+    keys_dir = Path(args.keys)
+    keys_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (keys_dir / name).write_text(text)
     _emit(report, args.out)
+
+
+def _load_user_key(path: Path, params: pda.PdaParams) -> pda.PdaEncKey:
+    """A user key file, checked against the parameters it was made for."""
+    try:
+        key = pda.PdaEncKey.from_json(_load_json(path))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError("bad-json", f"{path}: {type(exc).__name__}: {exc}") from None
+    if not 1 <= key.id <= params.n:
+        raise InvalidKey(f"{path}: user ID {key.id} outside 1..{params.n}")
+    if sorted(key.evaluations) != list(range(2, params.n)):
+        raise InvalidKey(
+            f"{path}: degrees {sorted(key.evaluations)}, expected 2..{params.n - 1}"
+        )
+    if not all(0 <= v < params.N_tilde for v in key.evaluations.values()):
+        raise InvalidKey(f"{path}: an evaluation lies outside [0, N~)")
+    return key
 
 
 def _load_pda_system(args) -> netsim.PdaSystem:
@@ -121,7 +138,9 @@ def _load_pda_system(args) -> netsim.PdaSystem:
     keys_dir = Path(args.keys)
     enc_keys = {}
     for path in sorted(keys_dir.glob("user_*.json")):
-        key = pda.PdaEncKey.from_json(_load_json(path))
+        key = _load_user_key(path, params)
+        if key.id in enc_keys:
+            raise DuplicateId(f"{path}: user ID {key.id} is in another key file too")
         enc_keys[key.id] = key
     if not enc_keys:
         raise CliError("missing-keys", f"no user key files under {keys_dir}")

@@ -23,6 +23,10 @@ class DuplicateId(ProtocolError):
     """Participant IDs must be distinct."""
 
 
+class InvalidKey(ProtocolError):
+    """A loaded key does not fit the public parameters."""
+
+
 # --- homomorphic encryption -----------------------------------------------
 
 class MessageTooLarge(ProtocolError):
@@ -87,6 +91,10 @@ class MissingEncoding(ProtocolError):
 
 class SlotReused(ProtocolError):
     """Requested time window overlaps an already-consumed window."""
+
+
+class CorruptRegistry(ProtocolError):
+    """A slot-registry line other than an unfinished last one does not parse."""
 
 
 class SingularSystem(ProtocolError):

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from . import arith
 from .bus import Bus
 from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from .numtheory import fixed_base_pow
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ def authority_aggregate(
         bus, params, enc_keys, poly, data, group, senders=poly.participants
     )
     completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
-    g_comp = pow(params.g, completion % (p - 1), p)
+    g_comp = fixed_base_pow(params.g, completion % (p - 1), p, p - 1)
     total = sum(g_comp * product for product in products) + _extra_additive(
         bus, params, enc_keys, sigma, data, completer=virtual_id, broadcast_sum=False
     )

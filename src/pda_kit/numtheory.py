@@ -1,7 +1,8 @@
 """Modular big-integer substrate shared by both aggregation schemes.
 
 Covers probabilistic prime generation (safe primes and correlated
-semiprimes), denominator-cleared Lagrange weights (built once per
+semiprimes), fixed-base exponentiation from a cached comb of the
+base's powers, denominator-cleared Lagrange weights (built once per
 group), the (1+M)-subgroup discrete log, the public slot exponent a_t
 of the hash H(t) = h^{a_t} into the hidden subgroup, and the
 two key ceremonies both schemes run on the bus: the ring exchange and
@@ -62,6 +63,50 @@ def mod_inv(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError as exc:
         raise NotInvertible(f"gcd({a % modulus}, {modulus}) != 1") from exc
+
+
+# Fixed-base exponentiation (Brickell, Gordon, McCurley and Wilson,
+# EUROCRYPT '92; Lim and Lee, CRYPTO '94).  Entries per comb: the radix
+# 2^w is the largest whose ceil(bits/w) rows of 2^w powers fit.
+_COMB_ENTRIES = 4096
+
+
+def fixed_base_pow(base: int, e: int, modulus: int, bound: int) -> int:
+    """base^e mod modulus for 0 <= e < bound, equal to pow(base, e, modulus).
+
+    Walks the cached comb of (base, modulus, bound's width): one
+    multiplication per nonzero radix-2^w digit of e and no squarings.
+    """
+    if not 0 <= e < bound:
+        raise ValueError(f"exponent outside [0, {bound})")
+    w, rows = _comb(base, modulus, max(1, (bound - 1).bit_length()))
+    digit_mask = (1 << w) - 1
+    acc = 1 % modulus
+    for row in rows:
+        if not e:
+            break
+        digit = e & digit_mask
+        if digit:
+            acc = acc * row[digit] % modulus
+        e >>= w
+    return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _comb(base: int, modulus: int, bits: int) -> tuple[int, tuple[list[int], ...]]:
+    """Radix w and rows[j][d] = base^{d * 2^{wj}} mod modulus, d < 2^w, for bits-bit exponents."""
+    w = 1
+    while w < bits and -(-bits // (w + 1)) << (w + 1) <= _COMB_ENTRIES:
+        w += 1
+    rows = []
+    step = base % modulus  # base^{2^{wj}} for the row being built
+    for _ in range(-(-bits // w)):
+        row = [1 % modulus]
+        for _ in range((1 << w) - 1):
+            row.append(row[-1] * step % modulus)
+        rows.append(row)
+        step = row[-1] * step % modulus
+    return w, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +346,13 @@ def slot_exponent(t: int, n_tilde: int, seed: bytes = b"") -> int:
     """Public exponent a_t = XOF(seed || t) mod N~ of the slot hash H(t) = h^{a_t}."""
     if t < 0:
         raise ValueError("time slots are non-negative")
+    return _slot_exponent(t, n_tilde, seed)
+
+
+# Every member of a group masks the same window, so each slot is hashed
+# once a query; the cache holds a whole window of any practical length.
+@functools.lru_cache(maxsize=1024)
+def _slot_exponent(t: int, n_tilde: int, seed: bytes) -> int:
     t_bytes = t.to_bytes(max(1, (t.bit_length() + 7) // 8), "big")
     material = (
         _HASH_DOMAIN

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import paillier
 from .bus import Bus
 from .errors import (
+    CorruptRegistry,
     GroupBelowThreshold,
     GroupTooSmall,
     KeyMissing,
@@ -33,6 +34,7 @@ from .errors import (
     SlotReused,
 )
 from .numtheory import (
+    fixed_base_pow,
     gen_correlated_moduli,
     hash_to_subgroup,
     lagrange_weights,
@@ -212,6 +214,14 @@ class PdaQuery:
         )
 
 
+def _registry_window(path, number: int, line: bytes) -> Window:
+    try:
+        doc = json.loads(line)
+        return Window(int(doc["start"]), int(doc["len"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptRegistry(f"{path}:{number}: {type(exc).__name__}: {exc}") from None
+
+
 class SlotRegistry:
     """Append-only record of consumed time windows.
 
@@ -222,20 +232,35 @@ class SlotRegistry:
     def __init__(self, windows: Iterable[Window] = (), path=None):
         self.windows: list[Window] = list(windows)
         self.path = path
+        # (offset, prefix): where the next claim's line goes and what precedes it
+        self._tail: tuple[int, bytes] | None = None
 
     @classmethod
     def load(cls, path) -> "SlotRegistry":
-        windows = []
+        """Read a registry file; a missing file is an empty registry.
+
+        A final line with no newline is the tail of an append that did not
+        finish.  If it parses, its window counts as consumed; if not, it is
+        ignored and the next claim writes over it.  Any other malformed
+        line raises CorruptRegistry.
+        """
         try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        doc = json.loads(line)
-                        windows.append(Window(int(doc["start"]), int(doc["len"])))
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            pass
-        return cls(windows, path=path)
+            return cls(path=path)
+        *lines, tail = data.split(b"\n")
+        registry = cls(
+            [_registry_window(path, no, ln) for no, ln in enumerate(lines, 1) if ln.strip()],
+            path=path,
+        )
+        if tail.strip():
+            try:
+                registry.windows.append(_registry_window(path, len(lines) + 1, tail))
+                registry._tail = (len(data), b"\n")
+            except CorruptRegistry:
+                registry._tail = (len(data) - len(tail), b"")
+        return registry
 
     def overlapping(self, window: Window) -> Window | None:
         for w in self.windows:
@@ -252,9 +277,14 @@ class SlotRegistry:
             )
         self.windows.append(window)
         if self.path is not None:
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps({"start": window.start, "len": window.length}))
-                fh.write("\n")
+            line = json.dumps({"start": window.start, "len": window.length}) + "\n"
+            with open(self.path, "ab") as fh:
+                if self._tail is not None:
+                    offset, prefix = self._tail
+                    fh.truncate(offset)
+                    fh.write(prefix)
+                    self._tail = None
+                fh.write(line.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +442,7 @@ def mask_exponent(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
 def _encode(params: PdaParams, s: int, x: int, e: int, t: int) -> int:
     """x^e * H(t)^s mod N, with H(t)^s = h^{a_t * s mod N~} as ord(h) | N~."""
     a_t = slot_exponent(t, params.N_tilde, params.hash_seed)
-    mask = pow(params.h, a_t * s % params.N_tilde, params.N)
+    mask = fixed_base_pow(params.h, a_t * s % params.N_tilde, params.N, params.N_tilde)
     if e == 0:
         return mask
     return pow(x % params.N, e, params.N) * mask % params.N

@@ -325,6 +325,104 @@ def test_corrupt_user_key_is_bad_json(keyring, tmp_path, capsys):
     assert "user_1.json" in err["detail"]
 
 
+def _aggregate_with(keys, params, capsys, seed):
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", keys,
+        "--query", FIXTURES / "toy_query.json",
+        "--data", FIXTURES / "toy_data.csv",
+        "--seed", seed,
+    )
+    captured = capsys.readouterr()
+    return code, captured
+
+
+def test_user_key_missing_field_is_bad_json(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    (copy / "user_2.json").write_text("{}")
+    code, captured = _aggregate_with(copy, params, capsys, 29)
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "bad-json"
+    assert "user_2.json" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc, nt: doc["evaluations"].pop("2"), "InvalidKey"),  # degree missing
+        (lambda doc, nt: doc["evaluations"].update({"3": "1"}), "InvalidKey"),  # extra degree
+        (lambda doc, nt: doc["evaluations"].update({"2": format(nt, "x")}), "InvalidKey"),
+        (lambda doc, nt: doc["evaluations"].update({"2": "-1"}), "InvalidKey"),
+        (lambda doc, nt: doc.update(id=4), "InvalidKey"),  # ID beyond n
+        (lambda doc, nt: doc.update(id=0), "InvalidKey"),
+        (lambda doc, nt: doc.update(id=1), "DuplicateId"),  # user_2.json claims ID 1
+    ],
+    ids=[
+        "degree-missing", "degree-extra", "evaluation-at-n-tilde", "evaluation-negative",
+        "id-above-n", "id-zero", "id-repeated",
+    ],
+)
+def test_aggregate_refuses_user_key_that_misfits_params(keyring, tmp_path, capsys, edit, error):
+    params, keys = keyring
+    n_tilde = int(json.loads(params.read_text())["n_tilde"], 16)
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    doc = json.loads((copy / "user_2.json").read_text())
+    edit(doc, n_tilde)
+    (copy / "user_2.json").write_text(json.dumps(doc))
+    claimed = (copy / "registry.jsonl").read_text()
+    code, captured = _aggregate_with(copy, params, capsys, 30)
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert "user_2.json" in err["detail"]
+    assert (copy / "registry.jsonl").read_text() == claimed
+
+
+def test_aggregate_tolerates_torn_registry_tail(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    registry = copy / "registry.jsonl"
+    registry.write_text('{"start": 0')
+    code, captured = _aggregate_with(copy, params, capsys, 31)
+    assert code == 0
+    assert json.loads(captured.out)["value_int"] == "41"
+    assert registry.read_text() == '{"start": 0, "len": 2}\n'
+
+
+def test_aggregate_reports_corrupt_registry(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    (copy / "registry.jsonl").write_text('{"start": 0\n{"start": 90, "len": 1}\n')
+    code, captured = _aggregate_with(copy, params, capsys, 32)
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "CorruptRegistry"
+    assert "registry.jsonl:1" in err["detail"]
+
+
+def test_keygen_unwritable_transcript_writes_no_keys(keyring, tmp_path, capsys):
+    params, _ = keyring
+    keys = tmp_path / "keys"
+    code = run_cli(
+        "keygen", "--params", params, "--keys", keys, "--seed", "33",
+        "--transcript", tmp_path / "nodir" / "t.jsonl",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "missing-file"
+    assert list(keys.glob("user_*.json")) == []
+    assert not (keys / "aggregator.json").exists()
+
+
 def test_readme_cli_block_parses():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pda_kit import arith, models, netsim
+from pda_kit import arith, models, netsim, numtheory
 from pda_kit.bus import Bus, Observer
 from pda_kit.errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
 
@@ -98,6 +98,51 @@ def test_authority_random_polynomials(arith_system):
             bus, system.params, system.enc_keys, system.virtual_id, poly, data
         )
         assert out == oracle_eval(poly, data, p)
+
+
+def test_authority_exponentiations_mod_p(arith_system, monkeypatch):
+    # one fixed-base exponentiation of g per mul ciphertext, one for the
+    # authority's completion, and no builtin pow of g mod p
+    system, _ = arith_system
+    params = system.params
+    p = params.p
+    members = (1, 2, 3, 4, 5, 6)
+    poly = models.AggPolynomial(
+        terms=(
+            term(3, {1: 1, 2: 2}),
+            term(5, {2: 1, 3: 1, 4: 3}),
+            term(7, {5: 2}),  # single-owner terms: the extra additive round
+            term(4, {6: 1}),
+            term(2, {}),
+        ),
+        participants=members,
+    )
+    data = {i: 3 * i + 1 for i in members}
+    fixed = []
+    g_pows = []
+
+    def counting_fixed(base, e, modulus, bound, fixed_base_pow=numtheory.fixed_base_pow):
+        if modulus == p:
+            fixed.append((base, bound))
+        return fixed_base_pow(base, e, modulus, bound)
+
+    def counting_pow(base, exp, mod=None):
+        if mod == p and base == params.g:
+            g_pows.append(exp)
+        return pow(base, exp, mod)
+
+    for module in (arith, models):
+        monkeypatch.setattr(module, "fixed_base_pow", counting_fixed)
+    for module in (arith, models, numtheory):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    out = models.authority_aggregate(
+        Bus(system.ids), params, system.enc_keys, system.virtual_id, poly, data
+    )
+    monkeypatch.undo()
+    assert out == oracle_eval(poly, data, p)
+    multi_terms = 3  # every term not owned by exactly one participant
+    assert fixed == [(params.g, p - 1)] * (multi_terms * len(members) + 1)
+    assert g_pows == []
 
 
 def test_eavesdropper_cannot_complete_terms(arith_system):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pda_kit import numtheory
 from pda_kit.errors import (
     DuplicateId,
     NotInSubgroup,
@@ -14,6 +17,7 @@ from pda_kit.numtheory import (
     CorrelatedModuli,
     cunningham_step,
     dlog_one_plus_m,
+    fixed_base_pow,
     gen_correlated_moduli,
     gen_safe_prime,
     hash_to_subgroup,
@@ -21,6 +25,7 @@ from pda_kit.numtheory import (
     lagrange_weights,
     lift_correlated_prime,
     mod_inv,
+    slot_exponent,
 )
 from pda_kit.rng import Rng
 
@@ -45,6 +50,57 @@ def test_mod_inv_known():
 def test_mod_inv_non_unit():
     with pytest.raises(NotInvertible):
         mod_inv(6, 110)  # gcd = 2
+
+
+# Modulus width -> exponent-bound width of the three mask shapes: h mod N
+# below N~ at kappa=48, g mod p below p-1 at 512 bits, h mod N below N~ at
+# kappa=512.
+MASK_SHAPES = {104: 96, 512: 512, 1041: 1024}
+
+
+def mask_shape(bits: int) -> tuple[int, int, int]:
+    rnd = random.Random(bits)
+    modulus = rnd.getrandbits(bits) | 1 << (bits - 1) | 1
+    bound_bits = MASK_SHAPES[bits]
+    bound = rnd.getrandbits(bound_bits) | 1 << (bound_bits - 1)
+    return rnd.randrange(2, modulus), modulus, bound
+
+
+@pytest.mark.parametrize("bits", sorted(MASK_SHAPES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pow_matches_pow(bits, data):
+    base, modulus, bound = mask_shape(bits)
+    e = data.draw(st.integers(0, bound - 1), label="e")
+    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+
+
+@pytest.mark.parametrize("bits", sorted(MASK_SHAPES))
+def test_fixed_base_pow_edges(bits):
+    base, modulus, bound = mask_shape(bits)
+    for e in (0, 1, bound - 1):
+        assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+    for e in (-1, bound, bound + 1):
+        with pytest.raises(ValueError):
+            fixed_base_pow(base, e, modulus, bound)
+
+
+def test_fixed_base_pow_small_and_unreduced():
+    # bound 1 admits only e = 0; a base above the modulus and modulus 1
+    # give pow's values too
+    assert fixed_base_pow(7, 0, 11, 1) == 1
+    assert fixed_base_pow(7, 0, 1, 5) == pow(7, 0, 1) == 0
+    for e in range(40):
+        assert fixed_base_pow(123, e, 11, 40) == pow(123, e, 11)
+
+
+@pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 5), (1024, 4)])
+def test_comb_radix_fits_entry_budget(bound_bits, radix):
+    w, rows = numtheory._comb(3, (1 << 1040) + 1, bound_bits)
+    assert w == radix
+    assert len(rows) == -(-bound_bits // w)
+    assert sum(len(row) for row in rows) <= 4096
+    assert all(len(row) == 1 << w for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +303,21 @@ def test_hash_lands_in_toy_subgroup():
     assert subgroup == {1, 16, 26, 31, 36}
     for t in range(20):
         assert hash_to_subgroup(t, 16, 55, 5) in subgroup
+
+
+def test_slot_exponent_cache_matches_xof():
+    rnd = random.Random(8)
+    n_tilde = rnd.getrandbits(96) | 1 << 95
+    xof = numtheory._slot_exponent.__wrapped__
+    for _ in range(100):
+        t = rnd.getrandbits(rnd.choice((8, 40, 80)))
+        expected = xof(t, n_tilde, b"seed")
+        assert slot_exponent(t, n_tilde, b"seed") == expected
+        hits = numtheory._slot_exponent.cache_info().hits
+        assert slot_exponent(t, n_tilde, b"seed") == expected
+        assert numtheory._slot_exponent.cache_info().hits == hits + 1
+    with pytest.raises(ValueError):
+        slot_exponent(-1, n_tilde)
 
 
 def test_hash_is_root_of_unity_on_real_params():

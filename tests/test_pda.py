@@ -7,6 +7,7 @@ import pytest
 from pda_kit import netsim, numtheory, paillier, pda
 from pda_kit.bus import Bus
 from pda_kit.errors import (
+    CorruptRegistry,
     ExtractionFailed,
     GroupBelowThreshold,
     GroupTooSmall,
@@ -420,6 +421,46 @@ def test_registry_claim_and_reject(tmp_path):
         again.claim(pda.Window(1, 1))
 
 
+def test_registry_ignores_torn_last_line(tmp_path):
+    path = tmp_path / "registry.jsonl"
+    path.write_text('{"start": 0, "len": 4}\n{"start": 4')
+    reg = pda.SlotRegistry.load(path)
+    assert reg.windows == [pda.Window(0, 4)]
+    reg.claim(pda.Window(4, 2))
+    # the claim wrote over the torn tail, so the file reads back whole
+    assert path.read_text() == '{"start": 0, "len": 4}\n{"start": 4, "len": 2}\n'
+    assert pda.SlotRegistry.load(path).windows == [pda.Window(0, 4), pda.Window(4, 2)]
+
+
+def test_registry_keeps_unterminated_last_window(tmp_path):
+    path = tmp_path / "registry.jsonl"
+    path.write_text('{"start": 0, "len": 4}\n{"start": 4, "len": 2}')
+    reg = pda.SlotRegistry.load(path)
+    assert reg.windows == [pda.Window(0, 4), pda.Window(4, 2)]
+    with pytest.raises(SlotReused):
+        reg.claim(pda.Window(5, 1))
+    reg.claim(pda.Window(6, 1))
+    assert pda.SlotRegistry.load(path).windows == [
+        pda.Window(0, 4), pda.Window(4, 2), pda.Window(6, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"start": 0, "len": 4}\n{"start": 4\n{"start": 9, "len": 1}\n', 2),  # torn middle
+        ('{"start": 0, "len": 4}\n{"start": 4}\n', 2),  # missing field, terminated
+        ('{"start": 0, "len": 4}\n\n[4, 2]\n', 3),  # not an object
+        ('{"start": -1, "len": 4}\n', 1),  # not a window
+    ],
+)
+def test_registry_rejects_malformed_line(tmp_path, text, line):
+    path = tmp_path / "registry.jsonl"
+    path.write_text(text)
+    with pytest.raises(CorruptRegistry, match=f"registry.jsonl:{line}:"):
+        pda.SlotRegistry.load(path)
+
+
 def test_rejected_window_emits_no_messages(pda_system):
     system, _ = pda_system
     registry = pda.SlotRegistry()
@@ -477,7 +518,8 @@ def test_round_structure(pda_system):
 
 
 def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
-    # one fixed-base pow per (user, slot) for the mask, one more per x^e with e > 0
+    # one fixed-base exponentiation of h per (user, slot) for the mask, and
+    # one builtin pow per x^e with e > 0
     system, _ = pda_system
     params = system.params
     ids = tuple(sorted(system.enc_keys))
@@ -488,14 +530,21 @@ def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
     )
     data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
     calls = []
+    fixed = []
 
     def counting_pow(base, exp, mod=None):
         if mod == params.N and exp >= 0:
             calls.append(exp)
         return pow(base, exp, mod)
 
+    def counting_fixed(base, e, modulus, bound, fixed_base_pow=numtheory.fixed_base_pow):
+        if modulus == params.N:
+            fixed.append((base, bound))
+        return fixed_base_pow(base, e, modulus, bound)
+
     for module in (pda, numtheory):
         monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(pda, "fixed_base_pow", counting_fixed)
     value, _ = netsim.run_pda_aggregation(
         system, query, data, seed=9, registry=pda.SlotRegistry()
     )
@@ -503,7 +552,8 @@ def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
     assert value == pda.evaluate_query(query, data, params.N)
     positive = sum(1 for i in ids for k in range(m) if query.exponent(i, k) > 0)
     assert 0 < positive < len(ids) * m
-    assert len(calls) == len(ids) * m + positive
+    assert fixed == [(params.h, params.N_tilde)] * (len(ids) * m)
+    assert len(calls) == positive
 
 
 def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
