@@ -158,7 +158,6 @@ class CeremonyResult:
 
     outputs: object
     bus: Bus
-    seed: int | str | bytes | None = None
 
     @property
     def round_count(self) -> int:

@@ -78,34 +78,23 @@ def cmd_keygen(args) -> None:
     files: dict[str, str] = {}  # key-directory file name -> content
 
     if "n_min" in doc:
-        params = arith.ArithParams.from_json(doc)
-        ids = tuple(range(1, params.n + (2 if args.authority else 1)))
-        result = netsim.run_ceremony(
-            netsim.run_arith_keygen, ids, seed, params=params, ids=ids
+        system, result = netsim.keygen_arith(
+            arith.ArithParams.from_json(doc), seed, with_authority=args.authority
         )
-        _, keys = result.outputs
         report = {"scheme": "arith"}
     else:
-        params = pda.PdaParams.from_json(doc)
-        rng = Rng(seed)
-        agg_keys = paillier.keygen(
-            paillier.required_bits(params.N, args.m_max), rng.fork("aggregator")
+        system, result = netsim.keygen_pda(
+            pda.PdaParams.from_json(doc), seed, hardened_k=args.hardened_k, m_max=args.m_max
         )
-        ids = tuple(range(1, params.n + 1))
-        result = netsim.run_ceremony(
-            netsim.run_pda_keygen,
-            ids,
-            seed,
-            params=params,
-            hardened_k=args.hardened_k,
-        )
-        keys = result.outputs
-        files["aggregator.json"] = json.dumps(paillier.to_json(agg_keys), sort_keys=True) + "\n"
+        agg_doc = paillier.to_json(system.agg_keys)
+        files["aggregator.json"] = json.dumps(agg_doc, sort_keys=True) + "\n"
         files["registry.jsonl"] = ""
         report = {"scheme": "pda", "hardened_k": args.hardened_k}
-    for key in keys.values():
+    for key in system.enc_keys.values():
         files[f"user_{key.id}.json"] = json.dumps(key.to_json(), sort_keys=True) + "\n"
-    report.update(users=len(ids), rounds=result.round_count, traffic=result.traffic_report())
+    report.update(
+        users=len(system.enc_keys), rounds=result.round_count, traffic=result.traffic_report()
+    )
     # the transcript goes first, so a path that cannot be written leaves no key files
     if args.transcript:
         Path(args.transcript).write_text(result.transcript_jsonl())
@@ -150,7 +139,6 @@ def _load_pda_system(args) -> netsim.PdaSystem:
         params=params,
         agg_keys=agg,
         enc_keys=enc_keys,
-        hardened_k=max(k.hardened_k for k in enc_keys.values()),
         registry=registry,
     )
 

@@ -22,22 +22,21 @@ from .rng import Rng
 
 
 def run_ceremony(
-    driver: Callable[..., object],
+    driver: Callable[[Bus, Rng], object],
     parties: Sequence[int],
     seed: int | str | bytes,
     observers: Sequence[Observer] = (),
-    **driver_kwargs,
 ) -> CeremonyResult:
-    """Run `driver(bus, rng, **kwargs)` on a fresh bus; deterministic in seed."""
+    """Run `driver(bus, rng)` on a fresh bus; deterministic in seed."""
     bus = Bus(parties, observers=observers)
     rng = Rng(seed)
     try:
-        outputs = driver(bus, rng, **driver_kwargs)
+        outputs = driver(bus, rng)
     except ProtocolError as exc:
         raise type(exc)(f"[round {bus.round_no}] {exc}").with_traceback(
             exc.__traceback__
         ) from None
-    return CeremonyResult(outputs=outputs, bus=bus, seed=seed)
+    return CeremonyResult(outputs=outputs, bus=bus)
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +52,27 @@ class ArithSystem:
     virtual_id: int | None = None
 
 
-def run_arith_keygen(
-    bus: Bus,
-    rng: Rng,
+def keygen_arith(
     params: arith.ArithParams,
-    ids: Sequence[int],
-) -> tuple[dict[int, int], dict[int, arith.ArithEncKey]]:
-    """Initialize then Keygen over `ids`: master keys and encryption keys."""
-    masters = arith.initialize(bus, params, rng.fork("initialize"), ids=ids)
-    return masters, arith.keygen(bus, params, rng.fork("keygen"), masters)
+    seed: int | str | bytes,
+    with_authority: bool = False,
+    observers: Sequence[Observer] = (),
+) -> tuple[ArithSystem, CeremonyResult]:
+    """Initialize + Keygen over users 1..n.  With an authority, a virtual
+    participant with ID n+1 joins both ceremonies and its keys go to the authority."""
+    virtual_id = params.n + 1 if with_authority else None
+    ids = tuple(range(1, (virtual_id or params.n) + 1))
+
+    def driver(bus: Bus, rng: Rng):
+        masters = arith.initialize(bus, params, rng.fork("initialize"), ids=ids)
+        return masters, arith.keygen(bus, params, rng.fork("keygen"), masters)
+
+    result = run_ceremony(driver, ids, seed, observers=observers)
+    masters, keys = result.outputs
+    system = ArithSystem(
+        params=params, master_keys=masters, enc_keys=keys, ids=ids, virtual_id=virtual_id
+    )
+    return system, result
 
 
 def build_arith_system(
@@ -72,23 +83,9 @@ def build_arith_system(
     with_authority: bool = False,
     observers: Sequence[Observer] = (),
 ) -> tuple[ArithSystem, CeremonyResult]:
-    """Setup + Initialize + Keygen.  With an authority, a virtual participant
-    with ID n+1 joins both ceremonies and its keys go to the authority."""
-    rng = Rng(seed)
-    params = arith.setup(kappa, n, n_min, rng.fork("setup"))
-    ids = tuple(range(1, n + 2)) if with_authority else tuple(range(1, n + 1))
-    result = run_ceremony(
-        run_arith_keygen, ids, seed, observers=observers, params=params, ids=ids
-    )
-    masters, keys = result.outputs
-    system = ArithSystem(
-        params=params,
-        master_keys=masters,
-        enc_keys=keys,
-        ids=ids,
-        virtual_id=(n + 1) if with_authority else None,
-    )
-    return system, result
+    """Setup, then `keygen_arith` at the same seed."""
+    params = arith.setup(kappa, n, n_min, Rng(seed).fork("setup"))
+    return keygen_arith(params, seed, with_authority=with_authority, observers=observers)
 
 
 def run_arith_group_aggregation(
@@ -123,7 +120,6 @@ class PdaSystem:
     params: pda.PdaParams
     agg_keys: paillier.AggKeyPair
     enc_keys: dict[int, pda.PdaEncKey]
-    hardened_k: int = 0
     registry: pda.SlotRegistry = field(default_factory=pda.SlotRegistry)
 
     @property
@@ -134,18 +130,26 @@ class PdaSystem:
 AGGREGATOR_ID = 0
 
 
-def run_pda_keygen(
-    bus: Bus,
-    rng: Rng,
+def keygen_pda(
     params: pda.PdaParams,
+    seed: int | str | bytes,
     hardened_k: int = 0,
+    m_max: int = 64,
     degrees: Sequence[int] | None = None,
-    ids: Sequence[int] | None = None,
-) -> dict[int, pda.PdaEncKey]:
-    y = pda.ring_share(bus, params, rng.fork("ring"), ids=ids, k_collusion=hardened_k)
-    return pda.keygen(
-        bus, params, rng.fork("queries"), y, degrees=degrees, hardened_k=hardened_k
-    )
+    observers: Sequence[Observer] = (),
+) -> tuple[PdaSystem, CeremonyResult]:
+    """Aggregator keypair sized for m_max terms, then the user key ceremony."""
+    agg_bits = paillier.required_bits(params.N, m_max)
+    agg_keys = paillier.keygen(agg_bits, Rng(seed).fork("aggregator"))
+
+    def driver(bus: Bus, rng: Rng):
+        y = pda.ring_share(bus, params, rng.fork("ring"), k_collusion=hardened_k)
+        return pda.keygen(
+            bus, params, rng.fork("queries"), y, degrees=degrees, hardened_k=hardened_k
+        )
+
+    result = run_ceremony(driver, tuple(range(1, params.n + 1)), seed, observers=observers)
+    return PdaSystem(params=params, agg_keys=agg_keys, enc_keys=result.outputs), result
 
 
 def build_pda_system(
@@ -154,33 +158,15 @@ def build_pda_system(
     theta_min: int,
     seed: int | str | bytes,
     hardened_k: int = 0,
-    strict_safe: bool = False,
     m_max: int = 64,
     degrees: Sequence[int] | None = None,
     observers: Sequence[Observer] = (),
 ) -> tuple[PdaSystem, CeremonyResult]:
-    """Setup, aggregator keypair sized for m_max terms, and user key ceremony."""
-    rng = Rng(seed)
-    params = pda.setup(kappa, n, theta_min, rng.fork("setup"), strict_safe=strict_safe)
-    agg_bits = paillier.required_bits(params.N, m_max)
-    agg_keys = paillier.keygen(agg_bits, rng.fork("aggregator"))
-    ids = tuple(range(1, n + 1))
-    result = run_ceremony(
-        run_pda_keygen,
-        ids,
-        seed,
-        observers=observers,
-        params=params,
-        hardened_k=hardened_k,
-        degrees=degrees,
+    """Setup, then `keygen_pda` at the same seed."""
+    params = pda.setup(kappa, n, theta_min, Rng(seed).fork("setup"))
+    return keygen_pda(
+        params, seed, hardened_k=hardened_k, m_max=m_max, degrees=degrees, observers=observers
     )
-    system = PdaSystem(
-        params=params,
-        agg_keys=agg_keys,
-        enc_keys=result.outputs,
-        hardened_k=hardened_k,
-    )
-    return system, result
 
 
 def run_pda_aggregation(
