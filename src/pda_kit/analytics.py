@@ -155,8 +155,9 @@ def plan_linear_regression(
     """Normal-equation entries as sum-queries; solve A p = b locally.
 
     The design matrix is the named feature columns plus an intercept, so
-    with D = len(features)+1 the plan holds D(D+1)/2 + D queries.  The
-    ridge term, when nonzero, is added to the diagonal after decoding.
+    with D = len(features)+1 the plan holds D(D+1)/2 + D queries, of which
+    `run_plan` takes A_0_0 = |P| locally.  The ridge term, when nonzero,
+    is added to the diagonal after decoding.
     """
     ids = tuple(sorted(participants))
     if len(ids) < theta_min:
@@ -225,12 +226,22 @@ def run_plan(
     seed: int | str | bytes,
     registry: pda.SlotRegistry | None = None,
 ) -> dict:
-    """Evaluate every step through the full protocol, then post-process."""
+    """Evaluate every step through the full protocol, then post-process.
+
+    A step over the constant column, Σ 1 = |P|, is public and taken
+    locally; its window stays in the plan but no ceremony runs on it.
+    `out["traffic"]` holds each step's bus rounds and bytes sent.
+    """
     n_mod = system.params.N
     root = Rng(seed)
     sums: dict[str, float] = {}
+    traffic: dict[str, dict[str, int]] = {}
     for idx, step in enumerate(plan.steps):
         ids = step.query.participants
+        if not step.columns:
+            sums[step.name] = float(len(ids))
+            traffic[step.name] = {"rounds": 0, "bytes": 0}
+            continue
         data = {i: [1] * step.query.m for i in ids}
         total = 0
         for k in range(step.query.m):
@@ -242,7 +253,7 @@ def run_plan(
             raise FixedPointOverflow(
                 f"step {step.name}: |sum| {abs(total)} does not fit below {n_mod}/2"
             )
-        value, _ = netsim.run_pda_aggregation(
+        value, result = netsim.run_pda_aggregation(
             system,
             step.query,
             data,
@@ -250,8 +261,13 @@ def run_plan(
             registry=registry,
         )
         sums[step.name] = fixed_decode(value, step.total_scale, n_mod)
+        traffic[step.name] = {
+            "rounds": result.round_count,
+            "bytes": sum(result.bus.sent.values()),
+        }
     out = plan.postprocess(sums)
     out["sums"] = sums
+    out["traffic"] = traffic
     return out
 
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteGroup, KeyMissing, MixedKinds
+from .errors import GroupTooSmall, IncompleteGroup, InvalidParams, KeyMissing, MixedKinds
 from .numtheory import (
     fixed_base_pow,
     gen_safe_prime,
+    is_probable_prime,
     lagrange_weights,
     ring_exchange,
     share_exchange,
@@ -55,12 +56,20 @@ class ArithParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ArithParams":
-        return cls(
+        """Load, then check that p is a safe prime, 1 < g < p and 3 <= n_min <= n."""
+        params = cls(
             p=int(doc["p"], 16),
             g=int(doc["g"], 16),
             n=int(doc["n"]),
             n_min=int(doc["n_min"]),
         )
+        if not (is_probable_prime(params.p) and is_probable_prime((params.p - 1) // 2)):
+            raise InvalidParams(f"p={params.p:x} is not a safe prime")
+        if not 1 < params.g < params.p:
+            raise InvalidParams("g lies outside (1, p)")
+        if not 3 <= params.n_min <= params.n:
+            raise GroupTooSmall(f"n_min={params.n_min} outside [3, n={params.n}]")
+        return params
 
 
 @dataclass

@@ -27,6 +27,10 @@ class InvalidKey(ProtocolError):
     """A loaded key does not fit the public parameters."""
 
 
+class InvalidParams(ProtocolError):
+    """Loaded public parameters fail a property that setup guarantees."""
+
+
 # --- homomorphic encryption -----------------------------------------------
 
 class MessageTooLarge(ProtocolError):

@@ -151,6 +151,48 @@ def test_regression_exact_line(small_pda):
     assert abs(out["intercept"] - 1.0) < 2 ** (-f + 2)
 
 
+def _recorded_buses(monkeypatch) -> list:
+    """The bus of every ceremony run through `netsim.run_ceremony`, in order."""
+    buses = []
+    inner = netsim.run_ceremony
+
+    def recording(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        buses.append(result.bus)
+        return result
+
+    monkeypatch.setattr(netsim, "run_ceremony", recording)
+    return buses
+
+
+def test_regression_takes_group_size_locally(small_pda, monkeypatch):
+    buses = _recorded_buses(monkeypatch)
+    plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["a", "b"], 12)
+    rows = {i: {"a": float(i), "b": float(i * i), "y": 3.0 * i - 2.0} for i in range(1, 6)}
+    out = analytics.run_plan(small_pda, plan, rows, seed=9, registry=pda.SlotRegistry())
+    # D = 3: every one of the D(D+1)/2 + D steps but A_0_0 = Σ 1 runs a ceremony
+    assert len(buses) == 3 * 4 // 2 + 3 - 1
+    assert out["sums"]["A_0_0"] == 5
+
+
+def test_run_plan_reports_traffic_of_each_step(small_pda, monkeypatch):
+    buses = _recorded_buses(monkeypatch)
+    plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 12)
+    rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}
+    out = analytics.run_plan(small_pda, plan, rows, seed=10, registry=pda.SlotRegistry())
+    ran = [step.name for step in plan.steps if step.columns]
+    assert len(buses) == len(ran)
+    assert out["traffic"] == {
+        "A_0_0": {"rounds": 0, "bytes": 0},
+        **{
+            name: {"rounds": len(bus.rounds), "bytes": sum(bus.sent.values())}
+            for name, bus in zip(ran, buses)
+        },
+    }
+    assert all(out["traffic"][name]["rounds"] == 3 for name in ran)
+    assert all(out["traffic"][name]["bytes"] > 0 for name in ran)
+
+
 def test_regression_ridge_changes_solution(small_pda):
     f = 16
     rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}

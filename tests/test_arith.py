@@ -11,6 +11,7 @@ from pda_kit.errors import (
     ExtractionFailed,
     GroupTooSmall,
     IncompleteGroup,
+    InvalidParams,
     KeyMissing,
     MixedKinds,
     NonInvertibleBroadcast,
@@ -62,6 +63,24 @@ def test_setup_rejects_bad_thresholds():
 def test_params_json_roundtrip():
     params = arith.setup(8, 4, 3, Rng(5))
     assert arith.ArithParams.from_json(params.to_json()) == params
+
+
+def test_params_from_json_rejects_broken_fields():
+    doc = arith.setup(8, 4, 3, Rng(5)).to_json()
+    p = int(doc["p"], 16)
+    cases = [
+        ({"p": "f"}, InvalidParams),  # 15 is composite
+        ({"p": "d"}, InvalidParams),  # 13 is prime, but 6 is not
+        ({"g": "1"}, InvalidParams),
+        ({"g": "0"}, InvalidParams),
+        ({"g": doc["p"]}, InvalidParams),
+        ({"g": format(p + 2, "x")}, InvalidParams),  # congruent to 2, but not below p
+        ({"n_min": 2}, GroupTooSmall),
+        ({"n_min": 5}, GroupTooSmall),  # above n = 4
+    ]
+    for change, error in cases:
+        with pytest.raises(error):
+            arith.ArithParams.from_json({**doc, **change})
 
 
 # ---------------------------------------------------------------------------

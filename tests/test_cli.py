@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pda_kit import cli
+from pda_kit import cli, netsim, paillier
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -78,6 +78,34 @@ def keyring(tmp_path_factory):
         "--seed", "12", "--m-max", "8",
     ]) == 0
     return params, keys
+
+
+@pytest.mark.parametrize(
+    "scheme, flags", [("pda", ["--hardened-k", "1"]), ("arith", ["--authority"])]
+)
+def test_keygen_runs_the_library_keygen(tmp_path, capsys, scheme, flags):
+    kappa, n, min_group, seed = 16, 5, 3, 21
+    params, keys, transcript = tmp_path / "params.json", tmp_path / "keys", tmp_path / "t.jsonl"
+    assert run_cli(
+        "gen-params", "--scheme", scheme, "--kappa", kappa, "--n", n,
+        "--n-min", min_group, "--seed", seed, "--out", params,
+    ) == 0
+    assert run_cli(
+        "keygen", "--params", params, "--keys", keys, "--seed", seed,
+        "--transcript", transcript, *flags,
+    ) == 0
+    capsys.readouterr()
+    if scheme == "pda":
+        system, result = netsim.build_pda_system(kappa, n, min_group, seed, hardened_k=1)
+        agg = json.loads((keys / "aggregator.json").read_text())
+        assert agg == paillier.to_json(system.agg_keys)
+    else:
+        system, result = netsim.build_arith_system(
+            kappa, n, min_group, seed, with_authority=True
+        )
+    written = {p.name: json.loads(p.read_text()) for p in keys.glob("user_*.json")}
+    assert written == {f"user_{i}.json": k.to_json() for i, k in system.enc_keys.items()}
+    assert transcript.read_text() == result.transcript_jsonl()
 
 
 def test_keygen_writes_keyfiles(keyring, capsys):
@@ -421,6 +449,24 @@ def test_keygen_unwritable_transcript_writes_no_keys(keyring, tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "missing-file"
     assert list(keys.glob("user_*.json")) == []
     assert not (keys / "aggregator.json").exists()
+
+
+@pytest.mark.parametrize("change", [{"n_min": 2}, {"p": "f"}])
+def test_keygen_refuses_broken_arith_params(tmp_path, capsys, change):
+    params = tmp_path / "params.json"
+    assert run_cli(
+        "gen-params", "--scheme", "arith", "--kappa", "12", "--n", "4",
+        "--seed", "9", "--out", params,
+    ) == 0
+    params.write_text(json.dumps({**json.loads(params.read_text()), **change}))
+    capsys.readouterr()
+    keys = tmp_path / "keys"
+    code = run_cli("keygen", "--params", params, "--keys", keys, "--seed", "10")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] in ("GroupTooSmall", "InvalidParams")
+    assert not keys.exists()
 
 
 def test_readme_cli_block_parses():

@@ -3,7 +3,9 @@
 A traced run must produce every timed per-layer metric that
 BENCHMARK.json declares: the tracer only wraps plain public functions,
 so a metric goes missing when such a function becomes a cached or
-otherwise wrapped object.
+otherwise wrapped object.  An untraced run must count the wire bytes
+and rounds of every ceremony: the harness sees them only while the
+program calls `netsim.run_ceremony` through that module's global.
 """
 
 import importlib.util
@@ -36,3 +38,18 @@ def test_traced_run_yields_every_timed_layer_metric(bench, name):
     traced, rows = run.traced(toy[name], seed=1, ops=1)
     assert traced.setup_ok and traced.attempted == 2 and traced.failed == 0
     assert [m for m in TIMED if m not in rows] == []
+
+
+# three rounds an aggregation; arith runs one polynomial in each of its
+# two deployment models; the toy regression has 3 features, so D = 4 and
+# D(D+1)/2 + D - 1 = 13 of its steps run a ceremony (A_0_0 is local)
+ROUNDS_PER_OP = {"pda_agg_k512": 3, "arith_poly_n32": 5, "regress_n64": 39}
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in DECLARED["workloads"]])
+def test_untraced_run_counts_wire_traffic(bench, name):
+    run, toy = bench
+    untraced, metrics = run.end_to_end(toy[name], seed=1, ops=1)
+    assert untraced.setup_ok and untraced.attempted == 1 and untraced.failed == 0
+    assert metrics["wire_bytes_per_op"] > 0
+    assert metrics["rounds_per_op"] == ROUNDS_PER_OP[name]
