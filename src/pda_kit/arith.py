@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteGroup, InvalidParams, KeyMissing, MixedKinds
+from .errors import (
+    GroupTooSmall,
+    IncompleteGroup,
+    InvalidParams,
+    KeyMissing,
+    MixedKinds,
+    field,
+    hex_field,
+)
 from .numtheory import (
     fixed_base_pow,
     gen_safe_prime,
@@ -58,10 +66,10 @@ class ArithParams:
     def from_json(cls, doc: dict) -> "ArithParams":
         """Load, then check that p is a safe prime, 1 < g < p and 3 <= n_min <= n."""
         params = cls(
-            p=int(doc["p"], 16),
-            g=int(doc["g"], 16),
-            n=int(doc["n"]),
-            n_min=int(doc["n_min"]),
+            p=hex_field(doc, "p"),
+            g=hex_field(doc, "g"),
+            n=field(doc, "n"),
+            n_min=field(doc, "n_min"),
         )
         if not (is_probable_prime(params.p) and is_probable_prime((params.p - 1) // 2)):
             raise InvalidParams(f"p={params.p:x} is not a safe prime")
@@ -125,13 +133,16 @@ def initialize(
 
     One broadcast round: y_i = g1^{r_i}.  Each party then locally computes
     K_i = (y_{i+1} * y_{i-1}^{-1})^{r_i}.  g1 is a public coin drawn from
-    the ceremony stream with gcd(g1, p^2(p-1)^2) = 1.
+    the ceremony stream with gcd(g1, p^2(p-1)^2) = 1.  The ring's
+    factorization p^2 * 2^2 * q^2, q = (p-1)/2, is public, so its powers
+    are taken by CRT.
     """
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     m2 = params.master_modulus
     g1 = rng.fork("init:g1").unit(m2)
     r = {i: rng.fork(f"init:party:{i}").randrange(1, m2) for i in ids}
-    return ring_exchange(bus, m2, g1, r, absent=set(dropouts))
+    factors = ((params.p, 2), (2, 2), ((params.p - 1) // 2, 2))
+    return ring_exchange(bus, m2, g1, r, absent=set(dropouts), factors=factors)
 
 
 def keygen(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 def hex_len(value: int) -> int:
@@ -19,8 +19,9 @@ def hex_len(value: int) -> int:
     return max(1, (value.bit_length() + 3) // 4)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One message on the wire; an immutable record."""
+
     round_no: int
     sender: int
     kind: str
@@ -29,7 +30,11 @@ class Message:
 
     @property
     def payload_bytes(self) -> int:
-        return sum(hex_len(v) for v in self.body)
+        return sum(map(hex_len, self.body))
+
+
+def _delivery_order(msg: Message) -> tuple:
+    return (msg.sender, -1 if msg.to is None else msg.to, msg.kind)
 
 
 class Observer:
@@ -74,37 +79,31 @@ class Bus:
     def post(self, sender: int, kind: str, body: Sequence[int], to: int | None = None) -> None:
         if self._pending is None:
             raise RuntimeError("no open round")
-        msg = Message(
-            round_no=self.round_no,
-            sender=sender,
-            kind=kind,
-            body=tuple(int(v) for v in body),
-            to=to,
-        )
-        self._pending.append(msg)
+        self._pending.append(Message(len(self.rounds) + 1, sender, kind, tuple(map(int, body)), to))
 
     def end_round(self) -> list[Message]:
         if self._pending is None:
             raise RuntimeError("no open round")
-        ordered = sorted(
-            self._pending,
-            key=lambda m: (m.sender, -1 if m.to is None else m.to, m.kind),
-        )
+        ordered = sorted(self._pending, key=_delivery_order)
         self._pending = None
         self.rounds.append(ordered)
         rnd = len(self.rounds)
+        sent, by_sender, addressed = self.sent, self._bcast_by_sender, self._addressed
+        bcast_total = 0
         for msg in ordered:
             size = msg.payload_bytes
             key = (msg.sender, rnd)
-            self.sent[key] = self.sent.get(key, 0) + size
+            sent[key] = sent.get(key, 0) + size
             if msg.to is None:
-                self._bcast_total[rnd] = self._bcast_total.get(rnd, 0) + size
-                self._bcast_by_sender[key] = self._bcast_by_sender.get(key, 0) + size
+                bcast_total += size
+                by_sender[key] = by_sender.get(key, 0) + size
             else:
                 rkey = (msg.to, rnd)
-                self._addressed[rkey] = self._addressed.get(rkey, 0) + size
+                addressed[rkey] = addressed.get(rkey, 0) + size
             for obs in self.observers:
                 obs.deliver(msg)
+        if bcast_total:
+            self._bcast_total[rnd] = bcast_total
         return ordered
 
     # --- queries -------------------------------------------------------------

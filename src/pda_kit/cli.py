@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from . import analytics, arith, netsim, paillier, pda
-from .errors import DuplicateId, InvalidKey, ProtocolError
+from .errors import BadField, DuplicateId, InvalidKey, ProtocolError
 from .rng import Rng
 
 SEED_ENV = "PDA_KIT_SEED"
@@ -43,11 +44,24 @@ def _emit(doc: dict, out: str | None) -> None:
     print(text)
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path, parse: Callable[[dict], Any] = lambda doc: doc) -> Any:
+    """parse(the JSON object in the file); a file that is not one, or whose
+    fields are missing or do not parse, is bad-json."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CliError("bad-json", f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError("bad-json", f"{path}: not a JSON object")
+    try:
+        return parse(doc)
+    except BadField as exc:
+        raise CliError("bad-json", f"{path}: {exc}") from None
+
+
+def _scheme_params(doc: dict) -> arith.ArithParams | pda.PdaParams:
+    """Arithmetic-scheme parameters carry n_min; the framework's do not."""
+    return (arith.ArithParams if "n_min" in doc else pda.PdaParams).from_json(doc)
 
 
 def _read_rows(path: str, kind: type) -> tuple[list[str], dict[int, dict]]:
@@ -74,17 +88,15 @@ def cmd_gen_params(args) -> None:
 
 def cmd_keygen(args) -> None:
     seed = _seed(args)
-    doc = _load_json(args.params)
+    params = _load_json(args.params, _scheme_params)
     files: dict[str, str] = {}  # key-directory file name -> content
 
-    if "n_min" in doc:
-        system, result = netsim.keygen_arith(
-            arith.ArithParams.from_json(doc), seed, with_authority=args.authority
-        )
+    if isinstance(params, arith.ArithParams):
+        system, result = netsim.keygen_arith(params, seed, with_authority=args.authority)
         report = {"scheme": "arith"}
     else:
         system, result = netsim.keygen_pda(
-            pda.PdaParams.from_json(doc), seed, hardened_k=args.hardened_k, m_max=args.m_max
+            params, seed, hardened_k=args.hardened_k, m_max=args.m_max
         )
         agg_doc = paillier.to_json(system.agg_keys)
         files["aggregator.json"] = json.dumps(agg_doc, sort_keys=True) + "\n"
@@ -107,10 +119,7 @@ def cmd_keygen(args) -> None:
 
 def _load_user_key(path: Path, params: pda.PdaParams) -> pda.PdaEncKey:
     """A user key file, checked against the parameters it was made for."""
-    try:
-        key = pda.PdaEncKey.from_json(_load_json(path))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError("bad-json", f"{path}: {type(exc).__name__}: {exc}") from None
+    key = _load_json(path, pda.PdaEncKey.from_json)
     if not 1 <= key.id <= params.n:
         raise InvalidKey(f"{path}: user ID {key.id} outside 1..{params.n}")
     if sorted(key.evaluations) != list(range(2, params.n)):
@@ -123,7 +132,7 @@ def _load_user_key(path: Path, params: pda.PdaParams) -> pda.PdaEncKey:
 
 
 def _load_pda_system(args) -> netsim.PdaSystem:
-    params = pda.PdaParams.from_json(_load_json(args.params))
+    params = _load_json(args.params, pda.PdaParams.from_json)
     keys_dir = Path(args.keys)
     enc_keys = {}
     for path in sorted(keys_dir.glob("user_*.json")):
@@ -133,7 +142,7 @@ def _load_pda_system(args) -> netsim.PdaSystem:
         enc_keys[key.id] = key
     if not enc_keys:
         raise CliError("missing-keys", f"no user key files under {keys_dir}")
-    agg = paillier.from_json(_load_json(keys_dir / "aggregator.json"))
+    agg = _load_json(keys_dir / "aggregator.json", paillier.from_json)
     registry = pda.SlotRegistry.load(keys_dir / "registry.jsonl")
     return netsim.PdaSystem(
         params=params,
@@ -157,7 +166,7 @@ def _query_data(query: pda.PdaQuery, path: str, modulus: int) -> dict[int, list[
 def cmd_aggregate(args) -> None:
     seed = _seed(args)
     system = _load_pda_system(args)
-    query = pda.PdaQuery.from_json(_load_json(args.query))
+    query = _load_json(args.query, pda.PdaQuery.from_json)
     data = _query_data(query, args.data, system.params.N)
     value, result = netsim.run_pda_aggregation(system, query, data, seed)
     if args.transcript:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field reader that raises one."""
+
+from __future__ import annotations
+
+from typing import Any, Callable
 
 
 class ProtocolError(Exception):
@@ -29,6 +33,27 @@ class InvalidKey(ProtocolError):
 
 class InvalidParams(ProtocolError):
     """Loaded public parameters fail a property that setup guarantees."""
+
+
+class BadField(ProtocolError):
+    """A JSON document lacks a field, or a field does not parse."""
+
+
+def field(doc: Any, name: str, parse: Callable[[Any], Any] = int) -> Any:
+    """parse(doc[name]); BadField names the field if it is missing or does not parse."""
+    try:
+        value = doc[name]
+    except (KeyError, TypeError):
+        raise BadField(f"missing field {name!r}") from None
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadField(f"field {name!r}: {type(exc).__name__}: {exc}") from None
+
+
+def hex_field(doc: Any, name: str) -> int:
+    """The integer a field holds as a hex string."""
+    return field(doc, name, lambda text: int(text, 16))
 
 
 # --- homomorphic encryption -----------------------------------------------

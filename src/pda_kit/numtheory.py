@@ -4,10 +4,12 @@ Covers probabilistic prime generation (safe primes and correlated
 semiprimes), fixed-base exponentiation from a cached comb of the
 base's powers, denominator-cleared Lagrange weights (built once per
 group), the (1+M)-subgroup discrete log, the public slot exponent a_t
-of the hash H(t) = h^{a_t} into the hidden subgroup, and the
-two key ceremonies both schemes run on the bus: the ring exchange and
-the blinded (1+M)-power share exchange.  The schemes differ only in the
-ring (p^2(p-1)^2 or N~^2) and in what they feed these ceremonies.
+of the hash H(t) = h^{a_t} into the hidden subgroup, and the two key
+ceremonies both schemes run on the bus: the ring exchange (by CRT on a
+ring whose factorization is public) and the blinded (1+M)-power share
+exchange (every share of a degree from one packed evaluation).  The
+schemes differ only in the ring (p^2(p-1)^2 or N~^2) and in what they
+feed these ceremonies.
 All values are plain Python ints; modular results are reduced into
 [0, modulus).
 """
@@ -19,6 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -378,6 +381,64 @@ def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") ->
 # key ceremonies shared by both schemes
 # ---------------------------------------------------------------------------
 
+def unit_power(modulus: int, factors: Sequence[tuple[int, int]] = ()) -> Callable[[int, int], int]:
+    """(u, e) -> u^e mod modulus for units u, equal to pow(u, e, modulus).
+
+    `factors` lists the modulus's prime factorization as (prime,
+    exponent) pairs; a prime may repeat.  With them, u^e is one pow per
+    prime power p^k, its exponent reduced mod phi(p^k), recombined by
+    precomputed CRT coefficients (Quisquater and Couvreur, Electronics
+    Letters 1982).  Without them it is the plain pow.
+    """
+    if not factors:
+        return lambda u, e: pow(u, e, modulus)
+    merged: dict[int, int] = {}
+    for prime, k in factors:
+        merged[prime] = merged.get(prime, 0) + k
+    if math.prod(prime**k for prime, k in merged.items()) != modulus:
+        raise ValueError("factors do not multiply to the modulus")
+    parts = []  # (p^k, phi(p^k), CRT coefficient: 1 mod p^k, 0 mod the rest)
+    for prime, k in merged.items():
+        power = prime**k
+        rest = modulus // power
+        parts.append((power, power // prime * (prime - 1), rest * mod_inv(rest, power) % modulus))
+    return lambda u, e: sum(pow(u % m, e % phi, m) * c for m, phi, c in parts) % modulus
+
+
+def evaluate_packed(
+    polys: Sequence[Sequence[int]], xs: Sequence[int], modulus: int
+) -> list[list[int]]:
+    """values[k][j] = q_j(xs[k]) mod modulus, with q_j(x) = sum_t polys[j][t-1] x^t.
+
+    Kronecker substitution (Harvey, J. Symb. Comput. 2009): the t-th
+    coefficients of all polynomials, reduced into [0, modulus), share
+    one integer, polynomial j in slot j.  A slot holds |M| + D*bitlen(max
+    x) + 1 bits, which bounds every sum_t c_t x^t, so Horner with the
+    small scalar x never carries from one slot into the next.  One pass
+    per point evaluates every polynomial, and each slot is reduced once.
+    """
+    if any(x < 0 for x in xs):
+        raise ValueError("points must be non-negative")
+    degree = max(map(len, polys), default=0)
+    width = (modulus.bit_length() + degree * max(xs, default=0).bit_length() + 8) // 8
+    span = len(polys) * width
+    columns = [
+        int.from_bytes(b"".join((c % modulus).to_bytes(width, "little") for c in column), "little")
+        for column in zip_longest(*polys, fillvalue=0)
+    ]
+    columns.reverse()
+    values = []
+    for x in xs:
+        acc = 0
+        for column in columns:
+            acc = (acc + column) * x
+        packed = acc.to_bytes(span, "little")
+        values.append(
+            [int.from_bytes(packed[k : k + width], "little") % modulus for k in range(0, span, width)]
+        )
+    return values
+
+
 def ring_exchange(
     bus: Bus,
     modulus: int,
@@ -386,6 +447,7 @@ def ring_exchange(
     hops: int = 0,
     absent: Collection[int] = (),
     late: Mapping[int, Callable[[dict[int, int]], int]] | None = None,
+    factors: Sequence[tuple[int, int]] = (),
 ) -> dict[int, int]:
     """Ring exchange yielding Y_i with prod Y_i = 1 mod `modulus`.
 
@@ -403,16 +465,23 @@ def ring_exchange(
     Parties in `absent` never broadcast, which fails the exchange with
     PartyMissing.  Parties in `late` broadcast in a second round, the
     value their callback picks after seeing the first round's broadcasts.
+
+    `factors` is the modulus's public prime-power factorization, if it
+    has one; every power is then taken by CRT (see `unit_power`).  The
+    generator must be a unit, else NotInvertible.
     """
     ring = sorted(exponents)
     if len(ring) <= hops + 2:
         raise RingTooSmall(f"ring with {hops} relay hops needs more than {hops + 2} parties")
+    if math.gcd(generator, modulus) != 1:
+        raise NotInvertible(f"generator is not a unit mod {modulus}")
+    power = unit_power(modulus, factors)
     late = late or {}
 
     bus.begin_round()
     for i in ring:
         if i not in absent and i not in late:
-            bus.post(i, "ring-share", (pow(generator, exponents[i], modulus),))
+            bus.post(i, "ring-share", (power(generator, exponents[i]),))
     y = {m.sender: m.body[0] for m in bus.end_round()}
 
     if late:
@@ -440,12 +509,12 @@ def ring_exchange(
     for hop in range(hops, 0, -1):
         bus.begin_round()
         for idx, target in enumerate(ring):
-            value = pow(current[target], exponents[at(idx + hop)], modulus)
+            value = power(current[target], exponents[at(idx + hop)])
             bus.post(at(idx + hop), "ring-relay", (target, value), to=at(idx + hop - 1))
         for m in bus.end_round():
             current[m.body[0]] = m.body[1]
 
-    return {i: pow(current[i], exponents[i], modulus) for i in ring}
+    return {i: power(current[i], exponents[i]) for i in ring}
 
 
 def share_exchange(
@@ -465,26 +534,31 @@ def share_exchange(
     blinds multiply to 1, so the product of party i's own factor and
     its inbox is (1+M)^{sum_j q_j(i)}, and the subgroup dlog gives i's
     point on the summed polynomial.  Returns party -> degree -> point.
+
+    The n(n-1) evaluations of a degree come from one `evaluate_packed`
+    call, n Horner passes in place of one per (sender, recipient) pair.
     """
     ids = sorted(blinds)
     m2 = modulus * modulus
     points: dict[int, dict[int, int]] = {i: {} for i in ids}
 
     for d in degrees:
-        coeffs = {j: coefficients(j, d) for j in ids}
-
-        def share(j: int, x: int) -> int:
-            acc = 0
-            for c in reversed(coeffs[j]):
-                acc = (acc + c) * x % modulus
-            return blinds[j] * (1 + acc * modulus) % m2
+        label = f"{kind}:{d}"
+        # values[x][j] = q_j(ids[x]) mod M
+        values = evaluate_packed([coefficients(j, d) for j in ids], ids, modulus)
 
         bus.begin_round()
-        for j in ids:
-            for i in ids:
+        inbox = {}
+        for j, row in zip(ids, zip(*values)):
+            # blind * (1+M)^v = blind + M * (blind * v mod M)  (mod M^2)
+            blind = blinds[j]
+            low = blind % modulus
+            for i, v in zip(ids, row):
+                share = (blind + modulus * (low * v % modulus)) % m2
                 if i != j:
-                    bus.post(j, f"{kind}:{d}", (share(j, i),), to=i)
-        inbox = {i: share(i, i) for i in ids}
+                    bus.post(j, label, (share,), to=i)
+                else:
+                    inbox[i] = share
         for msg in bus.end_round():
             inbox[msg.to] = inbox[msg.to] * msg.body[0] % m2
 

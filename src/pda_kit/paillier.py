@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidCiphertext, MessageTooLarge
+from .errors import InvalidCiphertext, MessageTooLarge, hex_field
 from .numtheory import is_probable_prime, mod_inv
 from .rng import Rng
 
@@ -127,7 +127,7 @@ def to_json(keys: AggKeyPair, private: bool = True) -> dict:
 
 
 def from_json(doc: dict) -> AggKeyPair | AggPublicKey:
-    n = int(doc["n_a"], 16)
+    n = hex_field(doc, "n_a")
     if "lambda" in doc:
-        return AggKeyPair(n=n, lam=int(doc["lambda"], 16), mu=int(doc["mu"], 16))
+        return AggKeyPair(n=n, lam=hex_field(doc, "lambda"), mu=hex_field(doc, "mu"))
     return AggPublicKey(n=n)

@@ -32,6 +32,8 @@ from .errors import (
     NotInSubgroup,
     NotInvertible,
     SlotReused,
+    field,
+    hex_field,
 )
 from .numtheory import (
     fixed_base_pow,
@@ -80,14 +82,14 @@ class PdaParams:
     def from_json(cls, doc: dict) -> "PdaParams":
         """Load, then check that ord(h) | N~, g~ is a unit and 3 <= theta_min <= n."""
         params = cls(
-            N=int(doc["n_cap"], 16),
-            N_tilde=int(doc["n_tilde"], 16),
-            g=int(doc["g"], 16),
-            g_tilde=int(doc["g_tilde"], 16),
-            h=int(doc["h"], 16),
-            hash_seed=bytes.fromhex(doc["hash_seed"]),
-            n=int(doc["n"]),
-            theta_min=int(doc["theta_min"]),
+            N=hex_field(doc, "n_cap"),
+            N_tilde=hex_field(doc, "n_tilde"),
+            g=hex_field(doc, "g"),
+            g_tilde=hex_field(doc, "g_tilde"),
+            h=hex_field(doc, "h"),
+            hash_seed=field(doc, "hash_seed", bytes.fromhex),
+            n=field(doc, "n"),
+            theta_min=field(doc, "theta_min"),
         )
         if not (1 < params.h < params.N and pow(params.h, params.N_tilde, params.N) == 1):
             raise NotInSubgroup("h is not an N~-th root of unity mod N")
@@ -122,9 +124,11 @@ class PdaEncKey:
     @classmethod
     def from_json(cls, doc: dict) -> "PdaEncKey":
         return cls(
-            id=int(doc["id"]),
-            evaluations={int(d): int(v, 16) for d, v in doc["evaluations"].items()},
-            hardened_k=int(doc.get("hardened_k", 0)),
+            id=field(doc, "id"),
+            evaluations=field(
+                doc, "evaluations", lambda ev: {int(d): int(v, 16) for d, v in ev.items()}
+            ),
+            hardened_k=field(doc, "hardened_k") if "hardened_k" in doc else 0,
         )
 
 
@@ -204,13 +208,16 @@ class PdaQuery:
     @classmethod
     def from_json(cls, doc: dict) -> "PdaQuery":
         return cls(
-            coeffs=tuple(int(c) for c in doc["coeffs"]),
-            exponents={
-                int(u): {int(k): int(e) for k, e in kv.items()}
-                for u, kv in doc["exponents"].items()
-            },
-            participants=tuple(int(p) for p in doc["participants"]),
-            window=Window(int(doc["window"]["start"]), int(doc["window"]["len"])),
+            coeffs=field(doc, "coeffs", lambda cs: tuple(int(c) for c in cs)),
+            exponents=field(
+                doc,
+                "exponents",
+                lambda ex: {
+                    int(u): {int(k): int(e) for k, e in kv.items()} for u, kv in ex.items()
+                },
+            ),
+            participants=field(doc, "participants", lambda ps: tuple(int(p) for p in ps)),
+            window=field(doc, "window", lambda w: Window(int(w["start"]), int(w["len"]))),
         )
 
 

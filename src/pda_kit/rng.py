@@ -40,17 +40,12 @@ class Rng:
         return child
 
     def take(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            if not self._buffer:
-                self._buffer = hashlib.sha256(
-                    self._key + self._counter.to_bytes(8, "big")
-                ).digest()
-                self._counter += 1
-            need = n - len(out)
-            out += self._buffer[:need]
-            self._buffer = self._buffer[need:]
-        return bytes(out)
+        buffer = self._buffer
+        while len(buffer) < n:
+            buffer += hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+            self._counter += 1
+        self._buffer = buffer[n:]
+        return buffer[:n]
 
     def getrandbits(self, k: int) -> int:
         if k <= 0:

@@ -134,6 +134,41 @@ def test_initialize_master_product_and_round_shape():
     assert len(bus.rounds[0]) == 4  # exactly n broadcasts in round 1
 
 
+@pytest.mark.parametrize("r", [3, 7])
+def test_initialize_exponentiates_on_the_prime_powers(monkeypatch, r):
+    # the master ring p^2 * 2^2 * q^2 is publicly factored: each of the r
+    # broadcasts and r master keys is one pow mod p^2, 2^2 and q^2, never
+    # one mod p^2(p-1)^2
+    from pda_kit import numtheory
+
+    params = arith.setup(64, r, 3, Rng(4))
+    p, q = params.p, (params.p - 1) // 2
+    pows = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod is not None and exp >= 0:
+            pows.append(mod)
+        return pow(base, exp, mod)
+
+    for module in (arith, numtheory):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    bus = Bus(range(1, r + 1))
+    masters = arith.initialize(bus, params, Rng("init"), ids=range(1, r + 1))
+    monkeypatch.undo()
+    assert pows.count(params.master_modulus) == 0
+    assert pows.count(p * p) == 2 * r
+    assert pows.count(q * q) == 2 * r
+    assert pows.count(4) == 2 * r
+    assert len(pows) == 6 * r
+    # the same keys and broadcasts as plain pows mod p^2(p-1)^2
+    m2 = params.master_modulus
+    g1 = Rng("init").fork("init:g1").unit(m2)
+    exponents = {i: Rng("init").fork(f"init:party:{i}").randrange(1, m2) for i in range(1, r + 1)}
+    plain = Bus(range(1, r + 1))
+    assert ring_exchange(plain, m2, g1, exponents) == masters
+    assert plain.transcript_jsonl() == bus.transcript_jsonl()
+
+
 def test_initialize_party_missing():
     params = arith.setup(16, 4, 3, Rng(1))
     bus = Bus(range(1, 5))

@@ -471,6 +471,91 @@ def test_keygen_refuses_broken_arith_params(tmp_path, capsys, change, error):
     assert not keys.exists()
 
 
+def _bad_json(code, captured, path, name):
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "bad-json"
+    assert str(path) in err["detail"] and repr(name) in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "scheme, change, name",
+    [
+        ("pda", None, "n_cap"),  # {} carries no n_min, so it reads as framework params
+        ("pda", {"n_cap": "zz"}, "n_cap"),
+        ("pda", {"theta_min": None}, "theta_min"),
+        ("arith", {"p": "zz"}, "p"),
+        ("arith", {"n": "four"}, "n"),
+    ],
+    ids=["empty", "pda-n_cap-not-hex", "pda-theta_min-null", "arith-p-not-hex",
+         "arith-n-not-int"],
+)
+def test_keygen_reports_malformed_params_as_bad_json(tmp_path, capsys, scheme, change, name):
+    params = tmp_path / "params.json"
+    assert run_cli(
+        "gen-params", "--scheme", scheme, "--kappa", "12", "--n", "4",
+        "--seed", "9", "--out", params,
+    ) == 0
+    doc = {} if change is None else {**json.loads(params.read_text()), **change}
+    params.write_text(json.dumps(doc))
+    capsys.readouterr()
+    keys = tmp_path / "keys"
+    code = run_cli("keygen", "--params", params, "--keys", keys, "--seed", "10")
+    _bad_json(code, capsys.readouterr(), params, name)
+    assert not keys.exists()
+
+
+@pytest.mark.parametrize(
+    "target, change, name",
+    [
+        ("params", None, "n_cap"),
+        ("params", {"n_cap": "zz"}, "n_cap"),
+        ("query", None, "coeffs"),
+        ("query", {"coeffs": 7}, "coeffs"),
+        ("query", {"window": {"start": 0}}, "window"),
+        ("aggregator", None, "n_a"),
+        ("aggregator", {"n_a": "zz"}, "n_a"),
+        ("aggregator", {"mu": 5}, "mu"),
+    ],
+    ids=["params-empty", "params-n_cap-not-hex", "query-empty", "query-coeffs-not-list",
+         "query-window-without-len", "aggregator-empty", "aggregator-n_a-not-hex",
+         "aggregator-mu-not-string"],
+)
+def test_aggregate_reports_malformed_json_as_bad_json(keyring, tmp_path, capsys, target, change, name):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    files = {
+        "params": tmp_path / "params.json",
+        "query": tmp_path / "query.json",
+        "aggregator": copy / "aggregator.json",
+    }
+    shutil.copy(params, files["params"])
+    shutil.copy(FIXTURES / "toy_query.json", files["query"])
+    path = files[target]
+    doc = {} if change is None else {**json.loads(path.read_text()), **change}
+    path.write_text(json.dumps(doc))
+    claimed = (copy / "registry.jsonl").read_text()
+    code = run_cli(
+        "aggregate", "--params", files["params"], "--keys", copy, "--query", files["query"],
+        "--data", FIXTURES / "toy_data.csv", "--seed", "34",
+    )
+    _bad_json(code, capsys.readouterr(), path, name)
+    assert (copy / "registry.jsonl").read_text() == claimed
+
+
+def test_json_file_that_is_not_an_object_is_bad_json(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text("[1, 2]")
+    code = run_cli("keygen", "--params", params, "--keys", tmp_path / "keys", "--seed", "35")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err) == {
+        "error": "bad-json", "detail": f"{params}: not a JSON object"
+    }
+
+
 def test_readme_cli_block_parses():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]

@@ -40,6 +40,26 @@ def test_observer_sees_everything():
     assert obs.of_kind("a")[0].to == 2
 
 
+def test_messages_are_immutable_and_delivered_in_order():
+    obs = Observer()
+    bus = Bus([1, 2, 3], observers=[obs])
+    bus.begin_round()
+    posted = [(3, "b", 1), (1, "b", 3), (2, "a", None), (1, "a", 3), (1, "c", None), (1, "a", 2)]
+    for sender, kind, to in posted:
+        bus.post(sender, kind, [True, 0x1F], to=to)
+    delivered = bus.end_round()
+    order = [(1, None, "c"), (1, 2, "a"), (1, 3, "a"), (1, 3, "b"), (2, None, "a"), (3, 1, "b")]
+    assert [(m.sender, m.to, m.kind) for m in obs.messages] == order
+    assert obs.messages == delivered == bus.rounds[0]
+    msg = delivered[0]
+    assert msg.round_no == 1 and msg.body == (1, 0x1F) and type(msg.body[0]) is int
+    assert msg.payload_bytes == 3
+    for name, value in (("sender", 9), ("body", (0,)), ("to", 2), ("kind", "x")):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, value)
+    assert (msg.sender, msg.body, msg.to, msg.kind) == (1, (1, 0x1F), None, "c")
+
+
 def test_transcript_is_deterministic_in_seed():
     a = netsim.build_pda_system(kappa=16, n=4, theta_min=3, seed=31337, m_max=4)[1]
     b = netsim.build_pda_system(kappa=16, n=4, theta_min=3, seed=31337, m_max=4)[1]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pda_kit import numtheory
+from pda_kit.bus import Bus
 from pda_kit.errors import (
     DuplicateId,
     NotInSubgroup,
@@ -17,6 +18,7 @@ from pda_kit.numtheory import (
     CorrelatedModuli,
     cunningham_step,
     dlog_one_plus_m,
+    evaluate_packed,
     fixed_base_pow,
     gen_correlated_moduli,
     gen_safe_prime,
@@ -25,7 +27,10 @@ from pda_kit.numtheory import (
     lagrange_weights,
     lift_correlated_prime,
     mod_inv,
+    ring_exchange,
+    share_exchange,
     slot_exponent,
+    unit_power,
 )
 from pda_kit.rng import Rng
 
@@ -327,3 +332,146 @@ def test_hash_is_root_of_unity_on_real_params():
     for t in (0, 1, 99, 12_345_678):
         out = hash_to_subgroup(t, h, mod.n, mod.n_tilde, seed=b"s")
         assert pow(out, mod.n_tilde, mod.n) == 1
+
+
+# ---------------------------------------------------------------------------
+# key ceremonies: packed share evaluation, CRT powers
+# ---------------------------------------------------------------------------
+
+def horner(coeffs, x: int, modulus: int) -> int:
+    """Reference: q(x) = sum_t coeffs[t-1] x^t mod modulus, one reduction a step."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc + c) * x % modulus
+    return acc
+
+
+def moduli(min_bits: int, max_bits: int):
+    return st.integers(min_bits, max_bits).flatmap(
+        lambda b: st.integers(1 << (b - 1), (1 << b) - 1)
+    )
+
+
+# positive IDs in ascending order, consecutive ones up to 2^16 apart
+id_sets = st.lists(st.integers(1, 1 << 16), min_size=1, max_size=10).map(
+    lambda gaps: [sum(gaps[: k + 1]) for k in range(len(gaps))]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modulus=moduli(8, 1100), ids=id_sets, data=st.data())
+def test_evaluate_packed_matches_horner(modulus, ids, data):
+    # coefficients may lie outside [0, M): the packed form reduces them first
+    coefficient = st.integers(-2 * modulus, 2 * modulus)
+    polys = [
+        data.draw(st.lists(coefficient, min_size=1, max_size=40), label=f"poly {j}")
+        for j in range(len(ids))
+    ]
+    values = evaluate_packed(polys, ids, modulus)
+    assert values == [[horner(q, x, modulus) for q in polys] for x in ids]
+
+
+@pytest.mark.parametrize("bits", [8, 96, 1100])
+def test_evaluate_packed_worst_case_slots(bits):
+    # every coefficient M-1 at the widest points fills each slot to its bound
+    modulus = (1 << bits) - 1
+    ids = [1, 2, (1 << 16) - 1, 1 << 16]
+    polys = [[modulus - 1] * 40 for _ in ids]
+    assert evaluate_packed(polys, ids, modulus) == [
+        [horner(q, x, modulus) for q in polys] for x in ids
+    ]
+    with pytest.raises(ValueError):
+        evaluate_packed(polys, [-1], modulus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(modulus=moduli(8, 256), ids=id_sets.filter(lambda ids: len(ids) >= 2), data=st.data())
+def test_share_exchange_points_sum_the_polynomials(modulus, ids, data):
+    m2 = modulus * modulus
+    unit = st.integers(1, m2 - 1).filter(lambda b: math.gcd(b, modulus) == 1)
+    blinds = {j: data.draw(unit, label=f"blind {j}") for j in ids[:-1]}
+    blinds[ids[-1]] = mod_inv(math.prod(blinds.values()), m2)  # blinds multiply to 1
+    degrees = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True))
+    coeffs = {
+        (j, d): data.draw(st.lists(st.integers(0, modulus - 1), min_size=d, max_size=d))
+        for j in ids
+        for d in degrees
+    }
+    bus = Bus(ids)
+    points = share_exchange(bus, modulus, blinds, degrees, lambda j, d: coeffs[j, d], "share")
+    for d, messages in zip(degrees, bus.rounds):
+        assert len(messages) == len(ids) * (len(ids) - 1)
+        for msg in messages:
+            q = horner(coeffs[msg.sender, d], msg.to, modulus)
+            assert msg.kind == f"share:{d}"
+            assert msg.body == (blinds[msg.sender] * pow(1 + modulus, q, m2) % m2,)
+    assert points == {
+        i: {d: sum(horner(coeffs[j, d], i, modulus) for j in ids) % modulus for d in degrees}
+        for i in ids
+    }
+
+
+# A 512-bit safe prime, from gen_safe_prime(512, Rng("crt-test")).
+SAFE_PRIME_512 = int(
+    "ff2c4352e2573eaddf176a74e53140592f3d9826ea9cac75849f67bb86645bc"
+    "b744abcfedaaa27b4d919dc32028a6ba46abba0394f866fa1b4cf86479580bad7",
+    16,
+)
+
+
+def master_ring(p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The arith master modulus p^2(p-1)^2 = p^2 * 2^2 * q^2 and its factors."""
+    q = (p - 1) // 2
+    return (p * (p - 1)) ** 2, ((p, 2), (2, 2), (q, 2))
+
+
+CRT_PRIMES = [5, 7, 11, 23, 47, 1019, SAFE_PRIME_512]  # at p = 5, q = 2 repeats the 2
+
+
+def test_crt_primes_are_safe():
+    assert all(is_probable_prime(p) and is_probable_prime((p - 1) // 2) for p in CRT_PRIMES)
+
+
+def prime_id(p: int) -> str:
+    return str(p) if p < 1 << 16 else f"{p.bit_length()}-bit"
+
+
+@pytest.mark.parametrize("p", CRT_PRIMES, ids=prime_id)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unit_power_matches_pow(p, data):
+    modulus, factors = master_ring(p)
+    u = data.draw(st.integers(1, modulus - 1).filter(lambda u: math.gcd(u, modulus) == 1))
+    e = data.draw(st.integers(0, modulus - 1), label="e")  # [0, m^2), m = p(p-1)
+    assert unit_power(modulus, factors)(u, e) == pow(u, e, modulus)
+
+
+def test_unit_power_refuses_factors_of_another_modulus():
+    modulus, factors = master_ring(23)
+    for wrong in (((23, 2), (2, 2)), ((23, 2), (2, 2), (11, 1)), factors + ((3, 1),)):
+        with pytest.raises(ValueError):
+            unit_power(modulus, wrong)
+
+
+@pytest.mark.parametrize("p", [23, 1019])
+def test_ring_exchange_on_factored_ring_matches_plain(p):
+    modulus, factors = master_ring(p)
+    rnd = random.Random(p)
+    exponents = {i: rnd.randrange(1, modulus) for i in (2, 5, 9, 14)}
+    generator = next(g for g in range(3, modulus) if math.gcd(g, modulus) == 1)
+    plain, crt = Bus(exponents), Bus(exponents)
+    masks = ring_exchange(plain, modulus, generator, exponents)
+    assert ring_exchange(crt, modulus, generator, exponents, factors=factors) == masks
+    assert crt.transcript_jsonl() == plain.transcript_jsonl()
+    assert math.prod(masks.values()) % modulus == 1
+
+
+@pytest.mark.parametrize("p", [23, SAFE_PRIME_512], ids=prime_id)
+def test_ring_exchange_refuses_non_unit_generator(p):
+    modulus, factors = master_ring(p)
+    for generator in (p, 2, (p - 1) // 2, 0):
+        for kwargs in ({}, {"factors": factors}):
+            bus = Bus((1, 2, 3))
+            with pytest.raises(NotInvertible):
+                ring_exchange(bus, modulus, generator, {1: 3, 2: 4, 3: 6}, **kwargs)
+            assert bus.rounds == []

@@ -40,6 +40,25 @@ def test_traced_run_yields_every_timed_layer_metric(bench, name):
     assert [m for m in TIMED if m not in rows] == []
 
 
+def keygen_messages(parties: int, degrees: int) -> int:
+    """One ring broadcast a party, then n(n-1) addressed shares a degree."""
+    return parties + degrees * parties * (parties - 1)
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in DECLARED["workloads"]])
+def test_traced_setup_counts_every_bus_message(bench, name):
+    # bus.messages is the count of Bus.post calls, so it is only right while
+    # each message is posted on its own
+    run, toy = bench
+    spec = toy[name].spec
+    if name == "arith_poly_n32":  # the authority's virtual user n+1 takes part
+        parties, degrees = spec.n + 1, spec.n + 2 - spec.n_min
+    else:  # degrees 2..n-1
+        parties, degrees = spec.n, spec.n - 2
+    _, rows = run.traced(toy[name], seed=1, ops=1)
+    assert rows["setup.bus.messages"] == keygen_messages(parties, degrees)
+
+
 # three rounds an aggregation; arith runs one polynomial in each of its
 # two deployment models; the toy regression has 3 features, so D = 4 and
 # D(D+1)/2 + D - 1 = 13 of its steps run a ceremony (A_0_0 is local)
