@@ -8,7 +8,7 @@ encryption.  Ceremonies run on a deterministic in-memory broadcast bus
 so every run is replayable from its seed.
 """
 
-from .bus import Bus, CeremonyResult, Message, Observer
+from .bus import Bus, CeremonyResult, Message
 from .errors import ProtocolError
 from .rng import Rng
 
@@ -18,7 +18,6 @@ __all__ = [
     "Bus",
     "CeremonyResult",
     "Message",
-    "Observer",
     "ProtocolError",
     "Rng",
     "__version__",

@@ -150,7 +150,6 @@ def keygen(
     params: ArithParams,
     rng: Rng,
     master_keys: Mapping[int, int],
-    degrees: Sequence[int] | None = None,
 ) -> dict[int, ArithEncKey]:
     """Distributed share generation for every group size k = n_min .. #parties.
 
@@ -161,7 +160,7 @@ def keygen(
     R_i^(k) = sum_j poly_j(i) mod p(p-1).
     """
     m = params.key_modulus
-    ks = degrees if degrees is not None else range(params.n_min, len(master_keys) + 1)
+    ks = range(params.n_min, len(master_keys) + 1)
 
     def coefficients(j: int, k: int) -> list[int]:
         return [rng.fork(f"keygen:party:{j}:k:{k}:c:{t}").randbelow(m) for t in range(1, k)]

@@ -1,15 +1,18 @@
 """Deterministic in-memory Dolev-Yao broadcast network.
 
-Every message posted in a round is delivered to every party and every
-observer tap; the `to` field is routing metadata for byte accounting,
-not confidentiality.  Rounds are synchronous barriers and messages are
-ordered by (sender, recipient, kind) inside a round, so a transcript is
-a pure function of the ceremony inputs.
+Every message posted in a round is delivered to every party; the `to`
+field is routing metadata for byte accounting, not confidentiality.
+Rounds are synchronous barriers and messages are ordered by (sender,
+recipient, kind) inside a round, so a transcript is a pure function of
+the ceremony inputs.  The stored rounds are the one record of the wire:
+they are what any eavesdropper sees, and byte accounting is derived
+from them when it is asked for.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -37,32 +40,11 @@ def _delivery_order(msg: Message) -> tuple:
     return (msg.sender, -1 if msg.to is None else msg.to, msg.kind)
 
 
-class Observer:
-    """Adversary tap: records everything that crosses the wire."""
-
-    def __init__(self, name: str = "observer"):
-        self.name = name
-        self.messages: list[Message] = []
-
-    def deliver(self, msg: Message) -> None:
-        self.messages.append(msg)
-
-    def of_kind(self, kind: str) -> list[Message]:
-        return [m for m in self.messages if m.kind == kind]
-
-
 class Bus:
-    def __init__(self, parties: Sequence[int], observers: Sequence[Observer] = ()):
+    def __init__(self, parties: Sequence[int]):
         self.parties = tuple(parties)
-        self.observers = list(observers)
         self.rounds: list[list[Message]] = []
         self._pending: list[Message] | None = None
-        self.sent: dict[tuple[int, int], int] = {}
-        # broadcast bytes are delivered to everyone else; accounting keeps
-        # per-round totals so delivery never loops over the whole roster
-        self._bcast_total: dict[int, int] = {}
-        self._bcast_by_sender: dict[tuple[int, int], int] = {}
-        self._addressed: dict[tuple[int, int], int] = {}
 
     # --- round lifecycle ---------------------------------------------------
 
@@ -87,23 +69,6 @@ class Bus:
         ordered = sorted(self._pending, key=_delivery_order)
         self._pending = None
         self.rounds.append(ordered)
-        rnd = len(self.rounds)
-        sent, by_sender, addressed = self.sent, self._bcast_by_sender, self._addressed
-        bcast_total = 0
-        for msg in ordered:
-            size = msg.payload_bytes
-            key = (msg.sender, rnd)
-            sent[key] = sent.get(key, 0) + size
-            if msg.to is None:
-                bcast_total += size
-                by_sender[key] = by_sender.get(key, 0) + size
-            else:
-                rkey = (msg.to, rnd)
-                addressed[rkey] = addressed.get(rkey, 0) + size
-            for obs in self.observers:
-                obs.deliver(msg)
-        if bcast_total:
-            self._bcast_total[rnd] = bcast_total
         return ordered
 
     # --- queries -------------------------------------------------------------
@@ -114,23 +79,48 @@ class Bus:
 
     # --- accounting / export --------------------------------------------------
 
+    def _tally(self) -> tuple[Counter, Counter]:
+        """Bytes sent and received per (party, round), in one pass over the rounds.
+
+        A broadcast reaches every party of the bus but its sender; an
+        addressed message reaches its `to`.
+        """
+        sent: Counter = Counter()
+        received: Counter = Counter()
+        for rnd, msgs in enumerate(self.rounds, 1):
+            bcast, own = 0, Counter()
+            for msg in msgs:
+                size = msg.payload_bytes
+                sent[msg.sender, rnd] += size
+                if msg.to is None:
+                    bcast += size
+                    own[msg.sender] += size
+                else:
+                    received[msg.to, rnd] += size
+            if bcast:
+                for party in self.parties:
+                    received[party, rnd] += bcast - own[party]
+        return sent, received
+
+    @property
+    def sent(self) -> dict[tuple[int, int], int]:
+        """Bytes each sender put on the wire: {(party, round): bytes}."""
+        return dict(self._tally()[0])
+
     def received_bytes(self, party: int, rnd: int) -> int:
-        bcast = self._bcast_total.get(rnd, 0) - self._bcast_by_sender.get((party, rnd), 0)
-        return bcast + self._addressed.get((party, rnd), 0)
+        return self._tally()[1][party, rnd]
 
     def sent_total(self, party: int) -> int:
         return sum(v for (p, _), v in self.sent.items() if p == party)
 
     def traffic_report(self) -> list[dict]:
+        sent, received = self._tally()
         rows = []
         for rnd in range(1, len(self.rounds) + 1):
             for party in self.parties:
-                sent = self.sent.get((party, rnd), 0)
-                recv = self.received_bytes(party, rnd)
-                if sent or recv:
-                    rows.append(
-                        {"party": party, "round": rnd, "sent": sent, "received": recv}
-                    )
+                out, inc = sent[party, rnd], received[party, rnd]
+                if out or inc:
+                    rows.append({"party": party, "round": rnd, "sent": out, "received": inc})
         return rows
 
     def transcript_jsonl(self) -> str:

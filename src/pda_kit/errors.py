@@ -35,6 +35,10 @@ class InvalidParams(ProtocolError):
     """Loaded public parameters fail a property that setup guarantees."""
 
 
+class InvalidQuery(ProtocolError):
+    """A declared query does not fit the parameters or its own terms."""
+
+
 class BadField(ProtocolError):
     """A JSON document lacks a field, or a field does not parse."""
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
-from .bus import Bus, CeremonyResult, Observer
-from .errors import ProtocolError, ResultOverflow, SingularSystem
+from .bus import Bus, CeremonyResult
+from .errors import KeyMissing, ProtocolError, ResultOverflow, SingularSystem
 from .numtheory import mod_inv
 from .rng import Rng
 
@@ -25,10 +25,9 @@ def run_ceremony(
     driver: Callable[[Bus, Rng], object],
     parties: Sequence[int],
     seed: int | str | bytes,
-    observers: Sequence[Observer] = (),
 ) -> CeremonyResult:
     """Run `driver(bus, rng)` on a fresh bus; deterministic in seed."""
-    bus = Bus(parties, observers=observers)
+    bus = Bus(parties)
     rng = Rng(seed)
     try:
         outputs = driver(bus, rng)
@@ -56,7 +55,6 @@ def keygen_arith(
     params: arith.ArithParams,
     seed: int | str | bytes,
     with_authority: bool = False,
-    observers: Sequence[Observer] = (),
 ) -> tuple[ArithSystem, CeremonyResult]:
     """Initialize + Keygen over users 1..n.  With an authority, a virtual
     participant with ID n+1 joins both ceremonies and its keys go to the authority."""
@@ -67,7 +65,7 @@ def keygen_arith(
         masters = arith.initialize(bus, params, rng.fork("initialize"), ids=ids)
         return masters, arith.keygen(bus, params, rng.fork("keygen"), masters)
 
-    result = run_ceremony(driver, ids, seed, observers=observers)
+    result = run_ceremony(driver, ids, seed)
     masters, keys = result.outputs
     system = ArithSystem(
         params=params, master_keys=masters, enc_keys=keys, ids=ids, virtual_id=virtual_id
@@ -81,11 +79,10 @@ def build_arith_system(
     n_min: int,
     seed: int | str | bytes,
     with_authority: bool = False,
-    observers: Sequence[Observer] = (),
 ) -> tuple[ArithSystem, CeremonyResult]:
     """Setup, then `keygen_arith` at the same seed."""
     params = arith.setup(kappa, n, n_min, Rng(seed).fork("setup"))
-    return keygen_arith(params, seed, with_authority=with_authority, observers=observers)
+    return keygen_arith(params, seed, with_authority=with_authority)
 
 
 def run_arith_group_aggregation(
@@ -94,7 +91,6 @@ def run_arith_group_aggregation(
     values: Mapping[int, int],
     op: str,
     seed: int | str | bytes = 0,
-    observers: Sequence[Observer] = (),
 ) -> tuple[int, CeremonyResult]:
     """Single sum or product over one group: exactly one broadcast round."""
     if op not in ("add", "mul"):
@@ -111,7 +107,7 @@ def run_arith_group_aggregation(
         bus.end_round()
         return arith.decrypt(system.params, cts)
 
-    result = run_ceremony(driver, tuple(sorted(group)), seed, observers=observers)
+    result = run_ceremony(driver, tuple(sorted(group)), seed)
     return result.outputs, result
 
 
@@ -136,7 +132,6 @@ def keygen_pda(
     hardened_k: int = 0,
     m_max: int = 64,
     degrees: Sequence[int] | None = None,
-    observers: Sequence[Observer] = (),
 ) -> tuple[PdaSystem, CeremonyResult]:
     """Aggregator keypair sized for m_max terms, then the user key ceremony."""
     agg_bits = paillier.required_bits(params.N, m_max)
@@ -148,7 +143,7 @@ def keygen_pda(
             bus, params, rng.fork("queries"), y, degrees=degrees, hardened_k=hardened_k
         )
 
-    result = run_ceremony(driver, tuple(range(1, params.n + 1)), seed, observers=observers)
+    result = run_ceremony(driver, tuple(range(1, params.n + 1)), seed)
     return PdaSystem(params=params, agg_keys=agg_keys, enc_keys=result.outputs), result
 
 
@@ -160,13 +155,10 @@ def build_pda_system(
     hardened_k: int = 0,
     m_max: int = 64,
     degrees: Sequence[int] | None = None,
-    observers: Sequence[Observer] = (),
 ) -> tuple[PdaSystem, CeremonyResult]:
     """Setup, then `keygen_pda` at the same seed."""
     params = pda.setup(kappa, n, theta_min, Rng(seed).fork("setup"))
-    return keygen_pda(
-        params, seed, hardened_k=hardened_k, m_max=m_max, degrees=degrees, observers=observers
-    )
+    return keygen_pda(params, seed, hardened_k=hardened_k, m_max=m_max, degrees=degrees)
 
 
 def run_pda_aggregation(
@@ -174,18 +166,21 @@ def run_pda_aggregation(
     query: pda.PdaQuery,
     data: Mapping[int, Sequence[int]],
     seed: int | str | bytes,
-    observers: Sequence[Observer] = (),
     registry: pda.SlotRegistry | None = None,
 ) -> tuple[int, CeremonyResult]:
     """Declaration round, then the two broadcast rounds of one evaluation.
 
-    A query whose term sum the aggregator key cannot hold is refused
-    before its window is claimed.  The window is claimed against the
-    registry before any message is emitted; an overlap aborts with an
-    empty transcript.
+    A query that fails validation, names a participant without a key, or
+    whose term sum the aggregator key cannot hold is refused before its
+    window is claimed.  The window is claimed against the registry
+    before any message is emitted; an overlap aborts with an empty
+    transcript.
     """
     params = system.params
     query.validate(params)
+    missing = sorted(set(query.participants) - set(system.enc_keys))
+    if missing:
+        raise KeyMissing(f"no key for participants {missing}")
     need, have = paillier.required_bits(params.N, query.m), system.agg_pk.n.bit_length()
     if have < need:
         raise ResultOverflow(f"{query.m} terms need a {need}-bit aggregator key, have {have}")
@@ -240,7 +235,7 @@ def run_pda_aggregation(
         return pda.aggregate(params, system.agg_keys, blinded)
 
     parties = (AGGREGATOR_ID, *query.participants)
-    result = run_ceremony(driver, parties, seed, observers=observers)
+    result = run_ceremony(driver, parties, seed)
     return result.outputs, result
 
 
@@ -373,7 +368,6 @@ def rushing_attack_demo(
     hardened_k: int = 0,
     multiplier: int | None = None,
     honest: bool = False,
-    observers: Sequence[Observer] = (),
 ) -> RushingOutcome:
     """Adaptive neighbour against the ring exchange.
 
@@ -410,7 +404,7 @@ def rushing_attack_demo(
             adaptive={attacker: adaptive_pick},
         )
 
-    result = run_ceremony(driver, ids, seed, observers=observers)
+    result = run_ceremony(driver, ids, seed)
     y_victim = observed[victim]
     predicted = pow(y_victim, a, nt)
     actual = result.outputs[victim]

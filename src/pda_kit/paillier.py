@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidCiphertext, MessageTooLarge, hex_field
+from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
 from .numtheory import is_probable_prime, mod_inv
 from .rng import Rng
 
@@ -127,7 +127,11 @@ def to_json(keys: AggKeyPair, private: bool = True) -> dict:
 
 
 def from_json(doc: dict) -> AggKeyPair | AggPublicKey:
+    """A public key, or a private one whose mu inverts lambda mod n (InvalidKey if not)."""
     n = hex_field(doc, "n_a")
-    if "lambda" in doc:
-        return AggKeyPair(n=n, lam=hex_field(doc, "lambda"), mu=hex_field(doc, "mu"))
-    return AggPublicKey(n=n)
+    if "lambda" not in doc:
+        return AggPublicKey(n=n)
+    keys = AggKeyPair(n=n, lam=hex_field(doc, "lambda"), mu=hex_field(doc, "mu"))
+    if keys.mu * keys.lam % n != 1:  # also refuses a lambda that shares a factor with n
+        raise InvalidKey("aggregator key: mu * lambda is not 1 mod n")
+    return keys

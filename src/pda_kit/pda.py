@@ -25,8 +25,10 @@ from . import paillier
 from .bus import Bus
 from .errors import (
     CorruptRegistry,
+    DuplicateId,
     GroupBelowThreshold,
     GroupTooSmall,
+    InvalidQuery,
     KeyMissing,
     MissingEncoding,
     NotInSubgroup,
@@ -179,20 +181,27 @@ class PdaQuery:
 
     def validate(self, params: PdaParams) -> None:
         if self.window.length != self.m:
-            raise ValueError("window length must equal the number of terms")
-        if len(set(self.participants)) != len(self.participants):
-            raise ValueError("repeated participants")
+            raise InvalidQuery(f"window length {self.window.length} != {self.m} terms")
+        members = set(self.participants)
+        if len(members) != len(self.participants):
+            raise DuplicateId(f"repeated participants in {list(self.participants)}")
+        outside = sorted(i for i in members if not 1 <= i <= params.n)
+        if outside:
+            raise InvalidQuery(f"participants {outside} outside 1..{params.n}")
         if len(self.participants) < params.theta_min:
             raise GroupBelowThreshold(
                 f"|P|={len(self.participants)} below theta_min={params.theta_min}"
             )
-        members = set(self.participants)
-        for user in self.exponents:
+        for user, powers in self.exponents.items():
             if user not in members:
-                raise ValueError(f"exponent for non-member {user}")
+                raise InvalidQuery(f"exponent for non-member {user}")
+            if not all(0 <= k < self.m for k in powers):
+                raise InvalidQuery(f"user {user}: exponent for a term outside 0..{self.m - 1}")
+            if min(powers.values(), default=0) < 0:
+                raise InvalidQuery(f"user {user}: negative exponent")
         u1, u2 = self.special_users()
         if u1 == u2 or u1 not in members or u2 not in members:
-            raise ValueError("special users must be two distinct members")
+            raise InvalidQuery("special users must be two distinct members")
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pda_kit import analytics, arith, netsim, pda
-from pda_kit.bus import Bus, Observer
+from pda_kit.bus import Bus
 from pda_kit.errors import SlotReused
 from pda_kit.rng import Rng
 
@@ -367,7 +367,7 @@ def test_criterion_8_regression_fidelity():
 # 9. window discipline
 # ---------------------------------------------------------------------------
 
-def test_criterion_9_window_discipline():
+def test_criterion_9_window_discipline(monkeypatch):
     system, _ = netsim.build_pda_system(
         kappa=16, n=5, theta_min=3, seed="c9", m_max=8
     )
@@ -397,9 +397,15 @@ def test_criterion_9_window_discipline():
         (97, 8),   # superset
         (103, 1),  # single boundary slot inside
     ]
+    real_run, ceremonies = netsim.run_ceremony, []
+
+    def recording(*args, **kwargs):
+        ceremonies.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "run_ceremony", recording)
     rejected = 0
     for start, length in overlaps:
-        obs = Observer()
         with pytest.raises(SlotReused):
             netsim.run_pda_aggregation(
                 system,
@@ -407,9 +413,8 @@ def test_criterion_9_window_discipline():
                 data(length),
                 seed=2,
                 registry=registry,
-                observers=[obs],
             )
-        assert obs.messages == [], f"messages leaked for window ({start},{length})"
+        assert ceremonies == [], f"a ceremony ran for window ({start},{length})"
         rejected += 1
 
     # adjacent windows on both sides are fine
@@ -417,6 +422,7 @@ def test_criterion_9_window_discipline():
         netsim.run_pda_aggregation(
             system, query(start, length), data(length), seed=3, registry=registry
         )
+    assert len(ceremonies) == 2  # the recorder sees every ceremony that does run
     report(
         9,
         "overlapping windows rejected before any message",

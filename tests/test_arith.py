@@ -215,14 +215,6 @@ def test_keygen_extraction_failed():
         arith.keygen(Bus(range(1, 5)), params, Rng("k"), masters)
 
 
-def test_keygen_degree_subset():
-    params = arith.setup(16, 5, 3, Rng(10))
-    bus = Bus(range(1, 6))
-    masters = arith.initialize(bus, params, Rng("i"), ids=range(1, 6))
-    keys = arith.keygen(Bus(range(1, 6)), params, Rng("k"), masters, degrees=[4])
-    assert all(sorted(k.shares) == [4] for k in keys.values())
-
-
 # ---------------------------------------------------------------------------
 # encrypt / decrypt on the frozen toy
 # ---------------------------------------------------------------------------

@@ -235,6 +235,78 @@ def test_aggregate_refuses_query_wider_than_aggregator_key(keyring, tmp_path, ca
     assert (keys / "registry.jsonl").read_text() == ""
 
 
+def _toy_query_at_200(tmp_path, **change):
+    """The toy query file moved to the unclaimed window at slot 200, with `change` applied."""
+    doc = json.loads((FIXTURES / "toy_query.json").read_text())
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({**doc, "window": {"start": 200, "len": 2}, **change}))
+    return query
+
+
+def _aggregate_refused(keys, params, query, data, capsys, error):
+    """aggregate exits 1 with `error`, prints no report and claims no window."""
+    claimed = (keys / "registry.jsonl").read_bytes()
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", keys, "--query", query, "--data", data,
+        "--seed", "20",
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert (keys / "registry.jsonl").read_bytes() == claimed
+    return err["detail"]
+
+
+@pytest.mark.parametrize(
+    "change, rows, error, detail",
+    [
+        ({"participants": [1, 1, 2]}, "", "DuplicateId", "repeated"),
+        (
+            {"participants": [1, 2, 9], "exponents": {"1": {"0": 1}, "9": {"1": 1}}},
+            "9,2,2\n",
+            "InvalidQuery",
+            "outside 1..3",
+        ),
+        ({"exponents": {"1": {"0": 1}, "4": {"1": 1}}}, "4,2,2\n", "InvalidQuery", "non-member"),
+        ({"exponents": {"1": {"0": 1}, "3": {"5": 1}}}, "", "InvalidQuery", "outside 0..1"),
+        ({"exponents": {"1": {"0": -1}}}, "", "InvalidQuery", "negative exponent"),
+        ({"window": {"start": 200, "len": 3}}, "", "InvalidQuery", "window length"),
+    ],
+    ids=["repeated-participant", "participant-outside-roster", "exponent-for-non-member",
+         "exponent-for-term-outside-window", "negative-exponent", "window-length-not-term-count"],
+)
+def test_aggregate_refuses_invalid_query(keyring, tmp_path, capsys, change, rows, error, detail):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    query, data = _toy_query_at_200(tmp_path, **change), tmp_path / "data.csv"
+    data.write_text((FIXTURES / "toy_data.csv").read_text() + rows)
+    assert detail in _aggregate_refused(copy, params, query, data, capsys, error)
+
+
+def test_aggregate_refuses_participant_without_key_file(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    (copy / "user_3.json").unlink()
+    query = _toy_query_at_200(tmp_path)
+    detail = _aggregate_refused(copy, params, query, FIXTURES / "toy_data.csv", capsys, "KeyMissing")
+    assert "[3]" in detail
+
+
+def test_aggregate_refuses_aggregator_key_with_wrong_mu(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    doc = json.loads((copy / "aggregator.json").read_text())
+    doc["mu"] = format(int(doc["mu"], 16) + 1, "x")
+    (copy / "aggregator.json").write_text(json.dumps(doc))
+    query = _toy_query_at_200(tmp_path)
+    _aggregate_refused(copy, params, query, FIXTURES / "toy_data.csv", capsys, "InvalidKey")
+
+
 @pytest.mark.parametrize(
     "csv_text, where",
     [

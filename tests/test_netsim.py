@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from pda_kit import netsim, pda
-from pda_kit.bus import Bus, Observer, hex_len
+from pda_kit import models, netsim, pda
+from pda_kit.bus import Bus, hex_len
 from pda_kit.errors import PartyMissing, SingularSystem
 from pda_kit.rng import Rng
 
@@ -29,28 +29,16 @@ def test_payload_byte_accounting():
     assert bus.received_bytes(1, 1) == 0  # own broadcast not self-delivered
 
 
-def test_observer_sees_everything():
-    obs = Observer()
-    bus = Bus([1, 2], observers=[obs])
-    bus.begin_round()
-    bus.post(1, "a", (1,), to=2)
-    bus.post(2, "b", (2,))
-    bus.end_round()
-    assert len(obs.messages) == 2
-    assert obs.of_kind("a")[0].to == 2
-
-
 def test_messages_are_immutable_and_delivered_in_order():
-    obs = Observer()
-    bus = Bus([1, 2, 3], observers=[obs])
+    bus = Bus([1, 2, 3])
     bus.begin_round()
     posted = [(3, "b", 1), (1, "b", 3), (2, "a", None), (1, "a", 3), (1, "c", None), (1, "a", 2)]
     for sender, kind, to in posted:
         bus.post(sender, kind, [True, 0x1F], to=to)
     delivered = bus.end_round()
     order = [(1, None, "c"), (1, 2, "a"), (1, 3, "a"), (1, 3, "b"), (2, None, "a"), (3, 1, "b")]
-    assert [(m.sender, m.to, m.kind) for m in obs.messages] == order
-    assert obs.messages == delivered == bus.rounds[0]
+    assert [(m.sender, m.to, m.kind) for m in bus.rounds[0]] == order
+    assert delivered == bus.rounds[0] == list(bus.messages())
     msg = delivered[0]
     assert msg.round_no == 1 and msg.body == (1, 0x1F) and type(msg.body[0]) is int
     assert msg.payload_bytes == 3
@@ -103,6 +91,83 @@ def test_traffic_report_schema(pda_system):
     assert rows
     for row in rows:
         assert set(row) == {"party", "round", "sent", "received"}
+
+
+def _recount(bus):
+    """Bytes per (party, round), message by message from the transcript: a
+    broadcast reaches every party but its sender, an addressed message its `to`."""
+    sent, received = {}, {}
+    for msg in bus.messages():
+        size = sum(len(format(v, "x")) for v in msg.body)
+        key = (msg.sender, msg.round_no)
+        sent[key] = sent.get(key, 0) + size
+        reached = [p for p in bus.parties if p != msg.sender] if msg.to is None else [msg.to]
+        for party in reached:
+            key = (party, msg.round_no)
+            received[key] = received.get(key, 0) + size
+    return sent, received
+
+
+def _assert_accounting_matches_recount(bus):
+    sent, received = _recount(bus)
+    rounds = range(1, len(bus.rounds) + 1)
+    assert bus.sent == sent
+    for party in bus.parties:
+        assert bus.sent_total(party) == sum(v for (p, _), v in sent.items() if p == party)
+        for rnd in rounds:
+            assert bus.received_bytes(party, rnd) == received.get((party, rnd), 0)
+    assert bus.traffic_report() == [
+        {"party": p, "round": r, "sent": sent.get((p, r), 0), "received": received.get((p, r), 0)}
+        for r in rounds
+        for p in bus.parties
+        if sent.get((p, r)) or received.get((p, r))
+    ]
+
+
+def test_hardened_keygen_accounting_matches_a_recount():
+    _, result = netsim.build_pda_system(
+        kappa=16, n=5, theta_min=3, seed=71, hardened_k=1, m_max=4
+    )
+    kinds = {(m.kind, m.to is None) for m in result.bus.messages()}
+    assert {("ring-share", True), ("ring-relay", False), ("key-query:2", False)} <= kinds
+    _assert_accounting_matches_recount(result.bus)
+
+
+def test_aggregation_accounting_matches_a_recount(pda_system):
+    system, _ = pda_system
+    ids = tuple(sorted(system.enc_keys))
+    query = pda.PdaQuery(
+        coeffs=(1, 3),
+        exponents={ids[0]: {0: 1}, ids[3]: {1: 2}},
+        participants=ids,
+        window=pda.Window(70_000, 2),
+    )
+    data = {i: [i, i + 1] for i in ids}
+    _, result = netsim.run_pda_aggregation(
+        system, query, data, seed=72, registry=pda.SlotRegistry()
+    )
+    assert len(result.bus.rounds) == 3
+    _assert_accounting_matches_recount(result.bus)
+
+
+def test_authority_aggregation_accounting_matches_a_recount(arith_system):
+    system, _ = arith_system
+    members = (1, 2, 3, 4)
+    poly = models.AggPolynomial(
+        terms=(
+            models.PolyTerm(coeff=2, powers=((1, 1), (2, 1))),
+            # single-owner terms go through the extra additive round
+            models.PolyTerm(coeff=5, powers=((3, 2),)),
+            models.PolyTerm(coeff=7, powers=((4, 1),)),
+        ),
+        participants=members,
+    )
+    bus = Bus(system.ids)
+    models.authority_aggregate(
+        bus, system.params, system.enc_keys, system.virtual_id, poly, {i: i + 2 for i in members}
+    )
+    assert len(bus.rounds) == 2
+    _assert_accounting_matches_recount(bus)
 
 
 def test_keygen_traffic_grows_quadratically():

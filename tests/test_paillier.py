@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pda_kit import paillier
-from pda_kit.errors import InvalidCiphertext, MessageTooLarge
+from pda_kit.errors import InvalidCiphertext, InvalidKey, MessageTooLarge
 from pda_kit.rng import Rng
 
 
@@ -117,3 +117,25 @@ def test_json_roundtrip(toy_keys):
     pub = paillier.to_json(toy_keys, private=False)
     assert set(pub) == {"n_a"}
     assert paillier.from_json(pub) == toy_keys.public()
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [("mu", lambda v: v + 1), ("lambda", lambda v: v + 1), ("mu", lambda v: 0)],
+    ids=["mu-plus-one", "lambda-plus-one", "mu-zero"],
+)
+def test_from_json_refuses_mu_that_does_not_invert_lambda(toy_keys, field, change):
+    doc = paillier.to_json(toy_keys)
+    doc[field] = format(change(int(doc[field], 16)), "x")
+    with pytest.raises(InvalidKey):
+        paillier.from_json(doc)
+
+
+def test_from_json_refuses_lambda_sharing_a_factor_with_n():
+    keys = paillier.from_primes(11, 13)
+    for lam in (60 * 11, 13):
+        doc = {**paillier.to_json(keys), "lambda": format(lam, "x")}
+        for mu in range(keys.n):
+            doc["mu"] = format(mu, "x")
+            with pytest.raises(InvalidKey):
+                paillier.from_json(doc)
