@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 
-def hex_len(value: int) -> int:
+def _hex_len(value: int) -> int:
     """Length of the lowercase big-endian hex serialization, in bytes."""
     return max(1, (value.bit_length() + 3) // 4)
 
@@ -33,7 +33,7 @@ class Message(NamedTuple):
 
     @property
     def payload_bytes(self) -> int:
-        return sum(map(hex_len, self.body))
+        return sum(map(_hex_len, self.body))
 
 
 def _delivery_order(msg: Message) -> tuple:

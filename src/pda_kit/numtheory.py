@@ -38,6 +38,15 @@ from .errors import (
 )
 from .rng import Rng
 
+# Primality policy.  A number read from disk, or handed to
+# `is_probable_prime` by a caller, may have been chosen to fool the test,
+# so it gets MILLER_RABIN_ROUNDS rounds: error below 4^-64 for any input.
+# A fresh uniform odd candidate of a prime search gets `_search_rounds`
+# rounds, the fewest for which the average-case bound of Damgard,
+# Landrock and Pomerance (Math. Comp. 61, 1993) is below 2^-100, as
+# FIPS 186-5 Appendix B.3 allows.  A candidate built as F*c + 1 from a
+# prime F > sqrt(candidate) gets Pocklington's proof (`_pocklington`),
+# which is exactly as strong as F's own test.
 MILLER_RABIN_ROUNDS = 64
 
 # Primes below 2000 for trial-division prefilters.
@@ -155,6 +164,43 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
+def _search_rounds(bits: int) -> int:
+    """Miller-Rabin rounds for a uniformly random odd `bits`-bit candidate.
+
+    The least t with 3 <= t <= bits/9 for which the DLP 1993 bound
+    k^{3/2} 2^t t^{-1/2} 4^{2 - sqrt(tk)} (k = bits) is below 2^-100;
+    MILLER_RABIN_ROUNDS where no such t exists (every width below 207).
+    """
+    k = bits
+    for t in range(3, k // 9 + 1):
+        log2_bound = 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+        if log2_bound < -100:
+            return t
+    return MILLER_RABIN_ROUNDS
+
+
+def _pocklington(cand: int, factor: int) -> bool:
+    """Primality of cand, proven from a prime factor of cand - 1 above sqrt(cand).
+
+    Pocklington: if b^{cand-1} = 1 and gcd(b^{(cand-1)/factor} - 1, cand)
+    = 1 for some b, every prime divisor of cand is 1 mod factor, so
+    exceeds sqrt(cand), and cand is prime.  The answer is right whenever
+    `factor` is prime.
+    """
+    if factor * factor <= cand or (cand - 1) % factor:
+        raise ValueError("factor must divide cand - 1 and exceed sqrt(cand)")
+    cofactor = (cand - 1) // factor
+    for b in range(2, cand):  # reaches cand's least prime factor, where Fermat fails
+        if pow(b, cand - 1, cand) != 1:
+            return False
+        g = math.gcd(pow(b, cofactor, cand) - 1, cand)
+        if g == 1:
+            return True
+        if g != cand:
+            return False  # a proper factor
+    return False
+
+
 @dataclass(frozen=True)
 class SafePrimePair:
     """p = 2*p_prime + 1 with both members probable primes."""
@@ -169,11 +215,14 @@ def gen_safe_prime(bits: int, rng: Rng) -> SafePrimePair:
     Candidates restart at a fresh random point every iteration to avoid
     the bias of increment-only scans.  Deterministic given the stream.
     Both members are sieved, then screened with one Miller-Rabin round,
-    before either gets the full test.  The one-round base is the first
-    base of the full test, so the screens reject nothing it would accept.
+    before either gets the full test.  No round rejects a prime, so the
+    screens reject nothing the full tests would accept.  The random q
+    gets the rounds its width needs; p = 2q + 1 is then proven prime
+    from q.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
+    rounds = _search_rounds(bits - 1)
     while True:
         q = rng.odd_with_top_bit(bits - 1)
         p = 2 * q + 1
@@ -182,8 +231,8 @@ def gen_safe_prime(bits: int, rng: Rng) -> SafePrimePair:
         if (
             is_probable_prime(q, 1)
             and is_probable_prime(p, 1)
-            and is_probable_prime(q)
-            and is_probable_prime(p)
+            and is_probable_prime(q, rounds)
+            and _pocklington(p, q)
         ):
             return SafePrimePair(p=p, p_prime=q)
 
@@ -209,20 +258,27 @@ class CorrelatedModuli:
     q_tilde: int
 
 
+def _is_lift_prime(cand: int, p_tilde: int) -> bool:
+    """Primality of cand = 2*a*p_tilde + 1 for a prime p_tilde."""
+    if p_tilde * p_tilde > cand:
+        return _sieved(cand) and _pocklington(cand, p_tilde)
+    return is_probable_prime(cand)  # only at toy widths
+
+
 def lift_correlated_prime(p_tilde: int, start: int = 2) -> tuple[int, int]:
-    """Smallest multiplier a >= start with p = 2*a*p_tilde + 1 prime."""
+    """Smallest multiplier a >= start with p = 2*a*p_tilde + 1 prime (p_tilde prime)."""
     a = start
     while True:
         cand = 2 * a * p_tilde + 1
-        if is_probable_prime(cand):
+        if _is_lift_prime(cand, p_tilde):
             return a, cand
         a += 1
 
 
 def cunningham_step(p_tilde: int) -> int | None:
-    """2*p_tilde + 1 when it is prime (strict chain), else None."""
+    """2*p_tilde + 1 when it is prime (strict chain), else None (p_tilde prime)."""
     cand = 2 * p_tilde + 1
-    return cand if is_probable_prime(cand) else None
+    return cand if _is_lift_prime(cand, p_tilde) else None
 
 
 def gen_correlated_moduli(

@@ -11,15 +11,24 @@ term plaintext is C*e < N^2 and m_max terms sum below m_max*N^2 <
 2^(2*|N| + ceil(log2 m_max)).  A modulus of 2*|N| + ceil(log2 m_max) + 1
 bits is at least that large (see `required_bits`), and the final
 reduction mod N then recovers the exact polynomial value.
+
+The aggregator decrypts by CRT (Paillier, EUROCRYPT '99, section 7):
+m_p = L_p(c^{p-1} mod p^2) * h_p mod p with L_p(x) = (x - 1)/p, the same
+mod q^2, then m from (m_p, m_q).  Writing c = (1+n)^m r^n, r^{n(p-1)} = 1
+mod p^2 and (1+n)^{m(p-1)} = 1 + m(p-1)n mod p^2, so L_p(...) = -mq mod p
+and h_p = L_p(g^{p-1} mod p^2)^-1 = -q^-1 mod p (h_q = -p^-1 mod q): each
+half is one exponent of |p| bits modulo p^2.  A key file holds (n, lambda,
+mu); p and q are recovered from lambda on load.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
-from .numtheory import is_probable_prime, mod_inv
+from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv
 from .rng import Rng
 
 
@@ -34,11 +43,13 @@ class AggPublicKey:
 
 @dataclass(frozen=True)
 class AggKeyPair:
-    """Keypair with g = n+1; lam = lcm(p-1, q-1), mu = lam^-1 mod n."""
+    """Keypair with g = n+1; lam = lcm(p-1, q-1), mu = lam^-1 mod n, n = pq, p < q."""
 
     n: int
     lam: int
     mu: int
+    p: int
+    q: int
 
     def public(self) -> AggPublicKey:
         return AggPublicKey(n=self.n)
@@ -46,6 +57,12 @@ class AggKeyPair:
     @property
     def nsq(self) -> int:
         return self.n * self.n
+
+    @functools.cached_property
+    def _crt(self) -> tuple[int, int, int]:
+        """h_p = -q^-1 mod p, h_q = -p^-1 mod q and p^-1 mod q."""
+        h_q = -mod_inv(self.p, self.q) % self.q
+        return -mod_inv(self.q, self.p) % self.p, h_q, self.q - h_q
 
 
 def from_primes(p: int, q: int) -> AggKeyPair:
@@ -55,13 +72,14 @@ def from_primes(p: int, q: int) -> AggKeyPair:
     lam = math.lcm(p - 1, q - 1)
     if math.gcd(lam, n) != 1:
         raise ValueError("lcm(p-1, q-1) shares a factor with n")
-    return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n))
+    return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n), p=min(p, q), q=max(p, q))
 
 
 def _random_prime(bits: int, rng: Rng) -> int:
+    rounds = _search_rounds(bits)
     while True:
         cand = rng.odd_with_top_bit(bits)
-        if is_probable_prime(cand):
+        if is_probable_prime(cand, rounds):
             return cand
 
 
@@ -81,7 +99,7 @@ def keygen(bits: int, rng: Rng) -> AggKeyPair:
         lam = math.lcm(p - 1, q - 1)
         if math.gcd(lam, n) != 1:
             continue
-        return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n))
+        return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n), p=min(p, q), q=max(p, q))
 
 
 def required_bits(outer_modulus: int, m_max: int) -> int:
@@ -105,11 +123,13 @@ def encrypt(pk: AggPublicKey, m: int, rng: Rng | None = None, r: int | None = No
 
 
 def decrypt(keys: AggKeyPair, ct: int) -> int:
-    nsq = keys.nsq
-    if not 0 < ct < nsq or math.gcd(ct, keys.n) != 1:
+    if not 0 < ct < keys.nsq or math.gcd(ct, keys.n) != 1:
         raise InvalidCiphertext("ciphertext is not a unit of Z_{n^2}")
-    u = pow(ct, keys.lam, nsq)
-    return (u - 1) // keys.n * keys.mu % keys.n
+    p, q = keys.p, keys.q
+    h_p, h_q, p_inv = keys._crt
+    m_p = (pow(ct, p - 1, p * p) - 1) // p * h_p % p
+    m_q = (pow(ct, q - 1, q * q) - 1) // q * h_q % q
+    return m_p + p * ((m_q - m_p) * p_inv % q)
 
 
 def scale(pk: AggPublicKey, ct: int, k: int) -> int:
@@ -127,11 +147,51 @@ def to_json(keys: AggKeyPair, private: bool = True) -> dict:
 
 
 def from_json(doc: dict) -> AggKeyPair | AggPublicKey:
-    """A public key, or a private one whose mu inverts lambda mod n (InvalidKey if not)."""
+    """A public key, or a private one whose mu inverts lambda mod n and whose
+    lambda splits n into p < q with lcm(p-1, q-1) | lambda (InvalidKey if not)."""
     n = hex_field(doc, "n_a")
+    if n < 2:
+        raise InvalidKey("aggregator key: n_a is below 2")
     if "lambda" not in doc:
         return AggPublicKey(n=n)
-    keys = AggKeyPair(n=n, lam=hex_field(doc, "lambda"), mu=hex_field(doc, "mu"))
-    if keys.mu * keys.lam % n != 1:  # also refuses a lambda that shares a factor with n
+    lam, mu = hex_field(doc, "lambda"), hex_field(doc, "mu")
+    if mu * lam % n != 1:  # also refuses a lambda that shares a factor with n
         raise InvalidKey("aggregator key: mu * lambda is not 1 mod n")
-    return keys
+    p = _split(n, lam)
+    q = n // p
+    if p == q or lam % math.lcm(p - 1, q - 1):  # p == q: n = 4 passes the rest
+        raise InvalidKey("aggregator key: lambda is not a multiple of lcm(p-1, q-1), p < q")
+    return AggKeyPair(n=n, lam=lam, mu=mu, p=p, q=q)
+
+
+def _split(n: int, lam: int) -> int:
+    """The smaller factor of n that lambda reveals (InvalidKey if none).
+
+    Miller's split (JCSS 1976): write lambda = 2^s t with t odd.  When
+    lambda is a multiple of lcm(p-1, q-1), the chain a^t, a^2t, ...,
+    a^lambda mod n ends in 1, and a square root of 1 other than +-1 on
+    it gives the factor gcd(x - 1, n).  Each base splits n with
+    probability at least 1/2; a chain that does not end in 1 shows that
+    lambda is wrong.
+    """
+    if lam < 1:
+        raise InvalidKey("aggregator key: lambda is not positive")
+    t, s = lam, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    for a in SMALL_PRIMES:
+        if a >= n:
+            break
+        if n % a == 0:
+            return a
+        x = pow(a, t, n)
+        for _ in range(s):
+            y = x * x % n
+            if y == 1 and x != 1 and x != n - 1:
+                g = math.gcd(x - 1, n)
+                return min(g, n // g)
+            x = y
+        if x != 1:
+            raise InvalidKey(f"aggregator key: {a}^lambda is not 1 mod n")
+    raise InvalidKey("aggregator key: lambda does not split n")

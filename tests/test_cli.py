@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pda_kit import cli, netsim, paillier
+from pda_kit.rng import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -305,6 +306,23 @@ def test_aggregate_refuses_aggregator_key_with_wrong_mu(keyring, tmp_path, capsy
     (copy / "aggregator.json").write_text(json.dumps(doc))
     query = _toy_query_at_200(tmp_path)
     _aggregate_refused(copy, params, query, FIXTURES / "toy_data.csv", capsys, "InvalidKey")
+
+
+def test_aggregate_refuses_aggregator_key_whose_lambda_does_not_split_n(
+    keyring, tmp_path, capsys
+):
+    # mu * lambda = 1 mod n, so only the split of n by lambda catches it
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    n = paillier.keygen(64, Rng("cli:split")).n
+    doc = {"n_a": format(n, "x"), "lambda": "1", "mu": "1"}
+    (copy / "aggregator.json").write_text(json.dumps(doc))
+    query = _toy_query_at_200(tmp_path)
+    detail = _aggregate_refused(
+        copy, params, query, FIXTURES / "toy_data.csv", capsys, "InvalidKey"
+    )
+    assert "lambda" in detail
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pda_kit import models, netsim, pda
-from pda_kit.bus import Bus, hex_len
+from pda_kit.bus import Bus, _hex_len as hex_len
 from pda_kit.errors import PartyMissing, SingularSystem
 from pda_kit.rng import Rng
 

@@ -143,6 +143,126 @@ def test_gen_safe_prime_example_values_are_valid():
     assert trial_division_prime(47) and trial_division_prime(23)
 
 
+@pytest.mark.parametrize(
+    "bits, rounds",
+    [(1043, 4), (1044, 4)]
+    + [(bits, 8) for bits in range(511, 521)]
+    + [(48, 64), (104, 64), (108, 64), (206, 64)],
+)
+def test_search_rounds_by_width(bits, rounds):
+    # 1043/1044: the pda_agg_k512 Paillier primes; 511-520: safe-prime q
+    # at kappa=512; 108: the regress_n64 Paillier primes
+    assert numtheory._search_rounds(bits) == rounds
+
+
+def test_search_rounds_meet_the_dlp_bound():
+    def log2_bound(k, t):
+        return 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+
+    for k in range(21, 3000):
+        t = numtheory._search_rounds(k)
+        if k < 207:
+            assert t == numtheory.MILLER_RABIN_ROUNDS
+            assert all(log2_bound(k, u) >= -100 for u in range(3, k // 9 + 1))
+        else:
+            assert 3 <= t <= k // 9
+            assert log2_bound(k, t) < -100
+            assert t == 3 or log2_bound(k, t - 1) >= -100
+
+
+POCKLINGTON_LIMIT = 200_000
+
+
+@pytest.fixture(scope="module")
+def least_factor():
+    spf = list(range(POCKLINGTON_LIMIT))
+    for i in range(2, int(POCKLINGTON_LIMIT**0.5) + 1):
+        if spf[i] == i:
+            for j in range(i * i, POCKLINGTON_LIMIT, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def _large_factor(cand, spf):
+    """The prime F | cand - 1 with F^2 > cand, if there is one (there is at most one)."""
+    rest = cand - 1
+    while rest > 1:
+        f = spf[rest]
+        if f * f > cand:
+            return f
+        rest //= f
+    return None
+
+
+def test_pocklington_agrees_with_trial_division(least_factor):
+    checked = 0
+    for cand in range(3, POCKLINGTON_LIMIT):
+        f = _large_factor(cand, least_factor)
+        if f is not None:
+            assert numtheory._pocklington(cand, f) == trial_division_prime(cand), cand
+            checked += 1
+    assert checked > 50_000
+
+
+def test_pocklington_rejects_pseudoprimes_and_carmichael_numbers(least_factor):
+    def factors(n):
+        out = []
+        while n > 1:
+            out.append(least_factor[n])
+            n //= least_factor[n]
+        return out
+
+    def carmichael(n):
+        fs = factors(n)
+        squarefree = len(set(fs)) == len(fs)
+        return len(fs) > 1 and squarefree and all((n - 1) % (f - 1) == 0 for f in fs)
+
+    fooling = [
+        n
+        for n in range(9, POCKLINGTON_LIMIT, 2)
+        if least_factor[n] != n and (pow(2, n - 1, n) == 1 or carmichael(n))
+    ]
+    assert {341, 561, 1105, 1729, 2047} <= set(fooling)
+    tested = 0
+    for n in fooling:
+        f = _large_factor(n, least_factor)
+        if f is not None:
+            assert not numtheory._pocklington(n, f), n
+            tested += 1
+    assert tested > 0
+
+
+@pytest.mark.parametrize(
+    "cand, factor",
+    [(31, 5), (61, 5), (227, 15), (23, 7), (139, 13), (1, 1), (11, 0)],
+    ids=["square-below-31", "square-below-61", "square-below-and-no-divisor",
+         "no-divisor-23", "no-divisor-139", "one", "zero"],
+)
+def test_pocklington_refuses_factor_outside_its_hypothesis(cand, factor):
+    with pytest.raises(ValueError):
+        numtheory._pocklington(cand, factor)
+
+
+def test_arith_params_load_runs_full_rounds(monkeypatch):
+    from pda_kit import arith
+
+    params = arith.setup(64, 5, 3, Rng("load-rounds"))
+    yielded = []
+    bases = numtheory._mr_bases
+
+    def counting_bases(n, rounds):
+        for a in bases(n, rounds):
+            yielded.append(n)
+            yield a
+
+    monkeypatch.setattr(numtheory, "_mr_bases", counting_bases)
+    arith.ArithParams.from_json(params.to_json())
+    p = params.p
+    rounds = numtheory.MILLER_RABIN_ROUNDS
+    assert yielded == [p] * rounds + [(p - 1) // 2] * rounds
+
+
 # ---------------------------------------------------------------------------
 # correlated moduli
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pda_kit import paillier
 from pda_kit.errors import InvalidCiphertext, InvalidKey, MessageTooLarge
@@ -13,10 +15,17 @@ def toy_keys():
     return paillier.keygen(48, Rng("pail48"))
 
 
+def lambda_decrypt(keys, ct):
+    """The textbook decryption L(c^lambda mod n^2) * mu mod n, as a reference."""
+    return (pow(ct, keys.lam, keys.nsq) - 1) // keys.n * keys.mu % keys.n
+
+
 def test_from_primes_frozen():
     keys = paillier.from_primes(11, 13)
     assert keys.n == 143
     assert keys.lam == 60  # lcm(10, 12)
+    assert (keys.p, keys.q) == (11, 13)
+    assert paillier.from_primes(13, 11) == keys
 
 
 def test_encrypt_zero_unit_randomizer():
@@ -100,6 +109,8 @@ def test_keygen_bits_and_gcd():
     keys = paillier.keygen(40, Rng("k40"))
     assert keys.n.bit_length() == 40
     assert math.gcd(keys.lam, keys.n) == 1
+    assert keys.p < keys.q and keys.p * keys.q == keys.n
+    assert keys.lam == math.lcm(keys.p - 1, keys.q - 1)
 
 
 def test_required_bits():
@@ -139,3 +150,77 @@ def test_from_json_refuses_lambda_sharing_a_factor_with_n():
             doc["mu"] = format(mu, "x")
             with pytest.raises(InvalidKey):
                 paillier.from_json(doc)
+
+
+def test_from_json_refuses_lambda_that_does_not_split_n():
+    # mu * lambda = 1 passes the inverse check, but 1 is no multiple of
+    # lcm(p-1, q-1): the lambda formula would decrypt E(5) to noise
+    keys = paillier.keygen(64, Rng("split64"))
+    doc = {"n_a": format(keys.n, "x"), "lambda": "1", "mu": "1"}
+    bogus = paillier.AggKeyPair(n=keys.n, lam=1, mu=1, p=keys.p, q=keys.q)
+    assert lambda_decrypt(bogus, paillier.encrypt(keys.public(), 5, Rng("e5"))) != 5
+    with pytest.raises(InvalidKey, match="lambda"):
+        paillier.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [lambda k: k.p - 1, lambda k: (k.q - 1) * 2, lambda k: k.lam // 2, lambda k: k.n - 1],
+    ids=["p-1", "2(q-1)", "half-lambda", "n-1"],
+)
+def test_from_json_refuses_lambda_that_is_not_a_carmichael_multiple(lam):
+    keys = paillier.keygen(64, Rng("split64"))
+    bad = lam(keys)
+    mu = pow(bad, -1, keys.n)
+    doc = {"n_a": format(keys.n, "x"), "lambda": format(bad, "x"), "mu": format(mu, "x")}
+    with pytest.raises(InvalidKey):
+        paillier.from_json(doc)
+
+
+@pytest.mark.parametrize("n_a", ["0", "1", "-f"])
+def test_from_json_refuses_modulus_below_two(n_a):
+    for doc in ({"n_a": n_a}, {"n_a": n_a, "lambda": "1", "mu": "1"}):
+        with pytest.raises(InvalidKey):
+            paillier.from_json(doc)
+
+
+def test_from_json_refuses_square_modulus():
+    # 2 divides n = 4, so the split returns p = q = 2 before any chain
+    with pytest.raises(InvalidKey):
+        paillier.from_json({"n_a": "4", "lambda": "1", "mu": "1"})
+
+
+def test_from_json_refuses_prime_modulus():
+    n = (1 << 61) - 1
+    mu = pow(n - 1, -1, n)
+    doc = {"n_a": format(n, "x"), "lambda": format(n - 1, "x"), "mu": format(mu, "x")}
+    with pytest.raises(InvalidKey, match="split"):
+        paillier.from_json(doc)
+
+
+SMALL_PRIMES = [p for p in range(3, 600) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _check_key(keys, data):
+    back = paillier.from_json(paillier.to_json(keys))
+    assert back == keys
+    assert (back.p, back.q) == (keys.p, keys.q) and back.p < back.q
+    nsq = keys.nsq
+    drawn = data.draw(st.lists(st.integers(1, nsq - 1), max_size=8), label="cts")
+    for ct in [1, nsq - 1, nsq - 2, nsq - keys.n - 1, *drawn]:
+        if math.gcd(ct, keys.n) == 1:
+            assert paillier.decrypt(back, ct) == lambda_decrypt(keys, ct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.integers(24, 160), seed=st.integers(0, 2**32), data=st.data())
+def test_crt_decrypt_matches_lambda_formula(bits, seed, data):
+    # both primes exceed 2000, so from_json splits n by Miller's chain
+    _check_key(paillier.keygen(bits, Rng(seed)), data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(SMALL_PRIMES), q=st.sampled_from(SMALL_PRIMES), data=st.data())
+def test_crt_decrypt_matches_lambda_formula_small_primes(p, q, data):
+    assume(p != q and math.gcd(math.lcm(p - 1, q - 1), p * q) == 1)
+    _check_key(paillier.from_primes(p, q), data)

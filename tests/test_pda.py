@@ -557,10 +557,12 @@ def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
 
 
 def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
-    # m encrypts by user 2, one scale a term by user 1, one decrypt
+    # m encrypts by user 2 and one scale a term by user 1 mod n_a^2; the
+    # CRT decrypt is one pow mod p^2 and one mod q^2
     system, _ = pda_system
     params = system.params
     nsq = system.agg_pk.nsq
+    p_sq, q_sq = system.agg_keys.p ** 2, system.agg_keys.q ** 2
     ids = tuple(sorted(system.enc_keys))
     m = 4
     query = pda.PdaQuery(
@@ -570,12 +572,12 @@ def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
         window=pda.Window(9600, m),
     )
     data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
-    calls = []
+    calls = {nsq: [], p_sq: [], q_sq: []}
     scales = []
 
     def counting_pow(base, exp, mod=None):
-        if mod == nsq and exp >= 0:
-            calls.append(exp)
+        if mod in calls and exp >= 0:
+            calls[mod].append(exp)
         return pow(base, exp, mod)
 
     def counting_scale(pk, ct, k, scale=paillier.scale):
@@ -591,7 +593,9 @@ def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
     monkeypatch.undo()
     assert value == pda.evaluate_query(query, data, params.N)
     assert len(scales) == m
-    assert len(calls) == 2 * m + 1
+    assert len(calls[nsq]) == 2 * m
+    assert len(calls[p_sq]) == 1
+    assert len(calls[q_sq]) == 1
 
 
 def test_worst_case_terms_do_not_wrap(pda_system):
