@@ -16,8 +16,10 @@ multiply to one.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -238,6 +240,26 @@ def _registry_window(path, number: int, line: bytes) -> Window:
         raise CorruptRegistry(f"{path}:{number}: {type(exc).__name__}: {exc}") from None
 
 
+def _read_registry(path, data: bytes) -> tuple[list[Window], tuple[int, bytes]]:
+    """The windows in a registry file's bytes, and (offset, prefix): where
+    the next line goes and what must precede it.
+
+    A final line with no newline is the tail of an append that did not
+    finish.  If it parses, its window counts as consumed and the next line
+    follows a newline; if not, the next line writes over it.  Any other
+    malformed line raises CorruptRegistry.
+    """
+    *lines, tail = data.split(b"\n")
+    windows = [_registry_window(path, no, ln) for no, ln in enumerate(lines, 1) if ln.strip()]
+    if not tail.strip():
+        return windows, (len(data), b"")
+    try:
+        windows.append(_registry_window(path, len(lines) + 1, tail))
+        return windows, (len(data), b"\n")
+    except CorruptRegistry:
+        return windows, (len(data) - len(tail), b"")
+
+
 class SlotRegistry:
     """Append-only record of consumed time windows.
 
@@ -248,35 +270,16 @@ class SlotRegistry:
     def __init__(self, windows: Iterable[Window] = (), path=None):
         self.windows: list[Window] = list(windows)
         self.path = path
-        # (offset, prefix): where the next claim's line goes and what precedes it
-        self._tail: tuple[int, bytes] | None = None
 
     @classmethod
     def load(cls, path) -> "SlotRegistry":
-        """Read a registry file; a missing file is an empty registry.
-
-        A final line with no newline is the tail of an append that did not
-        finish.  If it parses, its window counts as consumed; if not, it is
-        ignored and the next claim writes over it.  Any other malformed
-        line raises CorruptRegistry.
-        """
+        """Read a registry file; a missing file is an empty registry."""
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
+                windows, _ = _read_registry(path, fh.read())
         except FileNotFoundError:
-            return cls(path=path)
-        *lines, tail = data.split(b"\n")
-        registry = cls(
-            [_registry_window(path, no, ln) for no, ln in enumerate(lines, 1) if ln.strip()],
-            path=path,
-        )
-        if tail.strip():
-            try:
-                registry.windows.append(_registry_window(path, len(lines) + 1, tail))
-                registry._tail = (len(data), b"\n")
-            except CorruptRegistry:
-                registry._tail = (len(data) - len(tail), b"")
-        return registry
+            windows = []
+        return cls(windows, path=path)
 
     def overlapping(self, window: Window) -> Window | None:
         for w in self.windows:
@@ -285,6 +288,27 @@ class SlotRegistry:
         return None
 
     def claim(self, window: Window) -> None:
+        """Consume `window`, or raise SlotReused if it overlaps a consumed one.
+
+        A persisted registry is re-read under an exclusive lock on its
+        file, and the new line is on disk before the lock is released, so
+        two processes cannot both claim overlapping windows.
+        """
+        if self.path is None:
+            self._admit(window)
+            return
+        line = json.dumps({"start": window.start, "len": window.length}) + "\n"
+        with open(self.path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+            fh.seek(0)
+            self.windows, (offset, prefix) = _read_registry(self.path, fh.read())
+            self._admit(window)
+            fh.truncate(offset)
+            fh.write(prefix + line.encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def _admit(self, window: Window) -> None:
         clash = self.overlapping(window)
         if clash is not None:
             raise SlotReused(
@@ -292,15 +316,6 @@ class SlotRegistry:
                 f"[{clash.start},{clash.end})"
             )
         self.windows.append(window)
-        if self.path is not None:
-            line = json.dumps({"start": window.start, "len": window.length}) + "\n"
-            with open(self.path, "ab") as fh:
-                if self._tail is not None:
-                    offset, prefix = self._tail
-                    fh.truncate(offset)
-                    fh.write(prefix)
-                    self._tail = None
-                fh.write(line.encode())
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,41 @@ def test_criterion_8_regression_fidelity():
     )
 
 
+def test_criterion_8_shape_on_seeded_data():
+    # criterion 8's shape without sklearn: 200 users, 8 integer features in
+    # 0..16 and a label in 0..9 that depends on two of them
+    t0 = time.perf_counter()
+    rnd = random.Random(8008)
+    names = [f"x{k}" for k in range(8)]
+    x_all = np.array([[rnd.randint(0, 16) for _ in names] for _ in range(200)], dtype=float)
+    y_all = np.array([min(9, int(x[0] + x[3]) // 4 + rnd.randint(0, 1)) for x in x_all], dtype=float)
+    rows = {
+        i + 1: {**{name: x_all[i, k] for k, name in enumerate(names)}, "y": y_all[i]}
+        for i in range(200)
+    }
+    ids = sorted(rows)
+
+    frac_bits = 20
+    system, _ = netsim.build_pda_system(
+        kappa=48, n=200, theta_min=3, seed="c8:seeded", degrees=[199], m_max=256
+    )
+    plan = analytics.plan_linear_regression(ids, names, frac_bits=frac_bits)
+    out = analytics.run_plan(system, plan, rows, seed="c8:seeded:run")
+
+    design = np.hstack([np.ones((200, 1)), x_all])
+    oracle, *_ = np.linalg.lstsq(design, y_all, rcond=None)
+    got = np.array([out["intercept"], *out["coefficients"]])
+    worst = float(np.max(np.abs(got - oracle)))
+    tolerance = 2.0 ** (-frac_bits + 3)
+    elapsed = time.perf_counter() - t0
+    assert worst < tolerance, f"coefficient error {worst:.3e} >= {tolerance:.3e}"
+    report(
+        8,
+        "regression on seeded data matches plaintext least squares",
+        f"max coef err {worst:.2e} < 2^-17, {len(plan.steps)} queries, {elapsed:.0f}s",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 9. window discipline
 # ---------------------------------------------------------------------------

@@ -122,6 +122,90 @@ def test_is_probable_prime_small_values():
     assert not is_probable_prime(2047)
 
 
+def _primes_below(limit: int) -> list[int]:
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return [i for i, f in enumerate(flags) if f]
+
+
+PRIMES_BELOW_2_16 = _primes_below(1 << 16)
+PRIME_SET = frozenset(PRIMES_BELOW_2_16)
+
+
+def test_is_probable_prime_below_2_16_is_trial_division():
+    assert [n for n in range(1 << 16) if is_probable_prime(n)] == PRIMES_BELOW_2_16
+    assert {0, 1, 4, 65535}.isdisjoint(PRIME_SET) and {2, 1999, 2003, 65521} <= PRIME_SET
+
+
+def sieve_depth(n: int, pair: bool) -> int:
+    """Primes below this bound are sieved out of a candidate n >= 2^16."""
+    k = min(numtheory._octaves((2 * n + 1 if pair else n).bit_length(), pair), 5)
+    return 1 << 11 + k if k else 2000
+
+
+def free_below(n: int, bound: int) -> bool:
+    """n has no prime factor below `bound` other than itself (trial division)."""
+    return all(n % p or n == p for p in PRIMES_BELOW_2_16 if p < bound)
+
+
+def sieve_oracle(n: int, pair: bool) -> bool:
+    if n < 1 << 16:
+        return n in PRIME_SET and (not pair or sieve_oracle(2 * n + 1, False))
+    depth = sieve_depth(n, pair)
+    return all(free_below(x, depth) for x in ((n, 2 * n + 1) if pair else (n,)))
+
+
+# primes at both edges of the sieve: the first stage ends below 2000, the
+# second below 2^16
+EDGE_PRIMES = [p for p in PRIMES_BELOW_2_16 if 1900 < p < 2100 or 64_000 < p] + [
+    65537, 65539, 65543, 65551, 65557, 65563, 65579,
+]
+# known large primes: Mersenne exponents 61, 89, 107, 127, 521, 607 and
+# 2^130 - 5, 2^255 - 19 and 2^448 - 2^224 - 1
+LARGE_PRIMES = [(1 << e) - 1 for e in (61, 89, 107, 127, 521, 607)] + [
+    (1 << 130) - 5, (1 << 255) - 19, (1 << 448) - (1 << 224) - 1,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, (1 << 20) - 1), pair=st.booleans())
+def test_sieve_agrees_with_trial_division(n, pair):
+    assert numtheory._sieved(n, pair) == sieve_oracle(n, pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ell=st.sampled_from(EDGE_PRIMES), m=st.sampled_from(LARGE_PRIMES), pair=st.booleans())
+def test_sieve_at_its_edges(ell, m, pair):
+    # ell is the least prime factor of ell * m, and with pair of 2q + 1
+    n = ell * m
+    if pair:
+        n = (n - 1) // 2
+    assert numtheory._sieved(n, pair) == sieve_oracle(n, pair)
+    if not pair and m.bit_length() > 500:  # all five octaves
+        assert numtheory._sieved(n) == (ell > 1 << 16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1 << 16, 1 << 600))
+def test_pair_sieve_is_the_sieve_of_both_members(q):
+    # the pair shares one depth, from the width of 2q + 1
+    depth = sieve_depth(q, True)
+    assert numtheory._sieved(q, True) == (free_below(q, depth) and free_below(2 * q + 1, depth))
+
+
+@pytest.mark.parametrize(
+    "bits, pair, octaves",
+    [(48, True, 0), (52, False, 0), (104, False, 0), (128, False, 1), (128, True, 2),
+     (257, False, 3), (511, False, 4), (512, True, 6), (1043, False, 7)],
+)
+def test_sieve_depth_by_width(bits, pair, octaves):
+    # a kappa=48 search meets no second stage; kappa=512 meets all of it
+    assert numtheory._octaves(bits, pair) == octaves
+
+
 @pytest.mark.parametrize("bits", [6, 8, 12])
 def test_gen_safe_prime_invariants(bits):
     pair = gen_safe_prime(bits, Rng(f"sp:{bits}"))

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -443,6 +444,37 @@ def test_registry_keeps_unterminated_last_window(tmp_path):
     assert pda.SlotRegistry.load(path).windows == [
         pda.Window(0, 4), pda.Window(4, 2), pda.Window(6, 1)
     ]
+
+
+def _claim_after_barrier(path, start, barrier, outcomes):
+    registry = pda.SlotRegistry.load(path)  # both load before either claims
+    barrier.wait()
+    try:
+        registry.claim(pda.Window(start, 4))
+        outcomes.put("claimed")
+    except SlotReused:
+        outcomes.put("refused")
+
+
+def test_registry_two_processes_cannot_claim_one_window(tmp_path):
+    path = tmp_path / "registry.jsonl"
+    path.write_text('{"start": 0, "len": 4}\n{"start": 4')  # with a torn tail
+    ctx = multiprocessing.get_context("spawn")
+    barrier, outcomes = ctx.Barrier(2), ctx.Queue()
+    procs = [
+        ctx.Process(target=_claim_after_barrier, args=(path, start, barrier, outcomes))
+        for start in (10, 12)
+    ]
+    for proc in procs:
+        proc.start()
+    results = sorted(outcomes.get(timeout=60) for _ in procs)
+    for proc in procs:
+        proc.join(timeout=60)
+        assert not proc.is_alive() and proc.exitcode == 0
+    assert results == ["claimed", "refused"]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == '{"start": 0, "len": 4}'
+    assert json.loads(lines[1])["start"] in (10, 12)
 
 
 @pytest.mark.parametrize(
