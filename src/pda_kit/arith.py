@@ -96,8 +96,8 @@ class ArithEncKey:
     @classmethod
     def from_json(cls, doc: dict) -> "ArithEncKey":
         return cls(
-            id=int(doc["id"]),
-            shares={int(k): int(v, 16) for k, v in doc["shares"].items()},
+            id=field(doc, "id"),
+            shares=field(doc, "shares", lambda sh: {int(k): int(v, 16) for k, v in sh.items()}),
         )
 
 

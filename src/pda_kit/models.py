@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow, field, hex_field
 from .numtheory import fixed_base_pow
 
 
@@ -70,14 +70,16 @@ class AggPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AggPolynomial":
-        terms = tuple(
-            PolyTerm(
-                coeff=int(t["coeff"], 16),
-                powers=tuple((int(i), int(d)) for i, d in t["powers"].items()),
-            )
-            for t in doc["terms"]
+        def powers(ps) -> tuple[tuple[int, int], ...]:
+            return tuple((int(i), int(d)) for i, d in ps.items())
+
+        def term(t) -> PolyTerm:
+            return PolyTerm(coeff=hex_field(t, "coeff"), powers=field(t, "powers", powers))
+
+        return cls(
+            terms=field(doc, "terms", lambda ts: tuple(map(term, ts))),
+            participants=field(doc, "participants", lambda ps: tuple(int(p) for p in ps)),
         )
-        return cls(terms=terms, participants=tuple(int(p) for p in doc["participants"]))
 
 
 def evaluate_plaintext(poly: AggPolynomial, data: Mapping[int, int], p: int) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, takewhile, zip_longest
@@ -104,9 +105,26 @@ def mod_inv(a: int, modulus: int) -> int:
 
 
 # Fixed-base exponentiation (Brickell, Gordon, McCurley and Wilson,
-# EUROCRYPT '92; Lim and Lee, CRYPTO '94).  Entries per comb: the radix
-# 2^w is the largest whose ceil(bits/w) rows of 2^w powers fit.
-_COMB_ENTRIES = 4096
+# EUROCRYPT '92; Lim and Lee, CRYPTO '94).  A comb of radix 2^w holds
+# ceil(bits/w) rows of 2^w powers and a walk multiplies once per nonzero
+# digit, so the widest radix whose table fits wins.  The budget is in
+# bytes, not entries, because an entry costs as much memory as the
+# modulus is wide: a CPython int of that width plus its list slot.  w is
+# 8, 4 or 2, so that a digit is a byte of the exponent or a fixed split
+# of one.  The three mask shapes get:
+#   h mod a 104-bit N, exponents below N~ (kappa=48):  w=8, 12 rows, 0.15 MB;
+#   g mod a 512-bit p, exponents below p-1:            w=8, 64 rows, 1.7 MB;
+#   h mod a 1041-bit N, exponents below N~ (kappa=512): w=4, 256 rows, 0.7 MB
+#   (w=8 would take 5.6 MB).
+# A modulus too wide for any table within the budget gets w=2: w=1 needs
+# as many entries and twice the multiplications.  `_comb` caches 8
+# tables, so at most 8 x 2 MiB while every table fits, which holds for
+# moduli and exponent bounds up to 2,674 bits.
+_COMB_BYTES = 2 << 20
+_DIGIT_SPLIT = {
+    w: [bytes(b >> s & (1 << w) - 1 for s in range(0, 8, w)) for b in range(256)]
+    for w in (2, 4)
+}
 
 
 def fixed_base_pow(base: int, e: int, modulus: int, bound: int) -> int:
@@ -114,28 +132,27 @@ def fixed_base_pow(base: int, e: int, modulus: int, bound: int) -> int:
 
     Walks the cached comb of (base, modulus, bound's width): one
     multiplication per nonzero radix-2^w digit of e and no squarings.
+    The digits are e's little-endian bytes, each split into 8/w digits
+    when w < 8.
     """
     if not 0 <= e < bound:
         raise ValueError(f"exponent outside [0, {bound})")
     w, rows = _comb(base, modulus, max(1, (bound - 1).bit_length()))
-    digit_mask = (1 << w) - 1
+    digits = e.to_bytes((e.bit_length() + 7) // 8, "little")
+    if w < 8:
+        digits = b"".join(map(_DIGIT_SPLIT[w].__getitem__, digits))
     acc = 1 % modulus
-    for row in rows:
-        if not e:
-            break
-        digit = e & digit_mask
+    for row, digit in zip(rows, digits):
         if digit:
             acc = acc * row[digit] % modulus
-        e >>= w
     return acc
 
 
 @functools.lru_cache(maxsize=8)
 def _comb(base: int, modulus: int, bits: int) -> tuple[int, tuple[list[int], ...]]:
     """Radix w and rows[j][d] = base^{d * 2^{wj}} mod modulus, d < 2^w, for bits-bit exponents."""
-    w = 1
-    while w < bits and -(-bits // (w + 1)) << (w + 1) <= _COMB_ENTRIES:
-        w += 1
+    entry = sys.getsizeof(modulus) + 8  # an int as wide as the modulus, and its list slot
+    w = next((w for w in (8, 4) if (-(-bits // w) << w) * entry <= _COMB_BYTES), 2)
     rows = []
     step = base % modulus  # base^{2^{wj}} for the row being built
     for _ in range(-(-bits // w)):

@@ -16,6 +16,7 @@ multiply to one.
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import json
 import math
@@ -264,12 +265,14 @@ class SlotRegistry:
     """Append-only record of consumed time windows.
 
     The overlap check runs before any ceremony message is emitted; a
-    persisted registry is one JSON object per line.
+    persisted registry is one JSON object per line.  `windows` lists the
+    windows in claim order; a private index sorted by start finds an
+    overlap by bisection.
     """
 
     def __init__(self, windows: Iterable[Window] = (), path=None):
-        self.windows: list[Window] = list(windows)
         self.path = path
+        self._hold(list(windows))
 
     @classmethod
     def load(cls, path) -> "SlotRegistry":
@@ -282,9 +285,15 @@ class SlotRegistry:
         return cls(windows, path=path)
 
     def overlapping(self, window: Window) -> Window | None:
-        for w in self.windows:
-            if w.overlaps(window):
-                return w
+        """A consumed window that overlaps `window`, or None.
+
+        The consumed windows that start before window.end are a prefix of
+        the index, and one of them overlaps iff the one that reaches
+        furthest ends after window.start.
+        """
+        k = bisect.bisect_left(self._starts, window.end)
+        if k and self._reach[k - 1].end > window.start:
+            return self._reach[k - 1]
         return None
 
     def claim(self, window: Window) -> None:
@@ -301,12 +310,33 @@ class SlotRegistry:
         with open(self.path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
             fh.seek(0)
-            self.windows, (offset, prefix) = _read_registry(self.path, fh.read())
+            windows, (offset, prefix) = _read_registry(self.path, fh.read())
+            self._hold(windows)
             self._admit(window)
             fh.truncate(offset)
             fh.write(prefix + line.encode())
             fh.flush()
             os.fsync(fh.fileno())
+
+    def _hold(self, windows: list[Window]) -> None:
+        """Take `windows` as the consumed ones and rebuild the index."""
+        self.windows = windows
+        self._starts: list[int] = []  # sorted
+        self._reach: list[Window] = []  # [k]: furthest-ending of the k+1 first by start
+        for w in sorted(windows, key=lambda w: w.start):
+            self._index(w)
+
+    def _index(self, window: Window) -> None:
+        # From `_hold` the window comes last by start; from `_admit` it
+        # overlaps no consumed window, so every later start is at or past
+        # its end.  Either way no later reach moves.
+        k = bisect.bisect(self._starts, window.start)
+        if k and self._reach[k - 1].end >= window.end:
+            reach = self._reach[k - 1]
+        else:
+            reach = window
+        self._starts.insert(k, window.start)
+        self._reach.insert(k, reach)
 
     def _admit(self, window: Window) -> None:
         clash = self.overlapping(window)
@@ -316,6 +346,7 @@ class SlotRegistry:
                 f"[{clash.start},{clash.end})"
             )
         self.windows.append(window)
+        self._index(window)
 
 
 # ---------------------------------------------------------------------------

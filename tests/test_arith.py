@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pda_kit import arith, netsim
 from pda_kit.bus import Bus
 from pda_kit.errors import (
+    BadField,
     ExtractionFailed,
     GroupTooSmall,
     IncompleteGroup,
@@ -296,6 +299,22 @@ def test_mask_sums_and_exponent_soundness(plain_arith_system):
         assert pow(params.g, total % (params.p - 1), params.p) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multiplicative_masks_cancel(arith_system, data):
+    # g^{mask_i} from the fixed-base walk, over any admissible group of
+    # the system with an authority, multiply to 1 mod p
+    system, _ = arith_system
+    params = system.params
+    ids = sorted(system.enc_keys)
+    members = st.lists(st.sampled_from(ids), min_size=params.n_min, max_size=len(ids), unique=True)
+    group = tuple(sorted(data.draw(members, label="group")))
+    prod = 1
+    for i in group:
+        prod = prod * arith.encrypt_mul(params, system.enc_keys[i], group, 1).value % params.p
+    assert prod == 1
+
+
 def test_end_to_end_random_sweep(plain_arith_system):
     system, _ = plain_arith_system
     params = system.params
@@ -318,3 +337,22 @@ def test_key_json_roundtrip(small_system):
     key = small_system.enc_keys[1]
     doc = json.loads(json.dumps(key.to_json()))
     assert arith.ArithEncKey.from_json(doc) == key
+
+
+def test_key_from_json_names_a_bad_field():
+    good = {"id": 2, "shares": {"3": "1f", "4": "a"}}
+    cases = [
+        ({}, "id"),
+        ({"shares": good["shares"]}, "id"),
+        ({**good, "id": "two"}, "id"),
+        ({**good, "id": [2]}, "id"),
+        ({"id": 2}, "shares"),
+        ({**good, "shares": ["1f"]}, "shares"),
+        ({**good, "shares": {"3": 31}}, "shares"),
+        ({**good, "shares": {"3": "zz"}}, "shares"),
+        ({**good, "shares": {"three": "1f"}}, "shares"),
+    ]
+    assert arith.ArithEncKey.from_json(good) == arith.ArithEncKey(id=2, shares={3: 31, 4: 10})
+    for doc, name in cases:
+        with pytest.raises(BadField, match=f"'{name}'"):
+            arith.ArithEncKey.from_json(doc)

@@ -5,7 +5,7 @@ import pytest
 
 from pda_kit import arith, models, netsim, numtheory
 from pda_kit.bus import Bus
-from pda_kit.errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from pda_kit.errors import BadField, GroupTooSmall, IncompleteBroadcast, ResultOverflow
 
 
 def term(coeff, powers):
@@ -320,3 +320,26 @@ def test_polynomial_json_roundtrip():
     doc = json.loads(json.dumps(poly.to_json()))
     assert doc["modulus_ref"] == "arith"
     assert models.AggPolynomial.from_json(doc) == poly
+
+
+def test_polynomial_from_json_names_a_bad_field():
+    good = {"terms": [{"coeff": "7", "powers": {"1": 2}}], "participants": [1, 2, 3]}
+    cases = [
+        ({}, "terms"),
+        ({**good, "terms": 5}, "terms"),
+        ({**good, "terms": ["7"]}, "coeff"),
+        ({**good, "terms": [{"powers": {"1": 2}}]}, "coeff"),
+        ({**good, "terms": [{"coeff": 7, "powers": {"1": 2}}]}, "coeff"),
+        ({**good, "terms": [{"coeff": "zz", "powers": {"1": 2}}]}, "coeff"),
+        ({**good, "terms": [{"coeff": "7"}]}, "powers"),
+        ({**good, "terms": [{"coeff": "7", "powers": [1, 2]}]}, "powers"),
+        ({**good, "terms": [{"coeff": "7", "powers": {"one": 2}}]}, "powers"),
+        ({**good, "terms": [{"coeff": "7", "powers": {"1": None}}]}, "powers"),
+        ({"terms": good["terms"]}, "participants"),
+        ({**good, "participants": 3}, "participants"),
+        ({**good, "participants": ["x"]}, "participants"),
+    ]
+    assert models.AggPolynomial.from_json(good).participants == (1, 2, 3)
+    for doc, name in cases:
+        with pytest.raises(BadField, match=f"'{name}'"):
+            models.AggPolynomial.from_json(doc)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,17 +62,19 @@ def test_mod_inv_non_unit():
 # below N~ at kappa=48, g mod p below p-1 at 512 bits, h mod N below N~ at
 # kappa=512.
 MASK_SHAPES = {104: 96, 512: 512, 1041: 1024}
+# The walk is also checked at a shape wide enough for the smallest radix.
+WALK_SHAPES = {**MASK_SHAPES, 2100: 2048}
 
 
 def mask_shape(bits: int) -> tuple[int, int, int]:
     rnd = random.Random(bits)
     modulus = rnd.getrandbits(bits) | 1 << (bits - 1) | 1
-    bound_bits = MASK_SHAPES[bits]
+    bound_bits = WALK_SHAPES[bits]
     bound = rnd.getrandbits(bound_bits) | 1 << (bound_bits - 1)
     return rnd.randrange(2, modulus), modulus, bound
 
 
-@pytest.mark.parametrize("bits", sorted(MASK_SHAPES))
+@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_matches_pow(bits, data):
@@ -80,10 +83,24 @@ def test_fixed_base_pow_matches_pow(bits, data):
     assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
 
 
-@pytest.mark.parametrize("bits", sorted(MASK_SHAPES))
+@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pow_extreme_digits(bits, data):
+    # every radix-2^w digit is 0 or 2^w - 1, below the bound's top digit
+    base, modulus, bound = mask_shape(bits)
+    w, _ = numtheory._comb(base, modulus, WALK_SHAPES[bits])
+    digits = (WALK_SHAPES[bits] - 1) // w
+    full = data.draw(st.integers(0, (1 << digits) - 1), label="full")
+    e = sum((1 << w) - 1 << w * j for j in range(digits) if full >> j & 1)
+    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+
+
+@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
 def test_fixed_base_pow_edges(bits):
     base, modulus, bound = mask_shape(bits)
-    for e in (0, 1, bound - 1):
+    top = 1 << WALK_SHAPES[bits] - 1  # bound's top bit
+    for e in (0, 1, top - 1, top, bound - top, bound - 1):
         assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
     for e in (-1, bound, bound + 1):
         with pytest.raises(ValueError):
@@ -99,13 +116,34 @@ def test_fixed_base_pow_small_and_unreduced():
         assert fixed_base_pow(123, e, 11, 40) == pow(123, e, 11)
 
 
-@pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 5), (1024, 4)])
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.integers(1, 40),
+    modulus=st.integers(1, 1 << 80),
+    base=st.integers(0, 1 << 90),
+    data=st.data(),
+)
+def test_fixed_base_pow_tiny_bounds(bound, modulus, base, data):
+    e = data.draw(st.integers(0, bound - 1), label="e")
+    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+
+
+@pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 8), (1024, 4), (2048, 2)])
 def test_comb_radix_fits_entry_budget(bound_bits, radix):
-    w, rows = numtheory._comb(3, (1 << 1040) + 1, bound_bits)
+    # the byte budget at the three mask shapes and the wide one: the
+    # widest radix whose table, measured in CPython's bytes, stays within it
+    modulus_bits = {b: m for m, b in WALK_SHAPES.items()}[bound_bits]
+    base, modulus, _ = mask_shape(modulus_bits)
+    w, rows = numtheory._comb(base, modulus, bound_bits)
     assert w == radix
-    assert len(rows) == -(-bound_bits // w)
-    assert sum(len(row) for row in rows) <= 4096
+    assert len(rows) == {96: 12, 512: 64, 1024: 256, 2048: 1024}[bound_bits]
     assert all(len(row) == 1 << w for row in rows)
+    table = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+    assert table <= numtheory._COMB_BYTES
+    if w < 8:  # the next radix up would not fit
+        up = 2 * w
+        entries = -(-bound_bits // up) << up
+        assert entries * (sys.getsizeof(modulus) + 8) > numtheory._COMB_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pda_kit import netsim, numtheory, paillier, pda
 from pda_kit.bus import Bus
@@ -193,6 +195,26 @@ def test_mask_cancellation_invariant(pda_system):
         for i in group:
             exp = pda.mask_exponent(params, system.enc_keys[i], group)
             prod = prod * pow(ht, exp, params.N) % params.N
+        assert prod == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pure_mask_encodings_cancel(pda_system, data):
+    # at every slot of a window, the pure-mask encodings (e = 0, so the
+    # fixed-base walk alone) of any admissible group multiply to 1 mod N
+    system, _ = pda_system
+    params = system.params
+    ids = sorted(system.enc_keys)
+    members = st.lists(
+        st.sampled_from(ids), min_size=params.theta_min, max_size=params.n, unique=True
+    )
+    group = sorted(data.draw(members, label="group"))
+    start = data.draw(st.integers(0, 1 << 40), label="start")
+    for t in range(start, start + data.draw(st.integers(1, 4), label="m")):
+        prod = 1
+        for i in group:
+            prod = prod * pda.encode_value(params, system.enc_keys[i], group, 1, 0, t) % params.N
         assert prod == 1
 
 
@@ -444,6 +466,46 @@ def test_registry_keeps_unterminated_last_window(tmp_path):
     assert pda.SlotRegistry.load(path).windows == [
         pda.Window(0, 4), pda.Window(4, 2), pda.Window(6, 1)
     ]
+
+
+WINDOWS = st.builds(pda.Window, st.integers(0, 40), st.integers(1, 8))
+# after [0, 4): adjacent, identical, nested, overlapping, adjacent, covering, free
+EDGE_CLAIMS = [
+    pda.Window(s, n) for s, n in [(0, 4), (4, 2), (0, 4), (1, 2), (3, 3), (6, 1), (2, 10), (8, 3)]
+]
+
+
+@settings(max_examples=100, deadline=None)
+@example(claims=EDGE_CLAIMS, persisted=False)
+@example(claims=EDGE_CLAIMS, persisted=True)
+@given(claims=st.lists(WINDOWS, max_size=30), persisted=st.booleans())
+def test_registry_matches_brute_force_interval_set(tmp_path_factory, claims, persisted):
+    path = tmp_path_factory.mktemp("registry") / "registry.jsonl" if persisted else None
+    registry = pda.SlotRegistry(path=path)
+    consumed = []
+    for window in claims:
+        clashes = [w for w in consumed if w.overlaps(window)]
+        found = registry.overlapping(window)
+        assert found in clashes if clashes else found is None
+        if clashes:
+            with pytest.raises(SlotReused):
+                registry.claim(window)
+        else:
+            registry.claim(window)
+            consumed.append(window)
+        assert registry.windows == consumed
+    if persisted:
+        assert pda.SlotRegistry.load(path).windows == consumed
+
+
+@settings(max_examples=200, deadline=None)
+@example(held=[pda.Window(0, 8), pda.Window(2, 1)], probe=pda.Window(5, 1))
+@given(held=st.lists(WINDOWS, max_size=20), probe=WINDOWS)
+def test_registry_finds_an_overlap_among_any_held_windows(held, probe):
+    # a registry file may hold windows that overlap one another
+    clashes = [w for w in held if w.overlaps(probe)]
+    found = pda.SlotRegistry(held).overlapping(probe)
+    assert found in clashes if clashes else found is None
 
 
 def _claim_after_barrier(path, start, barrier, outcomes):
