@@ -7,13 +7,22 @@ recipient, kind) inside a round, so a transcript is a pure function of
 the ceremony inputs.  The stored rounds are the one record of the wire:
 they are what any eavesdropper sees, and byte accounting is derived
 from them when it is asked for.
+
+A closed round is kept as columns (senders, recipients, kinds, body
+lengths and one flat run of body values), not as one `Message` per
+message: at n=64 the full-degree keygen closes 250,048 messages, and the
+per-message containers cost more than the values they hold.  `Message`s
+are rebuilt when a reader asks for them.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -40,17 +49,53 @@ def _delivery_order(msg: Message) -> tuple:
     return (msg.sender, -1 if msg.to is None else msg.to, msg.kind)
 
 
+_SENDER, _TO, _KIND, _BODY = map(attrgetter, ("sender", "to", "kind", "body"))
+
+
+class _Round(NamedTuple):
+    """One closed round as columns, in delivery order.
+
+    Message i is (senders[i], recipients[i], kinds[i]) with the next
+    lengths[i] entries of `values` as its body; a recipient of None is a
+    broadcast, distinct from party 0.
+    """
+
+    senders: tuple[int, ...]
+    recipients: tuple[int | None, ...]
+    kinds: tuple[str, ...]
+    lengths: array
+    values: tuple[int, ...]
+
+    @classmethod
+    def of(cls, ordered: list[Message]) -> "_Round":
+        bodies = tuple(map(_BODY, ordered))
+        return cls(
+            tuple(map(_SENDER, ordered)),
+            tuple(map(_TO, ordered)),
+            tuple(map(_KIND, ordered)),
+            array("I", map(len, bodies)),
+            tuple(chain.from_iterable(bodies)),
+        )
+
+    def messages(self, rnd: int) -> Iterator[Message]:
+        """The round's messages rebuilt, in delivery order; `rnd` is its number."""
+        values = iter(self.values)
+        columns = zip(self.senders, self.recipients, self.kinds, self.lengths)
+        for sender, to, kind, length in columns:
+            yield Message(rnd, sender, kind, tuple(islice(values, length)), to)
+
+
 class Bus:
     def __init__(self, parties: Sequence[int]):
         self.parties = tuple(parties)
-        self.rounds: list[list[Message]] = []
+        self._closed: list[_Round] = []
         self._pending: list[Message] | None = None
 
     # --- round lifecycle ---------------------------------------------------
 
     @property
     def round_no(self) -> int:
-        return len(self.rounds) + (1 if self._pending is not None else 0)
+        return len(self._closed) + (1 if self._pending is not None else 0)
 
     def begin_round(self) -> int:
         if self._pending is not None:
@@ -61,21 +106,27 @@ class Bus:
     def post(self, sender: int, kind: str, body: Sequence[int], to: int | None = None) -> None:
         if self._pending is None:
             raise RuntimeError("no open round")
-        self._pending.append(Message(len(self.rounds) + 1, sender, kind, tuple(map(int, body)), to))
+        rnd = len(self._closed) + 1
+        self._pending.append(Message(rnd, sender, kind, tuple(map(int, body)), to))
 
     def end_round(self) -> list[Message]:
         if self._pending is None:
             raise RuntimeError("no open round")
         ordered = sorted(self._pending, key=_delivery_order)
         self._pending = None
-        self.rounds.append(ordered)
+        self._closed.append(_Round.of(ordered))
         return ordered
 
     # --- queries -------------------------------------------------------------
 
+    @property
+    def rounds(self) -> list[list[Message]]:
+        """Every closed round's messages in delivery order, rebuilt on each read."""
+        return [list(closed.messages(rnd)) for rnd, closed in enumerate(self._closed, 1)]
+
     def messages(self) -> Iterator[Message]:
-        for rnd in self.rounds:
-            yield from rnd
+        for rnd, closed in enumerate(self._closed, 1):
+            yield from closed.messages(rnd)
 
     # --- accounting / export --------------------------------------------------
 
@@ -87,16 +138,17 @@ class Bus:
         """
         sent: Counter = Counter()
         received: Counter = Counter()
-        for rnd, msgs in enumerate(self.rounds, 1):
+        for rnd, closed in enumerate(self._closed, 1):
             bcast, own = 0, Counter()
-            for msg in msgs:
-                size = msg.payload_bytes
-                sent[msg.sender, rnd] += size
-                if msg.to is None:
+            sizes = map(_hex_len, closed.values)
+            for sender, to, length in zip(closed.senders, closed.recipients, closed.lengths):
+                size = sum(islice(sizes, length))
+                sent[sender, rnd] += size
+                if to is None:
                     bcast += size
-                    own[msg.sender] += size
+                    own[sender] += size
                 else:
-                    received[msg.to, rnd] += size
+                    received[to, rnd] += size
             if bcast:
                 for party in self.parties:
                     received[party, rnd] += bcast - own[party]
@@ -116,7 +168,7 @@ class Bus:
     def traffic_report(self) -> list[dict]:
         sent, received = self._tally()
         rows = []
-        for rnd in range(1, len(self.rounds) + 1):
+        for rnd in range(1, len(self._closed) + 1):
             for party in self.parties:
                 out, inc = sent[party, rnd], received[party, rnd]
                 if out or inc:
@@ -150,7 +202,7 @@ class CeremonyResult:
 
     @property
     def round_count(self) -> int:
-        return len(self.bus.rounds)
+        return len(self.bus._closed)
 
     def transcript_jsonl(self) -> str:
         return self.bus.transcript_jsonl()

@@ -43,7 +43,15 @@ class BadField(ProtocolError):
     """A JSON document lacks a field, or a field does not parse."""
 
 
-def field(doc: Any, name: str, parse: Callable[[Any], Any] = int) -> Any:
+def json_int(value: Any) -> int:
+    """A JSON integer as it was read: an `int` and not a `bool`, so a float
+    or a numeric string is refused rather than truncated or parsed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def field(doc: Any, name: str, parse: Callable[[Any], Any] = json_int) -> Any:
     """parse(doc[name]); BadField names the field if it is missing or does not parse."""
     try:
         value = doc[name]

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow, field, hex_field
+from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow, field, hex_field, json_int
 from .numtheory import fixed_base_pow
 
 
@@ -71,14 +71,14 @@ class AggPolynomial:
     @classmethod
     def from_json(cls, doc: dict) -> "AggPolynomial":
         def powers(ps) -> tuple[tuple[int, int], ...]:
-            return tuple((int(i), int(d)) for i, d in ps.items())
+            return tuple((int(i), json_int(d)) for i, d in ps.items())
 
         def term(t) -> PolyTerm:
             return PolyTerm(coeff=hex_field(t, "coeff"), powers=field(t, "powers", powers))
 
         return cls(
             terms=field(doc, "terms", lambda ts: tuple(map(term, ts))),
-            participants=field(doc, "participants", lambda ps: tuple(int(p) for p in ps)),
+            participants=field(doc, "participants", lambda ps: tuple(map(json_int, ps))),
         )
 
 

@@ -39,6 +39,7 @@ from .errors import (
     SlotReused,
     field,
     hex_field,
+    json_int,
 )
 from .numtheory import (
     fixed_base_pow,
@@ -220,23 +221,23 @@ class PdaQuery:
     @classmethod
     def from_json(cls, doc: dict) -> "PdaQuery":
         return cls(
-            coeffs=field(doc, "coeffs", lambda cs: tuple(int(c) for c in cs)),
+            coeffs=field(doc, "coeffs", lambda cs: tuple(map(json_int, cs))),
             exponents=field(
                 doc,
                 "exponents",
                 lambda ex: {
-                    int(u): {int(k): int(e) for k, e in kv.items()} for u, kv in ex.items()
+                    int(u): {int(k): json_int(e) for k, e in kv.items()} for u, kv in ex.items()
                 },
             ),
-            participants=field(doc, "participants", lambda ps: tuple(int(p) for p in ps)),
-            window=field(doc, "window", lambda w: Window(int(w["start"]), int(w["len"]))),
+            participants=field(doc, "participants", lambda ps: tuple(map(json_int, ps))),
+            window=field(doc, "window", lambda w: Window(json_int(w["start"]), json_int(w["len"]))),
         )
 
 
 def _registry_window(path, number: int, line: bytes) -> Window:
     try:
         doc = json.loads(line)
-        return Window(int(doc["start"]), int(doc["len"]))
+        return Window(json_int(doc["start"]), json_int(doc["len"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptRegistry(f"{path}:{number}: {type(exc).__name__}: {exc}") from None
 

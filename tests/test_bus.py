@@ -1,0 +1,125 @@
+"""The bus against a plain list of `Message`s, and the layout of a closed bus."""
+
+import gc
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pda_kit import netsim
+from pda_kit.bus import Bus, Message
+
+
+# ---------------------------------------------------------------------------
+# reference model: every round a list of Messages, sorted at close
+# ---------------------------------------------------------------------------
+
+def _model_round(rnd: int, posts) -> list[Message]:
+    msgs = [Message(rnd, s, k, tuple(map(int, body)), to) for s, k, body, to in posts]
+    return sorted(msgs, key=lambda m: (m.sender, -1 if m.to is None else m.to, m.kind))
+
+
+def _model_accounting(parties, rounds):
+    sent, received = {}, {}
+    for rnd, msgs in enumerate(rounds, 1):
+        for m in msgs:
+            sent[m.sender, rnd] = sent.get((m.sender, rnd), 0) + m.payload_bytes
+            reached = [m.to] if m.to is not None else [p for p in parties if p != m.sender]
+            for party in reached:
+                received[party, rnd] = received.get((party, rnd), 0) + m.payload_bytes
+    return sent, received
+
+
+def _model_transcript(rounds) -> str:
+    return "".join(
+        json.dumps(
+            {"round": m.round_no, "from": m.sender, "to": m.to, "kind": m.kind,
+             "body": [format(v, "x") for v in m.body]},
+            sort_keys=True,
+        ) + "\n"
+        for msgs in rounds
+        for m in msgs
+    )
+
+
+@st.composite
+def _ceremonies(draw):
+    parties = list(range(draw(st.integers(1, 5))))  # party 0 is the aggregator's id
+    post = st.tuples(
+        st.sampled_from(parties),
+        st.sampled_from(["share", "share:1", "relay"]),
+        st.lists(st.one_of(st.booleans(), st.integers(0, 2**80)), max_size=3),
+        st.one_of(st.none(), st.just(0), st.sampled_from(parties)),
+    )
+    return parties, draw(st.lists(st.lists(post, max_size=6), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ceremonies())
+def test_bus_matches_a_list_of_messages(ceremony):
+    parties, posted = ceremony
+    bus = Bus(parties)
+    model = []
+    for rnd, posts in enumerate(posted, 1):
+        assert bus.begin_round() == rnd
+        for sender, kind, body, to in posts:
+            bus.post(sender, kind, body, to=to)
+        assert bus.round_no == rnd
+        model.append(_model_round(rnd, posts))
+        assert bus.end_round() == model[-1]
+        assert bus.round_no == rnd
+    assert bus.rounds == model
+    assert list(bus.messages()) == [m for msgs in model for m in msgs]
+
+    sent, received = _model_accounting(parties, model)
+    assert bus.sent == sent
+    for rnd in range(1, len(model) + 1):
+        for party in {*parties, 0}:
+            assert bus.received_bytes(party, rnd) == received.get((party, rnd), 0)
+    assert bus.traffic_report() == [
+        {"party": p, "round": r, "sent": sent.get((p, r), 0), "received": received.get((p, r), 0)}
+        for r in range(1, len(model) + 1)
+        for p in parties
+        if sent.get((p, r)) or received.get((p, r))
+    ]
+    assert bus.transcript_jsonl() == _model_transcript(model)
+
+
+# ---------------------------------------------------------------------------
+# layout: a closed round is columns, not one container per message
+# ---------------------------------------------------------------------------
+
+def _tracked_containers(bus: Bus) -> int:
+    """gc-tracked objects reachable from the bus's own attributes."""
+    seen, stack, count = set(), list(vars(bus).values()), 1  # 1: the attribute dict
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            count += 1
+            stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_closed_bus_holds_containers_per_round_not_per_message(monkeypatch):
+    _, result = netsim.build_pda_system(kappa=16, n=12, theta_min=3, seed=15)
+    bus = result.bus
+    rounds = result.round_count
+    messages = sum(len(msgs) for msgs in bus.rounds)
+    assert messages == 12 * 11 * 10 + 12  # shares of degrees 3..12, and the ring round
+    # a round is one record of five columns; the bus adds its dict, round list and parties
+    assert _tracked_containers(bus) <= 6 * rounds + 3 < messages // 10
+
+    expected = (bus.sent, bus.traffic_report(), list(bus.messages()), bus.transcript_jsonl())
+
+    def rebuilt(self):
+        raise AssertionError("Bus.rounds rebuilt the transcript")
+
+    monkeypatch.setattr(Bus, "rounds", property(rebuilt))
+    with pytest.raises(AssertionError):
+        bus.rounds
+    assert result.round_count == rounds
+    assert (bus.sent, bus.traffic_report(), list(bus.messages()), bus.transcript_jsonl()) == expected
