@@ -8,8 +8,7 @@ layout: term k of a sum-query carries exponent 1 for its owning user and
 
 Reals ride on two's-complement-style fixed point: x maps to
 round(x * 2^f), negatives to N - |raw|.  All terms of one query share
-the total scale 2^(f * degree); mixed-degree queries pre-scale their
-coefficients by 2^(f * (d_max - d_k)) instead.
+the total scale 2^(f * degree).
 """
 
 from __future__ import annotations
@@ -43,28 +42,12 @@ def to_residue(raw: int, modulus: int) -> int:
     return raw % modulus
 
 
-def fixed_encode(x: float, frac_bits: int, modulus: int) -> int:
-    """Residue of the fixed-point image of x."""
-    return to_residue(to_scaled(x, frac_bits), modulus)
-
-
 def fixed_decode(raw: int, total_scale: int, modulus: int) -> float:
     """Re-sign a residue (values above N/2 are negative) and unscale."""
     value = raw % modulus
     if 2 * value >= modulus:
         value -= modulus
     return value / total_scale
-
-
-def scale_coefficients(
-    coeffs: Sequence[int], degrees: Sequence[int], frac_bits: int
-) -> tuple[list[int], int]:
-    """Align a mixed-degree query on the common scale 2^(f * d_max)."""
-    if len(coeffs) != len(degrees):
-        raise ValueError("need one degree per coefficient")
-    d_max = max(degrees)
-    scaled = [c << (frac_bits * (d_max - d)) for c, d in zip(coeffs, degrees)]
-    return scaled, 1 << (frac_bits * d_max)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     MixedKinds,
     field,
     hex_field,
+    json_key,
 )
 from .numtheory import (
     fixed_base_pow,
@@ -97,7 +98,9 @@ class ArithEncKey:
     def from_json(cls, doc: dict) -> "ArithEncKey":
         return cls(
             id=field(doc, "id"),
-            shares=field(doc, "shares", lambda sh: {int(k): int(v, 16) for k, v in sh.items()}),
+            shares=field(
+                doc, "shares", lambda sh: {json_key(k): int(v, 16) for k, v in sh.items()}
+            ),
         )
 
 

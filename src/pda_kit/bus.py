@@ -40,10 +40,6 @@ class Message(NamedTuple):
     body: tuple[int, ...]
     to: int | None = None  # None = broadcast
 
-    @property
-    def payload_bytes(self) -> int:
-        return sum(map(_hex_len, self.body))
-
 
 def _delivery_order(msg: Message) -> tuple:
     return (msg.sender, -1 if msg.to is None else msg.to, msg.kind)
@@ -158,12 +154,6 @@ class Bus:
     def sent(self) -> dict[tuple[int, int], int]:
         """Bytes each sender put on the wire: {(party, round): bytes}."""
         return dict(self._tally()[0])
-
-    def received_bytes(self, party: int, rnd: int) -> int:
-        return self._tally()[1][party, rnd]
-
-    def sent_total(self, party: int) -> int:
-        return sum(v for (p, _), v in self.sent.items() if p == party)
 
     def traffic_report(self) -> list[dict]:
         sent, received = self._tally()

@@ -49,7 +49,7 @@ def _load_json(path: str | Path, parse: Callable[[dict], Any] = lambda doc: doc)
     fields are missing or do not parse, is bad-json."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CliError("bad-json", f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError("bad-json", f"{path}: not a JSON object")
@@ -334,6 +334,8 @@ def main(argv=None) -> int:
         error, detail, status = "missing-file", str(exc), 2
     except ProtocolError as exc:
         error, detail, status = type(exc).__name__, str(exc), 1
+    except ValueError as exc:
+        error, detail, status = "bad-args", str(exc), 2
     print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)
     return status
 

@@ -51,6 +51,15 @@ def json_int(value: Any) -> int:
     return value
 
 
+def json_key(key: str) -> int:
+    """An object key that names an integer, spelled in canonical decimal, so
+    that "01", "+1", " 1" or "1_0" cannot stand for a key spelled otherwise."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError(f"key {key!r} is not a canonical decimal integer")
+    return value
+
+
 def field(doc: Any, name: str, parse: Callable[[Any], Any] = json_int) -> Any:
     """parse(doc[name]); BadField names the field if it is missing or does not parse."""
     try:

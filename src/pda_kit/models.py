@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow, field, hex_field, json_int
+from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from .errors import field, hex_field, json_int, json_key
 from .numtheory import fixed_base_pow
 
 
@@ -49,6 +50,8 @@ class AggPolynomial:
     def validate(self) -> None:
         members = set(self.participants)
         for term in self.terms:
+            if len(dict(term.powers)) != len(term.powers):
+                raise ValueError(f"a term names a participant twice: {term.powers}")
             for i, d in term.powers:
                 if i not in members:
                     raise ValueError(f"term references non-member {i}")
@@ -71,7 +74,7 @@ class AggPolynomial:
     @classmethod
     def from_json(cls, doc: dict) -> "AggPolynomial":
         def powers(ps) -> tuple[tuple[int, int], ...]:
-            return tuple((int(i), json_int(d)) for i, d in ps.items())
+            return tuple((json_key(i), json_int(d)) for i, d in ps.items())
 
         def term(t) -> PolyTerm:
             return PolyTerm(coeff=hex_field(t, "coeff"), powers=field(t, "powers", powers))

@@ -279,7 +279,6 @@ def _poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
 class CollusionOutcome:
     status: str  # "recovered" | "undetermined"
     recovered: int | None = None
-    coefficients: tuple[int, ...] | None = None
     witnesses: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
@@ -314,11 +313,7 @@ def collusion_attack(
         for i in members[degree:]:
             if _poly_eval(coeffs, i, n_tilde) != coalition[i] % n_tilde:
                 raise SingularSystem(f"coalition point of {i} is inconsistent")
-        return CollusionOutcome(
-            status="recovered",
-            recovered=_poly_eval(coeffs, victim, n_tilde),
-            coefficients=tuple(coeffs),
-        )
+        return CollusionOutcome(status="recovered", recovered=_poly_eval(coeffs, victim, n_tilde))
 
     # Underdetermined: interpolate one candidate through the coalition points
     # padded with zero evaluations at fresh abscissae, then shift it by
@@ -366,7 +361,6 @@ def rushing_attack_demo(
     victim: int,
     seed: int | str | bytes,
     hardened_k: int = 0,
-    multiplier: int | None = None,
     honest: bool = False,
 ) -> RushingOutcome:
     """Adaptive neighbour against the ring exchange.
@@ -384,11 +378,11 @@ def rushing_attack_demo(
     attacker = ring[(pos - 1) % len(ring)]
     after = ring[(pos + 1) % len(ring)]
     nt = params.N_tilde
-    a = multiplier if multiplier is not None else Rng(seed).fork("attack:a").unit(nt)
+    a = Rng(seed).fork("attack:a").unit(nt)
 
     observed: dict[int, int] = {}
 
-    def adaptive_pick(y_seen: Mapping[int, int], own_r: int, arng: Rng) -> int:
+    def adaptive_pick(y_seen: Mapping[int, int], own_r: int) -> int:
         observed.update(y_seen)
         if honest:
             return pow(params.g_tilde, own_r, nt)
@@ -414,20 +408,3 @@ def rushing_attack_demo(
         matched=predicted == actual,
         result=result,
     )
-
-
-# ---------------------------------------------------------------------------
-# traffic helpers
-# ---------------------------------------------------------------------------
-
-def fitted_exponent(sizes: Sequence[int], volumes: Sequence[int]) -> float:
-    """Least-squares slope of log(volume) against log(size)."""
-    if len(sizes) != len(volumes) or len(sizes) < 2:
-        raise ValueError("need matched samples")
-    xs = [math.log(s) for s in sizes]
-    ys = [math.log(v) for v in volumes]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    var = sum((x - mx) ** 2 for x in xs)
-    return cov / var

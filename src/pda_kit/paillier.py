@@ -23,7 +23,6 @@ mu); p and q are recovered from lambda on load.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,12 +57,6 @@ class AggKeyPair:
     def nsq(self) -> int:
         return self.n * self.n
 
-    @functools.cached_property
-    def _crt(self) -> tuple[int, int, int]:
-        """h_p = -q^-1 mod p, h_q = -p^-1 mod q and p^-1 mod q."""
-        h_q = -mod_inv(self.p, self.q) % self.q
-        return -mod_inv(self.q, self.p) % self.p, h_q, self.q - h_q
-
 
 def from_primes(p: int, q: int) -> AggKeyPair:
     if p == q:
@@ -91,15 +84,12 @@ def keygen(bits: int, rng: Rng) -> AggKeyPair:
     while True:
         p = _random_prime(half, rng)
         q = _random_prime(bits - half + 1, rng)
-        if p == q:
+        if (p * q).bit_length() != bits:
             continue
-        n = p * q
-        if n.bit_length() != bits:
+        try:
+            return from_primes(p, q)
+        except ValueError:
             continue
-        lam = math.lcm(p - 1, q - 1)
-        if math.gcd(lam, n) != 1:
-            continue
-        return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n), p=min(p, q), q=max(p, q))
 
 
 def required_bits(outer_modulus: int, m_max: int) -> int:
@@ -126,9 +116,9 @@ def decrypt(keys: AggKeyPair, ct: int) -> int:
     if not 0 < ct < keys.nsq or math.gcd(ct, keys.n) != 1:
         raise InvalidCiphertext("ciphertext is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
-    h_p, h_q, p_inv = keys._crt
+    h_p, p_inv = -mod_inv(q, p) % p, mod_inv(p, q)  # h_q = -p^-1 mod q
     m_p = (pow(ct, p - 1, p * p) - 1) // p * h_p % p
-    m_q = (pow(ct, q - 1, q * q) - 1) // q * h_q % q
+    m_q = (pow(ct, q - 1, q * q) - 1) // q * -p_inv % q
     return m_p + p * ((m_q - m_p) * p_inv % q)
 
 

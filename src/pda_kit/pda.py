@@ -40,6 +40,7 @@ from .errors import (
     field,
     hex_field,
     json_int,
+    json_key,
 )
 from .numtheory import (
     fixed_base_pow,
@@ -132,7 +133,7 @@ class PdaEncKey:
         return cls(
             id=field(doc, "id"),
             evaluations=field(
-                doc, "evaluations", lambda ev: {int(d): int(v, 16) for d, v in ev.items()}
+                doc, "evaluations", lambda ev: {json_key(d): int(v, 16) for d, v in ev.items()}
             ),
             hardened_k=field(doc, "hardened_k") if "hardened_k" in doc else 0,
         )
@@ -168,7 +169,6 @@ class PdaQuery:
     exponents: Mapping[int, Mapping[int, int]]  # user -> {term index -> power}
     participants: tuple[int, ...]
     window: Window
-    special: tuple[int, int] | None = None  # (user1, user2); default lowest two
 
     @property
     def m(self) -> int:
@@ -178,8 +178,7 @@ class PdaQuery:
         return int(self.exponents.get(user, {}).get(k, 0))
 
     def special_users(self) -> tuple[int, int]:
-        if self.special is not None:
-            return self.special
+        """User 1 and user 2: the two lowest participants."""
         ordered = sorted(self.participants)
         return ordered[0], ordered[1]
 
@@ -203,9 +202,6 @@ class PdaQuery:
                 raise InvalidQuery(f"user {user}: exponent for a term outside 0..{self.m - 1}")
             if min(powers.values(), default=0) < 0:
                 raise InvalidQuery(f"user {user}: negative exponent")
-        u1, u2 = self.special_users()
-        if u1 == u2 or u1 not in members or u2 not in members:
-            raise InvalidQuery("special users must be two distinct members")
 
     def to_json(self) -> dict:
         return {
@@ -226,7 +222,8 @@ class PdaQuery:
                 doc,
                 "exponents",
                 lambda ex: {
-                    int(u): {int(k): json_int(e) for k, e in kv.items()} for u, kv in ex.items()
+                    json_key(u): {json_key(k): json_int(e) for k, e in kv.items()}
+                    for u, kv in ex.items()
                 },
             ),
             participants=field(doc, "participants", lambda ps: tuple(map(json_int, ps))),
@@ -401,7 +398,7 @@ def setup(
 # ring share (base and hardened relay)
 # ---------------------------------------------------------------------------
 
-AdaptiveFn = Callable[[dict[int, int], int, Rng], int]
+AdaptiveFn = Callable[[dict[int, int], int], int]
 
 
 def ring_share(
@@ -421,9 +418,8 @@ def ring_share(
 
     `adaptive` maps a party to a callback picking its broadcast after it
     has observed the honest ones (passive rushing).  The callback gets
-    the observed values, the party's own drawn exponent and a fresh
-    stream; an honest callback returns g~^r and the run is an ordinary
-    ceremony.
+    the observed values and the party's own drawn exponent; an honest
+    callback returns g~^r and the run is an ordinary ceremony.
     """
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     nt = params.N_tilde
@@ -433,8 +429,7 @@ def ring_share(
     r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
     # Rushing parties publish only after seeing the honest broadcasts.
     late = {
-        i: lambda seen, i=i, pick=pick: pick(seen, r[i], rng.fork(f"ring:adaptive:{i}"))
-        for i, pick in (adaptive or {}).items()
+        i: lambda seen, i=i, pick=pick: pick(seen, r[i]) for i, pick in (adaptive or {}).items()
     }
     return ring_exchange(bus, nt, params.g_tilde, r, hops=k_collusion, late=late)
 

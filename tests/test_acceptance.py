@@ -235,14 +235,14 @@ def test_criterion_5_communication():
         _, result = netsim.build_arith_system(
             kappa=16, n=n, n_min=3, seed=f"c5k:{n}", with_authority=True
         )
-        volumes.append(result.bus.sent_total(1))
+        volumes.append(sum(v for (p, _), v in result.bus.sent.items() if p == 1))
         _, presult = netsim.build_pda_system(
             kappa=16, n=n, theta_min=3, seed=f"c5p:{n}", m_max=4
         )
-        pda_volumes.append(presult.bus.sent_total(1))
-    exponent = netsim.fitted_exponent(sizes, volumes)
+        pda_volumes.append(sum(v for (p, _), v in presult.bus.sent.items() if p == 1))
+    exponent = np.polyfit(np.log(sizes), np.log(volumes), 1)[0]
     assert 1.8 <= exponent <= 2.2, f"fitted exponent {exponent:.3f} outside [1.8, 2.2]"
-    informational = netsim.fitted_exponent(sizes, pda_volumes)
+    informational = np.polyfit(np.log(sizes), np.log(pda_volumes), 1)[0]
     report(
         5,
         "1-round arith / 2-round framework; keygen traffic ~ n^2",

@@ -23,8 +23,8 @@ def small_pda():
 
 def test_fixed_encode_frozen():
     n = (1 << 31) - 1
-    assert analytics.fixed_encode(1.5, 4, n) == 24
-    assert analytics.fixed_encode(-0.25, 4, n) == n - 4
+    assert analytics.to_residue(analytics.to_scaled(1.5, 4), n) == 24
+    assert analytics.to_residue(analytics.to_scaled(-0.25, 4), n) == n - 4
     assert analytics.fixed_decode(24, 1 << 4, n) == 1.5
     assert analytics.fixed_decode(n - 4, 1 << 4, n) == -0.25
 
@@ -35,7 +35,7 @@ def test_fixed_point_roundtrip_tolerance():
     f = 16
     for _ in range(200):
         x = rnd.uniform(-1000, 1000)
-        raw = analytics.fixed_encode(x, f, n)
+        raw = analytics.to_residue(analytics.to_scaled(x, f), n)
         assert abs(analytics.fixed_decode(raw, 1 << f, n) - x) <= 2**-f
 
 
@@ -53,20 +53,7 @@ def test_fixed_point_product_scale():
 
 def test_fixed_point_overflow():
     with pytest.raises(FixedPointOverflow):
-        analytics.fixed_encode(10.0, 8, 100)
-
-
-def test_scale_coefficients_exact_on_integers():
-    # mixed-degree query: c1*x (deg 1) + c2*x*y (deg 2) with integer inputs
-    f = 12
-    coeffs, total_scale = analytics.scale_coefficients([3, 5], [1, 2], f)
-    assert total_scale == 1 << (2 * f)
-    x, y = 7, -4
-    acc = coeffs[0] * analytics.to_scaled(float(x), f)
-    acc += coeffs[1] * analytics.to_scaled(float(x), f) * analytics.to_scaled(float(y), f)
-    n = (1 << 80) - 65
-    decoded = analytics.fixed_decode(analytics.to_residue(acc, n), total_scale, n)
-    assert decoded == 3 * x + 5 * x * y
+        analytics.to_residue(analytics.to_scaled(10.0, 8), 100)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ def _model_accounting(parties, rounds):
     sent, received = {}, {}
     for rnd, msgs in enumerate(rounds, 1):
         for m in msgs:
-            sent[m.sender, rnd] = sent.get((m.sender, rnd), 0) + m.payload_bytes
+            size = sum(len(format(v, "x")) for v in m.body)
+            sent[m.sender, rnd] = sent.get((m.sender, rnd), 0) + size
             reached = [m.to] if m.to is not None else [p for p in parties if p != m.sender]
             for party in reached:
-                received[party, rnd] = received.get((party, rnd), 0) + m.payload_bytes
+                received[party, rnd] = received.get((party, rnd), 0) + size
     return sent, received
 
 
@@ -74,9 +75,6 @@ def test_bus_matches_a_list_of_messages(ceremony):
 
     sent, received = _model_accounting(parties, model)
     assert bus.sent == sent
-    for rnd in range(1, len(model) + 1):
-        for party in {*parties, 0}:
-            assert bus.received_bytes(party, rnd) == received.get((party, rnd), 0)
     assert bus.traffic_report() == [
         {"party": p, "round": r, "sent": sent.get((p, r), 0), "received": received.get((p, r), 0)}
         for r in range(1, len(model) + 1)

@@ -646,6 +646,41 @@ def test_json_file_that_is_not_an_object_is_bad_json(tmp_path, capsys):
     }
 
 
+def test_json_file_that_is_not_utf8_is_bad_json(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_bytes(b"\x99{}")
+    code = run_cli("keygen", "--params", params, "--keys", tmp_path / "keys", "--seed", "35")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "bad-json"
+    assert not (tmp_path / "keys").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, command",
+    [
+        ("abc", "gen-params --kappa 16 --n 5 --out {tmp}/p.json"),
+        ("1", "gen-params --kappa 3 --n 5 --out {tmp}/p.json"),
+        ("1", "gen-params --kappa 16 --n 2 --out {tmp}/p.json"),
+        ("1", "gen-params --scheme arith --kappa 3 --n 5 --out {tmp}/p.json"),
+        ("1", "demo stats --kappa 4 --data {tmp}/d.csv"),
+        ("1", "attack collusion --degree 0"),
+        ("1", "keygen --params {params} --keys {tmp}/k --m-max 0"),
+        ("1", "keygen --params {params} --keys {tmp}/k --hardened-k -1"),
+    ],
+)
+def test_bad_argument_is_bad_args(keyring, tmp_path, capsys, monkeypatch, seed, command):
+    monkeypatch.setenv(cli.SEED_ENV, seed)
+    (tmp_path / "d.csv").write_text("x\n2\n4\n6\n")
+    argv = command.format(tmp=shlex.quote(str(tmp_path)), params=shlex.quote(str(keyring[0])))
+    code = cli.main(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "bad-args"
+    assert not (tmp_path / "k").exists()
+
+
 def test_readme_cli_block_parses():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]

@@ -575,28 +575,6 @@ def test_query_json_roundtrip(pda_system):
     assert pda.PdaQuery.from_json(doc) == query
 
 
-def test_special_user_override(pda_system):
-    system, _ = pda_system
-    params = system.params
-    ids = tuple(sorted(system.enc_keys))
-    rnd = random.Random(77)
-    query = pda.PdaQuery(
-        coeffs=(2, 1),
-        exponents={ids[0]: {0: 1}, ids[1]: {1: 2}},
-        participants=ids,
-        window=pda.Window(40_000, 2),
-        special=(ids[-1], ids[-2]),  # highest two instead of lowest two
-    )
-    assert query.special_users() == (ids[-1], ids[-2])
-    data = {i: [rnd.randrange(params.N) for _ in range(2)] for i in ids}
-    value, result = netsim.run_pda_aggregation(
-        system, query, data, seed=6, registry=pda.SlotRegistry()
-    )
-    assert value == pda.evaluate_query(query, data, params.N)
-    senders_last = {m.sender for m in result.bus.rounds[-1]}
-    assert senders_last == {ids[-1]}  # the overridden user 1 publishes the terms
-
-
 def test_round_structure(pda_system):
     system, _ = pda_system
     query = _query(system, start=9000)
