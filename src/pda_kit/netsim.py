@@ -361,7 +361,6 @@ def rushing_attack_demo(
     victim: int,
     seed: int | str | bytes,
     hardened_k: int = 0,
-    honest: bool = False,
 ) -> RushingOutcome:
     """Adaptive neighbour against the ring exchange.
 
@@ -369,8 +368,6 @@ def rushing_attack_demo(
     broadcasts, publishes y_(v-1) = y_(v+1) * g~^(-a).  On the base ring
     the victim's mask collapses to y_v^a, which the attacker predicts
     from public data alone; the hardened relay breaks the prediction.
-    With `honest=True` the attacker broadcasts a plain g~^r instead and
-    the run is an ordinary ceremony.
     """
     ids = tuple(range(1, params.n + 1))
     ring = sorted(ids)
@@ -382,10 +379,8 @@ def rushing_attack_demo(
 
     observed: dict[int, int] = {}
 
-    def adaptive_pick(y_seen: Mapping[int, int], own_r: int) -> int:
+    def adaptive_pick(y_seen: Mapping[int, int]) -> int:
         observed.update(y_seen)
-        if honest:
-            return pow(params.g_tilde, own_r, nt)
         return y_seen[after] * mod_inv(pow(params.g_tilde, a, nt), nt) % nt
 
     def driver(bus: Bus, crng: Rng):
@@ -395,7 +390,7 @@ def rushing_attack_demo(
             crng.fork("ring"),
             ids=ids,
             k_collusion=hardened_k,
-            adaptive={attacker: adaptive_pick},
+            late={attacker: adaptive_pick},
         )
 
     result = run_ceremony(driver, ids, seed)

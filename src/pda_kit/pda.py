@@ -16,7 +16,6 @@ multiply to one.
 
 from __future__ import annotations
 
-import bisect
 import fcntl
 import json
 import math
@@ -260,17 +259,15 @@ def _read_registry(path, data: bytes) -> tuple[list[Window], tuple[int, bytes]]:
 
 
 class SlotRegistry:
-    """Append-only record of consumed time windows.
+    """Append-only record of consumed time windows, in claim order.
 
     The overlap check runs before any ceremony message is emitted; a
-    persisted registry is one JSON object per line.  `windows` lists the
-    windows in claim order; a private index sorted by start finds an
-    overlap by bisection.
+    persisted registry is one JSON object per line.
     """
 
     def __init__(self, windows: Iterable[Window] = (), path=None):
         self.path = path
-        self._hold(list(windows))
+        self.windows = list(windows)
 
     @classmethod
     def load(cls, path) -> "SlotRegistry":
@@ -283,16 +280,8 @@ class SlotRegistry:
         return cls(windows, path=path)
 
     def overlapping(self, window: Window) -> Window | None:
-        """A consumed window that overlaps `window`, or None.
-
-        The consumed windows that start before window.end are a prefix of
-        the index, and one of them overlaps iff the one that reaches
-        furthest ends after window.start.
-        """
-        k = bisect.bisect_left(self._starts, window.end)
-        if k and self._reach[k - 1].end > window.start:
-            return self._reach[k - 1]
-        return None
+        """The first consumed window in claim order that overlaps `window`, or None."""
+        return next((w for w in self.windows if w.overlaps(window)), None)
 
     def claim(self, window: Window) -> None:
         """Consume `window`, or raise SlotReused if it overlaps a consumed one.
@@ -308,33 +297,12 @@ class SlotRegistry:
         with open(self.path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
             fh.seek(0)
-            windows, (offset, prefix) = _read_registry(self.path, fh.read())
-            self._hold(windows)
+            self.windows, (offset, prefix) = _read_registry(self.path, fh.read())
             self._admit(window)
             fh.truncate(offset)
             fh.write(prefix + line.encode())
             fh.flush()
             os.fsync(fh.fileno())
-
-    def _hold(self, windows: list[Window]) -> None:
-        """Take `windows` as the consumed ones and rebuild the index."""
-        self.windows = windows
-        self._starts: list[int] = []  # sorted
-        self._reach: list[Window] = []  # [k]: furthest-ending of the k+1 first by start
-        for w in sorted(windows, key=lambda w: w.start):
-            self._index(w)
-
-    def _index(self, window: Window) -> None:
-        # From `_hold` the window comes last by start; from `_admit` it
-        # overlaps no consumed window, so every later start is at or past
-        # its end.  Either way no later reach moves.
-        k = bisect.bisect(self._starts, window.start)
-        if k and self._reach[k - 1].end >= window.end:
-            reach = self._reach[k - 1]
-        else:
-            reach = window
-        self._starts.insert(k, window.start)
-        self._reach.insert(k, reach)
 
     def _admit(self, window: Window) -> None:
         clash = self.overlapping(window)
@@ -344,7 +312,6 @@ class SlotRegistry:
                 f"[{clash.start},{clash.end})"
             )
         self.windows.append(window)
-        self._index(window)
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +365,13 @@ def setup(
 # ring share (base and hardened relay)
 # ---------------------------------------------------------------------------
 
-AdaptiveFn = Callable[[dict[int, int], int], int]
-
-
 def ring_share(
     bus: Bus,
     params: PdaParams,
     rng: Rng,
     ids: Sequence[int] | None = None,
     k_collusion: int = 0,
-    adaptive: Mapping[int, AdaptiveFn] | None = None,
+    late: Mapping[int, Callable[[dict[int, int]], int]] | None = None,
 ) -> dict[int, int]:
     """Ring exchange yielding Y_i with prod Y_i = 1 mod N~.
 
@@ -416,10 +380,8 @@ def ring_share(
     users i+k, ..., i+1, each raising it to its own exponent, before user
     i applies r_i -- one extra bus round per relay hop.
 
-    `adaptive` maps a party to a callback picking its broadcast after it
-    has observed the honest ones (passive rushing).  The callback gets
-    the observed values and the party's own drawn exponent; an honest
-    callback returns g~^r and the run is an ordinary ceremony.
+    `late` maps a rushing party to a callback picking its broadcast after
+    it has observed the others' (see `ring_exchange`).
     """
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     nt = params.N_tilde
@@ -427,10 +389,6 @@ def ring_share(
         raise ValueError("k_collusion must be >= 0")
 
     r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
-    # Rushing parties publish only after seeing the honest broadcasts.
-    late = {
-        i: lambda seen, i=i, pick=pick: pick(seen, r[i]) for i, pick in (adaptive or {}).items()
-    }
     return ring_exchange(bus, nt, params.g_tilde, r, hops=k_collusion, late=late)
 
 
@@ -482,10 +440,6 @@ def _group_degree(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
     if size < theta:
         raise GroupBelowThreshold(f"|P|={size} below threshold {theta}")
     d = size - 1
-    if d <= key.hardened_k:
-        raise GroupBelowThreshold(
-            f"degree {d} keys are unusable under hardening k={key.hardened_k}"
-        )
     if d not in key.evaluations:
         raise KeyMissing(f"user {key.id} has no degree-{d} evaluation")
     return d
@@ -546,11 +500,9 @@ def encode_user2(
 
 
 def blinding_units(pk: paillier.AggPublicKey, m: int, rng: Rng) -> list[int]:
-    """m units of Z_{n^2}* whose product is 1 (forced to (1,) when m = 1)."""
+    """m units of Z_{n^2}* whose product is 1; [1] when m = 1."""
     if m < 1:
         raise ValueError("need at least one term")
-    if m == 1:
-        return [1]
     units = [rng.unit(pk.nsq) for _ in range(m - 1)]
     acc = 1
     for u in units:

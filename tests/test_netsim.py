@@ -1,9 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from pda_kit import models, netsim, pda
+from pda_kit import models, netsim, numtheory, pda
 from pda_kit.bus import Bus, _hex_len as hex_len
 from pda_kit.errors import PartyMissing, SingularSystem
 from pda_kit.rng import Rng
@@ -273,12 +274,26 @@ def test_rushing_fails_on_hardened_ring(rushing_params):
         assert not out.matched
 
 
-def test_honest_attacker_leaves_run_ordinary(rushing_params):
-    out = netsim.rushing_attack_demo(rushing_params, victim=3, seed=5, honest=True)
-    prod = 1
-    for v in out.result.outputs.values():
-        prod = prod * v % rushing_params.N_tilde
-    assert prod == 1  # ceremony completes with the usual telescoping product
+def test_late_party_with_its_own_broadcast_leaves_masks_unchanged(rushing_params):
+    # a late party that broadcasts its own g~^r is an ordinary party one round later
+    nt, g = rushing_params.N_tilde, rushing_params.g_tilde
+    rng = Rng("late")
+    exponents = {i: rng.fork(f"party:{i}").unit(nt) for i in range(1, 6)}
+    seen = {}
+
+    def own_share(y):
+        seen.update(y)
+        return pow(g, exponents[3], nt)
+
+    for hops in (0, 1):
+        seen.clear()
+        on_time = numtheory.ring_exchange(Bus(exponents), nt, g, exponents, hops=hops)
+        masks = numtheory.ring_exchange(
+            Bus(exponents), nt, g, exponents, hops=hops, late={3: own_share}
+        )
+        assert sorted(seen) == [1, 2, 4, 5]
+        assert masks == on_time
+        assert math.prod(masks.values()) % nt == 1
 
 
 # ---------------------------------------------------------------------------

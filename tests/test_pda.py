@@ -508,6 +508,16 @@ def test_registry_finds_an_overlap_among_any_held_windows(held, probe):
     assert found in clashes if clashes else found is None
 
 
+def test_registry_names_the_first_clash_in_claim_order(tmp_path):
+    held = [pda.Window(5, 2), pda.Window(0, 10)]
+    assert pda.SlotRegistry(held).overlapping(pda.Window(5, 1)) == pda.Window(5, 2)
+    path = tmp_path / "registry.jsonl"
+    path.write_text('{"start": 5, "len": 2}\n{"start": 0, "len": 10}\n')
+    for registry in (pda.SlotRegistry(held), pda.SlotRegistry.load(path)):
+        with pytest.raises(SlotReused, match=r"overlaps consumed \[5,7\)$"):
+            registry.claim(pda.Window(5, 1))
+
+
 def _claim_after_barrier(path, start, barrier, outcomes):
     registry = pda.SlotRegistry.load(path)  # both load before either claims
     barrier.wait()
