@@ -61,7 +61,6 @@ class PlanStep:
     name: str
     columns: tuple[str, ...]  # () means the constant 1
     query: pda.PdaQuery
-    total_scale: int
 
     def monomial(self, row: Mapping[str, float], frac_bits: int) -> int:
         raw = 1
@@ -76,9 +75,6 @@ class QueryPlan:
     frac_bits: int
     postprocess: Callable[[dict[str, float]], dict]
     description: str
-
-    def windows(self) -> list[pda.Window]:
-        return [s.query.window for s in self.steps]
 
 
 def _sum_query(participants: Sequence[int], window_start: int) -> pda.PdaQuery:
@@ -108,8 +104,8 @@ def plan_mean_variance(
     q1 = _sum_query(ids, window_start)
     q2 = _sum_query(ids, window_start + len(ids))
     steps = [
-        PlanStep("sum_x", (column,), q1, 1 << frac_bits),
-        PlanStep("sum_xx", (column, column), q2, 1 << (2 * frac_bits)),
+        PlanStep("sum_x", (column,), q1),
+        PlanStep("sum_xx", (column, column), q2),
     ]
 
     count = len(ids)
@@ -156,15 +152,11 @@ def plan_linear_regression(
         for c in range(r, dim):
             q = _sum_query(ids, start)
             start += len(ids)
-            cols = design[r] + design[c]
-            steps.append(
-                PlanStep(f"A_{r}_{c}", cols, q, 1 << (frac_bits * len(cols)))
-            )
+            steps.append(PlanStep(f"A_{r}_{c}", design[r] + design[c], q))
     for r in range(dim):
         q = _sum_query(ids, start)
         start += len(ids)
-        cols = design[r] + ("y",)
-        steps.append(PlanStep(f"b_{r}", cols, q, 1 << (frac_bits * len(cols))))
+        steps.append(PlanStep(f"b_{r}", design[r] + ("y",), q))
 
     def post(sums: dict[str, float]) -> dict:
         a = np.zeros((dim, dim))
@@ -243,7 +235,9 @@ def run_plan(
             seed=root.fork(f"step:{idx}").take(32),
             registry=registry,
         )
-        sums[step.name] = fixed_decode(value, step.total_scale, n_mod)
+        sums[step.name] = fixed_decode(
+            value, 1 << (plan.frac_bits * len(step.columns)), n_mod
+        )
         traffic[step.name] = {
             "rounds": result.round_count,
             "bytes": sum(result.bus.sent.values()),

@@ -80,9 +80,7 @@ def cmd_gen_params(args) -> None:
     if args.scheme == "arith":
         params = arith.setup(args.kappa, args.n, args.min_group or 3, rng)
     else:
-        params = pda.setup(
-            args.kappa, args.n, args.min_group or 3, rng, strict_safe=args.strict_safe_primes
-        )
+        params = pda.setup(args.kappa, args.n, args.min_group or 3, rng)
     _emit(params.to_json(), args.out)
 
 
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-min", "--theta-min", dest="min_group", type=int, default=None)
-    p.add_argument("--strict-safe-primes", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_params)

@@ -11,10 +11,6 @@ class ProtocolError(Exception):
 
 # --- parameter generation -------------------------------------------------
 
-class StrictChainNotFound(ProtocolError):
-    """Strict safe-semiprime search exhausted its candidate budget."""
-
-
 class NotInvertible(ProtocolError):
     """Modular inverse requested for a non-unit."""
 

@@ -35,7 +35,6 @@ from .errors import (
     NotInvertible,
     PartyMissing,
     RingTooSmall,
-    StrictChainNotFound,
 )
 from .rng import Rng
 
@@ -325,68 +324,33 @@ class CorrelatedModuli:
     q_tilde: int
 
 
-def _is_lift_prime(cand: int, p_tilde: int) -> bool:
-    """Primality of cand = 2*a*p_tilde + 1 for a prime p_tilde."""
-    if p_tilde * p_tilde > cand:
-        return _sieved(cand) and _pocklington(cand, p_tilde)
-    return is_probable_prime(cand)  # only at toy widths
-
-
-def lift_correlated_prime(p_tilde: int, start: int = 2) -> tuple[int, int]:
-    """Smallest multiplier a >= start with p = 2*a*p_tilde + 1 prime (p_tilde prime)."""
-    a = start
+def lift_correlated_prime(p_tilde: int) -> tuple[int, int]:
+    """Smallest multiplier a >= 2 with p = 2*a*p_tilde + 1 prime (p_tilde prime)."""
+    a = 2
     while True:
         cand = 2 * a * p_tilde + 1
-        if _is_lift_prime(cand, p_tilde):
+        if p_tilde * p_tilde > cand:
+            if _sieved(cand) and _pocklington(cand, p_tilde):
+                return a, cand
+        elif is_probable_prime(cand):  # only at toy widths
             return a, cand
         a += 1
 
 
-def cunningham_step(p_tilde: int) -> int | None:
-    """2*p_tilde + 1 when it is prime (strict chain), else None (p_tilde prime)."""
-    cand = 2 * p_tilde + 1
-    return cand if _is_lift_prime(cand, p_tilde) else None
-
-
-def gen_correlated_moduli(
-    kappa: int,
-    rng: Rng,
-    strict_safe: bool = False,
-    budget: int = 4096,
-) -> CorrelatedModuli:
+def gen_correlated_moduli(kappa: int, rng: Rng) -> CorrelatedModuli:
     """Generate N = p*q and N~ = p~*q~ with p~ | p-1 and q~ | q-1.
 
-    p~ and q~ are distinct safe primes of exactly `kappa` bits.  In
-    relaxed mode p is lifted as 2*a*p~ + 1 for the smallest a >= 2 making
-    p prime.  In strict mode p = 2*p~ + 1 must itself be prime, so N is a
-    safe semiprime and the cofactor phi(N)/N~ is exactly 4; the search
-    gives up after `budget` safe-prime draws.
+    p~ and q~ are distinct safe primes of exactly `kappa` bits, and p is
+    lifted as 2*a*p~ + 1 for the smallest a >= 2 making p prime.
     """
     if kappa < 6:
         raise ValueError("kappa below 6 bits cannot yield two distinct safe primes")
-
-    def draw_strict(exclude: int | None) -> tuple[int, int]:
-        for _ in range(budget):
-            pt = gen_safe_prime(kappa, rng).p
-            if pt == exclude:
-                continue
-            lifted = cunningham_step(pt)
-            if lifted is not None:
-                return pt, lifted
-        raise StrictChainNotFound(
-            f"no {kappa}-bit chain p~ -> 2p~+1 within {budget} draws"
-        )
-
-    if strict_safe:
-        p_tilde, p = draw_strict(None)
-        q_tilde, q = draw_strict(p_tilde)
-    else:
-        p_tilde = gen_safe_prime(kappa, rng).p
+    p_tilde = gen_safe_prime(kappa, rng).p
+    q_tilde = gen_safe_prime(kappa, rng).p
+    while q_tilde == p_tilde:
         q_tilde = gen_safe_prime(kappa, rng).p
-        while q_tilde == p_tilde:
-            q_tilde = gen_safe_prime(kappa, rng).p
-        _, p = lift_correlated_prime(p_tilde)
-        _, q = lift_correlated_prime(q_tilde)
+    _, p = lift_correlated_prime(p_tilde)
+    _, q = lift_correlated_prime(q_tilde)
 
     n = p * q
     n_tilde = p_tilde * q_tilde

@@ -99,15 +99,10 @@ def required_bits(outer_modulus: int, m_max: int) -> int:
     return 2 * outer_modulus.bit_length() + (m_max - 1).bit_length() + 1
 
 
-def encrypt(pk: AggPublicKey, m: int, rng: Rng | None = None, r: int | None = None) -> int:
+def encrypt(pk: AggPublicKey, m: int, rng: Rng) -> int:
     if not 0 <= m < pk.n:
         raise MessageTooLarge(f"plaintext needs 0 <= m < {pk.n}")
-    if r is None:
-        if rng is None:
-            raise ValueError("provide rng or an explicit randomizer")
-        r = rng.unit(pk.n)
-    if math.gcd(r, pk.n) != 1:
-        raise ValueError("randomizer must be a unit")
+    r = rng.unit(pk.n)
     nsq = pk.nsq
     return (1 + m * pk.n) % nsq * pow(r, pk.n, nsq) % nsq
 
@@ -128,22 +123,20 @@ def scale(pk: AggPublicKey, ct: int, k: int) -> int:
     return pow(ct, k, pk.nsq)
 
 
-def to_json(keys: AggKeyPair, private: bool = True) -> dict:
-    doc = {"n_a": format(keys.n, "x")}
-    if private:
-        doc["lambda"] = format(keys.lam, "x")
-        doc["mu"] = format(keys.mu, "x")
-    return doc
+def to_json(keys: AggKeyPair) -> dict:
+    return {
+        "n_a": format(keys.n, "x"),
+        "lambda": format(keys.lam, "x"),
+        "mu": format(keys.mu, "x"),
+    }
 
 
-def from_json(doc: dict) -> AggKeyPair | AggPublicKey:
-    """A public key, or a private one whose mu inverts lambda mod n and whose
-    lambda splits n into p < q with lcm(p-1, q-1) | lambda (InvalidKey if not)."""
+def from_json(doc: dict) -> AggKeyPair:
+    """A keypair whose mu inverts lambda mod n and whose lambda splits n
+    into p < q with lcm(p-1, q-1) | lambda (InvalidKey if not)."""
     n = hex_field(doc, "n_a")
     if n < 2:
         raise InvalidKey("aggregator key: n_a is below 2")
-    if "lambda" not in doc:
-        return AggPublicKey(n=n)
     lam, mu = hex_field(doc, "lambda"), hex_field(doc, "mu")
     if mu * lam % n != 1:  # also refuses a lambda that shares a factor with n
         raise InvalidKey("aggregator key: mu * lambda is not 1 mod n")

@@ -323,7 +323,6 @@ def setup(
     n: int,
     theta_min: int,
     rng: Rng,
-    strict_safe: bool = False,
 ) -> PdaParams:
     """System parameters from correlated semiprimes.
 
@@ -333,7 +332,7 @@ def setup(
     """
     if not 3 <= theta_min <= n:
         raise ValueError("need n >= theta_min >= 3")
-    mod = gen_correlated_moduli(kappa, rng.fork("setup:moduli"), strict_safe=strict_safe)
+    mod = gen_correlated_moduli(kappa, rng.fork("setup:moduli"))
     g_rng = rng.fork("setup:g")
     while True:
         g = g_rng.unit(mod.n)

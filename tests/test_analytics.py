@@ -93,7 +93,7 @@ def test_plan_sum_overflow_rejected():
     system, _ = netsim.build_pda_system(kappa=16, n=8, theta_min=3, seed=909, m_max=8)
     ids = sorted(system.enc_keys)
     x = system.params.N // 2 - 1
-    step = analytics.PlanStep("sum_x", ("x",), analytics._sum_query(ids, 0), 1)
+    step = analytics.PlanStep("sum_x", ("x",), analytics._sum_query(ids, 0))
     plan = analytics.QueryPlan([step], 0, lambda sums: {}, "sum of x")
     rows = {i: {"x": float(x)} for i in ids}
     registry = pda.SlotRegistry()
@@ -104,7 +104,7 @@ def test_plan_sum_overflow_rejected():
 
 def test_plan_windows_disjoint(small_pda):
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["a", "b"], 12)
-    windows = plan.windows()
+    windows = [step.query.window for step in plan.steps]
     for i, w1 in enumerate(windows):
         for w2 in windows[i + 1 :]:
             assert not w1.overlaps(w2)

@@ -607,10 +607,11 @@ def test_keygen_reports_malformed_params_as_bad_json(tmp_path, capsys, scheme, c
         ("aggregator", None, "n_a"),
         ("aggregator", {"n_a": "zz"}, "n_a"),
         ("aggregator", {"mu": 5}, "mu"),
+        ("aggregator", {"lambda": None, "mu": None}, "lambda"),
     ],
     ids=["params-empty", "params-n_cap-not-hex", "query-empty", "query-coeffs-not-list",
          "query-window-without-len", "aggregator-empty", "aggregator-n_a-not-hex",
-         "aggregator-mu-not-string"],
+         "aggregator-mu-not-string", "aggregator-public-only"],
 )
 def test_aggregate_reports_malformed_json_as_bad_json(keyring, tmp_path, capsys, target, change, name):
     params, keys = keyring
@@ -625,7 +626,7 @@ def test_aggregate_reports_malformed_json_as_bad_json(keyring, tmp_path, capsys,
     shutil.copy(FIXTURES / "toy_query.json", files["query"])
     path = files[target]
     doc = {} if change is None else {**json.loads(path.read_text()), **change}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))  # None drops
     claimed = (copy / "registry.jsonl").read_text()
     code = run_cli(
         "aggregate", "--params", files["params"], "--keys", copy, "--query", files["query"],
@@ -681,13 +682,18 @@ def test_bad_argument_is_bad_args(keyring, tmp_path, capsys, monkeypatch, seed, 
     assert not (tmp_path / "k").exists()
 
 
-def test_readme_cli_block_parses():
+def test_readme_cli_block_parses(tmp_path, monkeypatch, capsys):
+    # every command of README's CLI block runs, in order, from a directory
+    # holding a copy of fixtures/, and prints one JSON report
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     commands = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(c) for c in commands if c.startswith("pda-kit ")]
     assert commands
-    parser = cli.build_parser()
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        args = parser.parse_args(argv[1:])
-        assert args.command == argv[1]
+        assert cli.main(argv[1:]) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert isinstance(json.loads(captured.out), dict), argv

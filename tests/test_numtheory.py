@@ -13,11 +13,9 @@ from pda_kit.errors import (
     DuplicateId,
     NotInSubgroup,
     NotInvertible,
-    StrictChainNotFound,
 )
 from pda_kit.numtheory import (
     CorrelatedModuli,
-    cunningham_step,
     dlog_one_plus_m,
     evaluate_packed,
     fixed_base_pow,
@@ -398,11 +396,6 @@ def test_lift_correlated_prime_from_23():
     assert (p - 1) % 23 == 0
 
 
-def test_cunningham_step():
-    assert cunningham_step(11) == 23  # 11 = 2*5+1 safe, 23 prime
-    assert cunningham_step(47) is None  # 95 = 5*19
-
-
 def _check_moduli(mod: CorrelatedModuli, kappa: int):
     for f in (mod.p, mod.q, mod.p_tilde, mod.q_tilde):
         assert is_probable_prime(f)
@@ -423,20 +416,6 @@ def _check_moduli(mod: CorrelatedModuli, kappa: int):
 def test_gen_correlated_moduli_relaxed(kappa):
     mod = gen_correlated_moduli(kappa, Rng(f"cm:{kappa}"))
     _check_moduli(mod, kappa)
-
-
-def test_gen_correlated_moduli_strict():
-    mod = gen_correlated_moduli(10, Rng("strict10"), strict_safe=True)
-    _check_moduli(mod, 10)
-    assert mod.p == 2 * mod.p_tilde + 1
-    assert mod.q == 2 * mod.q_tilde + 1
-    assert mod.k_cofactor == 4
-
-
-def test_gen_correlated_moduli_strict_budget_exhausts():
-    # no 6-bit chain p~ -> 2p~+1 exists (safe primes 47 and 59 both fail)
-    with pytest.raises(StrictChainNotFound):
-        gen_correlated_moduli(6, Rng("strict6"), strict_safe=True, budget=64)
 
 
 # ---------------------------------------------------------------------------

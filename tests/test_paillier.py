@@ -30,7 +30,6 @@ def test_from_primes_frozen():
 
 def test_encrypt_zero_unit_randomizer():
     keys = paillier.from_primes(11, 13)
-    assert paillier.encrypt(keys.public(), 0, r=1) == 1
     assert paillier.decrypt(keys, 1) == 0
 
 
@@ -125,9 +124,6 @@ def test_json_roundtrip(toy_keys):
     assert set(doc) == {"n_a", "lambda", "mu"}
     back = paillier.from_json(doc)
     assert back == toy_keys
-    pub = paillier.to_json(toy_keys, private=False)
-    assert set(pub) == {"n_a"}
-    assert paillier.from_json(pub) == toy_keys.public()
 
 
 @pytest.mark.parametrize(
