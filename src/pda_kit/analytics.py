@@ -129,14 +129,12 @@ def plan_linear_regression(
     frac_bits: int,
     theta_min: int = 3,
     window_start: int = 0,
-    ridge_lambda: float = 0.0,
 ) -> QueryPlan:
     """Normal-equation entries as sum-queries; solve A p = b locally.
 
     The design matrix is the named feature columns plus an intercept, so
     with D = len(features)+1 the plan holds D(D+1)/2 + D queries, of which
-    `run_plan` takes A_0_0 = |P| locally.  The ridge term, when nonzero,
-    is added to the diagonal after decoding.
+    `run_plan` takes A_0_0 = |P| locally.
     """
     ids = tuple(sorted(participants))
     if len(ids) < theta_min:
@@ -165,8 +163,6 @@ def plan_linear_regression(
             for c in range(r, dim):
                 a[r, c] = a[c, r] = sums[f"A_{r}_{c}"]
             b[r] = sums[f"b_{r}"]
-        if ridge_lambda:
-            a = a + ridge_lambda * np.eye(dim)
         try:
             coef = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
@@ -185,7 +181,6 @@ def plan_linear_regression(
         description=(
             f"least squares on {len(feature_columns)} features (+intercept) "
             f"over {len(ids)} users"
-            + (f", ridge {ridge_lambda}" if ridge_lambda else "")
         ),
     )
 

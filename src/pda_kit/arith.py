@@ -14,7 +14,7 @@ blind the key-generation messages so nobody learns another user's share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bus import Bus
 from .errors import (
@@ -116,9 +116,9 @@ def setup(kappa: int, n: int, n_min: int, rng: Rng) -> ArithParams:
     """Public parameters: a safe prime p of kappa bits and a random g in Z_p*."""
     if not 3 <= n_min <= n:
         raise ValueError("need n >= n_min >= 3")
-    pair = gen_safe_prime(kappa, rng.fork("setup:p"))
-    g = rng.fork("setup:g").randrange(2, pair.p)
-    return ArithParams(p=pair.p, g=g, n=n, n_min=n_min)
+    p = gen_safe_prime(kappa, rng.fork("setup:p"))
+    g = rng.fork("setup:g").randrange(2, p)
+    return ArithParams(p=p, g=g, n=n, n_min=n_min)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,6 @@ def initialize(
     params: ArithParams,
     rng: Rng,
     ids: Sequence[int] | None = None,
-    dropouts: Iterable[int] = (),
 ) -> dict[int, int]:
     """Ring share: every party ends up with K_i, with prod K_i = 1 mod p^2(p-1)^2.
 
@@ -145,7 +144,7 @@ def initialize(
     g1 = rng.fork("init:g1").unit(m2)
     r = {i: rng.fork(f"init:party:{i}").randrange(1, m2) for i in ids}
     factors = ((params.p, 2), (2, 2), ((params.p - 1) // 2, 2))
-    return ring_exchange(bus, m2, g1, r, absent=set(dropouts), factors=factors)
+    return ring_exchange(bus, m2, g1, r, factors=factors)
 
 
 def keygen(
@@ -186,7 +185,7 @@ def mask_exponent(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -
     k = len(ids)
     if k not in key.shares:
         raise KeyMissing(f"no share for group size {k}")
-    lam = lagrange_weights(ids).weights[key.id]
+    lam = lagrange_weights(ids)[key.id]
     return key.shares[k] * lam
 
 

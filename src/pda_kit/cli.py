@@ -90,16 +90,20 @@ def cmd_keygen(args) -> None:
     files: dict[str, str] = {}  # key-directory file name -> content
 
     if isinstance(params, arith.ArithParams):
+        if args.hardened_k is not None or args.m_max is not None:
+            raise CliError("bad-args", "--hardened-k and --m-max take framework params only")
         system, result = netsim.keygen_arith(params, seed, with_authority=args.authority)
         report = {"scheme": "arith"}
     else:
-        system, result = netsim.keygen_pda(
-            params, seed, hardened_k=args.hardened_k, m_max=args.m_max
-        )
+        if args.authority:
+            raise CliError("bad-args", "--authority takes arith params only")
+        hardened_k = args.hardened_k or 0
+        m_max = 64 if args.m_max is None else args.m_max
+        system, result = netsim.keygen_pda(params, seed, hardened_k=hardened_k, m_max=m_max)
         agg_doc = paillier.to_json(system.agg_keys)
         files["aggregator.json"] = json.dumps(agg_doc, sort_keys=True) + "\n"
         files["registry.jsonl"] = ""
-        report = {"scheme": "pda", "hardened_k": args.hardened_k}
+        report = {"scheme": "pda", "hardened_k": hardened_k}
     for key in system.enc_keys.values():
         files[f"user_{key.id}.json"] = json.dumps(key.to_json(), sort_keys=True) + "\n"
     report.update(
@@ -280,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="run the key-generation ceremony")
     p.add_argument("--params", required=True)
     p.add_argument("--keys", required=True, help="output directory for key files")
-    p.add_argument("--hardened-k", type=int, default=0)
+    p.add_argument("--hardened-k", type=int, default=None,
+                   help="pda only: collusion-hardened ring exchange (default 0)")
     p.add_argument("--authority", action="store_true",
                    help="arith only: add the virtual participant n+1")
-    p.add_argument("--m-max", type=int, default=64,
-                   help="pda only: sizes the aggregator keypair")
+    p.add_argument("--m-max", type=int, default=None,
+                   help="pda only: sizes the aggregator keypair (default 64)")
     p.add_argument("--transcript", default=None)
     common(p)
     p.set_defaults(fn=cmd_keygen)

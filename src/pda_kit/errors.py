@@ -85,10 +85,6 @@ class InvalidCiphertext(ProtocolError):
 
 # --- ceremonies ------------------------------------------------------------
 
-class PartyMissing(ProtocolError):
-    """A required participant produced no message in its round."""
-
-
 class NonInvertibleBroadcast(ProtocolError):
     """A ring-share broadcast is not a unit of the working group."""
 
@@ -121,10 +117,6 @@ class MixedKinds(ProtocolError):
 
 class IncompleteGroup(ProtocolError):
     """Decryption needs exactly one ciphertext per group member."""
-
-
-class IncompleteBroadcast(ProtocolError):
-    """A broadcast round is missing expected ciphertexts."""
 
 
 class ResultOverflow(ProtocolError):

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from .errors import GroupTooSmall, ResultOverflow
 from .errors import field, hex_field, json_int, json_key
 from .numtheory import fixed_base_pow
 
@@ -193,15 +193,13 @@ def _multiplicative_round(
     poly: AggPolynomial,
     data: Mapping[int, int],
     group: tuple[int, ...],
-    senders: Sequence[int],
 ) -> tuple[list[int], list[tuple[int, PolyTerm]]]:
-    """The round both flows share: each sender broadcasts its factor of
+    """The round both flows share: each participant broadcasts its factor of
     every multi-owner term, encrypted multiplicatively over `group`, with
     the lowest participant folding in the coefficient.
 
-    Returns the product of each multi-owner term's ciphertexts, once every
-    participant has sent, and the single-owner terms left for the extra
-    additive round.
+    Returns the product of each multi-owner term's ciphertexts and the
+    single-owner terms left for the extra additive round.
     """
     poly.validate()
     p = params.p
@@ -216,17 +214,13 @@ def _multiplicative_round(
     products = []
     for k, term in multi:
         product = 1
-        for i in senders:
+        for i in poly.participants:
             x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
             ct = arith.encrypt_mul(params, enc_keys[i], group, x_hat)
             product = product * ct.value % p
             bus.post(i, f"enc-mul:{k}", (ct.value,))
         products.append(product)
     bus.end_round()
-
-    missing = set(poly.participants) - set(senders)
-    if products and missing:
-        raise IncompleteBroadcast(f"product terms miss ciphertexts from {sorted(missing)}")
     return products, sigma
 
 
@@ -251,9 +245,7 @@ def authority_aggregate(
     """
     p = params.p
     group = tuple(sorted(set(poly.participants) | {virtual_id}))
-    products, sigma = _multiplicative_round(
-        bus, params, enc_keys, poly, data, group, senders=poly.participants
-    )
+    products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
     completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
     g_comp = fixed_base_pow(params.g, completion % (p - 1), p, p - 1)
     total = sum(g_comp * product for product in products) + _extra_additive(
@@ -272,7 +264,6 @@ def all_participants_aggregate(
     enc_keys: Mapping[int, arith.ArithEncKey],
     poly: AggPolynomial,
     data: Mapping[int, int],
-    dropouts: Sequence[int] = (),
 ) -> dict[int, int]:
     """Every group member computes the identical f(x_P) from the broadcasts.
 
@@ -281,10 +272,7 @@ def all_participants_aggregate(
     owner completing the mask and publishing the sum.
     """
     group = tuple(sorted(poly.participants))
-    products, sigma = _multiplicative_round(
-        bus, params, enc_keys, poly, data, group,
-        senders=[i for i in group if i not in dropouts],
-    )
+    products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
     total = sum(products)
     if sigma:
         designated = min(term.owners[0] for _, term in sigma)

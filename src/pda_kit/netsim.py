@@ -170,17 +170,19 @@ def run_pda_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Declaration round, then the two broadcast rounds of one evaluation.
 
-    A query that fails validation, names a participant without a key, or
-    whose term sum the aggregator key cannot hold is refused before its
-    window is claimed.  The window is claimed against the registry
-    before any message is emitted; an overlap aborts with an empty
-    transcript.
+    A query that fails validation, names a participant without a key or
+    with a key that refuses the group, or whose term sum the aggregator
+    key cannot hold is refused before its window is claimed.  The window
+    is claimed against the registry before any message is emitted; an
+    overlap aborts with an empty transcript.
     """
     params = system.params
     query.validate(params)
     missing = sorted(set(query.participants) - set(system.enc_keys))
     if missing:
         raise KeyMissing(f"no key for participants {missing}")
+    for i in query.participants:
+        pda.group_degree(params, system.enc_keys[i], query.participants)
     need, have = paillier.required_bits(params.N, query.m), system.agg_pk.n.bit_length()
     if have < need:
         raise ResultOverflow(f"{query.m} terms need a {need}-bit aggregator key, have {have}")

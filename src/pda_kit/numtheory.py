@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, takewhile, zip_longest
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bus import Bus
 from .errors import (
@@ -33,7 +33,6 @@ from .errors import (
     NonInvertibleBroadcast,
     NotInSubgroup,
     NotInvertible,
-    PartyMissing,
     RingTooSmall,
 )
 from .rng import Rng
@@ -267,20 +266,12 @@ def _pocklington(cand: int, factor: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SafePrimePair:
-    """p = 2*p_prime + 1 with both members probable primes."""
-
-    p: int
-    p_prime: int
-
-
-def gen_safe_prime(bits: int, rng: Rng) -> SafePrimePair:
-    """Search for a safe prime of exactly `bits` bits.
+def gen_safe_prime(bits: int, rng: Rng) -> int:
+    """Search for a safe prime p = 2q + 1 of exactly `bits` bits, q prime.
 
     Candidates restart at a fresh random point every iteration to avoid
     the bias of increment-only scans.  Deterministic given the stream.
-    Both members are sieved together, once, then screened with one
+    q and p are sieved together, once, then screened with one
     Miller-Rabin round each, before either gets the full test.  No round
     rejects a prime, so the screens reject nothing the full tests would
     accept.  The random q gets the rounds its width needs (through the
@@ -300,7 +291,7 @@ def gen_safe_prime(bits: int, rng: Rng) -> SafePrimePair:
             and is_probable_prime(q, rounds)
             and _pocklington(p, q)
         ):
-            return SafePrimePair(p=p, p_prime=q)
+            return p
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +315,16 @@ class CorrelatedModuli:
     q_tilde: int
 
 
-def lift_correlated_prime(p_tilde: int) -> tuple[int, int]:
-    """Smallest multiplier a >= 2 with p = 2*a*p_tilde + 1 prime (p_tilde prime)."""
+def lift_correlated_prime(p_tilde: int) -> int:
+    """The prime p = 2*a*p_tilde + 1 for the smallest a >= 2 (p_tilde prime)."""
     a = 2
     while True:
         cand = 2 * a * p_tilde + 1
         if p_tilde * p_tilde > cand:
             if _sieved(cand) and _pocklington(cand, p_tilde):
-                return a, cand
+                return cand
         elif is_probable_prime(cand):  # only at toy widths
-            return a, cand
+            return cand
         a += 1
 
 
@@ -345,12 +336,12 @@ def gen_correlated_moduli(kappa: int, rng: Rng) -> CorrelatedModuli:
     """
     if kappa < 6:
         raise ValueError("kappa below 6 bits cannot yield two distinct safe primes")
-    p_tilde = gen_safe_prime(kappa, rng).p
-    q_tilde = gen_safe_prime(kappa, rng).p
+    p_tilde = gen_safe_prime(kappa, rng)
+    q_tilde = gen_safe_prime(kappa, rng)
     while q_tilde == p_tilde:
-        q_tilde = gen_safe_prime(kappa, rng).p
-    _, p = lift_correlated_prime(p_tilde)
-    _, q = lift_correlated_prime(q_tilde)
+        q_tilde = gen_safe_prime(kappa, rng)
+    p = lift_correlated_prime(p_tilde)
+    q = lift_correlated_prime(q_tilde)
 
     n = p * q
     n_tilde = p_tilde * q_tilde
@@ -372,29 +363,22 @@ def gen_correlated_moduli(kappa: int, rng: Rng) -> CorrelatedModuli:
 # Lagrange weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LagrangeWeights:
-    """Denominator-cleared integer Lagrange coefficients at x = 0.
+def lagrange_weights(participants: Iterable[int]) -> Mapping[int, int]:
+    """Denominator-cleared integer Lagrange coefficients at x = 0 of the
+    group P; `participants` is P in any order.
 
-    weights[i] = scale * L_{i,P}(0) exactly, so for every polynomial q of
-    degree <= |P|-1 with q(0) = 0 the weighted sum of its evaluations is
+    weights[i] = scale * L_{i,P}(0) exactly, with scale the lcm of the
+    coefficients' denominators, so for every polynomial q of degree
+    <= |P|-1 with q(0) = 0 the weighted sum of its evaluations is
     scale * q(0) = 0 over the integers, hence 0 modulo anything.  One
-    instance is shared by every caller with the same group, so `weights`
-    is a read-only mapping.
+    mapping is shared by every caller with the same group, so it is
+    read-only.
     """
-
-    participants: tuple[int, ...]
-    weights: Mapping[int, int]
-    scale: int
-
-
-def lagrange_weights(participants: Iterable[int]) -> LagrangeWeights:
-    """Weights of the group P; `participants` is P in any order."""
     return _lagrange_weights(tuple(sorted(participants)))
 
 
 @functools.lru_cache(maxsize=128)
-def _lagrange_weights(ids: tuple[int, ...]) -> LagrangeWeights:
+def _lagrange_weights(ids: tuple[int, ...]) -> Mapping[int, int]:
     if len(set(ids)) != len(ids):
         raise DuplicateId(f"repeated IDs in {ids}")
     if len(ids) < 2:
@@ -410,8 +394,7 @@ def _lagrange_weights(ids: tuple[int, ...]) -> LagrangeWeights:
                 value *= Fraction(-j, i - j)
         exact[i] = value
     scale = math.lcm(*[v.denominator for v in exact.values()])
-    weights = {i: int(v * scale) for i, v in exact.items()}
-    return LagrangeWeights(participants=ids, weights=MappingProxyType(weights), scale=scale)
+    return MappingProxyType({i: int(v * scale) for i, v in exact.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +515,6 @@ def ring_exchange(
     generator: int,
     exponents: Mapping[int, int],
     hops: int = 0,
-    absent: Collection[int] = (),
     late: Mapping[int, Callable[[dict[int, int]], int]] | None = None,
     factors: Sequence[tuple[int, int]] = (),
 ) -> dict[int, int]:
@@ -549,9 +531,8 @@ def ring_exchange(
     hops+2 the base y_{i+hops+1} * y_{i-1}^{-1} is 1, so every Y_i would
     be 1 and blind nothing.
 
-    Parties in `absent` never broadcast, which fails the exchange with
-    PartyMissing.  Parties in `late` broadcast in a second round, the
-    value their callback picks after seeing the first round's broadcasts.
+    Parties in `late` broadcast in a second round, the value their
+    callback picks after seeing the first round's broadcasts.
 
     `factors` is the modulus's public prime-power factorization, if it
     has one; every power is then taken by CRT (see `unit_power`).  The
@@ -567,7 +548,7 @@ def ring_exchange(
 
     bus.begin_round()
     for i in ring:
-        if i not in absent and i not in late:
+        if i not in late:
             bus.post(i, "ring-share", (power(generator, exponents[i]),))
     y = {m.sender: m.body[0] for m in bus.end_round()}
 
@@ -577,9 +558,6 @@ def ring_exchange(
             bus.post(i, "ring-share", (pick(dict(y)),))
         for m in bus.end_round():
             y[m.sender] = m.body[0]
-    missing = [i for i in ring if i not in y]
-    if missing:
-        raise PartyMissing(f"no ring broadcast from parties {missing}")
 
     for i in ring:
         if math.gcd(y[i], modulus) != 1:

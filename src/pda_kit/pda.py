@@ -337,8 +337,6 @@ def setup(
     while True:
         g = g_rng.unit(mod.n)
         h = pow(g, mod.k_cofactor, mod.n)
-        if h == 1:
-            continue
         if pow(h, mod.n_tilde // mod.p_tilde, mod.n) == 1:
             continue
         if pow(h, mod.n_tilde // mod.q_tilde, mod.n) == 1:
@@ -433,7 +431,10 @@ def keygen(
 # encoding and aggregation
 # ---------------------------------------------------------------------------
 
-def _group_degree(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> int:
+def group_degree(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> int:
+    """The key degree |P|-1 that `key` encodes with over `group`: refused
+    with GroupBelowThreshold below max(theta_min, hardened_k + 2), and
+    with KeyMissing if the key lacks that degree."""
     size = len(group)
     theta = max(params.theta_min, key.hardened_k + 2)
     if size < theta:
@@ -446,8 +447,8 @@ def _group_degree(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
 
 def mask_exponent(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> int:
     """s = q^(|P|-1)(i) * lambda_{i,P} reduced mod N~."""
-    d = _group_degree(params, key, group)
-    return key.evaluations[d] * lagrange_weights(group).weights[key.id] % params.N_tilde
+    d = group_degree(params, key, group)
+    return key.evaluations[d] * lagrange_weights(group)[key.id] % params.N_tilde
 
 
 def _encode(params: PdaParams, s: int, x: int, e: int, t: int) -> int:

@@ -139,7 +139,7 @@ def test_criterion_3_mask_cancellation():
         for _ in range(50):
             size = rnd.randint(3, len(ids))
             group = sorted(rnd.sample(ids, size))
-            weights = arith.lagrange_weights(group).weights
+            weights = arith.lagrange_weights(group)
             total = sum(system.enc_keys[i].shares[size] * weights[i] for i in group)
             assert total % m == 0
             checked += 1

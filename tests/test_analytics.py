@@ -180,18 +180,6 @@ def test_run_plan_reports_traffic_of_each_step(small_pda, monkeypatch):
     assert all(out["traffic"][name]["bytes"] > 0 for name in ran)
 
 
-def test_regression_ridge_changes_solution(small_pda):
-    f = 16
-    rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}
-    plain = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], f)
-    ridge = analytics.plan_linear_regression(
-        [1, 2, 3, 4, 5], ["x"], f, ridge_lambda=10.0
-    )
-    a = analytics.run_plan(small_pda, plain, rows, seed=6, registry=pda.SlotRegistry())
-    b = analytics.run_plan(small_pda, ridge, rows, seed=7, registry=pda.SlotRegistry())
-    assert abs(a["coefficients"][0] - b["coefficients"][0]) > 1e-6
-
-
 def test_regression_errors(small_pda):
     with pytest.raises(ValueError):
         analytics.plan_linear_regression([1, 2, 3], [], 12)

@@ -109,6 +109,23 @@ def test_keygen_runs_the_library_keygen(tmp_path, capsys, scheme, flags):
     assert transcript.read_text() == result.transcript_jsonl()
 
 
+@pytest.mark.parametrize("flags", [["--hardened-k", "2"], ["--m-max", "8"]])
+def test_keygen_on_arith_params_refuses_a_framework_flag(tmp_path, capsys, flags):
+    params, keys = tmp_path / "params.json", tmp_path / "keys"
+    assert run_cli(
+        "gen-params", "--scheme", "arith", "--kappa", 16, "--n", 5, "--seed", 22, "--out", params,
+    ) == 0
+    capsys.readouterr()
+    code = run_cli("keygen", "--params", params, "--keys", keys, "--seed", 22, *flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "bad-args"
+    assert flags[0] in err["detail"]
+    assert not keys.exists()
+
+
 def test_keygen_writes_keyfiles(keyring, capsys):
     params, keys = keyring
     files = sorted(p.name for p in keys.glob("*.json"))
@@ -668,6 +685,7 @@ def test_json_file_that_is_not_utf8_is_bad_json(tmp_path, capsys):
         ("1", "attack collusion --degree 0"),
         ("1", "keygen --params {params} --keys {tmp}/k --m-max 0"),
         ("1", "keygen --params {params} --keys {tmp}/k --hardened-k -1"),
+        ("1", "keygen --params {params} --keys {tmp}/k --authority"),
     ],
 )
 def test_bad_argument_is_bad_args(keyring, tmp_path, capsys, monkeypatch, seed, command):

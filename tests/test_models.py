@@ -5,7 +5,7 @@ import pytest
 
 from pda_kit import arith, models, netsim, numtheory
 from pda_kit.bus import Bus
-from pda_kit.errors import BadField, GroupTooSmall, IncompleteBroadcast, ResultOverflow
+from pda_kit.errors import BadField, GroupTooSmall, ResultOverflow
 
 
 def term(coeff, powers):
@@ -270,20 +270,6 @@ def test_all_participants_product_matches_oracle(arith_system):
         bus, system.params, system.enc_keys, poly, data
     )
     assert set(outs.values()) == {oracle_eval(poly, data, system.params.p)}
-
-
-def test_all_participants_dropout(arith_system):
-    system, _ = arith_system
-    members = (1, 2, 3, 4, 5, 6)
-    poly = models.AggPolynomial(
-        terms=(term(1, {1: 1, 2: 1}),), participants=members
-    )
-    data = {i: 1 for i in members}
-    bus = Bus(members)
-    with pytest.raises(IncompleteBroadcast):
-        models.all_participants_aggregate(
-            bus, system.params, system.enc_keys, poly, data, dropouts=[4]
-        )
 
 
 def test_broadcast_factors_stay_masked(arith_system):

@@ -6,7 +6,7 @@ import pytest
 
 from pda_kit import models, netsim, numtheory, pda
 from pda_kit.bus import Bus, _hex_len as hex_len
-from pda_kit.errors import PartyMissing, SingularSystem
+from pda_kit.errors import RingTooSmall, SingularSystem
 from pda_kit.rng import Rng
 
 
@@ -81,9 +81,9 @@ def test_ceremony_error_carries_round_context():
     def driver(bus, rng):
         bus.begin_round()
         bus.end_round()
-        raise PartyMissing("nobody spoke")
+        raise RingTooSmall("two parties make no ring")
 
-    with pytest.raises(PartyMissing, match=r"\[round 1\]"):
+    with pytest.raises(RingTooSmall, match=r"\[round 1\]"):
         netsim.run_ceremony(driver, (1, 2), seed=0)
 
 

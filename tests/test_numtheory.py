@@ -244,11 +244,12 @@ def test_sieve_depth_by_width(bits, pair, octaves):
 
 @pytest.mark.parametrize("bits", [6, 8, 12])
 def test_gen_safe_prime_invariants(bits):
-    pair = gen_safe_prime(bits, Rng(f"sp:{bits}"))
-    assert pair.p == 2 * pair.p_prime + 1
-    assert pair.p.bit_length() == bits
-    assert trial_division_prime(pair.p)
-    assert trial_division_prime(pair.p_prime)
+    p = gen_safe_prime(bits, Rng(f"sp:{bits}"))
+    p_prime = (p - 1) // 2
+    assert p == 2 * p_prime + 1
+    assert p.bit_length() == bits
+    assert trial_division_prime(p)
+    assert trial_division_prime(p_prime)
 
 
 def test_gen_safe_prime_deterministic():
@@ -389,8 +390,8 @@ def test_arith_params_load_runs_full_rounds(monkeypatch):
 
 def test_lift_correlated_prime_from_23():
     # a=2 gives 93 = 3*31 (composite), a=3 gives 139 (prime); 23 | 138
-    a, p = lift_correlated_prime(23)
-    assert (a, p) == (3, 139)
+    p = lift_correlated_prime(23)
+    assert (p, (p - 1) // (2 * 23)) == (139, 3)
     assert not trial_division_prime(93)
     assert trial_division_prime(139)
     assert (p - 1) % 23 == 0
@@ -423,13 +424,15 @@ def test_gen_correlated_moduli_relaxed(kappa):
 # ---------------------------------------------------------------------------
 
 def test_lagrange_weights_frozen():
-    w = lagrange_weights([1, 2, 3])
-    assert w.scale == 1
-    assert w.weights == {1: 3, 2: -3, 3: 1}
-
-    w2 = lagrange_weights([2, 4, 5])
-    assert w2.scale == 3
-    assert w2.weights == {2: 10, 4: -15, 5: 8}
+    # the weights are scale * L_{i,P}(0), scale the lcm of the denominators
+    for ids, scale, expected in [
+        ((1, 2, 3), 1, {1: 3, 2: -3, 3: 1}),
+        ((2, 4, 5), 3, {2: 10, 4: -15, 5: 8}),
+    ]:
+        exact = {i: fraction_lagrange_at_zero(ids, i) for i in ids}
+        assert math.lcm(*(v.denominator for v in exact.values())) == scale
+        w = lagrange_weights(ids)
+        assert w == expected == {i: v * scale for i, v in exact.items()}
 
 
 def test_lagrange_weights_duplicate():
@@ -443,7 +446,7 @@ def test_lagrange_pair_identity():
     for _ in range(50):
         a, b = rnd.sample(range(1, 65), 2)
         w = lagrange_weights([a, b])
-        assert a * w.weights[a] + b * w.weights[b] == 0
+        assert a * w[a] + b * w[b] == 0
 
 
 def fraction_lagrange_at_zero(ids, i):
@@ -472,18 +475,18 @@ def test_lagrange_zero_constant_cancellation_sweep():
             return acc
 
         w = lagrange_weights(ids)
-        total = sum(w.weights[i] * q(i) for i in ids)
+        total = sum(w[i] * q(i) for i in ids)
         assert total % modulus == 0
 
         exact = {i: fraction_lagrange_at_zero(ids, i) for i in ids}
-        assert w.scale == math.lcm(*(v.denominator for v in exact.values()))
-        assert dict(w.weights) == {i: v * w.scale for i, v in exact.items()}
-        assert w.participants == tuple(sorted(ids))
-        # one shared instance per group, whose mapping refuses writes
+        scale = math.lcm(*(v.denominator for v in exact.values()))
+        assert dict(w) == {i: v * scale for i, v in exact.items()}
+        assert tuple(w) == tuple(sorted(ids))
+        # one shared mapping per group, which refuses writes
         assert lagrange_weights(reversed(ids)) is w
         with pytest.raises(TypeError):
-            w.weights[ids[0]] = 0
-        assert w.weights[ids[0]] == exact[ids[0]] * w.scale
+            w[ids[0]] = 0
+        assert w[ids[0]] == exact[ids[0]] * scale
 
 
 # ---------------------------------------------------------------------------

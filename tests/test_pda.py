@@ -154,7 +154,7 @@ def test_keygen_count_and_cancellation(pda_system):
     for _ in range(50):
         size = rnd.randint(params.theta_min, n)
         group = sorted(rnd.sample(ids, size))
-        weights = pda.lagrange_weights(group).weights
+        weights = pda.lagrange_weights(group)
         total = sum(
             system.enc_keys[i].evaluations[size - 1] * weights[i] for i in group
         )
@@ -747,3 +747,35 @@ def test_query_beyond_aggregator_key_refused_before_claim():
     )
     assert value == pda.evaluate_query(one, {i: [top] for i in ids}, params.N)
     assert registry.windows == [one.window]
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [({"hardened_k": 2}, GroupBelowThreshold), ({"degrees": [3]}, KeyMissing)],
+)
+def test_group_the_keys_refuse_is_refused_before_claim(options, error):
+    # hardened_k=2 refuses groups below 4, and keys of degree 3 alone
+    # serve only groups of 4: a group of 3 must leave its window unclaimed
+    system, _ = netsim.build_pda_system(
+        kappa=16, n=6, theta_min=3, seed=20_240_505, m_max=1, **options
+    )
+
+    def query(ids):
+        return pda.PdaQuery(
+            coeffs=(1,),
+            exponents={i: {0: 1} for i in ids},
+            participants=ids,
+            window=pda.Window(0, 1),
+        )
+
+    registry = pda.SlotRegistry()
+    with pytest.raises(error):
+        netsim.run_pda_aggregation(
+            system, query((1, 2, 3)), {i: [2] for i in (1, 2, 3)}, seed=1, registry=registry
+        )
+    assert registry.windows == []
+    four = query((1, 2, 3, 4))
+    data = {i: [i + 1] for i in four.participants}
+    value, _ = netsim.run_pda_aggregation(system, four, data, seed=2, registry=registry)
+    assert value == pda.evaluate_query(four, data, system.params.N)
+    assert registry.windows == [four.window]

@@ -23,8 +23,8 @@ def digest(values) -> str:
 def safe_primes(bits: int, seeds) -> list[int]:
     out = []
     for seed in seeds:
-        pair = numtheory.gen_safe_prime(bits, Rng(f"pin:safe:{bits}:{seed}"))
-        out += [pair.p, pair.p_prime]
+        p = numtheory.gen_safe_prime(bits, Rng(f"pin:safe:{bits}:{seed}"))
+        out += [p, (p - 1) // 2]
     return out
 
 
