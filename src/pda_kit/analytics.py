@@ -60,7 +60,6 @@ class PlanStep:
 
     name: str
     columns: tuple[str, ...]  # () means the constant 1
-    query: pda.PdaQuery
 
     def monomial(self, row: Mapping[str, float], frac_bits: int) -> int:
         raw = 1
@@ -71,23 +70,33 @@ class PlanStep:
 
 @dataclass
 class QueryPlan:
+    """Sum-queries over one sorted group, step j in the window of |P| slots
+    from window_start + j*|P|."""
+
+    participants: tuple[int, ...]
+    window_start: int
     steps: list[PlanStep]
     frac_bits: int
     postprocess: Callable[[dict[str, float]], dict]
     description: str
 
+    def query(self, j: int) -> pda.PdaQuery:
+        """Step j's query: term k is owned by the k-th participant, coefficients 1."""
+        ids = self.participants
+        m = len(ids)
+        return pda.PdaQuery(
+            coeffs=(1,) * m,
+            exponents={i: {k: 1} for k, i in enumerate(ids)},
+            participants=ids,
+            window=pda.Window(self.window_start + j * m, m),
+        )
 
-def _sum_query(participants: Sequence[int], window_start: int) -> pda.PdaQuery:
-    """Query whose k-th term is owned by the k-th participant, all coefficients 1."""
+
+def _group(participants: Sequence[int], theta_min: int) -> tuple[int, ...]:
     ids = tuple(sorted(participants))
-    m = len(ids)
-    exponents = {ids[k]: {k: 1} for k in range(m)}
-    return pda.PdaQuery(
-        coeffs=(1,) * m,
-        exponents=exponents,
-        participants=ids,
-        window=pda.Window(window_start, m),
-    )
+    if len(ids) < theta_min:
+        raise GroupTooSmall(f"|P|={len(ids)} below theta_min={theta_min}")
+    return ids
 
 
 def plan_mean_variance(
@@ -98,16 +107,8 @@ def plan_mean_variance(
     column: str = "x",
 ) -> QueryPlan:
     """Two queries (sum of x, sum of x^2) plus local mean/variance math."""
-    ids = tuple(sorted(participants))
-    if len(ids) < theta_min:
-        raise GroupTooSmall(f"|P|={len(ids)} below theta_min={theta_min}")
-    q1 = _sum_query(ids, window_start)
-    q2 = _sum_query(ids, window_start + len(ids))
-    steps = [
-        PlanStep("sum_x", (column,), q1),
-        PlanStep("sum_xx", (column, column), q2),
-    ]
-
+    ids = _group(participants, theta_min)
+    steps = [PlanStep("sum_x", (column,)), PlanStep("sum_xx", (column, column))]
     count = len(ids)
 
     def post(sums: dict[str, float]) -> dict:
@@ -116,6 +117,8 @@ def plan_mean_variance(
         return {"mean": mean, "variance": variance}
 
     return QueryPlan(
+        participants=ids,
+        window_start=window_start,
         steps=steps,
         frac_bits=frac_bits,
         postprocess=post,
@@ -136,25 +139,14 @@ def plan_linear_regression(
     with D = len(features)+1 the plan holds D(D+1)/2 + D queries, of which
     `run_plan` takes A_0_0 = |P| locally.
     """
-    ids = tuple(sorted(participants))
-    if len(ids) < theta_min:
-        raise GroupTooSmall(f"|P|={len(ids)} below theta_min={theta_min}")
+    ids = _group(participants, theta_min)
     if not feature_columns:
         raise ValueError("need at least one feature column")
     design: list[tuple[str, ...]] = [()] + [(c,) for c in feature_columns]
     dim = len(design)
-
-    steps: list[PlanStep] = []
-    start = window_start
-    for r in range(dim):
-        for c in range(r, dim):
-            q = _sum_query(ids, start)
-            start += len(ids)
-            steps.append(PlanStep(f"A_{r}_{c}", design[r] + design[c], q))
-    for r in range(dim):
-        q = _sum_query(ids, start)
-        start += len(ids)
-        steps.append(PlanStep(f"b_{r}", design[r] + ("y",), q))
+    steps = [
+        PlanStep(f"A_{r}_{c}", design[r] + design[c]) for r in range(dim) for c in range(r, dim)
+    ] + [PlanStep(f"b_{r}", design[r] + ("y",)) for r in range(dim)]
 
     def post(sums: dict[str, float]) -> dict:
         a = np.zeros((dim, dim))
@@ -175,6 +167,8 @@ def plan_linear_regression(
         }
 
     return QueryPlan(
+        participants=ids,
+        window_start=window_start,
         steps=steps,
         frac_bits=frac_bits,
         postprocess=post,
@@ -206,16 +200,15 @@ def run_plan(
     root = Rng(seed)
     sums: dict[str, float] = {}
     traffic: dict[str, dict[str, int]] = {}
+    ids = plan.participants
     for idx, step in enumerate(plan.steps):
-        ids = step.query.participants
         if not step.columns:
             sums[step.name] = float(len(ids))
             traffic[step.name] = {"rounds": 0, "bytes": 0}
             continue
-        data = {i: [1] * step.query.m for i in ids}
+        data = {i: [1] * len(ids) for i in ids}
         total = 0
-        for k in range(step.query.m):
-            owner = ids[k]
+        for k, owner in enumerate(ids):
             raw = step.monomial(rows[owner], plan.frac_bits)
             data[owner][k] = to_residue(raw, n_mod)
             total += raw
@@ -225,7 +218,7 @@ def run_plan(
             )
         value, result = netsim.run_pda_aggregation(
             system,
-            step.query,
+            plan.query(idx),
             data,
             seed=root.fork(f"step:{idx}").take(32),
             registry=registry,

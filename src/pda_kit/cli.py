@@ -195,8 +195,12 @@ def cmd_demo(args) -> None:
         raise CliError("bad-data", f"{args.data}: no feature column besides 'y'")
     if args.analysis == "regress" and "y" not in next(iter(rows.values())):
         raise CliError("bad-data", f"{args.data}: regress needs a 'y' column")
+    outside = sorted(i for i in rows if not 1 <= i <= n)
+    if outside:  # n distinct IDs, none outside 1..n: exactly 1..n
+        raise CliError("bad-data", f"{args.data}: user IDs {outside} outside 1..{n}")
+    # every plan spans all n rows, so degree n-1 is the only key it uses
     system, _ = netsim.build_pda_system(
-        args.kappa, n, theta_min, seed, m_max=max(8, n)
+        args.kappa, n, theta_min, seed, m_max=max(8, n), degrees=[n - 1]
     )
     if args.analysis == "stats":
         column = "x" if "x" in features else features[0]

@@ -116,15 +116,6 @@ def assert_fits(poly: AggPolynomial, data: Mapping[int, int], p: int) -> None:
         raise ResultOverflow(f"f(x) = {exact} outside [0, {p})")
 
 
-def detect_single_value_terms(poly: AggPolynomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Indices of terms owned by exactly one participant, and the owner group."""
-    indices = tuple(
-        k for k, term in enumerate(poly.terms) if len(term.owners) == 1
-    )
-    owners = tuple(sorted({poly.terms[k].owners[0] for k in indices}))
-    return indices, owners
-
-
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
@@ -140,50 +131,38 @@ def _extra_additive(
     bus: Bus,
     params: arith.ArithParams,
     enc_keys: Mapping[int, arith.ArithEncKey],
-    sigma_terms: Sequence[tuple[int, PolyTerm]],
+    sigma: Sequence[PolyTerm],
     data: Mapping[int, int],
     completer: int,
-    broadcast_sum: bool,
 ) -> int:
-    """Owners additively encrypt their (locally pre-summed) flagged values
-    over the owner group plus the completer; the completer finishes the
-    masked sum with its own share.
+    """Owners additively encrypt their (locally pre-summed) single-owner
+    terms over the owner group plus the completer; the completer finishes
+    the masked sum with its own share.
     """
-    if not sigma_terms:
-        return 0
     p = params.p
-    owners = sorted({term.owners[0] for _, term in sigma_terms})
+    owners = sorted({term.owners[0] for term in sigma})
     group = tuple(sorted(set(owners) | {completer}))
     if len(group) < params.n_min:
-        raise GroupTooSmall(
-            f"sigma group of {len(group)} below n_min={params.n_min}"
-        )
+        raise GroupTooSmall(f"sigma group of {len(group)} below n_min={params.n_min}")
 
     partial: dict[int, int] = {i: 0 for i in owners}
-    for _, term in sigma_terms:
+    for term in sigma:
         owner = term.owners[0]
         partial[owner] = (partial[owner] + _term_factor(term, owner, data[owner], p, True)) % p
 
     bus.begin_round()
-    cts = {}
+    masked = 0
     for i in owners:
         if i == completer:
             continue
         ct = arith.encrypt_add(params, enc_keys[i], group, partial[i])
-        cts[i] = ct.value
+        masked += ct.value
         bus.post(i, "enc-add-sigma", (ct.value,))
     bus.end_round()
 
-    masked = sum(cts.values())
     completion = arith.mask_exponent(params, enc_keys[completer], group)
     own = partial.get(completer, 0)
-    total = (masked + own + completion) % p
-
-    if broadcast_sum:
-        bus.begin_round()
-        bus.post(completer, "sigma-sum", (total,))
-        bus.end_round()
-    return total
+    return (masked + own + completion) % p
 
 
 def _multiplicative_round(
@@ -193,7 +172,7 @@ def _multiplicative_round(
     poly: AggPolynomial,
     data: Mapping[int, int],
     group: tuple[int, ...],
-) -> tuple[list[int], list[tuple[int, PolyTerm]]]:
+) -> tuple[list[int], list[PolyTerm]]:
     """The round both flows share: each participant broadcasts its factor of
     every multi-owner term, encrypted multiplicatively over `group`, with
     the lowest participant folding in the coefficient.
@@ -205,14 +184,14 @@ def _multiplicative_round(
     p = params.p
     if len(group) < params.n_min:
         raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
-    sigma_idx, _ = detect_single_value_terms(poly)
-    multi = [(k, t) for k, t in enumerate(poly.terms) if k not in sigma_idx]
-    sigma = [(k, poly.terms[k]) for k in sigma_idx]
     fold_owner = min(poly.participants)
 
     bus.begin_round()
-    products = []
-    for k, term in multi:
+    products, sigma = [], []
+    for k, term in enumerate(poly.terms):
+        if len(term.owners) == 1:
+            sigma.append(term)
+            continue
         product = 1
         for i in poly.participants:
             x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
@@ -248,9 +227,9 @@ def authority_aggregate(
     products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
     completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
     g_comp = fixed_base_pow(params.g, completion % (p - 1), p, p - 1)
-    total = sum(g_comp * product for product in products) + _extra_additive(
-        bus, params, enc_keys, sigma, data, completer=virtual_id, broadcast_sum=False
-    )
+    total = sum(g_comp * product for product in products)
+    if sigma:
+        total += _extra_additive(bus, params, enc_keys, sigma, data, completer=virtual_id)
     return total % p
 
 
@@ -275,8 +254,10 @@ def all_participants_aggregate(
     products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
     total = sum(products)
     if sigma:
-        designated = min(term.owners[0] for _, term in sigma)
-        total += _extra_additive(
-            bus, params, enc_keys, sigma, data, completer=designated, broadcast_sum=True
-        )
+        designated = min(term.owners[0] for term in sigma)
+        sigma_sum = _extra_additive(bus, params, enc_keys, sigma, data, completer=designated)
+        bus.begin_round()
+        bus.post(designated, "sigma-sum", (sigma_sum,))
+        bus.end_round()
+        total += sigma_sum
     return {i: total % params.p for i in group}

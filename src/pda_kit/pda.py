@@ -134,7 +134,7 @@ class PdaEncKey:
             evaluations=field(
                 doc, "evaluations", lambda ev: {json_key(d): int(v, 16) for d, v in ev.items()}
             ),
-            hardened_k=field(doc, "hardened_k") if "hardened_k" in doc else 0,
+            hardened_k=field(doc, "hardened_k"),
         )
 
 

@@ -93,8 +93,8 @@ def test_plan_sum_overflow_rejected():
     system, _ = netsim.build_pda_system(kappa=16, n=8, theta_min=3, seed=909, m_max=8)
     ids = sorted(system.enc_keys)
     x = system.params.N // 2 - 1
-    step = analytics.PlanStep("sum_x", ("x",), analytics._sum_query(ids, 0))
-    plan = analytics.QueryPlan([step], 0, lambda sums: {}, "sum of x")
+    step = analytics.PlanStep("sum_x", ("x",))
+    plan = analytics.QueryPlan(tuple(ids), 0, [step], 0, lambda sums: {}, "sum of x")
     rows = {i: {"x": float(x)} for i in ids}
     registry = pda.SlotRegistry()
     with pytest.raises(FixedPointOverflow, match="sum_x"):
@@ -104,12 +104,13 @@ def test_plan_sum_overflow_rejected():
 
 def test_plan_windows_disjoint(small_pda):
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["a", "b"], 12)
-    windows = [step.query.window for step in plan.steps]
+    windows = [plan.query(j).window for j in range(len(plan.steps))]
     for i, w1 in enumerate(windows):
         for w2 in windows[i + 1 :]:
             assert not w1.overlaps(w2)
-    # D = 3: D(D+1)/2 + D = 9 queries
+    # D = 3: D(D+1)/2 + D = 9 queries, in consecutive windows of |P| slots
     assert len(plan.steps) == 9
+    assert windows == [pda.Window(5 * j, 5) for j in range(9)]
 
 
 def test_randomized_inputs_match_plaintext(small_pda):

@@ -352,11 +352,14 @@ def test_aggregate_refuses_aggregator_key_whose_lambda_does_not_split_n(
         ("x\n2\n4\n", "need 3 rows or more, got 2"),
         ("y\n1\n2\n3\n", "no feature column"),
         ("x\n2\n4\n6\n", "regress needs a 'y' column"),
+        ("user,x,y\n2,1,3\n3,2,5\n4,3,7\n", "user IDs [4] outside 1..3"),
     ],
 )
-def test_demo_rejects_bad_data(tmp_path, capsys, csv_text, where):
+def test_demo_rejects_bad_data(tmp_path, capsys, monkeypatch, csv_text, where):
     data = tmp_path / "stats.csv"
     data.write_text(csv_text)
+    # refused before key generation
+    monkeypatch.setattr(netsim, "build_pda_system", lambda *a, **k: pytest.fail("keygen ran"))
     # every case fails under regress; all but the missing 'y' also under stats
     analyses = ["regress"] if "'y'" in where else ["stats", "regress"]
     for analysis in analyses:
@@ -378,7 +381,15 @@ def test_demo_stats(tmp_path, capsys):
     assert abs(out["variance"] - 8.0 / 3.0) < 1e-4
 
 
-def test_demo_regress_line(capsys):
+def test_demo_regress_line(capsys, monkeypatch):
+    degrees = []
+    inner = netsim.build_pda_system
+
+    def recording(*args, **kwargs):
+        degrees.append(kwargs.get("degrees"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "build_pda_system", recording)
     assert run_cli(
         "demo", "regress", "--data", FIXTURES / "line.csv",
         "--kappa", "24", "--seed", "22",
@@ -386,6 +397,8 @@ def test_demo_regress_line(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["coefficients"][0] - 2.0) < 1e-3
     assert abs(out["intercept"] - 1.0) < 1e-3
+    # the plan spans all 5 rows, so degree n-1 = 4 is the only key it uses
+    assert degrees == [[4]]
 
 
 def test_attack_rushing(capsys):
@@ -473,15 +486,18 @@ def _aggregate_with(keys, params, capsys, seed):
 
 def test_user_key_missing_field_is_bad_json(keyring, tmp_path, capsys):
     params, keys = keyring
-    copy = tmp_path / "keys"
-    shutil.copytree(keys, copy)
-    (copy / "user_2.json").write_text("{}")
-    code, captured = _aggregate_with(copy, params, capsys, 29)
-    assert code == 2
-    assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["error"] == "bad-json"
-    assert "user_2.json" in err["detail"]
+    written = json.loads((keys / "user_2.json").read_text())
+    del written["hardened_k"]  # to_json always writes it
+    for name, text in (("id", "{}"), ("hardened_k", json.dumps(written))):
+        copy = tmp_path / name
+        shutil.copytree(keys, copy)
+        (copy / "user_2.json").write_text(text)
+        code, captured = _aggregate_with(copy, params, capsys, 29)
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "bad-json"
+        assert "user_2.json" in err["detail"] and f"'{name}'" in err["detail"]
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,7 @@ def test_pda_enc_key_refuses_float_id_and_bool_hardening():
         ({**good, "id": 2.9}, "id"),
         ({**good, "hardened_k": True}, "hardened_k"),
         ({**good, "hardened_k": 1.0}, "hardened_k"),
+        ({"id": 2, "evaluations": {"3": "1f"}}, "hardened_k"),  # to_json always writes it
     ])
 
 

@@ -24,29 +24,47 @@ def oracle_eval(poly, data, p):
 
 
 # ---------------------------------------------------------------------------
-# single-value detection
+# single-owner terms
 # ---------------------------------------------------------------------------
 
-def test_detect_single_value_terms():
+def _authority_split(system, poly, bus):
+    """Run the authority flow on `bus`; the enc-mul kinds it broadcast and
+    the senders of its extra additive round."""
+    data = {i: 3 * i + 1 for i in poly.participants}
+    models.authority_aggregate(
+        bus, system.params, system.enc_keys, system.virtual_id, poly, data
+    )
+    kinds = sorted({m.kind for m in bus.messages() if m.kind.startswith("enc-mul:")})
+    senders = tuple(sorted(m.sender for m in bus.messages() if m.kind == "enc-add-sigma"))
+    return kinds, senders
+
+
+def test_single_owner_terms_take_the_extra_additive_round(arith_system):
+    system, _ = arith_system
     p12 = term(1, {1: 1, 2: 1})
     p3sq = term(1, {3: 2})
     poly = models.AggPolynomial(terms=(p12, p3sq), participants=(1, 2, 3))
-    idx, owners = models.detect_single_value_terms(poly)
-    assert idx == (1,) and owners == (3,)
+    # term 1 alone is single-owner: only term 0 is broadcast, and owner 3
+    # with the virtual completer is a sigma group of 2, below n_min = 3
+    bus = Bus(system.ids)
+    with pytest.raises(GroupTooSmall, match="sigma group of 2 "):
+        _authority_split(system, poly, bus)
+    assert {m.kind for m in bus.messages()} == {"enc-mul:0"}
+    assert sorted(m.sender for m in bus.messages()) == [1, 2, 3]
 
     lin = models.AggPolynomial(
         terms=(term(1, {1: 1}), term(1, {2: 1}), term(1, {3: 1})),
         participants=(1, 2, 3),
     )
-    idx, owners = models.detect_single_value_terms(lin)
-    assert idx == (0, 1, 2) and owners == (1, 2, 3)
+    assert _authority_split(system, lin, Bus(system.ids)) == ([], (1, 2, 3))
 
     cross = models.AggPolynomial(
         terms=(term(1, {1: 1, 2: 1}), term(1, {2: 1, 3: 1})),
         participants=(1, 2, 3),
     )
-    idx, owners = models.detect_single_value_terms(cross)
-    assert idx == () and owners == ()
+    assert _authority_split(system, cross, Bus(system.ids)) == (
+        ["enc-mul:0", "enc-mul:1"], ()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +107,8 @@ def test_authority_random_polynomials(arith_system):
             powers = {i: rnd.randint(1, 3) for i in owners}
             terms.append(term(rnd.randrange(1, 50), powers))
         poly = models.AggPolynomial(terms=tuple(terms), participants=members)
-        sigma_idx, sigma_owners = models.detect_single_value_terms(poly)
-        if sigma_idx and len(set(sigma_owners)) + 1 < system.params.n_min:
+        sigma_owners = {t.owners[0] for t in terms if len(t.owners) == 1}
+        if sigma_owners and len(sigma_owners) + 1 < system.params.n_min:
             continue  # inherent sigma-group limit
         data = {i: rnd.randrange(p) for i in members}
         bus = Bus(system.ids)
