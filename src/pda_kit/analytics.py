@@ -194,6 +194,8 @@ def run_plan(
 
     A step over the constant column, Σ 1 = |P|, is public and taken
     locally; its window stays in the plan but no ceremony runs on it.
+    Every step's values and sum are checked against N/2 before the first
+    ceremony, so a plan refused with FixedPointOverflow claims no window.
     `out["traffic"]` holds each step's bus rounds and bytes sent.
     """
     n_mod = system.params.N
@@ -201,21 +203,24 @@ def run_plan(
     sums: dict[str, float] = {}
     traffic: dict[str, dict[str, int]] = {}
     ids = plan.participants
+    residues: dict[int, list[int]] = {}
     for idx, step in enumerate(plan.steps):
-        if not step.columns:
+        if step.columns:
+            raws = [step.monomial(rows[owner], plan.frac_bits) for owner in ids]
+            residues[idx] = [to_residue(raw, n_mod) for raw in raws]
+            total = abs(sum(raws))
+            if 2 * total >= n_mod:
+                raise FixedPointOverflow(
+                    f"step {step.name}: |sum| {total} does not fit below {n_mod}/2"
+                )
+    for idx, step in enumerate(plan.steps):
+        if idx not in residues:
             sums[step.name] = float(len(ids))
             traffic[step.name] = {"rounds": 0, "bytes": 0}
             continue
         data = {i: [1] * len(ids) for i in ids}
-        total = 0
-        for k, owner in enumerate(ids):
-            raw = step.monomial(rows[owner], plan.frac_bits)
-            data[owner][k] = to_residue(raw, n_mod)
-            total += raw
-        if 2 * abs(total) >= n_mod:
-            raise FixedPointOverflow(
-                f"step {step.name}: |sum| {abs(total)} does not fit below {n_mod}/2"
-            )
+        for k, (owner, residue) in enumerate(zip(ids, residues[idx])):
+            data[owner][k] = residue
         value, result = netsim.run_pda_aggregation(
             system,
             plan.query(idx),

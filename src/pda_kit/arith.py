@@ -201,12 +201,18 @@ def encrypt_add(
     )
 
 
+def mul_mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
+    """g^{R_i * lambda_i mod (p-1)} mod p: the multiplicative mask party i
+    puts on every factor it encrypts over group P."""
+    p = params.p
+    return fixed_base_pow(params.g, mask_exponent(params, key, group) % (p - 1), p, p - 1)
+
+
 def encrypt_mul(
     params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
 ) -> ArithCiphertext:
-    mask = mask_exponent(params, key, group)
     p = params.p
-    value = x % p * fixed_base_pow(params.g, mask % (p - 1), p, p - 1) % p
+    value = x % p * mul_mask(params, key, group) % p
     return ArithCiphertext(
         kind="mul", value=value, participant=key.id, group=tuple(sorted(group))
     )

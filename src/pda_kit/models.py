@@ -21,7 +21,6 @@ from . import arith
 from .bus import Bus
 from .errors import GroupTooSmall, ResultOverflow
 from .errors import field, hex_field, json_int, json_key
-from .numtheory import fixed_base_pow
 
 
 @dataclass(frozen=True)
@@ -127,80 +126,102 @@ def _term_factor(term: PolyTerm, user: int, x: int, p: int, fold_coeff: bool) ->
     return value
 
 
-def _extra_additive(
-    bus: Bus,
+def _sigma_masks(
     params: arith.ArithParams,
     enc_keys: Mapping[int, arith.ArithEncKey],
     sigma: Sequence[PolyTerm],
+    completer: int,
+) -> dict[int, int]:
+    """Each additive mask share of the extra additive round, over the
+    owners of the single-owner terms plus the completer."""
+    group = tuple(sorted({term.owners[0] for term in sigma} | {completer}))
+    if len(group) < params.n_min:
+        raise GroupTooSmall(f"sigma group of {len(group)} below n_min={params.n_min}")
+    return {i: arith.mask_exponent(params, enc_keys[i], group) for i in group}
+
+
+def _mul_masks(
+    params: arith.ArithParams,
+    enc_keys: Mapping[int, arith.ArithEncKey],
+    poly: AggPolynomial,
+    group: tuple[int, ...],
+) -> dict[int, int]:
+    """Each member's multiplicative mask over `group`, one walk a member;
+    none when `poly` has no multi-owner term to put them on.
+
+    A member puts this one mask on its factor of every multi-owner term,
+    so the ratio of two of its ciphertexts is its value to a public
+    power: the leak "arith masks repeat" of ROADMAP.md item 6.  Computing
+    the mask once here makes that sharing visible but does not create
+    it; the per-term masks of item 7 would remove it.
+    """
+    if len(group) < params.n_min:
+        raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
+    if all(len(term.owners) == 1 for term in poly.terms):
+        return {}
+    return {i: arith.mul_mask(params, enc_keys[i], group) for i in group}
+
+
+def _extra_additive(
+    bus: Bus,
+    params: arith.ArithParams,
+    sigma: Sequence[PolyTerm],
     data: Mapping[int, int],
+    masks: Mapping[int, int],
     completer: int,
 ) -> int:
     """Owners additively encrypt their (locally pre-summed) single-owner
-    terms over the owner group plus the completer; the completer finishes
-    the masked sum with its own share.
+    terms under their `_sigma_masks` share; the completer finishes the
+    masked sum with its own share.
     """
     p = params.p
-    owners = sorted({term.owners[0] for term in sigma})
-    group = tuple(sorted(set(owners) | {completer}))
-    if len(group) < params.n_min:
-        raise GroupTooSmall(f"sigma group of {len(group)} below n_min={params.n_min}")
-
-    partial: dict[int, int] = {i: 0 for i in owners}
+    partial = dict.fromkeys(masks, 0)
     for term in sigma:
         owner = term.owners[0]
         partial[owner] = (partial[owner] + _term_factor(term, owner, data[owner], p, True)) % p
 
     bus.begin_round()
     masked = 0
-    for i in owners:
+    for i in sorted(masks):
         if i == completer:
             continue
-        ct = arith.encrypt_add(params, enc_keys[i], group, partial[i])
-        masked += ct.value
-        bus.post(i, "enc-add-sigma", (ct.value,))
+        value = (partial[i] + masks[i]) % p
+        masked += value
+        bus.post(i, "enc-add-sigma", (value,))
     bus.end_round()
-
-    completion = arith.mask_exponent(params, enc_keys[completer], group)
-    own = partial.get(completer, 0)
-    return (masked + own + completion) % p
+    return (masked + partial[completer] + masks[completer]) % p
 
 
 def _multiplicative_round(
     bus: Bus,
     params: arith.ArithParams,
-    enc_keys: Mapping[int, arith.ArithEncKey],
     poly: AggPolynomial,
     data: Mapping[int, int],
-    group: tuple[int, ...],
-) -> tuple[list[int], list[PolyTerm]]:
+    masks: Mapping[int, int],
+) -> list[int]:
     """The round both flows share: each participant broadcasts its factor of
-    every multi-owner term, encrypted multiplicatively over `group`, with
-    the lowest participant folding in the coefficient.
+    every multi-owner term times its `_mul_masks` mask, with the lowest
+    participant folding in the coefficient.
 
-    Returns the product of each multi-owner term's ciphertexts and the
-    single-owner terms left for the extra additive round.
+    Returns the product of each multi-owner term's ciphertexts.
     """
-    poly.validate()
     p = params.p
-    if len(group) < params.n_min:
-        raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
     fold_owner = min(poly.participants)
 
     bus.begin_round()
-    products, sigma = [], []
+    products = []
     for k, term in enumerate(poly.terms):
         if len(term.owners) == 1:
-            sigma.append(term)
             continue
         product = 1
         for i in poly.participants:
             x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
-            ct = arith.encrypt_mul(params, enc_keys[i], group, x_hat)
-            product = product * ct.value % p
-            bus.post(i, f"enc-mul:{k}", (ct.value,))
+            value = x_hat * masks[i] % p
+            product = product * value % p
+            bus.post(i, f"enc-mul:{k}", (value,))
         products.append(product)
     bus.end_round()
-    return products, sigma
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +242,20 @@ def authority_aggregate(
     multiplicatively over P* = P + {virtual}; the authority completes each
     term with the virtual mask share g^{R*lambda} and sums.  Single-owner
     terms go through the extra additive round instead of being broadcast.
+    Every mask is computed, and so every group and key checked, before
+    the first post.
     """
-    p = params.p
+    poly.validate()
+    sigma = [term for term in poly.terms if len(term.owners) == 1]
     group = tuple(sorted(set(poly.participants) | {virtual_id}))
-    products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
-    completion = arith.mask_exponent(params, enc_keys[virtual_id], group)
-    g_comp = fixed_base_pow(params.g, completion % (p - 1), p, p - 1)
-    total = sum(g_comp * product for product in products)
+    masks = _mul_masks(params, enc_keys, poly, group)
     if sigma:
-        total += _extra_additive(bus, params, enc_keys, sigma, data, completer=virtual_id)
-    return total % p
+        sigma_masks = _sigma_masks(params, enc_keys, sigma, virtual_id)
+    products = _multiplicative_round(bus, params, poly, data, masks)
+    total = sum(masks[virtual_id] * product for product in products)
+    if sigma:
+        total += _extra_additive(bus, params, sigma, data, sigma_masks, completer=virtual_id)
+    return total % params.p
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +275,17 @@ def all_participants_aggregate(
     single-owner terms use the extra additive round with the lowest-ID
     owner completing the mask and publishing the sum.
     """
+    poly.validate()
+    sigma = [term for term in poly.terms if len(term.owners) == 1]
     group = tuple(sorted(poly.participants))
-    products, sigma = _multiplicative_round(bus, params, enc_keys, poly, data, group)
-    total = sum(products)
+    masks = _mul_masks(params, enc_keys, poly, group)
     if sigma:
         designated = min(term.owners[0] for term in sigma)
-        sigma_sum = _extra_additive(bus, params, enc_keys, sigma, data, completer=designated)
+        sigma_masks = _sigma_masks(params, enc_keys, sigma, designated)
+    products = _multiplicative_round(bus, params, poly, data, masks)
+    total = sum(products)
+    if sigma:
+        sigma_sum = _extra_additive(bus, params, sigma, data, sigma_masks, completer=designated)
         bus.begin_round()
         bus.post(designated, "sigma-sum", (sigma_sum,))
         bus.end_round()

@@ -92,18 +92,20 @@ def run_arith_group_aggregation(
     op: str,
     seed: int | str | bytes = 0,
 ) -> tuple[int, CeremonyResult]:
-    """Single sum or product over one group: exactly one broadcast round."""
+    """Single sum or product over one group: exactly one broadcast round.
+
+    Every ciphertext is built before the round opens, so a group or key
+    that encryption refuses leaves an empty transcript.
+    """
     if op not in ("add", "mul"):
         raise ValueError("op must be 'add' or 'mul'")
     encrypt = arith.encrypt_add if op == "add" else arith.encrypt_mul
 
     def driver(bus: Bus, crng: Rng):
+        cts = [encrypt(system.params, system.enc_keys[i], group, values[i]) for i in sorted(group)]
         bus.begin_round()
-        cts = []
-        for i in sorted(group):
-            ct = encrypt(system.params, system.enc_keys[i], group, values[i])
-            cts.append(ct)
-            bus.post(i, f"enc-{op}", (ct.value,))
+        for ct in cts:
+            bus.post(ct.participant, f"enc-{op}", (ct.value,))
         bus.end_round()
         return arith.decrypt(system.params, cts)
 

@@ -114,6 +114,9 @@ def mod_inv(a: int, modulus: int) -> int:
 #   g mod a 512-bit p, exponents below p-1:            w=8, 64 rows, 1.7 MB;
 #   h mod a 1041-bit N, exponents below N~ (kappa=512): w=4, 256 rows, 0.7 MB
 #   (w=8 would take 5.6 MB).
+# `pda.encode_ordinary` walks an h shape in one batch: the m slot masks
+# of a user's query.  `arith.mul_mask` walks the g shape through
+# `fixed_base_pow`, a batch of one, once per party and round.
 # A modulus too wide for any table within the budget gets w=2: w=1 needs
 # as many entries and twice the multiplications.  `_comb` caches 8
 # tables, so at most 8 x 2 MiB while every table fits, which holds for
@@ -126,24 +129,32 @@ _DIGIT_SPLIT = {
 
 
 def fixed_base_pow(base: int, e: int, modulus: int, bound: int) -> int:
-    """base^e mod modulus for 0 <= e < bound, equal to pow(base, e, modulus).
+    """base^e mod modulus for 0 <= e < bound, equal to pow(base, e, modulus)."""
+    return fixed_base_pows(base, (e,), modulus, bound)[0]
 
-    Walks the cached comb of (base, modulus, bound's width): one
-    multiplication per nonzero radix-2^w digit of e and no squarings.
-    The digits are e's little-endian bytes, each split into 8/w digits
-    when w < 8.
+
+def fixed_base_pows(
+    base: int, exponents: Sequence[int], modulus: int, bound: int
+) -> list[int]:
+    """[pow(base, e, modulus) for e in exponents], each 0 <= e < bound.
+
+    Every exponent is range-checked before any is walked.  One lookup of
+    the cached comb of (base, modulus, bound's width) serves the batch,
+    which is walked row by row: one multiplication per nonzero radix-2^w
+    digit and no squarings.  The digits are each exponent's little-endian
+    bytes at the bound's width, each split into 8/w digits when w < 8.
     """
-    if not 0 <= e < bound:
+    if not all(0 <= e < bound for e in exponents):
         raise ValueError(f"exponent outside [0, {bound})")
-    w, rows = _comb(base, modulus, max(1, (bound - 1).bit_length()))
-    digits = e.to_bytes((e.bit_length() + 7) // 8, "little")
+    bits = max(1, (bound - 1).bit_length())
+    w, rows = _comb(base, modulus, bits)
+    digits = [e.to_bytes((bits + 7) // 8, "little") for e in exponents]
     if w < 8:
-        digits = b"".join(map(_DIGIT_SPLIT[w].__getitem__, digits))
-    acc = 1 % modulus
-    for row, digit in zip(rows, digits):
-        if digit:
-            acc = acc * row[digit] % modulus
-    return acc
+        digits = [b"".join(map(_DIGIT_SPLIT[w].__getitem__, d)) for d in digits]
+    accs = [1 % modulus] * len(digits)
+    for row, column in zip(rows, zip(*digits)):
+        accs = [acc * row[d] % modulus if d else acc for acc, d in zip(accs, column)]
+    return accs
 
 
 @functools.lru_cache(maxsize=8)

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .numtheory import (
     fixed_base_pow,
+    fixed_base_pows,
     gen_correlated_moduli,
     hash_to_subgroup,
     lagrange_weights,
@@ -470,20 +471,35 @@ def encode_value(
 def encode_ordinary(
     params: PdaParams, key: PdaEncKey, query: PdaQuery, xs: Sequence[int]
 ) -> dict[int, int]:
-    """All m encoded values of one user for one query.
+    """All m encoded values of one user for one query, equal to
+    `encode_value` term by term.
 
     Values for terms the user does not appear in are encoded with
-    exponent 0 (the mask must still be contributed).
+    exponent 0 (the mask must still be contributed).  The m masks
+    H(t)^s of the window are one fixed-base batch; x^e is taken only
+    where e != 0.
     """
-    if len(xs) != query.m:
-        raise ValueError("need one value per term")
+    if not len(xs) == query.window.length == query.m:
+        raise ValueError("need one value and one window slot per term")
     if key.id not in query.participants:
         raise KeyMissing(f"user {key.id} not in the query group")
     s = mask_exponent(params, key, query.participants)
-    return {
-        k: _encode(params, s, xs[k], query.exponent(key.id, k), query.window.slot(k))
-        for k in range(query.m)
-    }
+    n, n_tilde, window = params.N, params.N_tilde, query.window
+    masks = fixed_base_pows(
+        params.h,
+        [
+            slot_exponent(t, n_tilde, params.hash_seed) * s % n_tilde
+            for t in range(window.start, window.end)
+        ],
+        n,
+        n_tilde,
+    )
+    powers = query.exponents.get(key.id, {})
+    out = {}
+    for k, mask in enumerate(masks):
+        e = int(powers.get(k, 0))
+        out[k] = pow(xs[k] % n, e, n) * mask % n if e else mask
+    return out
 
 
 def encode_user2(

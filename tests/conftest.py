@@ -1,6 +1,54 @@
+import importlib
+import pkgutil
+from collections import Counter
+
 import pytest
 
-from pda_kit import netsim
+import pda_kit
+from pda_kit import netsim, numtheory
+
+MODULES = [
+    importlib.import_module(f"pda_kit.{info.name}")
+    for info in pkgutil.iter_modules(pda_kit.__path__)
+]
+
+
+class OpCounts:
+    """While entered, counts in every `pda_kit` module each fixed-base walk
+    by (base, modulus, bound), one per exponent walked, and each builtin
+    pow(b, e, m) with e >= 0 by m."""
+
+    def __init__(self):
+        self.walks: Counter = Counter()
+        self.pows: Counter = Counter()
+        self._patch = pytest.MonkeyPatch()
+
+    def __enter__(self) -> "OpCounts":
+        walk = numtheory.fixed_base_pows
+
+        def counting_walk(base, exponents, modulus, bound):
+            self.walks[base, modulus, bound] += len(exponents)
+            return walk(base, exponents, modulus, bound)
+
+        def counting_pow(base, exp, mod=None):
+            if mod is not None and exp >= 0:
+                self.pows[mod] += 1
+            return pow(base, exp, mod)
+
+        for module in MODULES:
+            if getattr(module, "fixed_base_pows", None) is walk:
+                self._patch.setattr(module, "fixed_base_pows", counting_walk)
+            self._patch.setattr(module, "pow", counting_pow, raising=False)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._patch.undo()
+
+
+@pytest.fixture
+def op_counts():
+    """Fixed-base walks and modexps of the code run inside `with op_counts:`."""
+    return OpCounts()
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,24 @@ def test_plan_sum_overflow_rejected():
     assert registry.windows == []  # rejected before any window is claimed
 
 
+def test_plan_overflow_at_last_step_runs_no_ceremony(monkeypatch):
+    # sum_x fits, but sum_xx of the same values does not: the plan is
+    # refused before its first step claims a window or runs a ceremony
+    system, _ = netsim.build_pda_system(kappa=16, n=8, theta_min=3, seed=909, m_max=8)
+    ids = sorted(system.enc_keys)
+    frac_bits = 4
+    x = math.isqrt(system.params.N // 2) >> frac_bits
+    plan = analytics.plan_mean_variance(ids, frac_bits)
+    rows = {i: {"x": float(x)} for i in ids}
+    ceremonies = []
+    monkeypatch.setattr(netsim, "run_ceremony", lambda *args: ceremonies.append(args))
+    registry = pda.SlotRegistry()
+    with pytest.raises(FixedPointOverflow, match="step sum_xx"):
+        analytics.run_plan(system, plan, rows, seed=5, registry=registry)
+    assert registry.windows == []
+    assert ceremonies == []
+
+
 def test_plan_windows_disjoint(small_pda):
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["a", "b"], 12)
     windows = [plan.query(j).window for j in range(len(plan.steps))]

@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pda_kit import arith, models, netsim, numtheory
 from pda_kit.bus import Bus
-from pda_kit.errors import BadField, GroupTooSmall, ResultOverflow
+from pda_kit.errors import BadField, GroupTooSmall, KeyMissing, ResultOverflow
 
 
 def term(coeff, powers):
@@ -44,13 +46,13 @@ def test_single_owner_terms_take_the_extra_additive_round(arith_system):
     p12 = term(1, {1: 1, 2: 1})
     p3sq = term(1, {3: 2})
     poly = models.AggPolynomial(terms=(p12, p3sq), participants=(1, 2, 3))
-    # term 1 alone is single-owner: only term 0 is broadcast, and owner 3
-    # with the virtual completer is a sigma group of 2, below n_min = 3
+    # term 1 alone is single-owner, and owner 3 with the virtual completer
+    # is a sigma group of 2, below n_min = 3: refused before any post
     bus = Bus(system.ids)
     with pytest.raises(GroupTooSmall, match="sigma group of 2 "):
         _authority_split(system, poly, bus)
-    assert {m.kind for m in bus.messages()} == {"enc-mul:0"}
-    assert sorted(m.sender for m in bus.messages()) == [1, 2, 3]
+    assert list(bus.messages()) == []
+    assert bus.round_no == 0
 
     lin = models.AggPolynomial(
         terms=(term(1, {1: 1}), term(1, {2: 1}), term(1, {3: 1})),
@@ -118,49 +120,103 @@ def test_authority_random_polynomials(arith_system):
         assert out == oracle_eval(poly, data, p)
 
 
-def test_authority_exponentiations_mod_p(arith_system, monkeypatch):
-    # one fixed-base exponentiation of g per mul ciphertext, one for the
-    # authority's completion, and no builtin pow of g mod p
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_posted_factors_equal_encrypt_mul(arith_system, data):
+    # with one mask per participant, every enc-mul:{k} broadcast still
+    # equals encrypt_mul of that participant's factor of term k
     system, _ = arith_system
-    params = system.params
+    params, keys = system.params, system.enc_keys
     p = params.p
-    members = (1, 2, 3, 4, 5, 6)
-    poly = models.AggPolynomial(
+    real = st.lists(st.sampled_from(range(1, 7)), min_size=params.n_min, max_size=6, unique=True)
+    members = tuple(sorted(data.draw(real, label="members")))
+    owners = st.lists(st.sampled_from(members), max_size=4, unique=True).filter(
+        lambda o: len(o) != 1
+    )
+    terms = []
+    for k in range(data.draw(st.integers(1, 3), label="terms")):
+        powers = {i: data.draw(st.integers(1, 3)) for i in data.draw(owners, label=f"owners {k}")}
+        terms.append(term(data.draw(st.integers(0, p - 1), label=f"coeff {k}"), powers))
+    poly = models.AggPolynomial(terms=tuple(terms), participants=members)
+    values = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=len(members), max_size=len(members)),
+        label="values",
+    )
+    xs = dict(zip(members, values))
+    if data.draw(st.booleans(), label="authority"):
+        bus = Bus(system.ids)
+        models.authority_aggregate(bus, params, keys, system.virtual_id, poly, xs)
+        group = members + (system.virtual_id,)
+    else:
+        bus = Bus(members)
+        models.all_participants_aggregate(bus, params, keys, poly, xs)
+        group = members
+    posted = {(m.sender, m.kind): m.body[0] for m in bus.messages()}
+    expected = {}
+    for k, t in enumerate(terms):
+        for i in members:
+            factor = pow(xs[i], t.power_of(i), p) * (t.coeff if i == members[0] else 1) % p
+            expected[i, f"enc-mul:{k}"] = arith.encrypt_mul(params, keys[i], group, factor).value
+    assert posted == expected
+
+
+def _cost_poly(members, *single_owner):
+    return models.AggPolynomial(
         terms=(
             term(3, {1: 1, 2: 2}),
             term(5, {2: 1, 3: 1, 4: 3}),
             term(7, {5: 2}),  # single-owner terms: the extra additive round
             term(4, {6: 1}),
+            *single_owner,
             term(2, {}),
         ),
         participants=members,
     )
+
+
+def test_authority_exponentiations_mod_p(arith_system, op_counts):
+    # one fixed-base walk of g per participant and one for the authority's
+    # completion, whatever the number of terms; one builtin pow mod p per
+    # factor x^e: every participant's factor of every term not owned by
+    # exactly one participant, and each single-owner term
+    system, _ = arith_system
+    params = system.params
+    p = params.p
+    members = (1, 2, 3, 4, 5, 6)
+    poly = _cost_poly(members)
     data = {i: 3 * i + 1 for i in members}
-    fixed = []
-    g_pows = []
-
-    def counting_fixed(base, e, modulus, bound, fixed_base_pow=numtheory.fixed_base_pow):
-        if modulus == p:
-            fixed.append((base, bound))
-        return fixed_base_pow(base, e, modulus, bound)
-
-    def counting_pow(base, exp, mod=None):
-        if mod == p and base == params.g:
-            g_pows.append(exp)
-        return pow(base, exp, mod)
-
-    for module in (arith, models):
-        monkeypatch.setattr(module, "fixed_base_pow", counting_fixed)
-    for module in (arith, models, numtheory):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    out = models.authority_aggregate(
-        Bus(system.ids), params, system.enc_keys, system.virtual_id, poly, data
-    )
-    monkeypatch.undo()
+    with op_counts:
+        out = models.authority_aggregate(
+            Bus(system.ids), params, system.enc_keys, system.virtual_id, poly, data
+        )
     assert out == oracle_eval(poly, data, p)
-    multi_terms = 3  # every term not owned by exactly one participant
-    assert fixed == [(params.g, p - 1)] * (multi_terms * len(members) + 1)
-    assert g_pows == []
+    multi_terms, single_terms = 3, 2
+    assert op_counts.walks == {(params.g, p, p - 1): len(members) + 1}
+    assert op_counts.pows == {p: multi_terms * len(members) + single_terms}
+
+
+def test_all_participants_exponentiations_mod_p(arith_system, op_counts):
+    # one fixed-base walk of g per participant; builtin pows as in the
+    # authority flow, with a third single-owner term for a sigma group of 3
+    system, _ = arith_system
+    params = system.params
+    p = params.p
+    members = (1, 2, 3, 4, 5, 6)
+    poly = _cost_poly(members, term(6, {1: 3}))
+    data = {i: 3 * i + 1 for i in members}
+    with op_counts:
+        outs = models.all_participants_aggregate(
+            Bus(members), params, system.enc_keys, poly, data
+        )
+    assert set(outs.values()) == {oracle_eval(poly, data, p)}
+    multi_terms, single_terms = 3, 3
+    assert op_counts.walks == {(params.g, p, p - 1): len(members)}
+    assert op_counts.pows == {p: multi_terms * len(members) + single_terms}
+    # a sum of single-owner terms walks no multiplicative mask
+    sums = models.AggPolynomial(terms=poly.terms[2:5], participants=members)
+    with op_counts:
+        models.all_participants_aggregate(Bus(members), params, system.enc_keys, sums, data)
+    assert op_counts.walks == {(params.g, p, p - 1): len(members)}
 
 
 def test_eavesdropper_cannot_complete_terms(arith_system):
@@ -240,6 +296,27 @@ def test_sigma_group_too_small(arith_system):
         models.authority_aggregate(
             bus, system.params, system.enc_keys, system.virtual_id, poly, data
         )
+
+
+@pytest.mark.parametrize(
+    "lacking, size",
+    [(6, 7), (7, 7), (4, 3)],  # a participant, the virtual one, a sigma owner
+)
+def test_key_refused_before_any_post(arith_system, lacking, size):
+    # every mask of both rounds is computed before the first round opens
+    system, _ = arith_system
+    keys = dict(system.enc_keys)
+    shares = {k: v for k, v in keys[lacking].shares.items() if k != size}
+    keys[lacking] = arith.ArithEncKey(id=lacking, shares=shares)
+    poly = models.AggPolynomial(
+        terms=(term(1, {1: 1, 2: 1}), term(1, {3: 2}), term(1, {4: 1})),
+        participants=(1, 2, 3, 4, 5, 6),
+    )
+    data = {i: i + 1 for i in poly.participants}
+    bus = Bus(system.ids)
+    with pytest.raises(KeyMissing, match=f"group size {size}"):
+        models.authority_aggregate(bus, system.params, keys, system.virtual_id, poly, data)
+    assert bus.round_no == 0
 
 
 def test_result_overflow_check():

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from pda_kit import models, netsim, numtheory, pda
+from pda_kit import arith, models, netsim, numtheory, pda
 from pda_kit.bus import Bus, _hex_len as hex_len
-from pda_kit.errors import RingTooSmall, SingularSystem
+from pda_kit.errors import GroupTooSmall, KeyMissing, RingTooSmall, SingularSystem
 from pda_kit.rng import Rng
 
 
@@ -85,6 +86,20 @@ def test_ceremony_error_carries_round_context():
 
     with pytest.raises(RingTooSmall, match=r"\[round 1\]"):
         netsim.run_ceremony(driver, (1, 2), seed=0)
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_refused_arith_group_aggregation_opens_no_round(plain_arith_system, op):
+    # every ciphertext is built before the round opens, so a group below
+    # n_min or a key without the group's size is refused at round 0
+    system, _ = plain_arith_system
+    values = {i: i + 1 for i in system.ids}
+    with pytest.raises(GroupTooSmall, match=r"^\[round 0\]"):
+        netsim.run_arith_group_aggregation(system, (1, 2), values, op)
+    keys = {**system.enc_keys, 3: arith.ArithEncKey(id=3, shares={})}
+    lacking = dataclasses.replace(system, enc_keys=keys)
+    with pytest.raises(KeyMissing, match=r"^\[round 0\]"):
+        netsim.run_arith_group_aggregation(lacking, (1, 2, 3), values, op)
 
 
 def test_traffic_report_schema(pda_system):

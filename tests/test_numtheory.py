@@ -19,6 +19,7 @@ from pda_kit.numtheory import (
     dlog_one_plus_m,
     evaluate_packed,
     fixed_base_pow,
+    fixed_base_pows,
     gen_correlated_moduli,
     gen_safe_prime,
     hash_to_subgroup,
@@ -124,6 +125,37 @@ def test_fixed_base_pow_small_and_unreduced():
 def test_fixed_base_pow_tiny_bounds(bound, modulus, base, data):
     e = data.draw(st.integers(0, bound - 1), label="e")
     assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+
+
+@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))  # radix 8, 8, 4 and 2
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pows_matches_pow(bits, data):
+    # a batch, empty or not, of zeros, exponents of one digit or byte (far
+    # shorter than the bound's width) and exponents of any width
+    base, modulus, bound = mask_shape(bits)
+    exponent = st.one_of(st.just(0), st.integers(0, 255), st.integers(0, bound - 1))
+    es = data.draw(st.lists(exponent, max_size=6), label="es")
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fixed_base_pows_checks_the_batch_before_any_walk(data):
+    # one exponent out of range anywhere in the batch: ValueError, and the
+    # comb is never reached
+    base, modulus, bound = mask_shape(104)
+    es = data.draw(st.lists(st.integers(0, bound - 1), max_size=5), label="es")
+    bad = data.draw(st.sampled_from([-1, bound, bound + 1, 2 * bound]), label="bad")
+    es.insert(data.draw(st.integers(0, len(es)), label="at"), bad)
+
+    def no_walk(*args):
+        raise AssertionError("walked before the range check")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numtheory, "_comb", no_walk)
+        with pytest.raises(ValueError, match="exponent outside"):
+            fixed_base_pows(base, es, modulus, bound)
 
 
 @pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 8), (1024, 4), (2048, 2)])

@@ -297,6 +297,35 @@ def test_encode_threshold_and_hardening(pda_system):
     pda.encode_value(params, hardened, ids[:4], 1, 0, 5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_encode_ordinary_matches_encode_value(pda_system, data):
+    # the batched walk of a user's m masks against the per-term reference,
+    # over random groups, windows, values and exponents (zero and nonzero)
+    system, _ = pda_system
+    params = system.params
+    ids = sorted(system.enc_keys)
+    members = st.lists(
+        st.sampled_from(ids), min_size=params.theta_min, max_size=len(ids), unique=True
+    )
+    group = tuple(sorted(data.draw(members, label="group")))
+    m = data.draw(st.integers(1, 5), label="m")
+    powers = st.dictionaries(st.integers(0, m - 1), st.integers(0, 3))
+    exponents = data.draw(st.fixed_dictionaries({i: powers for i in group}), label="exponents")
+    start = data.draw(st.integers(0, 1 << 20), label="start")
+    query = pda.PdaQuery(
+        coeffs=(1,) * m, exponents=exponents, participants=group, window=pda.Window(start, m)
+    )
+    user = data.draw(st.sampled_from(group), label="user")
+    xs = data.draw(st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m), label="xs")
+    key = system.enc_keys[user]
+    got = pda.encode_ordinary(params, key, query, xs)
+    assert got == {
+        k: pda.encode_value(params, key, group, xs[k], query.exponent(user, k), start + k)
+        for k in range(m)
+    }
+
+
 def test_encode_ordinary_requires_membership(pda_system):
     system, _ = pda_system
     query = _query(system)
@@ -599,9 +628,9 @@ def test_round_structure(pda_system):
     assert kinds2 == {"blinded-term"}
 
 
-def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
-    # one fixed-base exponentiation of h per (user, slot) for the mask, and
-    # one builtin pow per x^e with e > 0
+def test_aggregation_exponentiations_mod_n(pda_system, op_counts):
+    # one fixed-base walk of h per (user, slot) for the mask, and one
+    # builtin pow per x^e with e > 0
     system, _ = pda_system
     params = system.params
     ids = tuple(sorted(system.enc_keys))
@@ -611,34 +640,18 @@ def test_aggregation_exponentiations_mod_n(pda_system, monkeypatch):
         coeffs=(1,) * m, exponents=exponents, participants=ids, window=pda.Window(9500, m)
     )
     data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
-    calls = []
-    fixed = []
-
-    def counting_pow(base, exp, mod=None):
-        if mod == params.N and exp >= 0:
-            calls.append(exp)
-        return pow(base, exp, mod)
-
-    def counting_fixed(base, e, modulus, bound, fixed_base_pow=numtheory.fixed_base_pow):
-        if modulus == params.N:
-            fixed.append((base, bound))
-        return fixed_base_pow(base, e, modulus, bound)
-
-    for module in (pda, numtheory):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(pda, "fixed_base_pow", counting_fixed)
-    value, _ = netsim.run_pda_aggregation(
-        system, query, data, seed=9, registry=pda.SlotRegistry()
-    )
-    monkeypatch.undo()
+    with op_counts:
+        value, _ = netsim.run_pda_aggregation(
+            system, query, data, seed=9, registry=pda.SlotRegistry()
+        )
     assert value == pda.evaluate_query(query, data, params.N)
     positive = sum(1 for i in ids for k in range(m) if query.exponent(i, k) > 0)
     assert 0 < positive < len(ids) * m
-    assert fixed == [(params.h, params.N_tilde)] * (len(ids) * m)
-    assert len(calls) == positive
+    assert op_counts.walks == {(params.h, params.N, params.N_tilde): len(ids) * m}
+    assert op_counts.pows[params.N] == positive
 
 
-def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
+def test_aggregation_exponentiations_mod_nsq(pda_system, op_counts, monkeypatch):
     # m encrypts by user 2 and one scale a term by user 1 mod n_a^2; the
     # CRT decrypt is one pow mod p^2 and one mod q^2
     system, _ = pda_system
@@ -654,30 +667,23 @@ def test_aggregation_exponentiations_mod_nsq(pda_system, monkeypatch):
         window=pda.Window(9600, m),
     )
     data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
-    calls = {nsq: [], p_sq: [], q_sq: []}
     scales = []
-
-    def counting_pow(base, exp, mod=None):
-        if mod in calls and exp >= 0:
-            calls[mod].append(exp)
-        return pow(base, exp, mod)
 
     def counting_scale(pk, ct, k, scale=paillier.scale):
         scales.append(k)
         return scale(pk, ct, k)
 
-    for module in (pda, paillier, numtheory):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
     monkeypatch.setattr(paillier, "scale", counting_scale)
-    value, _ = netsim.run_pda_aggregation(
-        system, query, data, seed=10, registry=pda.SlotRegistry()
-    )
+    with op_counts:
+        value, _ = netsim.run_pda_aggregation(
+            system, query, data, seed=10, registry=pda.SlotRegistry()
+        )
     monkeypatch.undo()
     assert value == pda.evaluate_query(query, data, params.N)
     assert len(scales) == m
-    assert len(calls[nsq]) == 2 * m
-    assert len(calls[p_sq]) == 1
-    assert len(calls[q_sq]) == 1
+    assert op_counts.pows[nsq] == 2 * m
+    assert op_counts.pows[p_sq] == 1
+    assert op_counts.pows[q_sq] == 1
 
 
 def test_worst_case_terms_do_not_wrap(pda_system):
