@@ -9,10 +9,14 @@ they are what any eavesdropper sees, and byte accounting is derived
 from them when it is asked for.
 
 A closed round is kept as columns (senders, recipients, kinds, body
-lengths and one flat run of body values), not as one `Message` per
-message: at n=64 the full-degree keygen closes 250,048 messages, and the
-per-message containers cost more than the values they hold.  `Message`s
-are rebuilt when a reader asks for them.
+lengths, the hex length of every body value, and the values packed into
+one little-endian byte run), not as one `Message` per message or one int
+per value: at n=64 the full-degree keygen closes 250,048 messages, and
+per-message containers and int objects cost more than the bytes they
+hold.  A value of hex length h takes (h + 1) // 2 bytes of the run, and
+byte accounting sums the hex lengths.  `Message`s are rebuilt when a
+reader asks for them.  Body values are non-negative; a round holding a
+negative one is refused when it closes.
 """
 
 from __future__ import annotations
@@ -52,33 +56,44 @@ class _Round(NamedTuple):
     """One closed round as columns, in delivery order.
 
     Message i is (senders[i], recipients[i], kinds[i]) with the next
-    lengths[i] entries of `values` as its body; a recipient of None is a
-    broadcast, distinct from party 0.
+    lengths[i] values as its body; a recipient of None is a broadcast,
+    distinct from party 0.  Value k has hex length hexlens[k] and takes
+    the next (hexlens[k] + 1) >> 1 bytes of `packed`, little-endian.
     """
 
     senders: tuple[int, ...]
     recipients: tuple[int | None, ...]
     kinds: tuple[str, ...]
     lengths: array
-    values: tuple[int, ...]
+    hexlens: array
+    packed: bytes
 
     @classmethod
     def of(cls, ordered: list[Message]) -> "_Round":
+        """The round's columns; OverflowError if a body value is negative."""
         bodies = tuple(map(_BODY, ordered))
+        values = list(chain.from_iterable(bodies))
+        hexlens = [(b + 3) >> 2 or 1 for b in map(int.bit_length, values)]  # _hex_len, inlined
         return cls(
             tuple(map(_SENDER, ordered)),
             tuple(map(_TO, ordered)),
             tuple(map(_KIND, ordered)),
             array("I", map(len, bodies)),
-            tuple(chain.from_iterable(bodies)),
+            array("I", hexlens),
+            b"".join([v.to_bytes((h + 1) >> 1, "little") for v, h in zip(values, hexlens)]),
         )
 
     def messages(self, rnd: int) -> Iterator[Message]:
         """The round's messages rebuilt, in delivery order; `rnd` is its number."""
-        values = iter(self.values)
+        packed, values, start = self.packed, [], 0
+        for h in self.hexlens:
+            end = start + ((h + 1) >> 1)
+            values.append(int.from_bytes(packed[start:end], "little"))
+            start = end
+        unread = iter(values)
         columns = zip(self.senders, self.recipients, self.kinds, self.lengths)
         for sender, to, kind, length in columns:
-            yield Message(rnd, sender, kind, tuple(islice(values, length)), to)
+            yield Message(rnd, sender, kind, tuple(islice(unread, length)), to)
 
 
 class Bus:
@@ -109,8 +124,17 @@ class Bus:
         if self._pending is None:
             raise RuntimeError("no open round")
         ordered = sorted(self._pending, key=_delivery_order)
+        try:
+            closed = _Round.of(ordered)
+        except OverflowError:
+            for msg in ordered:
+                if any(v < 0 for v in msg.body):
+                    raise ValueError(
+                        f"round {msg.round_no}: party {msg.sender} posted a negative value"
+                    ) from None
+            raise
         self._pending = None
-        self._closed.append(_Round.of(ordered))
+        self._closed.append(closed)
         return ordered
 
     # --- queries -------------------------------------------------------------
@@ -136,7 +160,7 @@ class Bus:
         received: Counter = Counter()
         for rnd, closed in enumerate(self._closed, 1):
             bcast, own = 0, Counter()
-            sizes = map(_hex_len, closed.values)
+            sizes = iter(closed.hexlens)
             for sender, to, length in zip(closed.senders, closed.recipients, closed.lengths):
                 size = sum(islice(sizes, length))
                 sent[sender, rnd] += size

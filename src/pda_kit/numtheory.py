@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, takewhile, zip_longest
+from itertools import groupby, islice, takewhile, zip_longest
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -216,18 +216,24 @@ def _octaves(bits: int, pair: bool) -> int:
     return max(0, (bits * bits // (2 if pair else 4)).bit_length() - 12)
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    return _sieved(n) and (n < _SIEVE_DEPTH or _miller_rabin(n, rounds))
+def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS, *, skip: int = 0) -> bool:
+    """Sieve, then `rounds` Miller-Rabin rounds, leaving out the first
+    `skip` of them for a caller that has run `_miller_rabin(n, skip)`."""
+    return _sieved(n) and (n < _SIEVE_DEPTH or _miller_rabin(n, rounds, skip))
 
 
-def _miller_rabin(n: int, rounds: int) -> bool:
-    """`rounds` Miller-Rabin rounds on an odd n >= 5, with no sieve."""
+def _miller_rabin(n: int, rounds: int, skip: int = 0) -> bool:
+    """Miller-Rabin rounds skip .. rounds-1 on an odd n >= 5, with no sieve.
+
+    The bases of fewer rounds are a prefix of those of more, so the
+    rounds left out are exactly those of `_miller_rabin(n, skip)`.
+    """
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _mr_bases(n, rounds):
+    for a in islice(_mr_bases(n, rounds), skip, None):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -285,9 +291,9 @@ def gen_safe_prime(bits: int, rng: Rng) -> int:
     q and p are sieved together, once, then screened with one
     Miller-Rabin round each, before either gets the full test.  No round
     rejects a prime, so the screens reject nothing the full tests would
-    accept.  The random q gets the rounds its width needs (through the
-    public test, which sieves the rare q that reaches it again); p = 2q + 1
-    is then proven prime from q.
+    accept.  The random q gets the rounds its width needs, of which its
+    screen was the first (through the public test, which sieves the rare
+    q that reaches it again); p = 2q + 1 is then proven prime from q.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
@@ -299,7 +305,7 @@ def gen_safe_prime(bits: int, rng: Rng) -> int:
             _sieved(q, pair=True)
             and _miller_rabin(q, 1)
             and _miller_rabin(p, 1)
-            and is_probable_prime(q, rounds)
+            and is_probable_prime(q, rounds, skip=1)
             and _pocklington(p, q)
         ):
             return p
@@ -613,24 +619,30 @@ def share_exchange(
 
     The n(n-1) evaluations of a degree come from one `evaluate_packed`
     call, n Horner passes in place of one per (sender, recipient) pair.
+    Since blind * (1+M)^v = blind + M * (blind * v mod M) mod M^2, each
+    sender's coefficients are scaled by its blind mod M before the
+    evaluation, and a share is then one multiply-add and at most one
+    subtraction of M^2.
     """
     ids = sorted(blinds)
     m2 = modulus * modulus
     points: dict[int, dict[int, int]] = {i: {} for i in ids}
+    reduced = [blinds[j] % m2 for j in ids]
+    lows = [blind % modulus for blind in reduced]
 
     for d in degrees:
         label = f"{kind}:{d}"
-        # values[x][j] = q_j(ids[x]) mod M
-        values = evaluate_packed([coefficients(j, d) for j in ids], ids, modulus)
+        # values[x][j] = blind_j * q_j(ids[x]) mod M
+        polys = [[low * c for c in coefficients(j, d)] for j, low in zip(ids, lows)]
+        values = evaluate_packed(polys, ids, modulus)
 
         bus.begin_round()
         inbox = {}
-        for j, row in zip(ids, zip(*values)):
-            # blind * (1+M)^v = blind + M * (blind * v mod M)  (mod M^2)
-            blind = blinds[j]
-            low = blind % modulus
+        for j, blind, row in zip(ids, reduced, zip(*values)):
             for i, v in zip(ids, row):
-                share = (blind + modulus * (low * v % modulus)) % m2
+                share = blind + modulus * v
+                if share >= m2:
+                    share -= m2
                 if i != j:
                     bus.post(j, label, (share,), to=i)
                 else:

@@ -17,6 +17,7 @@ multiply to one.
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import math
 import os
@@ -468,6 +469,14 @@ def encode_value(
     return _encode(params, mask_exponent(params, key, group), x, e, t)
 
 
+# Every member of a query's group masks the same window, so its slot
+# exponents are derived once a query, not once a member.
+@functools.lru_cache(maxsize=16)
+def _window_exponents(window: Window, n_tilde: int, seed: bytes) -> tuple[int, ...]:
+    """The slot exponents a_t of the window's slots, in slot order."""
+    return tuple(slot_exponent(t, n_tilde, seed) for t in range(window.start, window.end))
+
+
 def encode_ordinary(
     params: PdaParams, key: PdaEncKey, query: PdaQuery, xs: Sequence[int]
 ) -> dict[int, int]:
@@ -484,16 +493,9 @@ def encode_ordinary(
     if key.id not in query.participants:
         raise KeyMissing(f"user {key.id} not in the query group")
     s = mask_exponent(params, key, query.participants)
-    n, n_tilde, window = params.N, params.N_tilde, query.window
-    masks = fixed_base_pows(
-        params.h,
-        [
-            slot_exponent(t, n_tilde, params.hash_seed) * s % n_tilde
-            for t in range(window.start, window.end)
-        ],
-        n,
-        n_tilde,
-    )
+    n, n_tilde = params.N, params.N_tilde
+    slots = _window_exponents(query.window, n_tilde, params.hash_seed)
+    masks = fixed_base_pows(params.h, [a_t * s % n_tilde for a_t in slots], n, n_tilde)
     powers = query.exponents.get(key.id, {})
     out = {}
     for k, mask in enumerate(masks):

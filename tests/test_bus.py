@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -44,13 +45,22 @@ def _model_transcript(rounds) -> str:
     )
 
 
+# hex and byte widths change at nibble and byte edges; 0 still has one hex digit
+_EDGES = sorted(
+    {0, 15, 16, 255, 256, (1 << 4096) + 1}
+    | {v for k in range(4, 132, 4) for v in ((1 << k) - 1, 1 << k)}
+)
+
+
 @st.composite
 def _ceremonies(draw):
     parties = list(range(draw(st.integers(1, 5))))  # party 0 is the aggregator's id
     post = st.tuples(
         st.sampled_from(parties),
         st.sampled_from(["share", "share:1", "relay"]),
-        st.lists(st.one_of(st.booleans(), st.integers(0, 2**80)), max_size=3),
+        st.lists(
+            st.one_of(st.booleans(), st.integers(0, 2**80), st.sampled_from(_EDGES)), max_size=3
+        ),
         st.one_of(st.none(), st.just(0), st.sampled_from(parties)),
     )
     return parties, draw(st.lists(st.lists(post, max_size=6), max_size=4))
@@ -102,14 +112,31 @@ def _tracked_containers(bus: Bus) -> int:
     return count
 
 
+def _held_bytes(bus: Bus) -> int:
+    """sys.getsizeof of every distinct object the closed rounds hold:
+    each round's fields, and the elements of those that are tuples."""
+    seen, total = set(), 0
+    for closed in bus._closed:
+        for field in closed:
+            for obj in (field, *(field if isinstance(field, tuple) else ())):
+                if id(obj) not in seen:
+                    seen.add(id(obj))
+                    total += sys.getsizeof(obj)
+    return total
+
+
 def test_closed_bus_holds_containers_per_round_not_per_message(monkeypatch):
     _, result = netsim.build_pda_system(kappa=16, n=12, theta_min=3, seed=15)
     bus = result.bus
     rounds = result.round_count
     messages = sum(len(msgs) for msgs in bus.rounds)
     assert messages == 12 * 11 * 10 + 12  # shares of degrees 3..12, and the ring round
-    # a round is one record of five columns; the bus adds its dict, round list and parties
+    # a round is one record of six columns, of which only the three tuples
+    # can be containers (lengths, hex lengths and packed values are flat
+    # buffers); the bus adds its dict, round list and parties
     assert _tracked_containers(bus) <= 6 * rounds + 3 < messages // 10
+    # no int object per body value, which would cost about 74 B a message
+    assert _held_bytes(bus) <= 48 * messages
 
     expected = (bus.sent, bus.traffic_report(), list(bus.messages()), bus.transcript_jsonl())
 
@@ -121,3 +148,17 @@ def test_closed_bus_holds_containers_per_round_not_per_message(monkeypatch):
         bus.rounds
     assert result.round_count == rounds
     assert (bus.sent, bus.traffic_report(), list(bus.messages()), bus.transcript_jsonl()) == expected
+
+
+def test_bus_refuses_a_negative_body_value():
+    bus = Bus([0, 1, 2])
+    bus.begin_round()
+    bus.post(1, "share", (0, 7), to=2)
+    bus.end_round()
+    bus.begin_round()
+    bus.post(1, "share", (5,), to=0)
+    bus.post(2, "share", (0, -1))
+    with pytest.raises(ValueError, match="round 2: party 2 posted a negative value"):
+        bus.end_round()
+    assert bus.rounds == [[Message(1, 1, "share", (0, 7), 2)]]
+    assert bus.sent == {(1, 1): 2}
