@@ -175,6 +175,22 @@ def keygen(
 # encryption
 # ---------------------------------------------------------------------------
 
+def require_inputs(
+    enc_keys: Mapping[int, ArithEncKey],
+    group: Sequence[int],
+    values: Mapping[int, int],
+    owners: Sequence[int],
+) -> None:
+    """KeyMissing naming every member of `group` without a key, then
+    IncompleteGroup naming every one of `owners` without a value."""
+    missing = sorted(set(group) - set(enc_keys))
+    if missing:
+        raise KeyMissing(f"no key for participants {missing}")
+    missing = sorted(set(owners) - set(values))
+    if missing:
+        raise IncompleteGroup(f"no value for participants {missing}")
+
+
 def mask_exponent(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
     """R_i^(|P|) * lambda_{i,P}: the mask share party i adds over group P."""
     ids = tuple(sorted(group))

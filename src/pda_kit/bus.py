@@ -8,15 +8,20 @@ the ceremony inputs.  The stored rounds are the one record of the wire:
 they are what any eavesdropper sees, and byte accounting is derived
 from them when it is asked for.
 
-A closed round is kept as columns (senders, recipients, kinds, body
-lengths, the hex length of every body value, and the values packed into
-one little-endian byte run), not as one `Message` per message or one int
-per value: at n=64 the full-degree keygen closes 250,048 messages, and
-per-message containers and int objects cost more than the bytes they
-hold.  A value of hex length h takes (h + 1) // 2 bytes of the run, and
-byte accounting sums the hex lengths.  `Message`s are rebuilt when a
-reader asks for them.  Body values are non-negative; a round holding a
-negative one is refused when it closes.
+A closed round is kept as flat columns, not as one `Message` per message
+or one int per value: at n=64 the full-degree keygen closes 250,048
+messages, and per-message containers and int objects cost more than the
+bytes they hold.  The headers are narrow arrays: the sender as its
+position in `Bus.parties`, the recipient as its position + 1 (0 for a
+broadcast), the kind as an index into the round's tuple of distinct
+kinds, the body length and the hex length of every body value, each
+column in the narrowest unsigned array typecode that holds its largest
+entry.  The values are packed into one little-endian byte run, a value
+of hex length h taking (h + 1) // 2 bytes, and byte accounting sums the
+hex lengths.  `Message`s are rebuilt when a reader asks for them.  A
+sender or an addressed recipient must be a party of the bus, and body
+values are non-negative; a round holding a negative one is refused when
+it closes.
 """
 
 from __future__ import annotations
@@ -51,54 +56,79 @@ def _delivery_order(msg: Message) -> tuple:
 
 _SENDER, _TO, _KIND, _BODY = map(attrgetter, ("sender", "to", "kind", "body"))
 
+# (bound, typecode) of the unsigned array typecodes, narrowest first
+_WIDTHS = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _narrow(column: list[int]) -> array:
+    """`column` in the narrowest unsigned array typecode that holds its largest entry."""
+    top = max(column, default=0)
+    return array(next(code for bound, code in _WIDTHS if top < bound), column)
+
 
 class _Round(NamedTuple):
     """One closed round as columns, in delivery order.
 
-    Message i is (senders[i], recipients[i], kinds[i]) with the next
-    lengths[i] values as its body; a recipient of None is a broadcast,
-    distinct from party 0.  Value k has hex length hexlens[k] and takes
-    the next (hexlens[k] + 1) >> 1 bytes of `packed`, little-endian.
+    With `parties` the bus's, message i is from parties[senders[i]], to
+    parties[recipients[i] - 1] or, when recipients[i] is 0, a broadcast,
+    of kind kinds[kind_ids[i]], with the next lengths[i] values as its
+    body.  Value k has hex length hexlens[k] and takes the next
+    (hexlens[k] + 1) >> 1 bytes of `packed`, little-endian.  `kinds`
+    holds the round's distinct kinds in order of first appearance; the
+    other columns but `packed` are arrays of the narrowest unsigned
+    typecode that holds their largest entry.
     """
 
-    senders: tuple[int, ...]
-    recipients: tuple[int | None, ...]
+    senders: array
+    recipients: array
+    kind_ids: array
     kinds: tuple[str, ...]
     lengths: array
     hexlens: array
     packed: bytes
 
     @classmethod
-    def of(cls, ordered: list[Message]) -> "_Round":
-        """The round's columns; OverflowError if a body value is negative."""
+    def of(
+        cls, ordered: list[Message], senders: dict[int, int], recipients: dict[int | None, int]
+    ) -> "_Round":
+        """The round's columns, `senders` and `recipients` giving each party's
+        entry in its column; OverflowError if a body value is negative."""
         bodies = tuple(map(_BODY, ordered))
         values = list(chain.from_iterable(bodies))
         hexlens = [(b + 3) >> 2 or 1 for b in map(int.bit_length, values)]  # _hex_len, inlined
+        kinds = tuple(dict.fromkeys(map(_KIND, ordered)))
+        kind_ids = {kind: i for i, kind in enumerate(kinds)}
         return cls(
-            tuple(map(_SENDER, ordered)),
-            tuple(map(_TO, ordered)),
-            tuple(map(_KIND, ordered)),
-            array("I", map(len, bodies)),
-            array("I", hexlens),
+            _narrow(list(map(senders.__getitem__, map(_SENDER, ordered)))),
+            _narrow(list(map(recipients.__getitem__, map(_TO, ordered)))),
+            _narrow(list(map(kind_ids.__getitem__, map(_KIND, ordered)))),
+            kinds,
+            _narrow(list(map(len, bodies))),
+            _narrow(hexlens),
             b"".join([v.to_bytes((h + 1) >> 1, "little") for v, h in zip(values, hexlens)]),
         )
 
-    def messages(self, rnd: int) -> Iterator[Message]:
-        """The round's messages rebuilt, in delivery order; `rnd` is its number."""
+    def messages(self, rnd: int, parties: tuple[int, ...]) -> Iterator[Message]:
+        """The round's messages rebuilt, in delivery order; `rnd` is its
+        number and `parties` the bus's."""
         packed, values, start = self.packed, [], 0
         for h in self.hexlens:
             end = start + ((h + 1) >> 1)
             values.append(int.from_bytes(packed[start:end], "little"))
             start = end
-        unread = iter(values)
-        columns = zip(self.senders, self.recipients, self.kinds, self.lengths)
+        unread, recipients, kinds = iter(values), (None, *parties), self.kinds
+        columns = zip(self.senders, self.recipients, self.kind_ids, self.lengths)
         for sender, to, kind, length in columns:
-            yield Message(rnd, sender, kind, tuple(islice(unread, length)), to)
+            body = tuple(islice(unread, length))
+            yield Message(rnd, parties[sender], kinds[kind], body, recipients[to])
 
 
 class Bus:
     def __init__(self, parties: Sequence[int]):
         self.parties = tuple(parties)
+        # each party's entry in a closed round's sender and recipient columns
+        self._senders = {party: i for i, party in enumerate(self.parties)}
+        self._recipients = {party: i for i, party in enumerate((None, *self.parties))}
         self._closed: list[_Round] = []
         self._pending: list[Message] | None = None
 
@@ -118,6 +148,10 @@ class Bus:
         if self._pending is None:
             raise RuntimeError("no open round")
         rnd = len(self._closed) + 1
+        if sender not in self._senders:
+            raise ValueError(f"round {rnd}: sender {sender} is not a party of the bus")
+        if to not in self._recipients:
+            raise ValueError(f"round {rnd}: recipient {to} is not a party of the bus")
         self._pending.append(Message(rnd, sender, kind, tuple(map(int, body)), to))
 
     def end_round(self) -> list[Message]:
@@ -125,7 +159,7 @@ class Bus:
             raise RuntimeError("no open round")
         ordered = sorted(self._pending, key=_delivery_order)
         try:
-            closed = _Round.of(ordered)
+            closed = _Round.of(ordered, self._senders, self._recipients)
         except OverflowError:
             for msg in ordered:
                 if any(v < 0 for v in msg.body):
@@ -142,11 +176,13 @@ class Bus:
     @property
     def rounds(self) -> list[list[Message]]:
         """Every closed round's messages in delivery order, rebuilt on each read."""
-        return [list(closed.messages(rnd)) for rnd, closed in enumerate(self._closed, 1)]
+        return [
+            list(closed.messages(rnd, self.parties)) for rnd, closed in enumerate(self._closed, 1)
+        ]
 
     def messages(self) -> Iterator[Message]:
         for rnd, closed in enumerate(self._closed, 1):
-            yield from closed.messages(rnd)
+            yield from closed.messages(rnd, self.parties)
 
     # --- accounting / export --------------------------------------------------
 
@@ -158,19 +194,21 @@ class Bus:
         """
         sent: Counter = Counter()
         received: Counter = Counter()
+        parties = self.parties
         for rnd, closed in enumerate(self._closed, 1):
             bcast, own = 0, Counter()
             sizes = iter(closed.hexlens)
-            for sender, to, length in zip(closed.senders, closed.recipients, closed.lengths):
+            for s, r, length in zip(closed.senders, closed.recipients, closed.lengths):
                 size = sum(islice(sizes, length))
+                sender = parties[s]
                 sent[sender, rnd] += size
-                if to is None:
+                if r:
+                    received[parties[r - 1], rnd] += size
+                else:
                     bcast += size
                     own[sender] += size
-                else:
-                    received[to, rnd] += size
             if bcast:
-                for party in self.parties:
+                for party in parties:
                     received[party, rnd] += bcast - own[party]
         return sent, received
 

@@ -242,12 +242,13 @@ def authority_aggregate(
     multiplicatively over P* = P + {virtual}; the authority completes each
     term with the virtual mask share g^{R*lambda} and sums.  Single-owner
     terms go through the extra additive round instead of being broadcast.
-    Every mask is computed, and so every group and key checked, before
-    the first post.
+    Every participant's key and value, and every mask (so every group
+    and key share), are checked before the first post.
     """
     poly.validate()
     sigma = [term for term in poly.terms if len(term.owners) == 1]
     group = tuple(sorted(set(poly.participants) | {virtual_id}))
+    arith.require_inputs(enc_keys, group, data, poly.participants)
     masks = _mul_masks(params, enc_keys, poly, group)
     if sigma:
         sigma_masks = _sigma_masks(params, enc_keys, sigma, virtual_id)
@@ -273,11 +274,14 @@ def all_participants_aggregate(
 
     Multi-owner terms decrypt directly (full mask cancellation over P);
     single-owner terms use the extra additive round with the lowest-ID
-    owner completing the mask and publishing the sum.
+    owner completing the mask and publishing the sum.  Every
+    participant's key and value, and every mask, are checked before the
+    first post.
     """
     poly.validate()
     sigma = [term for term in poly.terms if len(term.owners) == 1]
     group = tuple(sorted(poly.participants))
+    arith.require_inputs(enc_keys, group, data, group)
     masks = _mul_masks(params, enc_keys, poly, group)
     if sigma:
         designated = min(term.owners[0] for term in sigma)

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult
-from .errors import KeyMissing, ProtocolError, ResultOverflow, SingularSystem
+from .errors import IncompleteGroup, KeyMissing, ProtocolError, ResultOverflow, SingularSystem
 from .numtheory import mod_inv
 from .rng import Rng
 
@@ -94,11 +94,13 @@ def run_arith_group_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Single sum or product over one group: exactly one broadcast round.
 
-    Every ciphertext is built before the round opens, so a group or key
-    that encryption refuses leaves an empty transcript.
+    A member without a key or a value is refused before the ceremony,
+    and every ciphertext is built before the round opens, so a group or
+    key that encryption refuses leaves an empty transcript.
     """
     if op not in ("add", "mul"):
         raise ValueError("op must be 'add' or 'mul'")
+    arith.require_inputs(system.enc_keys, group, values, group)
     encrypt = arith.encrypt_add if op == "add" else arith.encrypt_mul
 
     def driver(bus: Bus, crng: Rng):
@@ -172,17 +174,21 @@ def run_pda_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Declaration round, then the two broadcast rounds of one evaluation.
 
-    A query that fails validation, names a participant without a key or
-    with a key that refuses the group, or whose term sum the aggregator
-    key cannot hold is refused before its window is claimed.  The window
-    is claimed against the registry before any message is emitted; an
-    overlap aborts with an empty transcript.
+    A query that fails validation, names a participant without a key,
+    without m values in `data` or with a key that refuses the group, or
+    whose term sum the aggregator key cannot hold is refused before its
+    window is claimed.  The window is claimed against the registry
+    before any message is emitted; an overlap aborts with an empty
+    transcript.
     """
     params = system.params
     query.validate(params)
     missing = sorted(set(query.participants) - set(system.enc_keys))
     if missing:
         raise KeyMissing(f"no key for participants {missing}")
+    short = sorted(i for i in query.participants if len(data.get(i, ())) != query.m)
+    if short:
+        raise IncompleteGroup(f"no {query.m} values for participants {short}")
     for i in query.participants:
         pda.group_degree(params, system.enc_keys[i], query.participants)
     need, have = paillier.required_bits(params.N, query.m), system.agg_pk.n.bit_length()

@@ -114,9 +114,11 @@ def mod_inv(a: int, modulus: int) -> int:
 #   g mod a 512-bit p, exponents below p-1:            w=8, 64 rows, 1.7 MB;
 #   h mod a 1041-bit N, exponents below N~ (kappa=512): w=4, 256 rows, 0.7 MB
 #   (w=8 would take 5.6 MB).
-# `pda.encode_ordinary` walks an h shape in one batch: the m slot masks
-# of a user's query.  `arith.mul_mask` walks the g shape through
-# `fixed_base_pow`, a batch of one, once per party and round.
+# A batch shares one table lookup and walks each exponent on its own, so
+# a walk pays per row only a digit test and, for a nonzero digit, one
+# multiplication.  `pda.encode_ordinary` walks an h shape in one batch:
+# the m slot masks of a user's query.  `arith.mul_mask` walks the g shape
+# through `fixed_base_pow`, a batch of one, once per party and round.
 # A modulus too wide for any table within the budget gets w=2: w=1 needs
 # as many entries and twice the multiplications.  `_comb` caches 8
 # tables, so at most 8 x 2 MiB while every table fits, which holds for
@@ -140,9 +142,11 @@ def fixed_base_pows(
 
     Every exponent is range-checked before any is walked.  One lookup of
     the cached comb of (base, modulus, bound's width) serves the batch,
-    which is walked row by row: one multiplication per nonzero radix-2^w
-    digit and no squarings.  The digits are each exponent's little-endian
-    bytes at the bound's width, each split into 8/w digits when w < 8.
+    whose exponents are walked one at a time: the first radix-2^w digit
+    picks an entry of the first row, then one multiplication per further
+    nonzero digit and no squarings.  The digits are each exponent's
+    little-endian bytes at the bound's width, each split into 8/w digits
+    when w < 8.
     """
     if not all(0 <= e < bound for e in exponents):
         raise ValueError(f"exponent outside [0, {bound})")
@@ -151,10 +155,16 @@ def fixed_base_pows(
     digits = [e.to_bytes((bits + 7) // 8, "little") for e in exponents]
     if w < 8:
         digits = [b"".join(map(_DIGIT_SPLIT[w].__getitem__, d)) for d in digits]
-    accs = [1 % modulus] * len(digits)
-    for row, column in zip(rows, zip(*digits)):
-        accs = [acc * row[d] % modulus if d else acc for acc, d in zip(accs, column)]
-    return accs
+    powers = []
+    for own in digits:
+        walk = zip(rows, own)
+        row, d = next(walk)
+        acc = row[d]
+        for row, d in walk:
+            if d:
+                acc = acc * row[d] % modulus
+        powers.append(acc)
+    return powers
 
 
 @functools.lru_cache(maxsize=8)

@@ -94,6 +94,38 @@ def test_bus_matches_a_list_of_messages(ceremony):
     assert bus.transcript_jsonl() == _model_transcript(model)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_ceremonies(), st.data())
+def test_bus_gives_back_party_ids_of_any_order_and_width(ceremony, data):
+    # a closed round holds positions in Bus.parties, not IDs: IDs in no
+    # particular order, and wider than any column, come back as posted
+    parties, posted = ceremony
+    ids = data.draw(
+        st.lists(st.integers(0, 2**70), min_size=len(parties), max_size=len(parties), unique=True)
+    )
+    relabel = dict(zip(parties, ids))
+    bus = Bus(ids)
+    model = []
+    for rnd, posts in enumerate(posted, 1):
+        posts = [(relabel[s], k, body, relabel.get(to)) for s, k, body, to in posts]
+        bus.begin_round()
+        for sender, kind, body, to in posts:
+            bus.post(sender, kind, body, to=to)
+        bus.end_round()
+        model.append(_model_round(rnd, posts))
+    assert bus.rounds == model
+
+    sent, received = _model_accounting(ids, model)
+    assert bus.sent == sent
+    assert bus.traffic_report() == [
+        {"party": p, "round": r, "sent": sent.get((p, r), 0), "received": received.get((p, r), 0)}
+        for r in range(1, len(model) + 1)
+        for p in ids
+        if sent.get((p, r)) or received.get((p, r))
+    ]
+    assert bus.transcript_jsonl() == _model_transcript(model)
+
+
 # ---------------------------------------------------------------------------
 # layout: a closed round is columns, not one container per message
 # ---------------------------------------------------------------------------
@@ -131,12 +163,13 @@ def test_closed_bus_holds_containers_per_round_not_per_message(monkeypatch):
     rounds = result.round_count
     messages = sum(len(msgs) for msgs in bus.rounds)
     assert messages == 12 * 11 * 10 + 12  # shares of degrees 3..12, and the ring round
-    # a round is one record of six columns, of which only the three tuples
-    # can be containers (lengths, hex lengths and packed values are flat
-    # buffers); the bus adds its dict, round list and parties
+    # a round is one record of seven columns: five arrays, which the gc
+    # tracks, a tuple of the round's kinds, which it stops tracking once
+    # it has seen that the tuple holds only strings, and the packed values;
+    # the bus adds its dict, round list and parties
     assert _tracked_containers(bus) <= 6 * rounds + 3 < messages // 10
-    # no int object per body value, which would cost about 74 B a message
-    assert _held_bytes(bus) <= 48 * messages
+    # no int object per body value and a byte a header: 17.4 B a message
+    assert _held_bytes(bus) <= 20 * messages
 
     expected = (bus.sent, bus.traffic_report(), list(bus.messages()), bus.transcript_jsonl())
 
@@ -162,3 +195,21 @@ def test_bus_refuses_a_negative_body_value():
         bus.end_round()
     assert bus.rounds == [[Message(1, 1, "share", (0, 7), 2)]]
     assert bus.sent == {(1, 1): 2}
+
+
+def test_bus_refuses_a_party_it_does_not_have():
+    bus = Bus([0, 1, 2])
+    bus.begin_round()
+    bus.post(1, "share", (7,), to=2)
+    bus.end_round()
+    bus.begin_round()
+    with pytest.raises(ValueError, match="round 2: sender 3 is not a party of the bus"):
+        bus.post(3, "share", (5,))
+    with pytest.raises(ValueError, match="round 2: recipient 4 is not a party of the bus"):
+        bus.post(1, "share", (5,), to=4)
+    bus.post(2, "share", (5,), to=0)
+    bus.end_round()
+    assert bus.rounds == [
+        [Message(1, 1, "share", (7,), 2)],
+        [Message(2, 2, "share", (5,), 0)],
+    ]
