@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import netsim, pda
-from .errors import FixedPointOverflow, GroupTooSmall, SingularNormalEquations
+from .errors import FixedPointOverflow, GroupTooSmall, IncompleteGroup, SingularNormalEquations
 from .rng import Rng
 
 
@@ -194,8 +194,10 @@ def run_plan(
 
     A step over the constant column, Σ 1 = |P|, is public and taken
     locally; its window stays in the plan but no ceremony runs on it.
-    Every step's values and sum are checked against N/2 before the first
-    ceremony, so a plan refused with FixedPointOverflow claims no window.
+    Every participant's row and every column a step names are checked,
+    and every step's values and sum against N/2, before the first
+    ceremony, so a plan refused with IncompleteGroup or
+    FixedPointOverflow claims no window.
     `out["traffic"]` holds each step's bus rounds and bytes sent.
     """
     n_mod = system.params.N
@@ -204,6 +206,14 @@ def run_plan(
     traffic: dict[str, dict[str, int]] = {}
     ids = plan.participants
     residues: dict[int, list[int]] = {}
+    missing = [i for i in ids if i not in rows]
+    if missing:
+        raise IncompleteGroup(f"no row for participants {missing}")
+    columns = {col for step in plan.steps for col in step.columns}
+    for i in ids:
+        lacking = columns - rows[i].keys()
+        if lacking:
+            raise IncompleteGroup(f"participant {i}'s row has no column {sorted(lacking)}")
     for idx, step in enumerate(plan.steps):
         if step.columns:
             raws = [step.monomial(rows[owner], plan.frac_bits) for owner in ids]

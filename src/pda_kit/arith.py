@@ -157,9 +157,10 @@ def keygen(
 
     For each k every party j samples k-1 polynomial coefficients over
     Z_{p(p-1)} and sends c_{j,i} = K_j * (1+p(p-1))^{poly_j(i)} to each
-    other party i.  Party i multiplies all n factors; the master keys
-    cancel and the subgroup dlog of the remaining product is its share
-    R_i^(k) = sum_j poly_j(i) mod p(p-1).
+    other party i.  The master keys cancel, so the n factors party i
+    holds multiply to (1+p(p-1))^{R_i^(k)}, and i reads its share
+    R_i^(k) = sum_j poly_j(i) mod p(p-1) off them with one half-width
+    product a factor, without forming the product (`share_exchange`).
     """
     m = params.key_modulus
     ks = range(params.n_min, len(master_keys) + 1)

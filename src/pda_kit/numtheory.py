@@ -633,12 +633,30 @@ def share_exchange(
     sender's coefficients are scaled by its blind mod M before the
     evaluation, and a share is then one multiply-add and at most one
     subtraction of M^2.
+
+    The product is never formed.  A share s = a + M*b with 0 <= a, b < M
+    and a a unit mod M is a * (1 + M*b*a^-1) mod M^2, the identity behind
+    Paillier's L function.  Every share from j has the same low part
+    a_j = blinds[j] mod M, because j uses one blind for every recipient
+    and every degree of the call.  So when prod_j a_j = 1 (mod M), the
+    dlog of i's product is base + sum_j (s_ji // M) * a_j^-1 mod M, with
+    base the dlog of prod_j a_j mod M^2: one dlog and n inversions a
+    call, then one half-width product a share.  When prod_j a_j != 1
+    (mod M), no party's product is a (1+M) power, and ExtractionFailed
+    names the first party once the first degree's round has closed.
     """
     ids = sorted(blinds)
     m2 = modulus * modulus
     points: dict[int, dict[int, int]] = {i: {} for i in ids}
     reduced = [blinds[j] % m2 for j in ids]
     lows = [blind % modulus for blind in reduced]
+    unbalanced: NotInSubgroup | None = None
+    try:
+        base = dlog_one_plus_m(math.prod(lows) % m2, modulus)
+    except NotInSubgroup as exc:
+        unbalanced = exc
+    else:
+        inverses = {j: mod_inv(low, modulus) for j, low in zip(ids, lows)}
 
     for d in degrees:
         label = f"{kind}:{d}"
@@ -647,7 +665,7 @@ def share_exchange(
         values = evaluate_packed(polys, ids, modulus)
 
         bus.begin_round()
-        inbox = {}
+        own = {}
         for j, blind, row in zip(ids, reduced, zip(*values)):
             for i, v in zip(ids, row):
                 share = blind + modulus * v
@@ -656,16 +674,17 @@ def share_exchange(
                 if i != j:
                     bus.post(j, label, (share,), to=i)
                 else:
-                    inbox[i] = share
+                    own[i] = share
+        if unbalanced is not None:
+            bus.end_round()
+            raise ExtractionFailed(
+                f"{label} product for party {ids[0]} is not a (1+M) power"
+            ) from unbalanced
+        sums = {i: share // modulus * inverses[i] for i, share in own.items()}
         for msg in bus.end_round():
-            inbox[msg.to] = inbox[msg.to] * msg.body[0] % m2
+            sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]
 
         for i in ids:
-            try:
-                points[i][d] = dlog_one_plus_m(inbox[i], modulus)
-            except NotInSubgroup as exc:
-                raise ExtractionFailed(
-                    f"{kind}:{d} product for party {i} is not a (1+M) power"
-                ) from exc
+            points[i][d] = (base + sums[i]) % modulus
 
     return points

@@ -406,10 +406,11 @@ def keygen(
     """Encoding-key queries for every degree d = 2 .. n-1.
 
     For recipient i each other user j publishes
-    Q_{ij} = Y_j^{N~} * (1+N~)^{q_j^(d)(i)} mod N~^2; multiplying its own
-    factor in, user i strips the blinding (the Y products telescope to 1)
-    and takes the subgroup dlog to learn q^(d)(i), one point on the hidden
-    zero-constant sum polynomial.
+    Q_{ij} = Y_j^{N~} * (1+N~)^{q_j^(d)(i)} mod N~^2.  The Y products
+    telescope to 1, so with its own factor these multiply to
+    (1+N~)^{q^(d)(i)}, and user i reads q^(d)(i), one point on the hidden
+    zero-constant sum polynomial, off them with one half-width product a
+    factor, without forming the product (`share_exchange`).
 
     `degrees` restricts generation to a subset (the default is the full
     range); restricting is an optimization for large ceremonies that need

@@ -4,13 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pda_kit import numtheory
 from pda_kit.bus import Bus
 from pda_kit.errors import (
     DuplicateId,
+    ExtractionFailed,
     NotInSubgroup,
     NotInvertible,
 )
@@ -665,6 +666,82 @@ def test_share_exchange_points_sum_the_polynomials(modulus, ids, data):
         i: {d: sum(horner(coeffs[j, d], i, modulus) for j in ids) % modulus for d in degrees}
         for i in ids
     }
+
+
+def own_share(blind, coeffs, i, modulus):
+    """Party i's factor of its own product, which never reaches the bus."""
+    m2 = modulus * modulus
+    return blind * pow(1 + modulus, horner(coeffs, i, modulus), m2) % m2
+
+
+@settings(max_examples=40, deadline=None)
+@given(modulus=moduli(8, 256), ids=id_sets.filter(lambda ids: len(ids) >= 2), data=st.data())
+def test_share_exchange_point_is_the_dlog_of_the_inbox_product(modulus, ids, data):
+    # the lows multiply to 1 mod M but not mod M^2, so the extracted base is
+    # not 0 and each point carries it
+    m2 = modulus * modulus
+    unit = st.integers(1, modulus - 1).filter(lambda a: math.gcd(a, modulus) == 1)
+    lows = [data.draw(unit, label=f"low {j}") for j in ids[:-1]]
+    lows.append(mod_inv(math.prod(lows), modulus))
+    assume(dlog_one_plus_m(math.prod(lows) % m2, modulus) != 0)
+    blinds = {
+        j: low + modulus * data.draw(st.integers(0, 2 * modulus), label=f"high {j}")
+        for j, low in zip(ids, lows)
+    }
+    degrees = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    coeffs = {
+        (j, d): data.draw(st.lists(st.integers(0, modulus - 1), min_size=d, max_size=d))
+        for j in ids
+        for d in degrees
+    }
+    bus = Bus(ids)
+    points = share_exchange(bus, modulus, blinds, degrees, lambda j, d: coeffs[j, d], "share")
+    for d, messages in zip(degrees, bus.rounds):
+        product = {i: own_share(blinds[i], coeffs[i, d], i, modulus) for i in ids}
+        for msg in messages:
+            product[msg.to] = product[msg.to] * msg.body[0] % m2
+        assert {i: points[i][d] for i in ids} == {
+            i: dlog_one_plus_m(product[i], modulus) for i in ids
+        }
+
+
+@settings(max_examples=40, deadline=None)
+@given(modulus=moduli(8, 256), ids=id_sets.filter(lambda ids: len(ids) >= 2), data=st.data())
+def test_share_exchange_refuses_lows_not_multiplying_to_1(modulus, ids, data):
+    m2 = modulus * modulus
+    blinds = {j: data.draw(st.integers(0, m2 - 1), label=f"blind {j}") for j in ids}
+    assume(math.prod(blinds.values()) % modulus != 1)
+    degrees = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    bus = Bus(ids)
+    with pytest.raises(ExtractionFailed, match=rf"^share:{degrees[0]} product for party {ids[0]} "):
+        share_exchange(bus, modulus, blinds, degrees, lambda j, d: [1] * d, "share")
+    # the first degree's round was posted and closed, and no other
+    assert bus.round_no == 1
+    assert [len(messages) for messages in bus.rounds] == [len(ids) * (len(ids) - 1)]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("degrees", [[2], [1, 2, 4]])
+def test_share_exchange_takes_one_dlog_and_n_inverses(monkeypatch, n, degrees):
+    modulus = (1 << 61) - 1
+    m2 = modulus * modulus
+    ids = list(range(1, n + 1))
+    rng = Rng(f"share-counts:{n}")
+    blinds = {j: rng.fork(f"blind:{j}").unit(m2) for j in ids[:-1]}
+    blinds[ids[-1]] = mod_inv(math.prod(blinds.values()), m2)
+    calls = {"dlog": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(numtheory, "dlog_one_plus_m", counted("dlog", dlog_one_plus_m))
+    monkeypatch.setattr(numtheory, "mod_inv", counted("inv", mod_inv))
+    share_exchange(Bus(ids), modulus, blinds, degrees, lambda j, d: [j] * d, "share")
+    assert calls == {"dlog": 1, "inv": n}
 
 
 # A 512-bit safe prime, from gen_safe_prime(512, Rng("crt-test")).

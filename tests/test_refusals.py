@@ -193,9 +193,9 @@ for name, flow, size in (("authority", _authority, 7), ("members", _members, 6))
 # analytics.run_plan
 # ---------------------------------------------------------------------------
 
-def _plan(wire, x=2.0, window_start=0):
+def _plan(wire, x=2.0, window_start=0, rows=None):
     plan = analytics.plan_mean_variance(IDS, frac_bits=8, window_start=window_start)
-    rows = {i: {"x": x + i} for i in IDS}
+    rows = {i: {"x": x + i} for i in IDS} if rows is None else rows
     return analytics.run_plan(wire.framework, plan, rows, seed=1, registry=wire.registry)
 
 
@@ -208,6 +208,12 @@ def _wide_square(wire):
 PLAN = {
     "plan-overflow": (FixedPointOverflow, _wide_square),
     "plan-window-reused": (SlotReused, lambda w: _plan(w, window_start=18)),
+    "plan-missing-row": (
+        IncompleteGroup, lambda w: _plan(w, rows={i: {"x": i} for i in IDS[:-1]})
+    ),
+    "plan-missing-column": (
+        IncompleteGroup, lambda w: _plan(w, rows={i: {"y": i} for i in IDS})
+    ),
 }
 
 
