@@ -90,7 +90,8 @@ class NonInvertibleBroadcast(ProtocolError):
 
 
 class ExtractionFailed(ProtocolError):
-    """Key-share product was not a power of (1+M); master keys are corrupt."""
+    """Key-share blinds do not multiply to 1 mod M, so no share product is a
+    power of (1+M); refused before any share is posted."""
 
 
 class RingTooSmall(ProtocolError):

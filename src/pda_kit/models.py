@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import GroupTooSmall, ResultOverflow
+from .errors import DuplicateId, GroupTooSmall, ResultOverflow
 from .errors import field, hex_field, json_int, json_key
 
 
@@ -48,6 +48,8 @@ class AggPolynomial:
 
     def validate(self) -> None:
         members = set(self.participants)
+        if len(members) != len(self.participants):
+            raise DuplicateId(f"repeated participants in {list(self.participants)}")
         for term in self.terms:
             if len(dict(term.powers)) != len(term.powers):
                 raise ValueError(f"a term names a participant twice: {term.powers}")

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult
 from .errors import IncompleteGroup, KeyMissing, ProtocolError, ResultOverflow, SingularSystem
-from .numtheory import mod_inv
+from .numtheory import evaluate_packed, mod_inv
 from .rng import Rng
 
 
@@ -277,14 +277,6 @@ def _solve_mod(matrix: list[list[int]], rhs: list[int], modulus: int) -> list[in
     return [a[i][size] % modulus for i in range(size)]
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
-    """Evaluate sum_j coeffs[j] * x^(j+1) (zero constant term)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc + c) * x % modulus
-    return acc
-
-
 @dataclass(frozen=True)
 class CollusionOutcome:
     status: str  # "recovered" | "undetermined"
@@ -320,10 +312,12 @@ def collusion_attack(
         ]
         rhs = [coalition[i] for i in solve_ids]
         coeffs = _solve_mod(matrix, rhs, n_tilde)
-        for i in members[degree:]:
-            if _poly_eval(coeffs, i, n_tilde) != coalition[i] % n_tilde:
+        extra = members[degree:]
+        *checks, (recovered,) = evaluate_packed([coeffs], [*extra, victim], n_tilde)
+        for i, (value,) in zip(extra, checks):
+            if value != coalition[i] % n_tilde:
                 raise SingularSystem(f"coalition point of {i} is inconsistent")
-        return CollusionOutcome(status="recovered", recovered=_poly_eval(coeffs, victim, n_tilde))
+        return CollusionOutcome(status="recovered", recovered=recovered)
 
     # Underdetermined: interpolate one candidate through the coalition points
     # padded with zero evaluations at fresh abscissae, then shift it by
@@ -361,7 +355,6 @@ def collusion_attack(
 @dataclass(frozen=True)
 class RushingOutcome:
     predicted: int
-    actual: int
     matched: bool
     result: CeremonyResult
 
@@ -404,12 +397,9 @@ def rushing_attack_demo(
         )
 
     result = run_ceremony(driver, ids, seed)
-    y_victim = observed[victim]
-    predicted = pow(y_victim, a, nt)
-    actual = result.outputs[victim]
+    predicted = pow(observed[victim], a, nt)
     return RushingOutcome(
         predicted=predicted,
-        actual=actual,
-        matched=predicted == actual,
+        matched=predicted == result.outputs[victim],
         result=result,
     )

@@ -446,13 +446,6 @@ def slot_exponent(t: int, n_tilde: int, seed: bytes = b"") -> int:
     """Public exponent a_t = XOF(seed || t) mod N~ of the slot hash H(t) = h^{a_t}."""
     if t < 0:
         raise ValueError("time slots are non-negative")
-    return _slot_exponent(t, n_tilde, seed)
-
-
-# Every member of a group masks the same window, so each slot is hashed
-# once a query; the cache holds a whole window of any practical length.
-@functools.lru_cache(maxsize=1024)
-def _slot_exponent(t: int, n_tilde: int, seed: bytes) -> int:
     t_bytes = t.to_bytes(max(1, (t.bit_length() + 7) // 8), "big")
     material = (
         _HASH_DOMAIN
@@ -643,20 +636,18 @@ def share_exchange(
     base the dlog of prod_j a_j mod M^2: one dlog and n inversions a
     call, then one half-width product a share.  When prod_j a_j != 1
     (mod M), no party's product is a (1+M) power, and ExtractionFailed
-    names the first party once the first degree's round has closed.
+    names `kind` before any round opens, so the bus stays empty.
     """
     ids = sorted(blinds)
     m2 = modulus * modulus
     points: dict[int, dict[int, int]] = {i: {} for i in ids}
     reduced = [blinds[j] % m2 for j in ids]
     lows = [blind % modulus for blind in reduced]
-    unbalanced: NotInSubgroup | None = None
     try:
         base = dlog_one_plus_m(math.prod(lows) % m2, modulus)
     except NotInSubgroup as exc:
-        unbalanced = exc
-    else:
-        inverses = {j: mod_inv(low, modulus) for j, low in zip(ids, lows)}
+        raise ExtractionFailed(f"{kind} blinds do not multiply to 1 mod M") from exc
+    inverses = {j: mod_inv(low, modulus) for j, low in zip(ids, lows)}
 
     for d in degrees:
         label = f"{kind}:{d}"
@@ -675,11 +666,6 @@ def share_exchange(
                     bus.post(j, label, (share,), to=i)
                 else:
                     own[i] = share
-        if unbalanced is not None:
-            bus.end_round()
-            raise ExtractionFailed(
-                f"{label} product for party {ids[0]} is not a (1+M) power"
-            ) from unbalanced
         sums = {i: share // modulus * inverses[i] for i, share in own.items()}
         for msg in bus.end_round():
             sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]

@@ -153,11 +153,6 @@ class Window:
     def end(self) -> int:
         return self.start + self.length
 
-    def slot(self, k: int) -> int:
-        if not 0 <= k < self.length:
-            raise ValueError(f"term index {k} outside window")
-        return self.start + k
-
     def overlaps(self, other: "Window") -> bool:
         return self.start < other.end and other.start < self.end
 
@@ -454,20 +449,17 @@ def mask_exponent(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
     return key.evaluations[d] * lagrange_weights(group)[key.id] % params.N_tilde
 
 
-def _encode(params: PdaParams, s: int, x: int, e: int, t: int) -> int:
-    """x^e * H(t)^s mod N, with H(t)^s = h^{a_t * s mod N~} as ord(h) | N~."""
+def encode_value(
+    params: PdaParams, key: PdaEncKey, group: Sequence[int], x: int, e: int, t: int
+) -> int:
+    """C(x) = x^e * H(t)^s mod N with s = q * lambda, and H(t)^s =
+    h^{a_t * s mod N~} as ord(h) | N~."""
+    s = mask_exponent(params, key, group)
     a_t = slot_exponent(t, params.N_tilde, params.hash_seed)
     mask = fixed_base_pow(params.h, a_t * s % params.N_tilde, params.N, params.N_tilde)
     if e == 0:
         return mask
     return pow(x % params.N, e, params.N) * mask % params.N
-
-
-def encode_value(
-    params: PdaParams, key: PdaEncKey, group: Sequence[int], x: int, e: int, t: int
-) -> int:
-    """C(x) = x^e * H(t)^{q * lambda} mod N."""
-    return _encode(params, mask_exponent(params, key, group), x, e, t)
 
 
 # Every member of a query's group masks the same window, so its slot
@@ -573,10 +565,9 @@ def aggregate(
     params: PdaParams, agg_keys: paillier.AggKeyPair, blinded: Sequence[int]
 ) -> int:
     """Multiply, decrypt the integer sum, reduce mod N: exact f(x_P)."""
-    pk = agg_keys.public()
     acc = 1
     for ct in blinded:
-        acc = acc * ct % pk.nsq
+        acc = acc * ct % agg_keys.nsq
     return paillier.decrypt(agg_keys, acc) % params.N
 
 

@@ -206,8 +206,10 @@ def test_keygen_extraction_failed():
     bus = Bus(range(1, 5))
     masters = arith.initialize(bus, params, Rng("i"), ids=range(1, 5))
     masters[2] = masters[2] * 7 % params.master_modulus  # corrupt one master key
+    keygen_bus = Bus(range(1, 5))
     with pytest.raises(ExtractionFailed):
-        arith.keygen(Bus(range(1, 5)), params, Rng("k"), masters)
+        arith.keygen(keygen_bus, params, Rng("k"), masters)
+    assert keygen_bus.round_no == 0
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,32 @@ def test_aggregation_accounting_matches_a_recount(pda_system):
     _assert_accounting_matches_recount(result.bus)
 
 
+def test_aggregation_derives_each_slot_exponent_once(monkeypatch, pda_system):
+    # every member masks the same window, so an aggregation over n members
+    # and m terms derives m slot exponents, not m * n
+    system, _ = pda_system
+    ids = tuple(sorted(system.enc_keys))
+    m, start = 3, 90_000
+    query = pda.PdaQuery(
+        coeffs=(1,) * m,
+        exponents={ids[0]: {0: 1}},
+        participants=ids,
+        window=pda.Window(start, m),
+    )
+    derived = []
+
+    def counted(t, *args):
+        derived.append(t)
+        return numtheory.slot_exponent(t, *args)
+
+    monkeypatch.setattr(pda, "slot_exponent", counted)
+    pda._window_exponents.cache_clear()
+    netsim.run_pda_aggregation(
+        system, query, {i: [i] * m for i in ids}, seed=3, registry=pda.SlotRegistry()
+    )
+    assert sorted(derived) == list(range(start, start + m))
+
+
 def test_authority_aggregation_accounting_matches_a_recount(arith_system):
     system, _ = arith_system
     members = (1, 2, 3, 4)
@@ -257,6 +283,17 @@ def test_collusion_threshold_boundary(attack_system):
                 assert out.recovered == keys[victim].evaluations[d]
             else:
                 assert out.status == "undetermined"
+
+
+def test_collusion_refuses_an_inconsistent_extra_point(attack_system):
+    # points past the first d check the solved polynomial; one off by one is named
+    nt = attack_system.params.N_tilde
+    keys = attack_system.enc_keys
+    d = 2
+    coalition = {i: keys[i].evaluations[d] for i in (1, 3, 5, 6)}
+    coalition[5] += 1
+    with pytest.raises(SingularSystem, match="^coalition point of 5 is inconsistent$"):
+        netsim.collusion_attack(nt, coalition, d, 7)
 
 
 def test_collusion_rejects_victim_in_coalition(attack_system):

@@ -176,8 +176,10 @@ def test_keygen_extraction_failed(toy_params):
     bus = Bus(range(1, 5))
     y = pda.ring_share(bus, toy_params, Rng("ek").fork("ring"), ids=range(1, 5))
     y[2] = y[2] * 3 % toy_params.N_tilde  # breaks prod Y = 1
+    keygen_bus = Bus(range(1, 5))
     with pytest.raises(ExtractionFailed):
-        pda.keygen(Bus(range(1, 5)), toy_params, Rng("ek2"), y, degrees=[2])
+        pda.keygen(keygen_bus, toy_params, Rng("ek2"), y, degrees=[2])
+    assert keygen_bus.round_no == 0
 
 
 def test_mask_cancellation_invariant(pda_system):

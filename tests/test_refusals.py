@@ -161,6 +161,9 @@ LONE = models.AggPolynomial(terms=(term(1, {1: 1}),), participants=(1,))
 LONE_SIGMA = models.AggPolynomial(
     terms=(term(1, {1: 1, 2: 1}), term(1, {3: 2})), participants=PARTICIPANTS
 )
+REPEATED = models.AggPolynomial(
+    terms=(term(1, {1: 1}), term(1, {2: 1}), term(1, {3: 1})), participants=(1, 1, 2, 3)
+)
 
 ARITH = {
     "sum-op": (ValueError, lambda w: _group_sum(w, op="xor")),
@@ -178,6 +181,7 @@ for name, flow, size in (("authority", _authority, 7), ("members", _members, 6))
     ARITH.update({
         f"{name}-named-twice": (ValueError, lambda w, f=flow: f(w, TWICE)),
         f"{name}-outsider": (ValueError, lambda w, f=flow: f(w, OUTSIDER)),
+        f"{name}-repeated-participant": (DuplicateId, lambda w, f=flow: f(w, REPEATED)),
         f"{name}-zero-power": (ValueError, lambda w, f=flow: f(w, ZERO_POWER)),
         f"{name}-below-n-min": (GroupTooSmall, lambda w, f=flow: f(w, LONE)),
         f"{name}-sigma-below-n-min": (GroupTooSmall, lambda w, f=flow: f(w, LONE_SIGMA)),
