@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from . import analytics, arith, netsim, paillier, pda
+from . import analytics, arith, attacks, netsim, paillier, pda
 from .errors import BadField, DuplicateId, InvalidKey, ProtocolError
 from .rng import Rng
 
@@ -231,7 +231,7 @@ def cmd_attack(args) -> None:
         coalition = {
             i: system.enc_keys[i].evaluations[args.degree] for i in members
         }
-        outcome = netsim.collusion_attack(
+        outcome = attacks.collusion_attack(
             system.params.N_tilde, coalition, args.degree, victim
         )
         doc = {"attack": "collusion", "degree": args.degree, "coalition": sorted(members),
@@ -247,14 +247,15 @@ def cmd_attack(args) -> None:
     else:
         params = pda.setup(args.kappa, args.n, 3, Rng(seed).fork("setup"))
         victim = 1 + args.n // 2
-        base = netsim.rushing_attack_demo(params, victim, seed, hardened_k=0)
-        hardened = netsim.rushing_attack_demo(params, victim, seed, hardened_k=args.hardened_k or 1)
+        hardened_k = 1 if args.hardened_k is None else args.hardened_k
+        base = attacks.rushing_attack_demo(params, victim, seed, hardened_k=0)
+        hardened = attacks.rushing_attack_demo(params, victim, seed, hardened_k=hardened_k)
         _emit(
             {
                 "attack": "rushing",
                 "victim": victim,
                 "base_matched": base.matched,
-                "hardened_k": args.hardened_k or 1,
+                "hardened_k": hardened_k,
                 "hardened_matched": hardened.matched,
             },
             args.out,

@@ -244,10 +244,14 @@ def authority_aggregate(
     multiplicatively over P* = P + {virtual}; the authority completes each
     term with the virtual mask share g^{R*lambda} and sums.  Single-owner
     terms go through the extra additive round instead of being broadcast.
+    A P that names the virtual participant is refused with DuplicateId:
+    P* would be P, and the authority's mask would be applied twice.
     Every participant's key and value, and every mask (so every group
     and key share), are checked before the first post.
     """
     poly.validate()
+    if virtual_id in poly.participants:
+        raise DuplicateId(f"virtual participant {virtual_id} is among the participants")
     sigma = [term for term in poly.terms if len(term.owners) == 1]
     group = tuple(sorted(set(poly.participants) | {virtual_id}))
     arith.require_inputs(enc_keys, group, data, poly.participants)

@@ -1,23 +1,18 @@
-"""Ceremony drivers and the adversary harness on the broadcast bus.
+"""Ceremony drivers on the broadcast bus; the attacks on them live in `attacks`.
 
 run_ceremony wires a seeded stream and a fresh bus into a driver and
-packages transcript, outputs and byte accounting.  The attack side
-implements the coalition interpolation attack (exact key recovery once
-the coalition reaches the hidden polynomial degree, a constructive
-two-witness ambiguity proof below it) and the rushing-attack
-demonstration against the base and hardened ring exchanges.
+packages transcript, outputs and byte accounting.  The drivers assemble
+each scheme's system (set-up and key ceremony) and run its aggregations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult
-from .errors import IncompleteGroup, KeyMissing, ProtocolError, ResultOverflow, SingularSystem
-from .numtheory import evaluate_packed, mod_inv
+from .errors import IncompleteGroup, KeyMissing, ProtocolError, ResultOverflow
 from .rng import Rng
 
 
@@ -247,159 +242,3 @@ def run_pda_aggregation(
     parties = (AGGREGATOR_ID, *query.participants)
     result = run_ceremony(driver, parties, seed)
     return result.outputs, result
-
-
-# ---------------------------------------------------------------------------
-# coalition interpolation attack
-# ---------------------------------------------------------------------------
-
-def _solve_mod(matrix: list[list[int]], rhs: list[int], modulus: int) -> list[int]:
-    """Gaussian elimination mod `modulus` with unit-pivot search."""
-    size = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = None
-        for row in range(col, size):
-            if math.gcd(a[row][col] % modulus, modulus) == 1:
-                pivot = row
-                break
-        if pivot is None:
-            raise SingularSystem(f"no invertible pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = mod_inv(a[col][col], modulus)
-        a[col] = [v * inv % modulus for v in a[col]]
-        for row in range(size):
-            if row != col and a[row][col]:
-                factor = a[row][col]
-                a[row] = [
-                    (v - factor * w) % modulus for v, w in zip(a[row], a[col])
-                ]
-    return [a[i][size] % modulus for i in range(size)]
-
-
-@dataclass(frozen=True)
-class CollusionOutcome:
-    status: str  # "recovered" | "undetermined"
-    recovered: int | None = None
-    witnesses: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-
-def collusion_attack(
-    n_tilde: int,
-    coalition: Mapping[int, int],
-    degree: int,
-    victim: int,
-) -> CollusionOutcome:
-    """Pool coalition key points against the degree-d hidden polynomial.
-
-    With s >= d points the zero-constant polynomial is solved exactly and
-    the victim's key evaluation follows.  With s < d two distinct
-    zero-constant degree-d polynomials consistent with every coalition
-    point are returned as a constructive witness that the victim's key is
-    information-theoretically undetermined.
-    """
-    members = sorted(coalition)
-    if len(set(members)) != len(members) or victim in coalition:
-        raise SingularSystem("coalition IDs must be distinct and exclude the victim")
-    s = len(members)
-    if degree < 1:
-        raise ValueError("degree must be positive")
-
-    if s >= degree:
-        solve_ids = members[:degree]
-        matrix = [
-            [pow(i, t, n_tilde) for t in range(1, degree + 1)] for i in solve_ids
-        ]
-        rhs = [coalition[i] for i in solve_ids]
-        coeffs = _solve_mod(matrix, rhs, n_tilde)
-        extra = members[degree:]
-        *checks, (recovered,) = evaluate_packed([coeffs], [*extra, victim], n_tilde)
-        for i, (value,) in zip(extra, checks):
-            if value != coalition[i] % n_tilde:
-                raise SingularSystem(f"coalition point of {i} is inconsistent")
-        return CollusionOutcome(status="recovered", recovered=recovered)
-
-    # Underdetermined: interpolate one candidate through the coalition points
-    # padded with zero evaluations at fresh abscissae, then shift it by
-    # x^(d-s) * prod (x - member): monic, vanishes at 0 and on the coalition.
-    fresh = []
-    x = max([*members, victim]) + 1
-    while len(fresh) < degree - s:
-        if x not in coalition:
-            fresh.append(x)
-        x += 1
-    points = [(i, coalition[i]) for i in members] + [(j, 0) for j in fresh]
-    matrix = [[pow(i, t, n_tilde) for t in range(1, degree + 1)] for i, _ in points]
-    rhs = [v for _, v in points]
-    base = _solve_mod(matrix, rhs, n_tilde)
-
-    shift = [1]  # coefficients of prod (x - i), constant first
-    for i in members:
-        nxt = [0] * (len(shift) + 1)
-        for t, c in enumerate(shift):
-            nxt[t] = (nxt[t] - c * i) % n_tilde
-            nxt[t + 1] = (nxt[t + 1] + c) % n_tilde
-        shift = nxt
-    # multiply by x^(degree-s): total degree d, no constant term
-    full = [0] * (degree - s - 1) + shift  # coefficient of x^1 .. x^d
-    second = tuple((b + f) % n_tilde for b, f in zip(base, full))
-    return CollusionOutcome(
-        status="undetermined", witnesses=(tuple(base), second)
-    )
-
-
-# ---------------------------------------------------------------------------
-# rushing attack demo
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RushingOutcome:
-    predicted: int
-    matched: bool
-    result: CeremonyResult
-
-
-def rushing_attack_demo(
-    params: pda.PdaParams,
-    victim: int,
-    seed: int | str | bytes,
-    hardened_k: int = 0,
-) -> RushingOutcome:
-    """Adaptive neighbour against the ring exchange.
-
-    The attacker sits just below the victim and, after seeing the honest
-    broadcasts, publishes y_(v-1) = y_(v+1) * g~^(-a).  On the base ring
-    the victim's mask collapses to y_v^a, which the attacker predicts
-    from public data alone; the hardened relay breaks the prediction.
-    """
-    ids = tuple(range(1, params.n + 1))
-    ring = sorted(ids)
-    pos = ring.index(victim)
-    attacker = ring[(pos - 1) % len(ring)]
-    after = ring[(pos + 1) % len(ring)]
-    nt = params.N_tilde
-    a = Rng(seed).fork("attack:a").unit(nt)
-
-    observed: dict[int, int] = {}
-
-    def adaptive_pick(y_seen: Mapping[int, int]) -> int:
-        observed.update(y_seen)
-        return y_seen[after] * mod_inv(pow(params.g_tilde, a, nt), nt) % nt
-
-    def driver(bus: Bus, crng: Rng):
-        return pda.ring_share(
-            bus,
-            params,
-            crng.fork("ring"),
-            ids=ids,
-            k_collusion=hardened_k,
-            late={attacker: adaptive_pick},
-        )
-
-    result = run_ceremony(driver, ids, seed)
-    predicted = pow(observed[victim], a, nt)
-    return RushingOutcome(
-        predicted=predicted,
-        matched=predicted == result.outputs[victim],
-        result=result,
-    )

@@ -547,9 +547,10 @@ def ring_exchange(
     each raising it to its own exponent, before party i applies r_i --
     one extra bus round per hop.
 
-    A ring of hops+2 parties or fewer is refused with RingTooSmall: at
-    hops+2 the base y_{i+hops+1} * y_{i-1}^{-1} is 1, so every Y_i would
-    be 1 and blind nothing.
+    A negative `hops` is refused with ValueError.  A ring of hops+2
+    parties or fewer is refused with RingTooSmall: at hops+2 the base
+    y_{i+hops+1} * y_{i-1}^{-1} is 1, so every Y_i would be 1 and blind
+    nothing.
 
     Parties in `late` broadcast in a second round, the value their
     callback picks after seeing the first round's broadcasts.
@@ -558,6 +559,8 @@ def ring_exchange(
     has one; every power is then taken by CRT (see `unit_power`).  The
     generator must be a unit, else NotInvertible.
     """
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
     ring = sorted(exponents)
     if len(ring) <= hops + 2:
         raise RingTooSmall(f"ring with {hops} relay hops needs more than {hops + 2} parties")

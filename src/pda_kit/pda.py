@@ -379,9 +379,6 @@ def ring_share(
     """
     ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     nt = params.N_tilde
-    if k_collusion < 0:
-        raise ValueError("k_collusion must be >= 0")
-
     r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
     return ring_exchange(bus, nt, params.g_tilde, r, hops=k_collusion, late=late)
 

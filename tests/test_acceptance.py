@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pda_kit import analytics, arith, netsim, pda
+from pda_kit import analytics, arith, attacks, netsim, pda
 from pda_kit.bus import Bus
 from pda_kit.errors import SlotReused
 from pda_kit.rng import Rng
@@ -273,7 +273,7 @@ def test_criterion_6_collusion_threshold():
             for s in range(1, 8):
                 members = rnd.sample(pool, s)
                 coalition = {i: keys[i].evaluations[d] for i in members}
-                out = netsim.collusion_attack(params.N_tilde, coalition, d, victim)
+                out = attacks.collusion_attack(params.N_tilde, coalition, d, victim)
                 if s >= d:
                     assert out.status == "recovered", f"d={d} s={s} failed to recover"
                     assert out.recovered == truth, f"d={d} s={s} recovered wrong key"
@@ -311,10 +311,10 @@ def test_criterion_7_rushing():
     base_hits = 0
     hardened_misses = 0
     for seed in range(100):
-        base = netsim.rushing_attack_demo(params, victim=3, seed=seed)
+        base = attacks.rushing_attack_demo(params, victim=3, seed=seed)
         if base.matched:
             base_hits += 1
-        hardened = netsim.rushing_attack_demo(params, victim=3, seed=seed, hardened_k=1)
+        hardened = attacks.rushing_attack_demo(params, victim=3, seed=seed, hardened_k=1)
         if not hardened.matched:
             hardened_misses += 1
     assert base_hits == 100, f"base ring prediction matched only {base_hits}/100"

@@ -408,6 +408,14 @@ def test_attack_rushing(capsys):
     assert out["hardened_matched"] is False
 
 
+def test_attack_rushing_runs_the_k_it_reports(capsys):
+    # k=0 is the base ring, so the "hardened" run is matched exactly when the base one is
+    assert run_cli("attack", "rushing", "--n", "5", "--seed", "23", "--hardened-k", "0") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hardened_k"] == 0
+    assert out["hardened_matched"] == out["base_matched"]
+
+
 def test_attack_collusion_recovered(capsys):
     assert run_cli(
         "attack", "collusion", "--degree", "2", "--coalition", "3",

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from pda_kit import models, netsim, paillier, pda
+from pda_kit import attacks, models, netsim, paillier, pda
 from pda_kit.bus import Bus
 
 
@@ -111,7 +111,7 @@ def test_pda_aggregation_digest(pda_golden):
 @pytest.mark.parametrize("k", [0, 1])
 def test_rushing_digest(pda_golden, k):
     system, _ = pda_golden[0]
-    outcome = netsim.rushing_attack_demo(
+    outcome = attacks.rushing_attack_demo(
         system.params, victim=4, seed="golden:rush", hardened_k=k
     )
     assert outcome.matched == (k == 0)

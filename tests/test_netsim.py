@@ -1,13 +1,12 @@
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
 
 from pda_kit import arith, models, netsim, numtheory, pda
 from pda_kit.bus import Bus, _hex_len as hex_len
-from pda_kit.errors import GroupTooSmall, KeyMissing, RingTooSmall, SingularSystem
+from pda_kit.errors import GroupTooSmall, KeyMissing, RingTooSmall
 from pda_kit.rng import Rng
 
 
@@ -223,112 +222,17 @@ def test_keygen_traffic_grows_quadratically():
 
 
 # ---------------------------------------------------------------------------
-# collusion attack
+# late broadcasts on the ring
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def attack_system():
-    return netsim.build_pda_system(kappa=16, n=7, theta_min=3, seed=606, m_max=4)[0]
-
-
-def test_collusion_exact_recovery(attack_system):
-    nt = attack_system.params.N_tilde
-    keys = attack_system.enc_keys
-    for d, coalition_ids in [(2, [1, 3]), (3, [2, 4, 6]), (2, [5, 6, 7])]:
-        victim = next(i for i in sorted(keys) if i not in coalition_ids)
-        coalition = {i: keys[i].evaluations[d] for i in coalition_ids}
-        out = netsim.collusion_attack(nt, coalition, d, victim)
-        assert out.status == "recovered"
-        assert out.recovered == keys[victim].evaluations[d]
-
-
-def test_collusion_undetermined_with_witnesses(attack_system):
-    nt = attack_system.params.N_tilde
-    keys = attack_system.enc_keys
-    d, coalition_ids, victim = 3, [2, 5], 4
-    coalition = {i: keys[i].evaluations[d] for i in coalition_ids}
-    out = netsim.collusion_attack(nt, coalition, d, victim)
-    assert out.status == "undetermined"
-    w1, w2 = out.witnesses
-    assert len(w1) == len(w2) == d
-    assert w1 != w2
-
-    def ev(coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc + c) * x % nt
-        return acc
-
-    for i in coalition_ids:
-        assert ev(w1, i) == coalition[i] % nt
-        assert ev(w2, i) == coalition[i] % nt
-    # the two witnesses disagree at the victim: the key is genuinely ambiguous
-    assert ev(w1, victim) != ev(w2, victim)
-
-
-def test_collusion_threshold_boundary(attack_system):
-    # success iff coalition size >= degree
-    nt = attack_system.params.N_tilde
-    keys = attack_system.enc_keys
-    rnd = random.Random(42)
-    ids = sorted(keys)
-    for d in (2, 3, 4):
-        for s in (1, 2, 3, 4, 5):
-            victim = ids[-1]
-            members = rnd.sample(ids[:-1], s)
-            coalition = {i: keys[i].evaluations[d] for i in members}
-            out = netsim.collusion_attack(nt, coalition, d, victim)
-            if s >= d:
-                assert out.status == "recovered"
-                assert out.recovered == keys[victim].evaluations[d]
-            else:
-                assert out.status == "undetermined"
-
-
-def test_collusion_refuses_an_inconsistent_extra_point(attack_system):
-    # points past the first d check the solved polynomial; one off by one is named
-    nt = attack_system.params.N_tilde
-    keys = attack_system.enc_keys
-    d = 2
-    coalition = {i: keys[i].evaluations[d] for i in (1, 3, 5, 6)}
-    coalition[5] += 1
-    with pytest.raises(SingularSystem, match="^coalition point of 5 is inconsistent$"):
-        netsim.collusion_attack(nt, coalition, d, 7)
-
-
-def test_collusion_rejects_victim_in_coalition(attack_system):
-    nt = attack_system.params.N_tilde
-    keys = attack_system.enc_keys
-    with pytest.raises(SingularSystem):
-        netsim.collusion_attack(nt, {1: keys[1].evaluations[2], 2: keys[2].evaluations[2]}, 2, 1)
-
-
-# ---------------------------------------------------------------------------
-# rushing attack
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def rushing_params():
+def ring_params():
     return pda.setup(16, 5, 3, Rng("rush"))
 
 
-def test_rushing_succeeds_on_base_ring(rushing_params):
-    for seed in range(10):
-        out = netsim.rushing_attack_demo(rushing_params, victim=3, seed=seed)
-        assert out.matched
-
-
-def test_rushing_fails_on_hardened_ring(rushing_params):
-    for seed in range(10):
-        out = netsim.rushing_attack_demo(
-            rushing_params, victim=3, seed=seed, hardened_k=1
-        )
-        assert not out.matched
-
-
-def test_late_party_with_its_own_broadcast_leaves_masks_unchanged(rushing_params):
+def test_late_party_with_its_own_broadcast_leaves_masks_unchanged(ring_params):
     # a late party that broadcasts its own g~^r is an ordinary party one round later
-    nt, g = rushing_params.N_tilde, rushing_params.g_tilde
+    nt, g = ring_params.N_tilde, ring_params.g_tilde
     rng = Rng("late")
     exponents = {i: rng.fork(f"party:{i}").unit(nt) for i in range(1, 6)}
     seen = {}

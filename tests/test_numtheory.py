@@ -802,3 +802,10 @@ def test_ring_exchange_refuses_non_unit_generator(p):
             with pytest.raises(NotInvertible):
                 ring_exchange(bus, modulus, generator, {1: 3, 2: 4, 3: 6}, **kwargs)
             assert bus.rounds == []
+
+
+def test_ring_exchange_refuses_negative_hops():
+    bus = Bus((1, 2, 3, 4))
+    with pytest.raises(ValueError, match="hops"):
+        ring_exchange(bus, 23, 5, {1: 3, 2: 4, 3: 6, 4: 7}, hops=-1)
+    assert bus.round_no == 0

@@ -161,6 +161,8 @@ LONE = models.AggPolynomial(terms=(term(1, {1: 1}),), participants=(1,))
 LONE_SIGMA = models.AggPolynomial(
     terms=(term(1, {1: 1, 2: 1}), term(1, {3: 2})), participants=PARTICIPANTS
 )
+# the authority system's virtual participant is 7
+VIRTUAL = models.AggPolynomial(terms=(term(1, {1: 1, 2: 1, 7: 1}),), participants=(1, 2, 3, 7))
 REPEATED = models.AggPolynomial(
     terms=(term(1, {1: 1}), term(1, {2: 1}), term(1, {3: 1})), participants=(1, 1, 2, 3)
 )
@@ -176,6 +178,7 @@ ARITH = {
     "authority-no-virtual-key": (
         KeyMissing, lambda w: _authority(w, keys=lambda ks: _without(ks, 7))
     ),
+    "authority-virtual-participant": (DuplicateId, lambda w: _authority(w, VIRTUAL)),
 }
 for name, flow, size in (("authority", _authority, 7), ("members", _members, 6)):
     ARITH.update({
