@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
-from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv
+from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv, pow
 from .rng import Rng
 
 

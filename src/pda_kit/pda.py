@@ -49,6 +49,7 @@ from .numtheory import (
     hash_to_subgroup,
     lagrange_weights,
     mod_inv,
+    pow,
     ring_exchange,
     share_exchange,
     slot_exponent,
