@@ -1,23 +1,25 @@
 """Modular big-integer substrate shared by both aggregation schemes.
 
 Covers probabilistic prime generation (safe primes and correlated
-semiprimes), fixed-base exponentiation from a cached comb of the
-base's powers, denominator-cleared Lagrange weights (built once per
-group), the (1+M)-subgroup discrete log, the public slot exponent a_t
-of the hash H(t) = h^{a_t} into the hidden subgroup, and the two key
-ceremonies both schemes run on the bus: the ring exchange (by CRT on a
-ring whose factorization is public) and the blinded (1+M)-power share
-exchange (every share of a degree from one packed evaluation).  The
-schemes differ only in the ring (p^2(p-1)^2 or N~^2) and in what they
-feed these ceremonies.
+semiprimes), fixed-base exponentiation (from a cached comb of the
+base's powers, or by `pows` for a wide modulus), denominator-cleared
+Lagrange weights (built once per group), the (1+M)-subgroup discrete
+log, the public slot exponent a_t of the hash H(t) = h^{a_t} into the
+hidden subgroup, and the two key ceremonies both schemes run on the
+bus: the ring exchange (by CRT on a ring whose factorization is
+public) and the blinded (1+M)-power share exchange (every share of a
+degree from one packed evaluation).  The schemes differ only in the
+ring (p^2(p-1)^2 or N~^2) and in what they feed these ceremonies.
 All values are plain Python ints; modular results are reduced into
 [0, modulus).
 
 The module's `pow` is the builtin's, except that a wide modular
 exponentiation goes to OpenSSL's BN_mod_exp (Montgomery multiplication)
 through ctypes when libcrypto loads; `paillier` and `pda` import it.
-Its results are the builtin's, so transcripts do not depend on whether
-the library loaded, only timings do.
+`pows` takes a batch of independent exponentiations and spreads wide
+library calls over the process's cores.  Results are the builtin's, so
+transcripts do not depend on whether the library loaded or on the
+cores, only timings do.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import ctypes.util
 import functools
 import hashlib
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice, takewhile, zip_longest
@@ -106,15 +110,18 @@ _SIEVE_PRODUCTS = tuple(
 # division; OpenSSL's BN_mod_exp uses Montgomery multiplication for an
 # odd modulus, but a call through ctypes costs 15 to 25 us of conversion
 # and allocation.  Per call, in us, builtin / BN_mod_exp, for a random
-# odd modulus and an exponent of the given width (CPython 3.11, OpenSSL
-# 3, x86-64 Xeon):
-#   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus
-#        64         1.9 / 22     10 / 23       17 / 36       21 / 32
-#        96         2.7 / 23     14 / 24       24 / 25       38 / 29
-#       128         3.8 / 25     17 / 15       26 / 19       46 / 25
-#       256         5.8 / 16     27 / 23       44 / 19       173 / 35
-#      1024          49 / 25    202 / 32      346 / 43       4,795 / 381
-#      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165
+# odd modulus and an exponent of the given width, and for an exponent as
+# wide as the modulus also a fixed-base walk of a cached comb (below);
+# CPython 3.11, OpenSSL 3, x86-64 Xeon:
+#   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus / walk
+#        64         1.9 / 22     10 / 23       17 / 36       21 / 32              2.6
+#        96         2.7 / 23     14 / 24       24 / 25       38 / 29              5.2
+#       128         3.8 / 25     17 / 15       26 / 19       46 / 25              7.6
+#       256         5.8 / 16     27 / 23       44 / 19       173 / 35              22
+#       448                                                  616 / 109             85
+#       512                                                  970 / 95             119
+#      1024          49 / 25    202 / 32      346 / 43       4,795 / 381        1,108
+#      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165   88,959
 # So BN_mod_exp gets an exponent of at least 64 bits modulo at least 96
 # bits, where the two tie at the corner and BN wins by up to 14 times
 # beyond it.  A wider modulus moves the crossover to shorter exponents,
@@ -124,9 +131,13 @@ _SIEVE_PRODUCTS = tuple(
 # and up to 3.7 times it from 256; every wide modulus pda-kit uses is
 # odd.  Everything else goes to the builtin: a negative exponent (an
 # inverse), a bool, an int subclass or any other type, a modulus that is
-# not positive, a library that did not load or a call that failed.
+# not positive, a library that did not load or a call that failed.  The
+# walk beats BN_mod_exp up to 448 bits and loses from 512 (they tie
+# between, at 464 to 480 bits), so `fixed_base_pows` walks only moduli
+# below _WALK_CEILING while the library is loaded.
 _BN_MOD_FLOOR = 1 << 95  # moduli of at least 96 bits
 _BN_EXP_FLOOR = 1 << 63  # exponents of at least 64 bits
+_WALK_CEILING = 1 << 479  # moduli of at least 480 bits skip the comb
 
 
 def _load_libcrypto() -> ctypes.CDLL | None:
@@ -157,17 +168,21 @@ def _load_libcrypto() -> ctypes.CDLL | None:
 _libcrypto = _load_libcrypto()
 
 
-def pow(base, exp, mod=None):
-    """builtins.pow(base, exp, mod), by BN_mod_exp where that is faster."""
-    lib = _libcrypto
-    if (
-        lib is not None
-        and type(exp) is int
+def _routed(base, exp, mod) -> bool:
+    """Whether `pow` hands (base, exp, mod) to BN_mod_exp, libcrypto loaded."""
+    return (
+        type(exp) is int
         and exp >= _BN_EXP_FLOOR
         and type(mod) is int
         and mod >= _BN_MOD_FLOOR
         and type(base) is int
-    ):
+    )
+
+
+def pow(base, exp, mod=None):
+    """builtins.pow(base, exp, mod), by BN_mod_exp where that is faster."""
+    lib = _libcrypto
+    if lib is not None and _routed(base, exp, mod):
         value = _bn_mod_exp(lib, base % mod, exp, mod)
         if value is not None:
             return value
@@ -198,6 +213,79 @@ def _bn_mod_exp(lib: ctypes.CDLL, base: int, exp: int, mod: int) -> int | None:
         lib.BN_CTX_free(ctx)
 
 
+# Spreading a batch.  ctypes releases the interpreter lock during each
+# library call, so independent BN_mod_exp calls run on as many cores as
+# the process may use.  A thread costs 100 to 200 us to start and join.
+# Median us of a batch, serial / spread on 2 cores, for random odd moduli
+# and exponents as wide as the modulus or as a Paillier one (CPython
+# 3.11, OpenSSL 3, x86-64 Xeon shared with other work):
+#   modulus / exponent bits   2 calls          4 calls          8 calls
+#        768 / 768            555 / 911        965 / 1,164
+#       1041 / 1024         2,019 / 2,369    3,919 / 2,610    8,183 / 5,515
+#       1280 / 1280         2,516 / 1,526    4,200 / 2,846    7,062 / 4,703
+#       2086 / 1043         6,142 / 3,984   11,324 / 7,768
+#       4172 / 2086        41,804 / 27,942  84,045 / 55,984
+# Below 1,024 bits the thread costs more than it saves; at 1,041 bits two
+# calls still lose and four win.  So a batch is spread only when every
+# call goes to the library modulo at least 1,024 bits: the framework's
+# masks at kappa=512 (h mod a 1041-bit N, m a user), its Paillier
+# encryptions and scales (mod a 4172-bit n^2) and the two CRT halves of
+# a decryption (2086 bits).
+_SPREAD_FLOOR = 1 << 1023  # moduli of at least 1,024 bits
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def pows(items: Sequence[tuple[int, int, int]]) -> list[int]:
+    """[pow(b, e, m) for b, e, m in items], in order.
+
+    When libcrypto loaded and every item is a library call modulo at
+    least 1,024 bits, the batch runs on min(len(items), cores) threads:
+    the caller takes items 0, k, 2k, ..., worker j items j, j + k, ...,
+    each writing its own slots, and the workers are joined before this
+    returns; a worker's exception is raised here.  Every thread calls
+    the module's `pow`, so a patched `pow` sees every item.
+    """
+    spread = (
+        len(items) > 1
+        and _libcrypto is not None
+        and all(_routed(b, e, m) and m >= _SPREAD_FLOOR for b, e, m in items)
+    )
+    k = min(len(items), _cores()) if spread else 1
+    if k < 2:
+        return [pow(b, e, m) for b, e, m in items]
+    out = [0] * len(items)
+    failed = []
+
+    def share(start: int) -> None:
+        for i in range(start, len(items), k):
+            out[i] = pow(*items[i])
+
+    def worker(start: int) -> None:
+        try:
+            share(start)
+        except BaseException as exc:
+            failed.append(exc)
+
+    workers = []
+    try:
+        for start in range(1, k):
+            thread = threading.Thread(target=worker, args=(start,))
+            thread.start()
+            workers.append(thread)
+        share(0)
+    finally:
+        for thread in workers:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 def mod_inv(a: int, modulus: int) -> int:
     if modulus <= 1:
         raise ValueError("modulus must exceed 1")
@@ -214,15 +302,18 @@ def mod_inv(a: int, modulus: int) -> int:
 # bytes, not entries, because an entry costs as much memory as the
 # modulus is wide: a CPython int of that width plus its list slot.  w is
 # 8, 4 or 2, so that a digit is a byte of the exponent or a fixed split
-# of one.  The three mask shapes get:
+# of one.  The three mask shapes would get:
 #   h mod a 104-bit N, exponents below N~ (kappa=48):  w=8, 12 rows, 0.15 MB;
 #   g mod a 512-bit p, exponents below p-1:            w=8, 64 rows, 1.7 MB;
 #   h mod a 1041-bit N, exponents below N~ (kappa=512): w=4, 256 rows, 0.7 MB
 #   (w=8 would take 5.6 MB).
+# While libcrypto is loaded only the first is walked: from _WALK_CEILING
+# (480 bits) one BN_mod_exp costs less than a walk, so a batch modulo a
+# wider modulus goes to `pows` and builds no table.
 # A batch shares one table lookup and walks each exponent on its own, so
 # a walk pays per row only a digit test and, for a nonzero digit, one
-# multiplication.  `pda.encode_ordinary` walks an h shape in one batch:
-# the m slot masks of a user's query.  `arith.mul_mask` walks the g shape
+# multiplication.  `pda.encode_ordinary` takes an h shape in one batch:
+# the m slot masks of a user's query.  `arith.mul_mask` takes the g shape
 # through `fixed_base_pow`, a batch of one, once per party and round.
 # A modulus too wide for any table within the budget gets w=2: w=1 needs
 # as many entries and twice the multiplications.  `_comb` caches 8
@@ -245,16 +336,19 @@ def fixed_base_pows(
 ) -> list[int]:
     """[pow(base, e, modulus) for e in exponents], each 0 <= e < bound.
 
-    Every exponent is range-checked before any is walked.  One lookup of
-    the cached comb of (base, modulus, bound's width) serves the batch,
-    whose exponents are walked one at a time: the first radix-2^w digit
-    picks an entry of the first row, then one multiplication per further
-    nonzero digit and no squarings.  The digits are each exponent's
-    little-endian bytes at the bound's width, each split into 8/w digits
-    when w < 8.
+    Every exponent is range-checked before any is computed.  A modulus
+    of at least _WALK_CEILING goes to `pows` while libcrypto is loaded.
+    Otherwise one lookup of the cached comb of (base, modulus, bound's
+    width) serves the batch, whose exponents are walked one at a time:
+    the first radix-2^w digit picks an entry of the first row, then one
+    multiplication per further nonzero digit and no squarings.  The
+    digits are each exponent's little-endian bytes at the bound's width,
+    each split into 8/w digits when w < 8.
     """
     if not all(0 <= e < bound for e in exponents):
         raise ValueError(f"exponent outside [0, {bound})")
+    if _libcrypto is not None and modulus >= _WALK_CEILING:
+        return pows([(base, e, modulus) for e in exponents])
     bits = max(1, (bound - 1).bit_length())
     w, rows = _comb(base, modulus, bits)
     digits = [e.to_bytes((bits + 7) // 8, "little") for e in exponents]

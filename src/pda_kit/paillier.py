@@ -19,15 +19,20 @@ mod p^2 and (1+n)^{m(p-1)} = 1 + m(p-1)n mod p^2, so L_p(...) = -mq mod p
 and h_p = L_p(g^{p-1} mod p^2)^-1 = -q^-1 mod p (h_q = -p^-1 mod q): each
 half is one exponent of |p| bits modulo p^2.  A key file holds (n, lambda,
 mu); p and q are recovered from lambda on load.
+
+The two halves, and a user's batch of encryptions or scales
+(`encrypt_many`, `scale_many`), are independent exponentiations, taken
+as one `numtheory.pows` batch, which spreads wide ones over the cores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
-from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv, pow
+from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv, pow, pows
 from .rng import Rng
 
 
@@ -100,11 +105,19 @@ def required_bits(outer_modulus: int, m_max: int) -> int:
 
 
 def encrypt(pk: AggPublicKey, m: int, rng: Rng) -> int:
-    if not 0 <= m < pk.n:
+    return encrypt_many(pk, [m], rng)[0]
+
+
+def encrypt_many(pk: AggPublicKey, ms: Sequence[int], rng: Rng) -> list[int]:
+    """[encrypt(pk, m, rng) for m in ms]: the same ciphertexts and draws
+    from `rng`, every plaintext checked before the first draw, and the
+    r^n powers as one `pows` batch."""
+    if not all(0 <= m < pk.n for m in ms):
         raise MessageTooLarge(f"plaintext needs 0 <= m < {pk.n}")
-    r = rng.unit(pk.n)
     nsq = pk.nsq
-    return (1 + m * pk.n) % nsq * pow(r, pk.n, nsq) % nsq
+    rs = [rng.unit(pk.n) for _ in ms]
+    masks = pows([(r, pk.n, nsq) for r in rs])
+    return [(1 + m * pk.n) % nsq * mask % nsq for m, mask in zip(ms, masks)]
 
 
 def decrypt(keys: AggKeyPair, ct: int) -> int:
@@ -112,15 +125,21 @@ def decrypt(keys: AggKeyPair, ct: int) -> int:
         raise InvalidCiphertext("ciphertext is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
     h_p, p_inv = -mod_inv(q, p) % p, mod_inv(p, q)  # h_q = -p^-1 mod q
-    m_p = (pow(ct, p - 1, p * p) - 1) // p * h_p % p
-    m_q = (pow(ct, q - 1, q * q) - 1) // q * -p_inv % q
+    x_p, x_q = pows([(ct, p - 1, p * p), (ct, q - 1, q * q)])
+    m_p = (x_p - 1) // p * h_p % p
+    m_q = (x_q - 1) // q * -p_inv % q
     return m_p + p * ((m_q - m_p) * p_inv % q)
 
 
 def scale(pk: AggPublicKey, ct: int, k: int) -> int:
-    if k < 0:
+    return scale_many(pk, [(ct, k)])[0]
+
+
+def scale_many(pk: AggPublicKey, terms: Sequence[tuple[int, int]]) -> list[int]:
+    """[scale(pk, ct, k) for ct, k in terms], as one `pows` batch."""
+    if any(k < 0 for _, k in terms):
         raise ValueError("negative scalars must be sign-normalized first")
-    return pow(ct, k, pk.nsq)
+    return pows([(ct, k, pk.nsq) for ct, k in terms])
 
 
 def to_json(keys: AggKeyPair) -> dict:

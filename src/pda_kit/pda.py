@@ -505,7 +505,7 @@ def encode_user2(
 ) -> dict[int, int]:
     """User 2's bridge: ordinary encodings wrapped in the aggregator's encryption."""
     plain = encode_ordinary(params, key, query, xs)
-    return {k: paillier.encrypt(agg_pk, v, rng=rng) for k, v in plain.items()}
+    return dict(zip(plain, paillier.encrypt_many(agg_pk, list(plain.values()), rng=rng)))
 
 
 def blinding_units(pk: paillier.AggPublicKey, m: int, rng: Rng) -> list[int]:
@@ -550,13 +550,14 @@ def encode_user1(
         raise MissingEncoding("missing user-1 own encodings")
 
     units = blinding_units(agg_pk, query.m, rng.fork("user1:blind"))
-    out = []
+    terms = []
     for k in range(query.m):
         e = query.coeffs[k] * own_encodings[k] % params.N
         for i in expected:
             e = e * other_encodings[i][k] % params.N
-        out.append(units[k] * paillier.scale(agg_pk, user2_cts[k], e) % agg_pk.nsq)
-    return out
+        terms.append((user2_cts[k], e))
+    scaled = paillier.scale_many(agg_pk, terms)
+    return [u * c % agg_pk.nsq for u, c in zip(units, scaled)]
 
 
 def aggregate(

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import threading
 from collections import Counter
 
 import pytest
@@ -15,25 +16,33 @@ MODULES = [
 
 class OpCounts:
     """While entered, counts in every `pda_kit` module each fixed-base walk
-    by (base, modulus, bound), one per exponent walked, and each builtin
-    pow(b, e, m) with e >= 0 by m."""
+    by (base, modulus, bound), one per exponent walked, and each modular
+    pow(b, e, m) with e >= 0 by m, computed by `numtheory.pow`.
+
+    `numtheory.pows` may call `pow` from several threads at once, so each
+    count is taken under a lock: a Counter's first increment of a key
+    runs `__missing__` in Python, where another thread can interleave.
+    """
 
     def __init__(self):
         self.walks: Counter = Counter()
         self.pows: Counter = Counter()
+        self._lock = threading.Lock()
         self._patch = pytest.MonkeyPatch()
 
     def __enter__(self) -> "OpCounts":
-        walk = numtheory.fixed_base_pows
+        walk, inner = numtheory.fixed_base_pows, numtheory.pow
 
         def counting_walk(base, exponents, modulus, bound):
-            self.walks[base, modulus, bound] += len(exponents)
+            with self._lock:
+                self.walks[base, modulus, bound] += len(exponents)
             return walk(base, exponents, modulus, bound)
 
         def counting_pow(base, exp, mod=None):
             if mod is not None and exp >= 0:
-                self.pows[mod] += 1
-            return pow(base, exp, mod)
+                with self._lock:
+                    self.pows[mod] += 1
+            return inner(base, exp, mod)
 
         for module in MODULES:
             if getattr(module, "fixed_base_pows", None) is walk:

@@ -159,6 +159,36 @@ def test_fixed_base_pows_checks_the_batch_before_any_walk(data):
             fixed_base_pows(base, es, modulus, bound)
 
 
+def comb_lookups() -> int:
+    info = numtheory._comb.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["libcrypto", "builtin"])
+@pytest.mark.parametrize("bits", [*sorted(WALK_SHAPES), 479, 480])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_wide_masks_skip_the_comb_while_libcrypto_is_loaded(library, bits, data):
+    # from 480 bits one library pow costs less than a walk, so with
+    # libcrypto loaded no comb is looked up or built there; below 480
+    # bits, or on the builtin path, the batch walks
+    if library and numtheory._libcrypto is None:
+        pytest.skip("libcrypto did not load")
+    if bits in WALK_SHAPES:
+        base, modulus, bound = mask_shape(bits)
+    else:  # a modulus on either side of the crossover
+        modulus = (1 << bits - 1) + 2 * bits + 1
+        base, bound = 3, modulus - 1
+    es = data.draw(st.lists(st.integers(0, bound - 1), max_size=5), label="es")
+    with pytest.MonkeyPatch.context() as patch:
+        if not library:
+            patch.setattr(numtheory, "_libcrypto", None)
+        before = comb_lookups()
+        assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+        walked = comb_lookups() > before
+    assert walked == (not library or modulus < 1 << 479)
+
+
 @pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 8), (1024, 4), (2048, 2)])
 def test_comb_radix_fits_entry_budget(bound_bits, radix):
     # the byte budget at the three mask shapes and the wide one: the

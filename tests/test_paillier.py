@@ -220,3 +220,61 @@ def test_crt_decrypt_matches_lambda_formula(bits, seed, data):
 def test_crt_decrypt_matches_lambda_formula_small_primes(p, q, data):
     assume(p != q and math.gcd(math.lcm(p - 1, q - 1), p * q) == 1)
     _check_key(paillier.from_primes(p, q), data)
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def keyring(toy_keys):
+    # at 1,040 bits n^2, p^2 and q^2 all reach numtheory's spread floor
+    return {48: toy_keys, 1040: paillier.keygen(1040, Rng("pail1040"))}
+
+
+def rng_state(rng):
+    return rng._key, rng._counter, rng._buffer
+
+
+@pytest.mark.parametrize("bits", [48, 1040])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_encrypt_many_is_a_loop_of_encrypt(keyring, bits, data):
+    # the same ciphertexts and the same draws as encrypting one at a time,
+    # each (1 + m n) r^n mod n^2 with r the next unit drawn
+    keys = keyring[bits]
+    pk = keys.public()
+    ms = data.draw(st.lists(st.integers(0, pk.n - 1), max_size=5), label="ms")
+    seed = data.draw(st.binary(max_size=8), label="seed")
+    batch_rng, loop_rng, ref_rng = Rng(seed), Rng(seed), Rng(seed)
+    cts = paillier.encrypt_many(pk, ms, batch_rng)
+    assert cts == [paillier.encrypt(pk, m, loop_rng) for m in ms]
+    assert rng_state(batch_rng) == rng_state(loop_rng)
+    ref = [(1 + m * pk.n) * pow(ref_rng.unit(pk.n), pk.n, pk.nsq) % pk.nsq for m in ms]
+    assert cts == ref
+    assert [paillier.decrypt(keys, ct) for ct in cts] == ms
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_encrypt_many_refuses_before_any_draw(toy_keys, bad, at):
+    pk = toy_keys.public()
+    ms = [1, 2, 3]
+    ms[at] = pk.n if bad == "n" else bad
+    rng = Rng("refuse")
+    before = rng_state(rng)
+    with pytest.raises(MessageTooLarge):
+        paillier.encrypt_many(pk, ms, rng)
+    assert rng_state(rng) == before
+
+
+@pytest.mark.parametrize("bits", [48, 1040])
+def test_scale_many_is_a_loop_of_scale(keyring, bits):
+    pk = keyring[bits].public()
+    rnd = random.Random(bits)
+    terms = [(rnd.randrange(1, pk.nsq), rnd.randrange(pk.n * pk.n)) for _ in range(5)]
+    scaled = paillier.scale_many(pk, terms)
+    assert scaled == [paillier.scale(pk, ct, k) for ct, k in terms]
+    assert scaled == [pow(ct, k, pk.nsq) for ct, k in terms]
+    with pytest.raises(ValueError):
+        paillier.scale_many(pk, [*terms, (terms[0][0], -1)])

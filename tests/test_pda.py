@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import multiprocessing
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -671,11 +674,11 @@ def test_aggregation_exponentiations_mod_nsq(pda_system, op_counts, monkeypatch)
     data = {i: [i + 2 * k + 1 for k in range(m)] for i in ids}
     scales = []
 
-    def counting_scale(pk, ct, k, scale=paillier.scale):
-        scales.append(k)
-        return scale(pk, ct, k)
+    def counting_scale(pk, terms, scale_many=paillier.scale_many):
+        scales.extend(k for _, k in terms)
+        return scale_many(pk, terms)
 
-    monkeypatch.setattr(paillier, "scale", counting_scale)
+    monkeypatch.setattr(paillier, "scale_many", counting_scale)
     with op_counts:
         value, _ = netsim.run_pda_aggregation(
             system, query, data, seed=10, registry=pda.SlotRegistry()
@@ -686,6 +689,52 @@ def test_aggregation_exponentiations_mod_nsq(pda_system, op_counts, monkeypatch)
     assert op_counts.pows[nsq] == 2 * m
     assert op_counts.pows[p_sq] == 1
     assert op_counts.pows[q_sq] == 1
+
+
+@pytest.fixture(scope="module")
+def wide_agg_keys():
+    # n of 1,040 bits: n^2, p^2 and q^2 all reach numtheory's spread floor
+    return paillier.keygen(1040, Rng("pda:wide-aggregator"))
+
+
+def test_spread_aggregation_counts_every_pow(pda_system, wide_agg_keys, op_counts, monkeypatch):
+    # user 2's encryptions and the two CRT halves each run as one batch on
+    # two threads (user 1's scalars are below the toy N, under 64 bits, so
+    # its scales stay serial); the counts stay exact run after run
+    if numtheory._libcrypto is None:
+        pytest.skip("libcrypto did not load, so no batch is spread")
+    system = dataclasses.replace(pda_system[0], agg_keys=wide_agg_keys)
+    params = system.params
+    nsq = wide_agg_keys.nsq
+    p_sq, q_sq = wide_agg_keys.p ** 2, wide_agg_keys.q ** 2
+    assert min(nsq, p_sq, q_sq) >= numtheory._SPREAD_FLOOR
+    ids = tuple(sorted(system.enc_keys))
+    m = 4
+    query = pda.PdaQuery(
+        coeffs=(3, 5, 7, 11),
+        exponents={i: {k: 1 + (i + k) % 2 for k in range(m)} for i in ids},
+        participants=ids,
+        window=pda.Window(9700, m),
+    )
+    data = {i: [i + 3 * k + 2 for k in range(m)] for i in ids}
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for run in range(20):
+        op_counts.pows.clear()
+        with op_counts:
+            value, _ = netsim.run_pda_aggregation(
+                system, query, data, seed=run, registry=pda.SlotRegistry()
+            )
+        assert value == pda.evaluate_query(query, data, params.N)
+        assert (op_counts.pows[nsq], op_counts.pows[p_sq], op_counts.pows[q_sq]) == (2 * m, 1, 1)
+    assert len(starts) == 2 * 20
 
 
 def test_worst_case_terms_do_not_wrap(pda_system):
