@@ -28,7 +28,7 @@ from .errors import (
     json_key,
 )
 from .numtheory import (
-    fixed_base_pow,
+    fixed_base_pows,
     gen_safe_prime,
     is_probable_prime,
     lagrange_weights,
@@ -218,11 +218,21 @@ def encrypt_add(
     )
 
 
-def mul_mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
-    """g^{R_i * lambda_i mod (p-1)} mod p: the multiplicative mask party i
-    puts on every factor it encrypts over group P."""
+def mul_masks(
+    params: ArithParams, keys: Sequence[ArithEncKey], group: Sequence[int]
+) -> dict[int, int]:
+    """{key.id: g^{R_i * lambda_i mod (p-1)} mod p} for every key: the
+    multiplicative mask party i puts on every factor it encrypts over
+    group P.  Every key is checked before the one fixed-base batch."""
     p = params.p
-    return fixed_base_pow(params.g, mask_exponent(params, key, group) % (p - 1), p, p - 1)
+    exponents = [mask_exponent(params, key, group) % (p - 1) for key in keys]
+    masks = fixed_base_pows(params.g, exponents, p, p - 1)
+    return {key.id: mask for key, mask in zip(keys, masks)}
+
+
+def mul_mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
+    """Party i's multiplicative mask over group P: `mul_masks` of one key."""
+    return mul_masks(params, [key], group)[key.id]
 
 
 def encrypt_mul(

@@ -148,8 +148,9 @@ def _mul_masks(
     poly: AggPolynomial,
     group: tuple[int, ...],
 ) -> dict[int, int]:
-    """Each member's multiplicative mask over `group`, one walk a member;
-    none when `poly` has no multi-owner term to put them on.
+    """Each member's multiplicative mask over `group`, one fixed-base
+    batch for the group; none when `poly` has no multi-owner term to put
+    them on.
 
     A member puts this one mask on its factor of every multi-owner term,
     so the ratio of two of its ciphertexts is its value to a public
@@ -161,7 +162,7 @@ def _mul_masks(
         raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
     if all(len(term.owners) == 1 for term in poly.terms):
         return {}
-    return {i: arith.mul_mask(params, enc_keys[i], group) for i in group}
+    return arith.mul_masks(params, [enc_keys[i] for i in group], group)
 
 
 def _extra_additive(

@@ -204,14 +204,17 @@ def run_pda_aggregation(
         )
         bus.end_round()
 
+        # the masks of every ordinary user and of user 1 are one batch
+        encodings = pda.encode_many(
+            params, [system.enc_keys[i] for i in (*ordinary, u1)], query, data
+        )
+        own = encodings.pop(u1)
+
         # each sender's encodings for the window travel as one broadcast,
         # term values in window order
         bus.begin_round()
-        others: dict[int, dict[int, int]] = {}
         for i in ordinary:
-            enc = pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
-            others[i] = enc
-            bus.post(i, "encode", tuple(enc[k] for k in range(query.m)))
+            bus.post(i, "encode", tuple(encodings[i][k] for k in range(query.m)))
         user2_cts = pda.encode_user2(
             params,
             system.agg_pk,
@@ -223,13 +226,12 @@ def run_pda_aggregation(
         bus.post(u2, "encode-enc", tuple(user2_cts[k] for k in range(query.m)))
         bus.end_round()
 
-        own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
         blinded = pda.encode_user1(
             params,
             system.agg_pk,
             query,
             own,
-            others,
+            encodings,
             user2_cts,
             crng.fork(f"user1:{u1}"),
         )

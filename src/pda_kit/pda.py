@@ -468,31 +468,50 @@ def _window_exponents(window: Window, n_tilde: int, seed: bytes) -> tuple[int, .
     return tuple(slot_exponent(t, n_tilde, seed) for t in range(window.start, window.end))
 
 
+def encode_many(
+    params: PdaParams,
+    keys: Sequence[PdaEncKey],
+    query: PdaQuery,
+    data: Mapping[int, Sequence[int]],
+) -> dict[int, dict[int, int]]:
+    """{key.id: the m encoded values of that user for one query, equal to
+    `encode_value` term by term} for every key, users' values in `data`.
+
+    Values for terms a user does not appear in are encoded with exponent
+    0 (the mask must still be contributed).  Every key and every user's
+    values are checked before any mask is computed; then the m masks
+    H(t)^s of the window of every user are one fixed-base batch, users
+    in `keys` order, and x^e is taken only where e != 0.
+    """
+    m = query.m
+    if query.window.length != m:
+        raise ValueError("need one window slot per term")
+    n, n_tilde = params.N, params.N_tilde
+    exponents = []
+    for key in keys:
+        if len(data[key.id]) != m:
+            raise ValueError(f"user {key.id}: need one value per term")
+        if key.id not in query.participants:
+            raise KeyMissing(f"user {key.id} not in the query group")
+        exponents.append(mask_exponent(params, key, query.participants))
+    slots = _window_exponents(query.window, n_tilde, params.hash_seed)
+    batch = [a_t * s % n_tilde for s in exponents for a_t in slots]
+    masks = fixed_base_pows(params.h, batch, n, n_tilde)
+    out = {}
+    for j, key in enumerate(keys):
+        xs, powers = data[key.id], query.exponents.get(key.id, {})
+        values = out[key.id] = {}
+        for k, mask in enumerate(masks[j * m : (j + 1) * m]):
+            e = int(powers.get(k, 0))
+            values[k] = pow(xs[k] % n, e, n) * mask % n if e else mask
+    return out
+
+
 def encode_ordinary(
     params: PdaParams, key: PdaEncKey, query: PdaQuery, xs: Sequence[int]
 ) -> dict[int, int]:
-    """All m encoded values of one user for one query, equal to
-    `encode_value` term by term.
-
-    Values for terms the user does not appear in are encoded with
-    exponent 0 (the mask must still be contributed).  The m masks
-    H(t)^s of the window are one fixed-base batch; x^e is taken only
-    where e != 0.
-    """
-    if not len(xs) == query.window.length == query.m:
-        raise ValueError("need one value and one window slot per term")
-    if key.id not in query.participants:
-        raise KeyMissing(f"user {key.id} not in the query group")
-    s = mask_exponent(params, key, query.participants)
-    n, n_tilde = params.N, params.N_tilde
-    slots = _window_exponents(query.window, n_tilde, params.hash_seed)
-    masks = fixed_base_pows(params.h, [a_t * s % n_tilde for a_t in slots], n, n_tilde)
-    powers = query.exponents.get(key.id, {})
-    out = {}
-    for k, mask in enumerate(masks):
-        e = int(powers.get(k, 0))
-        out[k] = pow(xs[k] % n, e, n) * mask % n if e else mask
-    return out
+    """All m encoded values of one user for one query: `encode_many` of one key."""
+    return encode_many(params, [key], query, {key.id: xs})[key.id]
 
 
 def encode_user2(

@@ -16,7 +16,8 @@ MODULES = [
 
 class OpCounts:
     """While entered, counts in every `pda_kit` module each fixed-base walk
-    by (base, modulus, bound), one per exponent walked, and each modular
+    by (base, modulus, bound), one per exponent walked (`walks`) and one
+    per `fixed_base_pows` call (`walk_calls`), and each modular
     pow(b, e, m) with e >= 0 by m, computed by `numtheory.pow`.
 
     `numtheory.pows` may call `pow` from several threads at once, so each
@@ -26,6 +27,7 @@ class OpCounts:
 
     def __init__(self):
         self.walks: Counter = Counter()
+        self.walk_calls: Counter = Counter()
         self.pows: Counter = Counter()
         self._lock = threading.Lock()
         self._patch = pytest.MonkeyPatch()
@@ -36,6 +38,7 @@ class OpCounts:
         def counting_walk(base, exponents, modulus, bound):
             with self._lock:
                 self.walks[base, modulus, bound] += len(exponents)
+                self.walk_calls[base, modulus, bound] += 1
             return walk(base, exponents, modulus, bound)
 
         def counting_pow(base, exp, mod=None):
@@ -85,3 +88,14 @@ def pda_system():
         kappa=16, n=6, theta_min=3, seed=20_240_503, m_max=16
     )
     return system, result
+
+
+@pytest.fixture(scope="session")
+def wide_pda_system():
+    """Framework system of 40 users at kappa=24 holding only the degree of
+    the whole group, so that an aggregation over all of them walks its
+    (n-1) * m round-1 masks in numtheory's vector walk once m >= 14."""
+    system, _ = netsim.build_pda_system(
+        kappa=24, n=40, theta_min=3, seed=20_240_504, m_max=40, degrees=[39]
+    )
+    return system

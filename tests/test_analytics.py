@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pda_kit import analytics, netsim, pda
+from pda_kit import analytics, netsim, numtheory, pda
 from pda_kit.errors import (
     FixedPointOverflow,
     GroupTooSmall,
@@ -169,6 +169,37 @@ def _recorded_buses(monkeypatch) -> list:
 
     monkeypatch.setattr(netsim, "run_ceremony", recording)
     return buses
+
+
+def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
+    # each ceremony's round 1 walks 39 * 40 masks in one vector walk; with
+    # the floor patched above that batch they are walked per exponent, and
+    # the plan's output and every ceremony's transcript and traffic agree
+    system = wide_pda_system
+    ids = sorted(system.enc_keys)
+    plan = analytics.plan_linear_regression(ids, ["x"], 4)
+    rows = {i: {"x": float(i % 7), "y": float(3 * (i % 7) - 2 + i % 3)} for i in ids}
+    steps = sum(1 for step in plan.steps if step.columns)
+    assert (len(ids) - 1) * len(ids) >= numtheory._VECTOR_FLOOR
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            buses = _recorded_buses(patch)
+            info = numtheory._limb_comb.cache_info()
+            out = analytics.run_plan(system, plan, rows, seed=7, registry=pda.SlotRegistry())
+            after = numtheory._limb_comb.cache_info()
+        walks = after.hits + after.misses - info.hits - info.misses
+        return walks, out, [(bus.transcript_jsonl(), bus.traffic_report()) for bus in buses]
+
+    vector = run()
+    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", len(ids) ** 2)
+    scalar = run()
+    assert (vector[0], scalar[0]) == (steps, 0)
+    assert vector[1:] == scalar[1:]
+    assert len(vector[2]) == steps
+    sums = vector[1]["sums"]
+    assert sums["A_1_1"] == sum(row["x"] ** 2 for row in rows.values())
+    assert sums["b_1"] == sum(row["x"] * row["y"] for row in rows.values())
 
 
 def test_regression_takes_group_size_locally(small_pda, monkeypatch):

@@ -309,6 +309,27 @@ def test_multiplicative_masks_cancel(arith_system, data):
     assert prod == 1
 
 
+def test_mul_masks_is_mul_mask_of_every_key(arith_system, op_counts, monkeypatch):
+    # one fixed-base batch for the group; a key without the group's size
+    # anywhere in it is refused before any walk
+    system, _ = arith_system
+    params = system.params
+    p = params.p
+    group = tuple(sorted(system.enc_keys))
+    keys = [system.enc_keys[i] for i in group]
+    with op_counts:
+        masks = arith.mul_masks(params, keys, group)
+    assert masks == {i: arith.mul_mask(params, system.enc_keys[i], group) for i in group}
+    assert op_counts.walk_calls == {(params.g, p, p - 1): 1}
+
+    def no_walk(*args):
+        raise AssertionError("walked before every key was checked")
+
+    monkeypatch.setattr(arith, "fixed_base_pows", no_walk)
+    with pytest.raises(KeyMissing):
+        arith.mul_masks(params, [*keys[:-1], arith.ArithEncKey(id=group[-1], shares={})], group)
+
+
 def test_end_to_end_random_sweep(plain_arith_system):
     system, _ = plain_arith_system
     params = system.params

@@ -286,3 +286,65 @@ def test_hardened_system_round_shape_and_policy():
     data = {i: [3] for i in ids[:5]}
     value, _ = netsim.run_pda_aggregation(system, wide, data, seed=2)
     assert value == 3
+
+
+# ---------------------------------------------------------------------------
+# the vector walk inside an aggregation
+# ---------------------------------------------------------------------------
+
+def _limb_lookups() -> int:
+    info = numtheory._limb_comb.cache_info()
+    return info.hits + info.misses
+
+
+def _whole_group_query(system, m: int, start: int) -> tuple[pda.PdaQuery, dict]:
+    ids = tuple(sorted(system.enc_keys))
+    query = pda.PdaQuery(
+        coeffs=tuple(range(1, m + 1)),
+        exponents={i: {k: (i + k) % 3 for k in range(m)} for i in ids},
+        participants=ids,
+        window=pda.Window(start, m),
+    )
+    data = {i: [(7919 * i + 104_729 * k) % system.params.N for k in range(m)] for i in ids}
+    return query, data
+
+
+def test_vector_walk_leaves_the_aggregation_unchanged(wide_pda_system, monkeypatch):
+    # round 1 walks the (n - 1) * m = 1,248 masks of every user but user 2
+    # in one vector walk; with the floor patched above that batch the same
+    # call walks them per exponent, and value, transcript and traffic agree
+    system = wide_pda_system
+    query, data = _whole_group_query(system, m=32, start=0)
+    batch = (len(query.participants) - 1) * query.m
+    assert batch >= numtheory._VECTOR_FLOOR > query.m
+
+    def run():
+        before = _limb_lookups()
+        value, result = netsim.run_pda_aggregation(
+            system, query, data, seed=5, registry=pda.SlotRegistry()
+        )
+        return _limb_lookups() - before, value, result.transcript_jsonl(), result.traffic_report()
+
+    vector = run()
+    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", batch + 1)
+    scalar = run()
+    assert (vector[0], scalar[0]) == (1, 0)
+    assert vector[1:] == scalar[1:]
+    assert vector[1] == pda.evaluate_query(query, data, system.params.N)
+
+
+def test_aggregation_walks_its_masks_in_two_batches(wide_pda_system, op_counts):
+    # the masks of every ordinary user and of user 1 are one fixed-base
+    # batch and user 2's the other: two calls, not one a user, for the
+    # same n * m masks
+    system = wide_pda_system
+    params = system.params
+    query, data = _whole_group_query(system, m=16, start=100)
+    with op_counts:
+        value, _ = netsim.run_pda_aggregation(
+            system, query, data, seed=6, registry=pda.SlotRegistry()
+        )
+    assert value == pda.evaluate_query(query, data, params.N)
+    shape = (params.h, params.N, params.N_tilde)
+    assert op_counts.walk_calls == {shape: 2}
+    assert op_counts.walks == {shape: len(query.participants) * query.m}

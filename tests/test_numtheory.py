@@ -207,6 +207,108 @@ def test_comb_radix_fits_entry_budget(bound_bits, radix):
         assert entries * (sys.getsizeof(modulus) + 8) > numtheory._COMB_BYTES
 
 
+def limb_lookups() -> int:
+    info = numtheory._limb_comb.cache_info()
+    return info.hits + info.misses
+
+
+# The vector walk's modulus widths: from 2 bits (3, the least odd modulus
+# above 1) to the ceiling, with every whole count of 27-bit limbs and the
+# widths one bit on either side, where the limb count changes.
+VECTOR_CEILING_BITS = numtheory._VECTOR_CEILING.bit_length() - 1
+VECTOR_BITS = sorted(
+    {2, 3, VECTOR_CEILING_BITS}
+    | {b for k in range(1, 8) for b in (27 * k - 1, 27 * k, 27 * k + 1) if b <= VECTOR_CEILING_BITS}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vector_walk_matches_pow(data):
+    # a batch of _VECTOR_FLOOR exponents takes the vector walk (its limb
+    # table is looked up) and one exponent fewer walks per exponent; both
+    # give pow's values, for odd moduli of every width below the ceiling,
+    # bases 0, 1, m - 1, unreduced ones and any other, and exponents 0 and
+    # bound - 1 among random ones
+    floor = numtheory._VECTOR_FLOOR
+    bits = data.draw(st.sampled_from(VECTOR_BITS) | st.integers(2, VECTOR_CEILING_BITS), label="bits")
+    top = data.draw(st.booleans(), label="top")  # the widest modulus of its width
+    low = (1 << bits) - 1 if top else 1 << bits - 1
+    modulus = data.draw(st.integers(low, (1 << bits) - 1), label="modulus") | 1
+    base = data.draw(
+        st.sampled_from([0, 1, modulus - 1])
+        | st.integers(modulus, 3 * modulus)
+        | st.integers(0, modulus - 1),
+        label="base",
+    )
+    bound = data.draw(st.integers(1, 1 << data.draw(st.integers(0, 200), label="width")), label="bound")
+    size = data.draw(st.sampled_from([floor - 1, floor]), label="size")
+    es = [0, bound - 1, *data.draw(st.lists(st.integers(0, bound - 1), max_size=8), label="es")]
+    rnd = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    es += [rnd.randrange(bound) for _ in range(size - len(es))]
+    before = limb_lookups()
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+    assert (limb_lookups() > before) == (size == floor)
+
+
+@pytest.mark.parametrize("bits", VECTOR_BITS)
+def test_vector_walk_at_every_limb_count(bits):
+    # a modulus just below a limb boundary leaves the last Montgomery
+    # product at or above the modulus for about a quarter of the
+    # exponents, so the final subtraction is exercised at 27k - 1 bits
+    rnd = random.Random(bits)
+    modulus = rnd.getrandbits(bits) | 1 << bits - 1 | 1
+    base, bound = rnd.randrange(modulus), 1 << 96
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(numtheory._VECTOR_FLOOR - 2))]
+    before = limb_lookups()
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+    assert limb_lookups() > before
+
+
+@pytest.mark.parametrize("bound_bits, radix", [(2048, 4), (16_384, 2)])
+def test_vector_walk_splits_bytes_for_a_narrow_radix(bound_bits, radix):
+    # a bound too wide for a radix-2^8 comb within the byte budget: the
+    # vector walk splits each exponent byte into 8/w digits, low bits
+    # first (a few exponents span the bound, the rest keep pow quick)
+    rnd = random.Random(bound_bits)
+    modulus = rnd.getrandbits(107) | 1 << 106 | 1
+    base, bound = rnd.randrange(modulus), 1 << bound_bits
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(6))]
+    es += [rnd.getrandbits(rnd.randrange(1, 200)) for _ in range(numtheory._VECTOR_FLOOR - 8)]
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+    assert numtheory._limb_comb(base, modulus, bound_bits)[0] == radix
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [1, 2, 4, 6, (1 << 106) + 2, (1 << 190) - 2, numtheory._VECTOR_CEILING + 1, (1 << 300) + 1],
+    ids=["1", "2", "4", "6", "even-107", "even-190", "ceiling+1", "odd-301"],
+)
+def test_even_moduli_one_and_wide_moduli_walk_per_exponent(modulus):
+    # Montgomery products need an odd modulus above 1, and from the
+    # ceiling a walk per exponent is the faster: such a batch, however
+    # large, builds no limb table
+    bound = 1 << 96
+    rnd = random.Random(modulus)
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(numtheory._VECTOR_FLOOR))]
+    base = rnd.randrange(modulus + 5)
+    before = limb_lookups()
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+    assert limb_lookups() == before
+
+
+@pytest.mark.parametrize(
+    "modulus, base",
+    [(9, 3), (3**40, 3), (5**30 * 7, 35), (3**100, 6)],
+    ids=["9", "3^40", "5^30*7", "3^100"],
+)
+def test_vector_walk_of_a_base_sharing_a_factor_with_the_modulus(modulus, base):
+    # base^e is 0 mod the modulus from some e on, which the walk's last
+    # Montgomery product can leave as the modulus itself
+    es = list(range(numtheory._VECTOR_FLOOR))
+    assert fixed_base_pows(base, es, modulus, len(es)) == [pow(base, e, modulus) for e in es]
+
+
 # ---------------------------------------------------------------------------
 # primality and safe primes
 # ---------------------------------------------------------------------------

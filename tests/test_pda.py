@@ -339,6 +339,42 @@ def test_encode_ordinary_requires_membership(pda_system):
         pda.encode_ordinary(system.params, outsider, query, [1, 1])
 
 
+def test_encode_many_is_encode_ordinary_of_every_key(pda_system, op_counts):
+    # keys in any order, one fixed-base batch for all their masks
+    system, _ = pda_system
+    params = system.params
+    query = _query(system, m=3, start=9700)
+    ids = query.participants
+    data = {i: [i + k + 2 for k in range(query.m)] for i in ids}
+    with op_counts:
+        got = pda.encode_many(params, [system.enc_keys[i] for i in reversed(ids)], query, data)
+    assert got == {i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i]) for i in ids}
+    assert op_counts.walk_calls == {(params.h, params.N, params.N_tilde): 1}
+
+
+def test_encode_many_checks_every_key_before_any_walk(pda_system, monkeypatch):
+    # a non-member, a key without the group's degree or a short row
+    # anywhere in the batch is refused before a mask is walked
+    system, _ = pda_system
+    query = _query(system)
+    keys = [system.enc_keys[i] for i in query.participants]
+    data = {i: [1, 1] for i in query.participants}
+    last = keys[-1].id
+
+    def no_walk(*args):
+        raise AssertionError("walked before every key was checked")
+
+    monkeypatch.setattr(pda, "fixed_base_pows", no_walk)
+    outsider = pda.PdaEncKey(id=99, evaluations={5: 1})
+    with pytest.raises(KeyMissing):
+        pda.encode_many(system.params, [*keys, outsider], query, {**data, 99: [1, 1]})
+    lacking = pda.PdaEncKey(id=last, evaluations={})
+    with pytest.raises(KeyMissing):
+        pda.encode_many(system.params, [*keys[:-1], lacking], query, data)
+    with pytest.raises(ValueError):
+        pda.encode_many(system.params, keys, query, {**data, last: [1]})
+
+
 # ---------------------------------------------------------------------------
 # user-1 blinding and aggregation
 # ---------------------------------------------------------------------------
