@@ -204,25 +204,18 @@ def run_pda_aggregation(
         )
         bus.end_round()
 
-        # the masks of every ordinary user and of user 1 are one batch
+        # the masks of every participant are one batch
         encodings = pda.encode_many(
-            params, [system.enc_keys[i] for i in (*ordinary, u1)], query, data
+            params, [system.enc_keys[i] for i in query.participants], query, data
         )
-        own = encodings.pop(u1)
+        own, plain2 = encodings.pop(u1), encodings.pop(u2)
 
         # each sender's encodings for the window travel as one broadcast,
         # term values in window order
         bus.begin_round()
         for i in ordinary:
             bus.post(i, "encode", tuple(encodings[i][k] for k in range(query.m)))
-        user2_cts = pda.encode_user2(
-            params,
-            system.agg_pk,
-            system.enc_keys[u2],
-            query,
-            data[u2],
-            crng.fork(f"user2:{u2}"),
-        )
+        user2_cts = pda.encode_user2(system.agg_pk, plain2, crng.fork(f"user2:{u2}"))
         bus.post(u2, "encode-enc", tuple(user2_cts[k] for k in range(query.m)))
         bus.end_round()
 

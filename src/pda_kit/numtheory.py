@@ -1,10 +1,10 @@
 """Modular big-integer substrate shared by both aggregation schemes.
 
 Covers probabilistic prime generation (safe primes and correlated
-semiprimes), fixed-base exponentiation (a cached comb of the base's
-powers walked per exponent or, for a large batch modulo a narrow odd
-modulus, for every exponent at once in numpy limb arrays; `pows` for a
-wide modulus), denominator-cleared Lagrange weights (built once per
+semiprimes), fixed-base exponentiation (a large batch modulo a narrow
+odd modulus walks a cached comb of the base's powers for every
+exponent at once in numpy limb arrays; any other batch is one `pows`
+call), denominator-cleared Lagrange weights (built once per
 group), the (1+M)-subgroup discrete log, the public slot exponent a_t
 of the hash H(t) = h^{a_t} into the hidden subgroup, and the two key
 ceremonies both schemes run on the bus: the ring exchange (by CRT on a
@@ -33,7 +33,6 @@ import functools
 import hashlib
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,18 +113,17 @@ _SIEVE_PRODUCTS = tuple(
 # division; OpenSSL's BN_mod_exp uses Montgomery multiplication for an
 # odd modulus, but a call through ctypes costs 15 to 25 us of conversion
 # and allocation.  Per call, in us, builtin / BN_mod_exp, for a random
-# odd modulus and an exponent of the given width, and for an exponent as
-# wide as the modulus also a fixed-base walk of a cached comb (below);
-# CPython 3.11, OpenSSL 3, x86-64 Xeon:
-#   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus / walk
-#        64         1.9 / 22     10 / 23       17 / 36       21 / 32              2.6
-#        96         2.7 / 23     14 / 24       24 / 25       38 / 29              5.2
-#       128         3.8 / 25     17 / 15       26 / 19       46 / 25              7.6
-#       256         5.8 / 16     27 / 23       44 / 19       173 / 35              22
-#       448                                                  616 / 109             85
-#       512                                                  970 / 95             119
-#      1024          49 / 25    202 / 32      346 / 43       4,795 / 381        1,108
-#      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165   88,959
+# odd modulus and an exponent of the given width; CPython 3.11, OpenSSL
+# 3, x86-64 Xeon:
+#   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus
+#        64         1.9 / 22     10 / 23       17 / 36       21 / 32
+#        96         2.7 / 23     14 / 24       24 / 25       38 / 29
+#       128         3.8 / 25     17 / 15       26 / 19       46 / 25
+#       256         5.8 / 16     27 / 23       44 / 19       173 / 35
+#       448                                                  616 / 109
+#       512                                                  970 / 95
+#      1024          49 / 25    202 / 32      346 / 43       4,795 / 381
+#      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165
 # So BN_mod_exp gets an exponent of at least 64 bits modulo at least 96
 # bits, where the two tie at the corner and BN wins by up to 14 times
 # beyond it.  A wider modulus moves the crossover to shorter exponents,
@@ -135,13 +133,9 @@ _SIEVE_PRODUCTS = tuple(
 # and up to 3.7 times it from 256; every wide modulus pda-kit uses is
 # odd.  Everything else goes to the builtin: a negative exponent (an
 # inverse), a bool, an int subclass or any other type, a modulus that is
-# not positive, a library that did not load or a call that failed.  The
-# walk beats BN_mod_exp up to 448 bits and loses from 512 (they tie
-# between, at 464 to 480 bits), so `fixed_base_pows` walks only moduli
-# below _WALK_CEILING while the library is loaded.
+# not positive, a library that did not load or a call that failed.
 _BN_MOD_FLOOR = 1 << 95  # moduli of at least 96 bits
 _BN_EXP_FLOOR = 1 << 63  # exponents of at least 64 bits
-_WALK_CEILING = 1 << 479  # moduli of at least 480 bits skip the comb
 
 
 def _load_libcrypto() -> ctypes.CDLL | None:
@@ -299,144 +293,81 @@ def mod_inv(a: int, modulus: int) -> int:
         raise NotInvertible(f"gcd({a % modulus}, {modulus}) != 1") from exc
 
 
-# Fixed-base exponentiation (Brickell, Gordon, McCurley and Wilson,
-# EUROCRYPT '92; Lim and Lee, CRYPTO '94).  A comb of radix 2^w holds
-# ceil(bits/w) rows of 2^w powers and a walk multiplies once per nonzero
-# digit, so the widest radix whose table fits wins.  The budget is in
-# bytes, not entries, because an entry costs as much memory as the
-# modulus is wide: a CPython int of that width plus its list slot.  w is
-# 8, 4 or 2, so that a digit is a byte of the exponent or a fixed split
-# of one.  The three mask shapes would get:
-#   h mod a 104-bit N, exponents below N~ (kappa=48):  w=8, 12 rows, 0.15 MB;
-#   g mod a 512-bit p, exponents below p-1:            w=8, 64 rows, 1.7 MB;
-#   h mod a 1041-bit N, exponents below N~ (kappa=512): w=4, 256 rows, 0.7 MB
-#   (w=8 would take 5.6 MB).
-# While libcrypto is loaded only the first is walked: from _WALK_CEILING
-# (480 bits) one BN_mod_exp costs less than a walk, so a batch modulo a
-# wider modulus goes to `pows` and builds no table.
-# A batch shares one table lookup and walks each exponent on its own, so
-# a walk pays per row only a digit test and, for a nonzero digit, one
-# multiplication; a large batch modulo a narrow odd modulus instead walks
-# every exponent at once (`_vector_walk`, below), from a limb table that
-# costs about as much as its comb: 8 bytes a limb, L limbs an entry.
-# `pda.encode_many` takes an h shape in one batch: the m slot masks of
-# every user but user 2 of an aggregation.  `arith.mul_masks` takes the
-# g shape in one batch: the masks of every member of a group.
-# A modulus too wide for any table within the budget gets w=2: w=1 needs
-# as many entries and twice the multiplications.  `_comb` caches 8
-# tables, so at most 8 x 2 MiB while every table fits, which holds for
-# moduli and exponent bounds up to 2,674 bits.
-_COMB_BYTES = 2 << 20
-_DIGIT_SPLIT = {
-    w: [bytes(b >> s & (1 << w) - 1 for s in range(0, 8, w)) for b in range(256)]
-    for w in (2, 4)
-}
-
-
-def fixed_base_pow(base: int, e: int, modulus: int, bound: int) -> int:
-    """base^e mod modulus for 0 <= e < bound, equal to pow(base, e, modulus)."""
-    return fixed_base_pows(base, (e,), modulus, bound)[0]
-
-
 def fixed_base_pows(
     base: int, exponents: Sequence[int], modulus: int, bound: int
 ) -> list[int]:
     """[pow(base, e, modulus) for e in exponents], each 0 <= e < bound.
 
-    Every exponent is range-checked before any is computed.  A modulus
-    of at least _WALK_CEILING goes to `pows` while libcrypto is loaded.
-    A batch of at least _VECTOR_FLOOR exponents modulo an odd modulus
-    above 1 and below _VECTOR_CEILING walks all its exponents at once
-    (`_vector_walk`).  Otherwise one lookup of the cached comb of (base,
-    modulus, bound's width) serves the batch, whose exponents are walked
-    one at a time: the first radix-2^w digit picks an entry of the first
-    row, then one multiplication per further nonzero digit and no
-    squarings.  The digits are each exponent's little-endian bytes at
-    the bound's width, each split into 8/w digits when w < 8.
+    Every exponent is range-checked before any is computed.  A batch of
+    at least _VECTOR_FLOOR exponents modulo an odd modulus above 1 and
+    below _VECTOR_CEILING walks all its exponents at once
+    (`_vector_walk`); every other batch is one `pows` call.
     """
     if not all(0 <= e < bound for e in exponents):
         raise ValueError(f"exponent outside [0, {bound})")
-    if _libcrypto is not None and modulus >= _WALK_CEILING:
-        return pows([(base, e, modulus) for e in exponents])
-    bits = max(1, (bound - 1).bit_length())
     if len(exponents) >= _VECTOR_FLOOR and modulus & 1 and 1 < modulus < _VECTOR_CEILING:
-        return _vector_walk(base, exponents, modulus, bits)
-    w, rows = _comb(base, modulus, bits)
-    digits = [e.to_bytes((bits + 7) // 8, "little") for e in exponents]
-    if w < 8:
-        digits = [b"".join(map(_DIGIT_SPLIT[w].__getitem__, d)) for d in digits]
-    powers = []
-    for own in digits:
-        walk = zip(rows, own)
-        row, d = next(walk)
-        acc = row[d]
-        for row, d in walk:
-            if d:
-                acc = acc * row[d] % modulus
-        powers.append(acc)
-    return powers
+        return _vector_walk(base, exponents, modulus, max(1, (bound - 1).bit_length()))
+    return pows([(base, e, modulus) for e in exponents])
 
 
-@functools.lru_cache(maxsize=8)
-def _comb(base: int, modulus: int, bits: int) -> tuple[int, tuple[list[int], ...]]:
-    """Radix w and rows[j][d] = base^{d * 2^{wj}} mod modulus, d < 2^w, for bits-bit exponents."""
-    entry = sys.getsizeof(modulus) + 8  # an int as wide as the modulus, and its list slot
-    w = next((w for w in (8, 4) if (-(-bits // w) << w) * entry <= _COMB_BYTES), 2)
-    rows = []
-    step = base % modulus  # base^{2^{wj}} for the row being built
-    for _ in range(-(-bits // w)):
-        row = [1 % modulus]
-        for _ in range((1 << w) - 1):
-            row.append(row[-1] * step % modulus)
-        rows.append(row)
-        step = row[-1] * step % modulus
-    return w, tuple(rows)
-
-
-# The vector walk.  A batch walks the comb's rows once for all its
-# exponents: each number is L limbs of 27 bits in an int64 array with one
-# column per exponent, and each row costs one gather of the digits'
-# entries and one Montgomery product (Montgomery, "Modular multiplication
-# without trial division", Math. Comp. 1985), a few dozen numpy calls in
-# all, instead of one CPython multiplication and reduction per exponent.
-# A zero digit multiplies by the row's entry for 1 instead of being
-# skipped.  Median us a mask, per-exponent walk / vector walk, for a
-# random odd modulus and an exponent bound 8 bits narrower (11 at 107
-# bits, the kappa=48 N and N~), by batch size; CPython 3.11, numpy 2.4,
-# x86-64 Xeon shared with other work:
-#   modulus bits   batch of 64      256          512         1,024        4,096
-#        64        2.7 / 5.8     2.5 / 3.0    2.5 / 1.5    2.3 / 0.8    2.2 / 0.9
-#       107        4.1 / 13      3.8 / 4.3    3.8 / 3.1    3.8 / 2.4    4.8 / 2.2
-#       160         11 / 40      9.3 / 11      11 / 9.0     11 / 6.0    9.9 / 4.5
-#       192         16 / 63       14 / 23      15 / 15      14 / 12      16 / 9.2
-#       256         25 / 108      25 / 39      23 / 29      24 / 23      24 / 17
-# So a batch of at least _VECTOR_FLOOR exponents modulo an odd modulus
-# below _VECTOR_CEILING takes the vector walk: the two tie at 512
-# exponents modulo 192 bits, and the vector walk wins below that width
-# and by up to 2.5 times at the kappa=48 round's 4,032 masks.  Every
-# other batch, the arith scheme's few masks included, walks per exponent.
+# The vector walk (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92;
+# Lim and Lee, CRYPTO '94).  A radix-2^8 comb holds one row of 256 powers
+# of the base per byte of the exponent bound, and a batch walks its rows
+# once for all its exponents: each number is L limbs of 27 bits in an
+# int64 array with one column per exponent, and each row costs one
+# gather of the digits' entries and one Montgomery product (Montgomery,
+# "Modular multiplication without trial division", Math. Comp. 1985), a
+# few dozen numpy calls in all, instead of one exponentiation per
+# exponent.  A zero digit multiplies by the row's entry for 1 instead of
+# being skipped.  Median us a mask, vector walk / `pows`, for a random
+# odd modulus and an exponent bound 8 bits narrower (11 at 107 bits, the
+# kappa=48 N and N~), by batch size; CPython 3.11, numpy 2.4, OpenSSL 3,
+# 2 cores of an x86-64 Xeon shared with other work:
+#   modulus bits   batch of 64     256          512          1,024        4,096
+#        64        7.0 / 22     2.2 / 19     1.6 / 18     1.2 / 19     0.9 / 20
+#       107         18 / 29     6.7 / 30     4.1 / 27     2.8 / 30     2.3 / 28
+#       160         38 / 33      14 / 32     8.4 / 32     6.7 / 34     4.3 / 35
+#       192         64 / 34      23 / 33      15 / 33      11 / 34     8.2 / 35
+#       256        108 / 53      41 / 47      28 / 53      23 / 45      16 / 44
+# A table, cached, takes 4 ms to build at 107 bits and 28 ms at 256.  So
+# a batch of at least _VECTOR_FLOOR exponents modulo an odd modulus below
+# _VECTOR_CEILING takes the vector walk, which wins there by 2 to 22
+# times, by 12 at the kappa=48 round's 4,096 masks.  Every other batch,
+# the arith scheme's few masks and the kappa=512 masks included, is one
+# `pows` call and builds no table.  No workload's batch lies near either
+# edge, so a change to either needs a new row.
 _LIMB = 27
 _LIMB_MASK = (1 << _LIMB) - 1
 _VECTOR_FLOOR = 512
-_VECTOR_CEILING = 1 << 191  # moduli of at least 192 bits walk per exponent
+_VECTOR_CEILING = 1 << 191  # moduli of at least 192 bits go to `pows`
 
 
 @functools.lru_cache(maxsize=8)
-def _limb_comb(base: int, modulus: int, bits: int) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """The comb of `_comb` as limbs for an odd modulus > 1: (w, table,
-    limbs of the modulus as a column, -modulus^-1 mod 2^27).
+def _limb_comb(base: int, modulus: int, bits: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The radix-2^8 comb of `base` for bits-bit exponents modulo an odd
+    modulus > 1, as limbs: (table, limbs of the modulus as a column,
+    -modulus^-1 mod 2^27).
 
-    table[j, :, d] holds the L limbs of rows[j][d], row 0 as it is and
-    every later row times R = 2^(27L) mod modulus, its Montgomery form,
-    so that each Montgomery product by a later row's entry keeps the
-    plain value.  L is the least count with 2 * modulus < R.
+    table[j, :, d] holds the L limbs of base^{d * 2^{8j}} mod modulus,
+    d < 256, row 0 as it is and every later row times R = 2^(27L) mod
+    modulus, its Montgomery form, so that each Montgomery product by a
+    later row's entry keeps the plain value.  L is the least count with
+    2 * modulus < R.  The table takes ceil(bits/8) * 256 * L * 8 bytes:
+    98 KB at the kappa=48 shape (12 rows of 4 limbs).
     """
-    w, rows = _comb(base, modulus, bits)
     size = (modulus.bit_length() + _LIMB) // _LIMB
     # A Montgomery product's limb column sums L products of two limbs and
     # L products of a limb of q and one of the modulus, each below 2^54,
     # and a carry below 2L * 2^27: below 2L * 2^54, which int64 holds.
     assert 2 * size << 2 * _LIMB < 1 << 63, "limb columns would overflow int64"
+    rows = []
+    step = base % modulus  # base^{2^{8j}} for the row being built
+    for _ in range(-(-bits // 8)):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * step % modulus)
+        rows.append(row)
+        step = row[-1] * step % modulus
     r = 1 << _LIMB * size
     values = [rows[0], *([x * r % modulus for x in row] for row in rows[1:])]
     table = np.array(
@@ -444,25 +375,22 @@ def _limb_comb(base: int, modulus: int, bits: int) -> tuple[int, np.ndarray, np.
         np.int64,
     )
     limbs = np.array([[modulus >> _LIMB * i & _LIMB_MASK] for i in range(size)], np.int64)
-    return w, table, limbs, -pow(modulus, -1, 1 << _LIMB) % (1 << _LIMB)
+    return table, limbs, -pow(modulus, -1, 1 << _LIMB) % (1 << _LIMB)
 
 
 def _vector_walk(base: int, exponents: Sequence[int], modulus: int, bits: int) -> list[int]:
     """[pow(base, e, modulus) for e in exponents] for an odd modulus > 1
     and bits-bit exponents, every exponent walked at once.
 
-    The accumulator starts at row 0's plain entry and stays below twice
-    the modulus through each Montgomery product by a later row's entry;
-    one conditional subtraction of the modulus ends the walk.
+    Digit j of an exponent is its byte j, little-endian.  The
+    accumulator starts at row 0's plain entry and stays below twice the
+    modulus through each Montgomery product by a later row's entry; one
+    conditional subtraction of the modulus ends the walk.
     """
-    w, table, m, m_prime = _limb_comb(base, modulus, bits)
+    table, m, m_prime = _limb_comb(base, modulus, bits)
     width = (bits + 7) // 8
     raw = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in exponents), np.uint8)
-    splits = np.arange(0, 8, w, dtype=np.uint8)
-    digits = (raw.reshape(len(exponents), width, 1) >> splits & (1 << w) - 1).reshape(
-        len(exponents), -1
-    )
-    digits = np.ascontiguousarray(digits.T)
+    digits = np.ascontiguousarray(raw.reshape(len(exponents), width).T)
     acc = table[0][:, digits[0]]
     for row, d in zip(table[1:], digits[1:]):
         acc = _mont_mul(acc, row[:, d], m, m_prime)

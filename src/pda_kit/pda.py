@@ -43,7 +43,6 @@ from .errors import (
     json_key,
 )
 from .numtheory import (
-    fixed_base_pow,
     fixed_base_pows,
     gen_correlated_moduli,
     hash_to_subgroup,
@@ -450,11 +449,10 @@ def mask_exponent(params: PdaParams, key: PdaEncKey, group: Sequence[int]) -> in
 def encode_value(
     params: PdaParams, key: PdaEncKey, group: Sequence[int], x: int, e: int, t: int
 ) -> int:
-    """C(x) = x^e * H(t)^s mod N with s = q * lambda, and H(t)^s =
-    h^{a_t * s mod N~} as ord(h) | N~."""
-    s = mask_exponent(params, key, group)
-    a_t = slot_exponent(t, params.N_tilde, params.hash_seed)
-    mask = fixed_base_pow(params.h, a_t * s % params.N_tilde, params.N, params.N_tilde)
+    """C(x) = x^e * H(t)^s mod N with s = q * lambda, by its definition:
+    the reference that `encode_many`'s batched masks h^{a_t * s mod N~}
+    equal, as ord(h) | N~."""
+    mask = pow(params.hash_slot(t), mask_exponent(params, key, group), params.N)
     if e == 0:
         return mask
     return pow(x % params.N, e, params.N) * mask % params.N
@@ -515,15 +513,10 @@ def encode_ordinary(
 
 
 def encode_user2(
-    params: PdaParams,
-    agg_pk: paillier.AggPublicKey,
-    key: PdaEncKey,
-    query: PdaQuery,
-    xs: Sequence[int],
-    rng: Rng,
+    agg_pk: paillier.AggPublicKey, plain: Mapping[int, int], rng: Rng
 ) -> dict[int, int]:
-    """User 2's bridge: ordinary encodings wrapped in the aggregator's encryption."""
-    plain = encode_ordinary(params, key, query, xs)
+    """User 2's bridge: its ordinary encodings `plain` (term -> value, from
+    `encode_many`) wrapped in the aggregator's encryption."""
     return dict(zip(plain, paillier.encrypt_many(agg_pk, list(plain.values()), rng=rng)))
 
 

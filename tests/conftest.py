@@ -94,7 +94,7 @@ def pda_system():
 def wide_pda_system():
     """Framework system of 40 users at kappa=24 holding only the degree of
     the whole group, so that an aggregation over all of them walks its
-    (n-1) * m round-1 masks in numtheory's vector walk once m >= 14."""
+    n * m round-1 masks in numtheory's vector walk once m >= 13."""
     system, _ = netsim.build_pda_system(
         kappa=24, n=40, theta_min=3, seed=20_240_504, m_max=40, degrees=[39]
     )

@@ -172,15 +172,15 @@ def _recorded_buses(monkeypatch) -> list:
 
 
 def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
-    # each ceremony's round 1 walks 39 * 40 masks in one vector walk; with
-    # the floor patched above that batch they are walked per exponent, and
-    # the plan's output and every ceremony's transcript and traffic agree
+    # each ceremony's round 1 walks 40 * 40 masks in one vector walk; with
+    # the floor patched above that batch they go to `pows`, and the
+    # plan's output and every ceremony's transcript and traffic agree
     system = wide_pda_system
     ids = sorted(system.enc_keys)
     plan = analytics.plan_linear_regression(ids, ["x"], 4)
     rows = {i: {"x": float(i % 7), "y": float(3 * (i % 7) - 2 + i % 3)} for i in ids}
     steps = sum(1 for step in plan.steps if step.columns)
-    assert (len(ids) - 1) * len(ids) >= numtheory._VECTOR_FLOOR
+    assert len(ids) * len(ids) >= numtheory._VECTOR_FLOOR
 
     def run():
         with pytest.MonkeyPatch.context() as patch:
@@ -192,7 +192,7 @@ def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
         return walks, out, [(bus.transcript_jsonl(), bus.traffic_report()) for bus in buses]
 
     vector = run()
-    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", len(ids) ** 2)
+    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", len(ids) ** 2 + 1)
     scalar = run()
     assert (vector[0], scalar[0]) == (steps, 0)
     assert vector[1:] == scalar[1:]

@@ -310,12 +310,12 @@ def _whole_group_query(system, m: int, start: int) -> tuple[pda.PdaQuery, dict]:
 
 
 def test_vector_walk_leaves_the_aggregation_unchanged(wide_pda_system, monkeypatch):
-    # round 1 walks the (n - 1) * m = 1,248 masks of every user but user 2
-    # in one vector walk; with the floor patched above that batch the same
-    # call walks them per exponent, and value, transcript and traffic agree
+    # round 1 walks the n * m = 1,280 masks of every user in one vector
+    # walk; with the floor patched above that batch the same call goes to
+    # `pows`, and value, transcript and traffic agree
     system = wide_pda_system
     query, data = _whole_group_query(system, m=32, start=0)
-    batch = (len(query.participants) - 1) * query.m
+    batch = len(query.participants) * query.m
     assert batch >= numtheory._VECTOR_FLOOR > query.m
 
     def run():
@@ -333,10 +333,9 @@ def test_vector_walk_leaves_the_aggregation_unchanged(wide_pda_system, monkeypat
     assert vector[1] == pda.evaluate_query(query, data, system.params.N)
 
 
-def test_aggregation_walks_its_masks_in_two_batches(wide_pda_system, op_counts):
-    # the masks of every ordinary user and of user 1 are one fixed-base
-    # batch and user 2's the other: two calls, not one a user, for the
-    # same n * m masks
+def test_aggregation_walks_its_masks_in_one_batch(wide_pda_system, op_counts):
+    # the masks of every user, user 2's included, are one fixed-base
+    # batch: one call, not one a user, for the n * m masks
     system = wide_pda_system
     params = system.params
     query, data = _whole_group_query(system, m=16, start=100)
@@ -346,5 +345,5 @@ def test_aggregation_walks_its_masks_in_two_batches(wide_pda_system, op_counts):
         )
     assert value == pda.evaluate_query(query, data, params.N)
     shape = (params.h, params.N, params.N_tilde)
-    assert op_counts.walk_calls == {shape: 2}
+    assert op_counts.walk_calls == {shape: 1}
     assert op_counts.walks == {shape: len(query.participants) * query.m}

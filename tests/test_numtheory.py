@@ -1,6 +1,6 @@
+import builtins
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,6 @@ from pda_kit.numtheory import (
     CorrelatedModuli,
     dlog_one_plus_m,
     evaluate_packed,
-    fixed_base_pow,
     fixed_base_pows,
     gen_correlated_moduli,
     gen_safe_prime,
@@ -58,62 +57,87 @@ def test_mod_inv_non_unit():
         mod_inv(6, 110)  # gcd = 2
 
 
-# Modulus width -> exponent-bound width of the three mask shapes: h mod N
+# Modulus width -> exponent-bound width of the three mask shapes (h mod N
 # below N~ at kappa=48, g mod p below p-1 at 512 bits, h mod N below N~ at
-# kappa=512.
-MASK_SHAPES = {104: 96, 512: 512, 1041: 1024}
-# The walk is also checked at a shape wide enough for the smallest radix.
-WALK_SHAPES = {**MASK_SHAPES, 2100: 2048}
+# kappa=512) and of one shape wider than any mask.  Only the first is
+# narrow enough for the vector walk; a batch of any other goes to `pows`.
+SHAPES = {104: 96, 512: 512, 1041: 1024, 2100: 2048}
 
 
 def mask_shape(bits: int) -> tuple[int, int, int]:
     rnd = random.Random(bits)
     modulus = rnd.getrandbits(bits) | 1 << (bits - 1) | 1
-    bound_bits = WALK_SHAPES[bits]
+    bound_bits = SHAPES[bits]
     bound = rnd.getrandbits(bound_bits) | 1 << (bound_bits - 1)
     return rnd.randrange(2, modulus), modulus, bound
 
 
-@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
+def limb_lookups() -> int:
+    info = numtheory._limb_comb.cache_info()
+    return info.hits + info.misses
+
+
+def vector_batch(es: list[int]) -> list[int]:
+    """es, then zeros up to _VECTOR_FLOOR exponents: a batch that takes
+    the vector walk modulo an odd modulus below the ceiling, and whose
+    filler costs the reference pows nothing at any width."""
+    return [*es, *[0] * (numtheory._VECTOR_FLOOR - len(es))]
+
+
+def check_batch(base: int, es: list[int], modulus: int, bound: int) -> None:
+    """fixed_base_pows gives pow's values, by the vector walk exactly when
+    the (odd) modulus is below the ceiling and the batch reaches the floor."""
+    before = limb_lookups()
+    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
+    walked = len(es) >= numtheory._VECTOR_FLOOR and modulus < numtheory._VECTOR_CEILING
+    assert (limb_lookups() > before) == walked
+
+
+@pytest.mark.parametrize("bits", sorted(SHAPES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_matches_pow(bits, data):
+    # one exponent, which goes to `pows`
     base, modulus, bound = mask_shape(bits)
     e = data.draw(st.integers(0, bound - 1), label="e")
-    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+    assert fixed_base_pows(base, [e], modulus, bound) == [pow(base, e, modulus)]
 
 
-@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
+@pytest.mark.parametrize("bits", sorted(SHAPES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_extreme_digits(bits, data):
-    # every radix-2^w digit is 0 or 2^w - 1, below the bound's top digit
+    # in a batch of _VECTOR_FLOOR exponents, a few whose every byte below
+    # the bound's top byte is 0 or 255: the vector walk's first and last
+    # entry of each row
     base, modulus, bound = mask_shape(bits)
-    w, _ = numtheory._comb(base, modulus, WALK_SHAPES[bits])
-    digits = (WALK_SHAPES[bits] - 1) // w
-    full = data.draw(st.integers(0, (1 << digits) - 1), label="full")
-    e = sum((1 << w) - 1 << w * j for j in range(digits) if full >> j & 1)
-    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+    digits = (SHAPES[bits] - 1) // 8
+    full = st.lists(st.integers(0, (1 << digits) - 1), min_size=1, max_size=3)
+    es = [sum(255 << 8 * j for j in range(digits) if f >> j & 1) for f in data.draw(full, label="full")]
+    check_batch(base, vector_batch(es), modulus, bound)
 
 
-@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))
+@pytest.mark.parametrize("bits", sorted(SHAPES))
 def test_fixed_base_pow_edges(bits):
+    # 0, 1, either side of the bound's top bit and bound - 1 in a batch of
+    # _VECTOR_FLOOR exponents; one exponent out of range refuses the batch
     base, modulus, bound = mask_shape(bits)
-    top = 1 << WALK_SHAPES[bits] - 1  # bound's top bit
-    for e in (0, 1, top - 1, top, bound - top, bound - 1):
-        assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+    top = 1 << SHAPES[bits] - 1  # bound's top bit
+    check_batch(base, vector_batch([0, 1, top - 1, top, bound - top, bound - 1]), modulus, bound)
     for e in (-1, bound, bound + 1):
         with pytest.raises(ValueError):
-            fixed_base_pow(base, e, modulus, bound)
+            fixed_base_pows(base, vector_batch([e]), modulus, bound)
 
 
 def test_fixed_base_pow_small_and_unreduced():
-    # bound 1 admits only e = 0; a base above the modulus and modulus 1
-    # give pow's values too
-    assert fixed_base_pow(7, 0, 11, 1) == 1
-    assert fixed_base_pow(7, 0, 1, 5) == pow(7, 0, 1) == 0
-    for e in range(40):
-        assert fixed_base_pow(123, e, 11, 40) == pow(123, e, 11)
+    # bound 1 admits only e = 0, and modulus 1 gives pow's 0; a base at or
+    # above the modulus gives pow's values in a vector batch too
+    assert fixed_base_pows(7, [0], 11, 1) == [1]
+    assert fixed_base_pows(7, [0], 1, 5) == [pow(7, 0, 1)] == [0]
+    for modulus in (11, mask_shape(104)[1]):
+        for base in (modulus, modulus + 2, 5 * modulus + 123, (1 << 300) + 1):
+            es = list(range(numtheory._VECTOR_FLOOR))
+            check_batch(base, es, modulus, len(es))
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,15 +149,15 @@ def test_fixed_base_pow_small_and_unreduced():
 )
 def test_fixed_base_pow_tiny_bounds(bound, modulus, base, data):
     e = data.draw(st.integers(0, bound - 1), label="e")
-    assert fixed_base_pow(base, e, modulus, bound) == pow(base, e, modulus)
+    assert fixed_base_pows(base, [e], modulus, bound) == [pow(base, e, modulus)]
 
 
-@pytest.mark.parametrize("bits", sorted(WALK_SHAPES))  # radix 8, 8, 4 and 2
+@pytest.mark.parametrize("bits", sorted(SHAPES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pows_matches_pow(bits, data):
-    # a batch, empty or not, of zeros, exponents of one digit or byte (far
-    # shorter than the bound's width) and exponents of any width
+    # a batch, empty or not, of zeros, exponents of one byte (far shorter
+    # than the bound's width) and exponents of any width
     base, modulus, bound = mask_shape(bits)
     exponent = st.one_of(st.just(0), st.integers(0, 255), st.integers(0, bound - 1))
     es = data.draw(st.lists(exponent, max_size=6), label="es")
@@ -143,73 +167,85 @@ def test_fixed_base_pows_matches_pow(bits, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pows_checks_the_batch_before_any_walk(data):
-    # one exponent out of range anywhere in the batch: ValueError, and the
-    # comb is never reached
+    # one exponent out of range anywhere in a batch for `pows` or for the
+    # vector walk: ValueError, and neither route is reached
     base, modulus, bound = mask_shape(104)
     es = data.draw(st.lists(st.integers(0, bound - 1), max_size=5), label="es")
     bad = data.draw(st.sampled_from([-1, bound, bound + 1, 2 * bound]), label="bad")
     es.insert(data.draw(st.integers(0, len(es)), label="at"), bad)
 
     def no_walk(*args):
-        raise AssertionError("walked before the range check")
+        raise AssertionError("computed before the range check")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numtheory, "_comb", no_walk)
-        with pytest.raises(ValueError, match="exponent outside"):
-            fixed_base_pows(base, es, modulus, bound)
+        patch.setattr(numtheory, "pows", no_walk)
+        patch.setattr(numtheory, "_vector_walk", no_walk)
+        for batch in (es, vector_batch(es)):
+            with pytest.raises(ValueError, match="exponent outside"):
+                fixed_base_pows(base, batch, modulus, bound)
 
 
-def comb_lookups() -> int:
-    info = numtheory._comb.cache_info()
-    return info.hits + info.misses
+FLOOR = numtheory._VECTOR_FLOOR
+ROUTING_CASES = {
+    # name: (modulus, batch size); every modulus but one is odd
+    "479-bit": ((1 << 478) + 2 * 479 + 1, FLOOR),
+    "480-bit": ((1 << 479) + 2 * 480 + 1, FLOOR),
+    "even": ((1 << 106) + 2, FLOOR),
+    "1": (1, FLOOR),
+    "ceiling": (numtheory._VECTOR_CEILING + 1, FLOOR),
+    "floor-1": (mask_shape(104)[1], FLOOR - 1),
+}
 
 
 @pytest.mark.parametrize("library", [True, False], ids=["libcrypto", "builtin"])
-@pytest.mark.parametrize("bits", [*sorted(WALK_SHAPES), 479, 480])
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_wide_masks_skip_the_comb_while_libcrypto_is_loaded(library, bits, data):
-    # from 480 bits one library pow costs less than a walk, so with
-    # libcrypto loaded no comb is looked up or built there; below 480
-    # bits, or on the builtin path, the batch walks
+@pytest.mark.parametrize("case", sorted(ROUTING_CASES))
+def test_batches_off_the_vector_walk_go_to_pows(library, case):
+    # a 479-bit and a 480-bit modulus, an even modulus, modulus 1, an odd
+    # modulus at the ceiling and a batch one short of the floor: whether
+    # or not libcrypto loaded, the whole batch is one `pows` call, equal
+    # to the builtin pow, and no limb table is looked up
     if library and numtheory._libcrypto is None:
         pytest.skip("libcrypto did not load")
-    if bits in WALK_SHAPES:
-        base, modulus, bound = mask_shape(bits)
-    else:  # a modulus on either side of the crossover
-        modulus = (1 << bits - 1) + 2 * bits + 1
-        base, bound = 3, modulus - 1
-    es = data.draw(st.lists(st.integers(0, bound - 1), max_size=5), label="es")
+    modulus, size = ROUTING_CASES[case]
+    rnd = random.Random(case)
+    bound = 1 << 96
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(6))]
+    es = vector_batch(es)[:size]
+    base = rnd.randrange(modulus + 5)
+    calls = []
+    inner = numtheory.pows
+
+    def recording(items):
+        calls.append(len(items))
+        return inner(items)
+
     with pytest.MonkeyPatch.context() as patch:
         if not library:
             patch.setattr(numtheory, "_libcrypto", None)
-        before = comb_lookups()
-        assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
-        walked = comb_lookups() > before
-    assert walked == (not library or modulus < 1 << 479)
+        patch.setattr(numtheory, "pows", recording)
+        before = limb_lookups()
+        assert fixed_base_pows(base, es, modulus, bound) == [builtins.pow(base, e, modulus) for e in es]
+    assert limb_lookups() == before
+    assert calls == [len(es)]
 
 
-@pytest.mark.parametrize("bound_bits, radix", [(96, 8), (512, 8), (1024, 4), (2048, 2)])
-def test_comb_radix_fits_entry_budget(bound_bits, radix):
-    # the byte budget at the three mask shapes and the wide one: the
-    # widest radix whose table, measured in CPython's bytes, stays within it
-    modulus_bits = {b: m for m, b in WALK_SHAPES.items()}[bound_bits]
-    base, modulus, _ = mask_shape(modulus_bits)
-    w, rows = numtheory._comb(base, modulus, bound_bits)
-    assert w == radix
-    assert len(rows) == {96: 12, 512: 64, 1024: 256, 2048: 1024}[bound_bits]
-    assert all(len(row) == 1 << w for row in rows)
-    table = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
-    assert table <= numtheory._COMB_BYTES
-    if w < 8:  # the next radix up would not fit
-        up = 2 * w
-        entries = -(-bound_bits // up) << up
-        assert entries * (sys.getsizeof(modulus) + 8) > numtheory._COMB_BYTES
+def test_limb_table_size():
+    # ceil(bits/8) rows of 256 entries of L limbs at 8 bytes each: 98 KB
+    # at the kappa=48 shape (a 104-bit modulus, 96-bit bound, L = 4);
+    # row 0 holds base^d, row j base^{d * 2^{8j}} * R in Montgomery form
+    base, modulus, _ = mask_shape(104)
+    table, limbs, _ = numtheory._limb_comb(base, modulus, SHAPES[104])
+    assert table.shape == (12, 4, 256)
+    assert table.nbytes == 12 * 256 * 4 * 8 == 98_304
+    r = 1 << 27 * 4
 
+    def entry(j: int, d: int) -> int:
+        return sum(int(limb) << 27 * i for i, limb in enumerate(table[j, :, d]))
 
-def limb_lookups() -> int:
-    info = numtheory._limb_comb.cache_info()
-    return info.hits + info.misses
+    assert sum(int(limb) << 27 * i for i, limb in enumerate(limbs[:, 0])) == modulus
+    for j, d in [(0, 0), (0, 1), (0, 255), (1, 0), (5, 77), (11, 255)]:
+        want = pow(base, d << 8 * j, modulus)
+        assert entry(j, d) == (want if j == 0 else want * r % modulus)
 
 
 # The vector walk's modulus widths: from 2 bits (3, the least odd modulus
@@ -226,7 +262,7 @@ VECTOR_BITS = sorted(
 @given(data=st.data())
 def test_vector_walk_matches_pow(data):
     # a batch of _VECTOR_FLOOR exponents takes the vector walk (its limb
-    # table is looked up) and one exponent fewer walks per exponent; both
+    # table is looked up) and one exponent fewer goes to `pows`; both
     # give pow's values, for odd moduli of every width below the ceiling,
     # bases 0, 1, m - 1, unreduced ones and any other, and exponents 0 and
     # bound - 1 among random ones
@@ -265,29 +301,15 @@ def test_vector_walk_at_every_limb_count(bits):
     assert limb_lookups() > before
 
 
-@pytest.mark.parametrize("bound_bits, radix", [(2048, 4), (16_384, 2)])
-def test_vector_walk_splits_bytes_for_a_narrow_radix(bound_bits, radix):
-    # a bound too wide for a radix-2^8 comb within the byte budget: the
-    # vector walk splits each exponent byte into 8/w digits, low bits
-    # first (a few exponents span the bound, the rest keep pow quick)
-    rnd = random.Random(bound_bits)
-    modulus = rnd.getrandbits(107) | 1 << 106 | 1
-    base, bound = rnd.randrange(modulus), 1 << bound_bits
-    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(6))]
-    es += [rnd.getrandbits(rnd.randrange(1, 200)) for _ in range(numtheory._VECTOR_FLOOR - 8)]
-    assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
-    assert numtheory._limb_comb(base, modulus, bound_bits)[0] == radix
-
-
 @pytest.mark.parametrize(
     "modulus",
     [1, 2, 4, 6, (1 << 106) + 2, (1 << 190) - 2, numtheory._VECTOR_CEILING + 1, (1 << 300) + 1],
     ids=["1", "2", "4", "6", "even-107", "even-190", "ceiling+1", "odd-301"],
 )
 def test_even_moduli_one_and_wide_moduli_walk_per_exponent(modulus):
-    # Montgomery products need an odd modulus above 1, and from the
-    # ceiling a walk per exponent is the faster: such a batch, however
-    # large, builds no limb table
+    # Montgomery products need an odd modulus above 1, and the vector
+    # walk stops at the ceiling: such a batch, however large, goes to
+    # `pows` and builds no limb table
     bound = 1 << 96
     rnd = random.Random(modulus)
     es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(numtheory._VECTOR_FLOOR))]
