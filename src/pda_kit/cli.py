@@ -156,8 +156,10 @@ def _load_pda_system(args) -> netsim.PdaSystem:
 
 def _query_data(query: pda.PdaQuery, path: str, modulus: int) -> dict[int, list[int]]:
     features, rows = _read_rows(path, int)
-    columns = [f"x{k}" if f"x{k}" in features else "x" for k in range(query.m)]
-    if "x" in columns and "x" not in features:
+    columns = [f"x{k}" for k in range(query.m)]
+    if not any(col in features for col in columns):
+        columns = ["x"] * query.m
+    if not all(col in features for col in columns):
         raise CliError("bad-data", f"{path}: need columns x0..x{query.m - 1} or x")
     missing = [i for i in query.participants if i not in rows]
     if missing:

@@ -36,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice, takewhile, zip_longest
+from itertools import islice, takewhile, zip_longest
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,11 +62,10 @@ from .rng import Rng
 # FIPS 186-5 Appendix B.3 allows.  A candidate built as F*c + 1 from a
 # prime F > sqrt(candidate) gets Pocklington's proof (`_pocklington`),
 # which is exactly as strong as F's own test.  Before any of these, each
-# candidate is sieved once (`_sieved`): by the primes below 2000, and a
-# wide one also by the primes from 2000 to 2^16.  A safe-prime candidate
-# q is sieved together with 2q + 1 from one residue of q (Wiener, IACR
-# ePrint 2003/186).  The sieve rejects only composites, so it changes no
-# answer, only how many exponentiations reach one.
+# candidate is sieved once (`_sieved`) by the primes below 2000.  A
+# safe-prime candidate q is sieved together with 2q + 1 from one residue
+# of q (Wiener, IACR ePrint 2003/186).  The sieve rejects only composites,
+# so it changes no answer, only how many exponentiations reach one.
 MILLER_RABIN_ROUNDS = 64
 
 
@@ -83,26 +82,25 @@ SMALL_PRIMES = list(_primes_below(2000))
 
 # The sieve.  First the primes up to 47, whose product fits a 64-bit
 # word, so that most composites fall to a one-word gcd of a residue; then
-# one gcd against the product of the other primes below 2000; then, for a
-# wide candidate, the primes from 2000 to 2^16, one product per octave
-# [2^(j-1), 2^j) for j = 12..16 (the first also holds 2003..2039), 91,230
-# bits in all.  The gcd against an octave's product costs about as much
-# as the product has bits, a Miller-Rabin round about the cube of the
-# candidate's width, and octave j rejects about 1/j of the candidates
-# that reach it, 2/j of safe-prime pairs.  Measured with CPython 3.11 on
-# an x86-64 Xeon, it pays for its gcd while 2^j <= bits^2 / 4, bits^2 / 2
-# for a pair: none at 48 bits, two octaves for a 128-bit pair, all five
-# from 512 bits.  Every n below 2^16 is instead tested by trial division,
-# which is exact.
+# one gcd against the product of the other primes below 2000.  Every n
+# below 2^16 is instead tested by trial division, which is exact.  A
+# deeper sieve, one gcd per octave [2^(j-1), 2^j) up to 2^16, paid for
+# itself while each Miller-Rabin round it saved was a builtin pow; with
+# libcrypto's BN_mod_exp it costs more than it saves.  Median seconds a
+# call, octaves -> two gcds, paired and alternating in one process (16
+# seeds loaded, 6 off), CPython 3.11, OpenSSL 3, 2-core x86-64:
+#   call                     libcrypto loaded       libcrypto off
+#   pda.setup(512, ...)      0.643 -> 0.497 (15/16)  0.911 -> 1.190 (0/6)
+#   arith.setup(512, ...)    0.339 -> 0.284 (16/16)  0.433 -> 0.547 (0/6)
+#   paillier.keygen(2086)    0.157 -> 0.156 (7/16)   0.858 -> 1.106 (0/6)
+# (n/m: the two gcds were faster on n of m seeds.)  So without libcrypto
+# a 512-bit search is about 30 % slower; no workload runs that path.
+# A single gcd against every prime below 2000, with no word stage, is
+# about 3 times slower: arith.setup(512, ...) took 0.46 s for 0.15 s
+# (median of 12 seeds).
 _WORD_PRIMORIAL = math.prod(p for p in SMALL_PRIMES if p <= 47)
-_SIEVE_DEPTH = 1 << 16
-_SIEVE_PRODUCTS = tuple(
-    math.prod(group)
-    for _, group in groupby(
-        (p for p in _primes_below(_SIEVE_DEPTH) if p > 47),
-        key=lambda p: 0 if p < 2000 else max(p.bit_length(), 12),
-    )
-)
+_SIEVE_PRODUCT = math.prod(p for p in SMALL_PRIMES if p > 47)
+_TRIAL_BOUND = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -458,31 +456,23 @@ def _small_prime(n: int) -> bool:
 
 def _sieved(n: int, pair: bool = False) -> bool:
     """Whether n, and with `pair` also 2n + 1, has no prime factor below
-    the sieve's depth other than itself; below 2^16, whether n is prime.
+    2000 other than itself; below 2^16, whether n is prime.
 
     One residue r = n mod 2*3*...*47 tests n and 2n + 1 together through
-    gcd(r (2r + 1), 2*3*...*47).  The depth is then 2000, or 2^(11 + k)
-    for the k octaves that the candidate's width pays for, the width of
-    2n + 1 for a pair.
+    gcd(r (2r + 1), 2*3*...*47).
     """
-    if n < _SIEVE_DEPTH:
+    if n < _TRIAL_BOUND:
         return _small_prime(n) and (not pair or _sieved(2 * n + 1))
     r = n % _WORD_PRIMORIAL
     if math.gcd(r * (2 * r + 1) if pair else r, _WORD_PRIMORIAL) != 1:
         return False
-    x, bits = (n * (2 * n + 1), (2 * n + 1).bit_length()) if pair else (n, n.bit_length())
-    return all(math.gcd(x, m) == 1 for m in _SIEVE_PRODUCTS[: 1 + _octaves(bits, pair)])
-
-
-def _octaves(bits: int, pair: bool) -> int:
-    """How many octaves above 2000 a `bits`-bit candidate is sieved by."""
-    return max(0, (bits * bits // (2 if pair else 4)).bit_length() - 12)
+    return math.gcd(n * (2 * n + 1) if pair else n, _SIEVE_PRODUCT) == 1
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS, *, skip: int = 0) -> bool:
     """Sieve, then `rounds` Miller-Rabin rounds, leaving out the first
     `skip` of them for a caller that has run `_miller_rabin(n, skip)`."""
-    return _sieved(n) and (n < _SIEVE_DEPTH or _miller_rabin(n, rounds, skip))
+    return _sieved(n) and (n < _TRIAL_BOUND or _miller_rabin(n, rounds, skip))
 
 
 def _miller_rabin(n: int, rounds: int, skip: int = 0) -> bool:

@@ -17,7 +17,6 @@ multiply to one.
 from __future__ import annotations
 
 import fcntl
-import functools
 import json
 import math
 import os
@@ -458,14 +457,6 @@ def encode_value(
     return pow(x % params.N, e, params.N) * mask % params.N
 
 
-# Every member of a query's group masks the same window, so its slot
-# exponents are derived once a query, not once a member.
-@functools.lru_cache(maxsize=16)
-def _window_exponents(window: Window, n_tilde: int, seed: bytes) -> tuple[int, ...]:
-    """The slot exponents a_t of the window's slots, in slot order."""
-    return tuple(slot_exponent(t, n_tilde, seed) for t in range(window.start, window.end))
-
-
 def encode_many(
     params: PdaParams,
     keys: Sequence[PdaEncKey],
@@ -479,7 +470,8 @@ def encode_many(
     0 (the mask must still be contributed).  Every key and every user's
     values are checked before any mask is computed; then the m masks
     H(t)^s of the window of every user are one fixed-base batch, users
-    in `keys` order, and x^e is taken only where e != 0.
+    in `keys` order, and x^e is taken only where e != 0.  The window's
+    slot exponents a_t are derived once a call, for all of its members.
     """
     m = query.m
     if query.window.length != m:
@@ -492,7 +484,8 @@ def encode_many(
         if key.id not in query.participants:
             raise KeyMissing(f"user {key.id} not in the query group")
         exponents.append(mask_exponent(params, key, query.participants))
-    slots = _window_exponents(query.window, n_tilde, params.hash_seed)
+    w = query.window
+    slots = [slot_exponent(t, n_tilde, params.hash_seed) for t in range(w.start, w.end)]
     batch = [a_t * s % n_tilde for s in exponents for a_t in slots]
     masks = fixed_base_pows(params.h, batch, n, n_tilde)
     out = {}

@@ -217,6 +217,7 @@ def test_aggregate_rejects_params_with_h_outside_subgroup(keyring, tmp_path, cap
         "user,x0,x1\n1,5,1\n2,7,1.5\n3,1,3\n",  # non-integer value cell
         "user,x0,x1\n1,5,1\n2,7\n3,1,3\n",  # short row
         "user,x0,y\n1,5,1\n2,7,1\n3,1,3\n",  # neither x1 nor x
+        "user,x0,x\n1,5,1\n2,7,1\n3,1,3\n",  # x0 and x, but no x1
         "user,value\n1,5\n2,7\n3,1\n",  # neither x<k> nor x
         "user,x0,x1\n1,5,1\n1,7,1\n2,7,1\n3,1,3\n",  # repeated user
     ],
@@ -225,12 +226,14 @@ def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
     params, keys = keyring
     data = tmp_path / "data.csv"
     data.write_text(csv_text)
+    claimed = (keys / "registry.jsonl").read_text()
     code = run_cli(
         "aggregate", "--params", params, "--keys", keys,
         "--query", FIXTURES / "toy_query.json", "--data", data, "--seed", "17",
     )
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "bad-data"
+    assert (keys / "registry.jsonl").read_text() == claimed
 
 
 def test_aggregate_refuses_query_wider_than_aggregator_key(keyring, tmp_path, capsys):

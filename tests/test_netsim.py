@@ -181,7 +181,6 @@ def test_aggregation_derives_each_slot_exponent_once(monkeypatch, pda_system):
         return numtheory.slot_exponent(t, *args)
 
     monkeypatch.setattr(pda, "slot_exponent", counted)
-    pda._window_exponents.cache_clear()
     netsim.run_pda_aggregation(
         system, query, {i: [i] * m for i in ids}, seed=3, registry=pda.SlotRegistry()
     )

@@ -363,10 +363,8 @@ def test_is_probable_prime_below_2_16_is_trial_division():
     assert {0, 1, 4, 65535}.isdisjoint(PRIME_SET) and {2, 1999, 2003, 65521} <= PRIME_SET
 
 
-def sieve_depth(n: int, pair: bool) -> int:
-    """Primes below this bound are sieved out of a candidate n >= 2^16."""
-    k = min(numtheory._octaves((2 * n + 1 if pair else n).bit_length(), pair), 5)
-    return 1 << 11 + k if k else 2000
+# primes below this bound are sieved out of a candidate n >= 2^16
+SIEVE_DEPTH = 2000
 
 
 def free_below(n: int, bound: int) -> bool:
@@ -377,12 +375,11 @@ def free_below(n: int, bound: int) -> bool:
 def sieve_oracle(n: int, pair: bool) -> bool:
     if n < 1 << 16:
         return n in PRIME_SET and (not pair or sieve_oracle(2 * n + 1, False))
-    depth = sieve_depth(n, pair)
-    return all(free_below(x, depth) for x in ((n, 2 * n + 1) if pair else (n,)))
+    return all(free_below(x, SIEVE_DEPTH) for x in ((n, 2 * n + 1) if pair else (n,)))
 
 
-# primes at both edges of the sieve: the first stage ends below 2000, the
-# second below 2^16
+# primes at both edges of the sieve: its gcds end below 2000, its trial
+# division below 2^16
 EDGE_PRIMES = [p for p in PRIMES_BELOW_2_16 if 1900 < p < 2100 or 64_000 < p] + [
     65537, 65539, 65543, 65551, 65557, 65563, 65579,
 ]
@@ -407,26 +404,22 @@ def test_sieve_at_its_edges(ell, m, pair):
     if pair:
         n = (n - 1) // 2
     assert numtheory._sieved(n, pair) == sieve_oracle(n, pair)
-    if not pair and m.bit_length() > 500:  # all five octaves
-        assert numtheory._sieved(n) == (ell > 1 << 16)
+    if not pair and m.bit_length() > 500:
+        assert numtheory._sieved(n) == (ell > SIEVE_DEPTH)
 
 
 @settings(max_examples=100, deadline=None)
 @given(q=st.integers(1 << 16, 1 << 600))
 def test_pair_sieve_is_the_sieve_of_both_members(q):
-    # the pair shares one depth, from the width of 2q + 1
-    depth = sieve_depth(q, True)
-    assert numtheory._sieved(q, True) == (free_below(q, depth) and free_below(2 * q + 1, depth))
+    assert numtheory._sieved(q, True) == (
+        free_below(q, SIEVE_DEPTH) and free_below(2 * q + 1, SIEVE_DEPTH)
+    )
 
 
-@pytest.mark.parametrize(
-    "bits, pair, octaves",
-    [(48, True, 0), (52, False, 0), (104, False, 0), (128, False, 1), (128, True, 2),
-     (257, False, 3), (511, False, 4), (512, True, 6), (1043, False, 7)],
-)
-def test_sieve_depth_by_width(bits, pair, octaves):
-    # a kappa=48 search meets no second stage; kappa=512 meets all of it
-    assert numtheory._octaves(bits, pair) == octaves
+def test_sieve_leaves_a_factor_above_2000_to_miller_rabin():
+    n = 2003 * ((1 << 521) - 1)
+    assert numtheory._sieved(n)
+    assert not is_probable_prime(n)
 
 
 @pytest.mark.parametrize("bits", [6, 8, 12])

@@ -7,7 +7,9 @@ these counts, while `test_prime_pins.py` shows that the accepted primes
 stay the same.  Before the staged sieve the same searches made 93, 93,
 71 and 81 pows, and the keygen 129; before the full test of q skipped
 the base its screen had already tried, the searches made 81, 90, 70
-and 77.
+and 77; with the octave gcds from 2000 to 2^16, which cost more than
+the BN_mod_exp rounds they saved, they made 80, 89, 69 and 76, and the
+keygen 117.
 """
 
 import builtins
@@ -33,7 +35,7 @@ def pows(monkeypatch):
     return count
 
 
-SAFE_PRIME_128 = {0: 80, 1: 89, 2: 69, 3: 76}
+SAFE_PRIME_128 = {0: 92, 1: 92, 2: 70, 3: 80}
 
 
 @pytest.mark.parametrize("seed", sorted(SAFE_PRIME_128))
@@ -44,4 +46,4 @@ def test_safe_prime_search_pows(pows, seed):
 
 def test_aggregator_keygen_pows(pows):
     paillier.keygen(512, Rng("screens:aggregator:512"))
-    assert pows[0] == 117
+    assert pows[0] == 129
