@@ -214,7 +214,7 @@ def run_pda_aggregation(
         # term values in window order
         bus.begin_round()
         for i in ordinary:
-            bus.post(i, "encode", tuple(encodings[i][k] for k in range(query.m)))
+            bus.post(i, "encode", tuple(encodings[i].values()))
         user2_cts = pda.encode_user2(system.agg_pk, plain2, crng.fork(f"user2:{u2}"))
         bus.post(u2, "encode-enc", tuple(user2_cts[k] for k in range(query.m)))
         bus.end_round()

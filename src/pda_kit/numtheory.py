@@ -16,12 +16,12 @@ All values are plain Python ints; modular results are reduced into
 [0, modulus).
 
 The module's `pow` is the builtin's, except that a wide modular
-exponentiation goes to OpenSSL's BN_mod_exp (Montgomery multiplication)
-through ctypes when libcrypto loads; `paillier` and `pda` import it.
-`pows` takes a batch of independent exponentiations and spreads wide
-library calls over the process's cores.  Results are the builtin's, so
-transcripts do not depend on whether the library loaded or on the
-cores, only timings do.
+exponentiation goes to OpenSSL's BN_mod_exp_mont on a held Montgomery
+context (`_held`) through ctypes when libcrypto loads; `paillier` and
+`pda` import it.  `pows` takes a batch of independent exponentiations
+and spreads wide library calls over the process's cores.  Results are
+the builtin's, so transcripts do not depend on whether the library
+loaded or on the cores, only timings do.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import hashlib
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile, zip_longest
@@ -108,11 +109,11 @@ _TRIAL_BOUND = 1 << 16
 # ---------------------------------------------------------------------------
 
 # Wide modular exponentiation.  CPython's pow reduces each step by long
-# division; OpenSSL's BN_mod_exp uses Montgomery multiplication for an
-# odd modulus, but a call through ctypes costs 15 to 25 us of conversion
-# and allocation.  Per call, in us, builtin / BN_mod_exp, for a random
-# odd modulus and an exponent of the given width; CPython 3.11, OpenSSL
-# 3, x86-64 Xeon:
+# division; OpenSSL's BN_mod_exp_mont uses Montgomery multiplication for
+# an odd modulus, but a call through ctypes costs 15 to 25 us of
+# conversion and allocation.  Per call, in us, builtin / BN_mod_exp, for
+# a random odd modulus and an exponent of the given width; CPython 3.11,
+# OpenSSL 3, x86-64 Xeon:
 #   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus
 #        64         1.9 / 22     10 / 23       17 / 36       21 / 32
 #        96         2.7 / 23     14 / 24       24 / 25       38 / 29
@@ -122,29 +123,33 @@ _TRIAL_BOUND = 1 << 16
 #       512                                                  970 / 95
 #      1024          49 / 25    202 / 32      346 / 43       4,795 / 381
 #      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165
-# So BN_mod_exp gets an exponent of at least 64 bits modulo at least 96
+# So the library gets an exponent of at least 64 bits modulo at least 96
 # bits, where the two tie at the corner and BN wins by up to 14 times
-# beyond it.  A wider modulus moves the crossover to shorter exponents,
-# but pda-kit's short exponents are data exponents of a few bits modulo
-# N, where the builtin wins.  An even modulus costs BN_mod_exp its
-# reciprocal method: 0.5 to 0.8 of the builtin's speed at 96 to 128 bits
-# and up to 3.7 times it from 256; every wide modulus pda-kit uses is
-# odd.  Everything else goes to the builtin: a negative exponent (an
-# inverse), a bool, an int subclass or any other type, a modulus that is
-# not positive, a library that did not load or a call that failed.
+# beyond it; pda-kit's short exponents are data exponents of a few bits
+# modulo N, where the builtin wins.  Those calls also rebuilt the
+# modulus's Montgomery context (R^2 mod m and m') and a BN_CTX each time.
+# `_held` keeps the context of the 16 moduli used last and `_scratch` a
+# call's BN_CTX and operands, which cuts a call (us, per-call / held):
+# 442-bit modulus, 221-bit exponent (regress_n64's encryptions) 34 / 29;
+# 104-bit exponent (its scales) 24 / 17; 512 / 511 bits 59 / 53; 96 / 64
+# bits 13.5 / 6.9; from 1,041 bits nothing.  No workload's call lies near
+# a floor, so both stay.  An even modulus (BN_mod_exp_mont refuses it;
+# pda-kit's are odd), a negative exponent, a bool, an int subclass or any
+# other type, a modulus that is not positive, a library that did not
+# load or a failed call go to the builtin.
 _BN_MOD_FLOOR = 1 << 95  # moduli of at least 96 bits
 _BN_EXP_FLOOR = 1 << 63  # exponents of at least 64 bits
 
 
 def _load_libcrypto() -> ctypes.CDLL | None:
-    """libcrypto with the seven BN calls `pow` makes typed; None where it
-    is not found or predates OpenSSL 1.1 (no BN_bn2binpad)."""
+    """libcrypto with the ten BN calls `pow` makes typed; None where it is
+    not found, predates OpenSSL 1.1 (no BN_bn2binpad) or lacks one."""
     path = ctypes.util.find_library("crypto")
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(path)
-        bn, ctx = ctypes.c_void_p, ctypes.c_void_p
+        bn = ctx = mont = ctypes.c_void_p
         for name, restype, argtypes in (
             ("BN_bin2bn", bn, (ctypes.c_char_p, ctypes.c_int, bn)),
             ("BN_bn2binpad", ctypes.c_int, (bn, ctypes.c_char_p, ctypes.c_int)),
@@ -152,7 +157,10 @@ def _load_libcrypto() -> ctypes.CDLL | None:
             ("BN_free", None, (bn,)),
             ("BN_CTX_new", ctx, ()),
             ("BN_CTX_free", None, (ctx,)),
-            ("BN_mod_exp", ctypes.c_int, (bn, bn, bn, bn, ctx)),
+            ("BN_MONT_CTX_new", mont, ()),
+            ("BN_MONT_CTX_set", ctypes.c_int, (mont, bn, ctx)),
+            ("BN_MONT_CTX_free", None, (mont,)),
+            ("BN_mod_exp_mont", ctypes.c_int, (bn, bn, bn, bn, ctx, mont)),
         ):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -165,68 +173,98 @@ _libcrypto = _load_libcrypto()
 
 
 def _routed(base, exp, mod) -> bool:
-    """Whether `pow` hands (base, exp, mod) to BN_mod_exp, libcrypto loaded."""
+    """Whether `pow` hands (base, exp, mod) to the library, if it loaded."""
     return (
         type(exp) is int
         and exp >= _BN_EXP_FLOOR
         and type(mod) is int
         and mod >= _BN_MOD_FLOOR
+        and mod & 1 == 1
         and type(base) is int
     )
 
 
 def pow(base, exp, mod=None):
-    """builtins.pow(base, exp, mod), by BN_mod_exp where that is faster."""
+    """builtins.pow(base, exp, mod), by BN_mod_exp_mont where that is faster."""
     lib = _libcrypto
     if lib is not None and _routed(base, exp, mod):
-        value = _bn_mod_exp(lib, base % mod, exp, mod)
+        value = _mont_exp(lib, base % mod, exp, mod)
         if value is not None:
             return value
     return builtins.pow(base, exp, mod)
 
 
-def _bn_mod_exp(lib: ctypes.CDLL, base: int, exp: int, mod: int) -> int | None:
-    """base^exp mod `mod` by BN_mod_exp for 0 <= base < mod; None if it fails.
+class _Held:
+    """An odd modulus's BIGNUM and Montgomery context, which calls on any
+    thread share read-only (as OpenSSL's RSA does), freed with the last
+    reference: an entry evicted while a call holds it lives until then."""
 
-    ctypes releases the interpreter lock during each library call, so
-    every call allocates its own numbers and context and shares none.
-    """
-    size = (mod.bit_length() + 7) // 8
-    operands = [x.to_bytes((x.bit_length() + 7) // 8, "big") for x in (base, exp, mod)]
-    # a failed allocation is None (NULL), which BN_free and BN_CTX_free ignore
-    bns = (lib.BN_new(), *(lib.BN_bin2bn(x, len(x), None) for x in operands))
-    ctx = lib.BN_CTX_new()
-    try:
-        if ctx is None or None in bns or not lib.BN_mod_exp(*bns, ctx):
-            return None
-        out = ctypes.create_string_buffer(size)
-        if lib.BN_bn2binpad(bns[0], out, size) != size:
-            return None
-        return int.from_bytes(out.raw, "big")
-    finally:
-        for bn in bns:
-            lib.BN_free(bn)
+    def __init__(self, lib: ctypes.CDLL, mod: int):
+        self.size = (mod.bit_length() + 7) // 8
+        self.bn = lib.BN_bin2bn(mod.to_bytes(self.size, "big"), self.size, None)
+        self.mont, ctx = lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
+        # a failed allocation is None (NULL), which every free ignores
+        weakref.finalize(self, lib.BN_free, self.bn)
+        weakref.finalize(self, lib.BN_MONT_CTX_free, self.mont)
+        ok = None not in (self.bn, self.mont, ctx) and lib.BN_MONT_CTX_set(self.mont, self.bn, ctx)
         lib.BN_CTX_free(ctx)
+        if not ok:
+            raise MemoryError("libcrypto could not hold the modulus")
+
+
+_held = functools.lru_cache(maxsize=16)(_Held)
+_scratch: list[tuple[int, int, int, int]] = []  # free (BN_CTX, result, base, exponent)
+
+
+def _mont_exp(lib: ctypes.CDLL, base: int, exp: int, mod: int) -> int | None:
+    """base^exp mod an odd `mod` by BN_mod_exp_mont for 0 <= base < mod, on
+    its held context; None if it fails.  ctypes releases the interpreter
+    lock during each library call, so a call pops a scratch set (or makes
+    one) and pushes it back: `_scratch` holds at most one per caller."""
+    try:
+        held = _held(lib, mod)
+    except MemoryError:
+        return None
+    try:
+        scratch = _scratch.pop()
+    except IndexError:
+        scratch = (lib.BN_CTX_new(), lib.BN_new(), lib.BN_new(), lib.BN_new())
+    ctx, r, b, e = scratch
+    operands = [(x.to_bytes((x.bit_length() + 7) // 8, "big"), bn) for x, bn in ((base, b), (exp, e))]
+    try:
+        out = ctypes.create_string_buffer(held.size)
+        ok = None not in scratch and None not in (lib.BN_bin2bn(x, len(x), bn) for x, bn in operands)
+        if ok and lib.BN_mod_exp_mont(r, b, e, held.bn, ctx, held.mont):
+            if lib.BN_bn2binpad(r, out, held.size) == held.size:
+                return int.from_bytes(out.raw, "big")
+        return None
+    finally:
+        if None not in scratch:
+            _scratch.append(scratch)
+        else:
+            lib.BN_CTX_free(ctx)
+            for bn in (r, b, e):
+                lib.BN_free(bn)
 
 
 # Spreading a batch.  ctypes releases the interpreter lock during each
-# library call, so independent BN_mod_exp calls run on as many cores as
-# the process may use.  A thread costs 100 to 200 us to start and join.
+# library call, so independent BN_mod_exp_mont calls run on as many cores
+# as the process may use.  A thread costs 100 to 200 us to start and join.
 # Median us of a batch, serial / spread on 2 cores, for random odd moduli
 # and exponents as wide as the modulus or as a Paillier one (CPython
-# 3.11, OpenSSL 3, x86-64 Xeon shared with other work):
+# 3.11, OpenSSL 3, x86-64 Xeon shared with other work; the first two rows
+# on held contexts, at a quieter time):
 #   modulus / exponent bits   2 calls          4 calls          8 calls
-#        768 / 768            555 / 911        965 / 1,164
-#       1041 / 1024         2,019 / 2,369    3,919 / 2,610    8,183 / 5,515
+#        768 / 768            333 / 526        666 / 518      1,378 / 1,048
+#       1041 / 1024         1,120 / 874      2,232 / 1,605    4,265 / 2,643
 #       1280 / 1280         2,516 / 1,526    4,200 / 2,846    7,062 / 4,703
 #       2086 / 1043         6,142 / 3,984   11,324 / 7,768
 #       4172 / 2086        41,804 / 27,942  84,045 / 55,984
-# Below 1,024 bits the thread costs more than it saves; at 1,041 bits two
-# calls still lose and four win.  So a batch is spread only when every
-# call goes to the library modulo at least 1,024 bits: the framework's
-# masks at kappa=512 (h mod a 1041-bit N, m a user), its Paillier
-# encryptions and scales (mod a 4172-bit n^2) and the two CRT halves of
-# a decryption (2086 bits).
+# At 768 bits two calls lose and four win; from 1,041 bits every batch
+# wins, so a batch is spread only when every call goes to the library
+# modulo at least 1,024 bits: the framework's masks at kappa=512 (h mod a
+# 1041-bit N, m a user), its Paillier encryptions and scales (mod a
+# 4172-bit n^2) and the two CRT halves of a decryption (2086 bits).
 _SPREAD_FLOOR = 1 << 1023  # moduli of at least 1,024 bits
 
 
@@ -301,7 +339,7 @@ def fixed_base_pows(
     below _VECTOR_CEILING walks all its exponents at once
     (`_vector_walk`); every other batch is one `pows` call.
     """
-    if not all(0 <= e < bound for e in exponents):
+    if exponents and not (0 <= min(exponents) and max(exponents) < bound):
         raise ValueError(f"exponent outside [0, {bound})")
     if len(exponents) >= _VECTOR_FLOOR and modulus & 1 and 1 < modulus < _VECTOR_CEILING:
         return _vector_walk(base, exponents, modulus, max(1, (bound - 1).bit_length()))

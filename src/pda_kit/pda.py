@@ -490,11 +490,10 @@ def encode_many(
     masks = fixed_base_pows(params.h, batch, n, n_tilde)
     out = {}
     for j, key in enumerate(keys):
-        xs, powers = data[key.id], query.exponents.get(key.id, {})
-        values = out[key.id] = {}
-        for k, mask in enumerate(masks[j * m : (j + 1) * m]):
-            e = int(powers.get(k, 0))
-            values[k] = pow(xs[k] % n, e, n) * mask % n if e else mask
+        values = out[key.id] = dict(enumerate(masks[j * m : (j + 1) * m]))
+        for k, e in query.exponents.get(key.id, {}).items():
+            if e and k in values:
+                values[k] = pow(data[key.id][k] % n, int(e), n) * values[k] % n
     return out
 
 
@@ -555,11 +554,13 @@ def encode_user1(
         raise MissingEncoding("missing user-1 own encodings")
 
     units = blinding_units(agg_pk, query.m, rng.fork("user1:blind"))
+    rows = [own_encodings, *(other_encodings[i] for i in expected)]
+    columns = zip(*(tuple(map(row.__getitem__, range(query.m))) for row in rows))
     terms = []
-    for k in range(query.m):
-        e = query.coeffs[k] * own_encodings[k] % params.N
-        for i in expected:
-            e = e * other_encodings[i][k] % params.N
+    for k, column in enumerate(columns):
+        e = query.coeffs[k]
+        for x in column:
+            e = e * x % params.N
         terms.append((user2_cts[k], e))
     scaled = paillier.scale_many(agg_pk, terms)
     return [u * c % agg_pk.nsq for u, c in zip(units, scaled)]

@@ -375,6 +375,45 @@ def test_encode_many_checks_every_key_before_any_walk(pda_system, monkeypatch):
         pda.encode_many(system.params, keys, query, {**data, last: [1]})
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_encode_many_matches_encode_value(pda_system, data):
+    # every user of a batch, term by term, for exponent maps that hold
+    # zeros, several nonzero powers, or exponent 1 on every term (the
+    # shape of a sum query)
+    system, _ = pda_system
+    params = system.params
+    ids = sorted(system.enc_keys)
+    members = st.lists(
+        st.sampled_from(ids), min_size=params.theta_min, max_size=len(ids), unique=True
+    )
+    group = tuple(sorted(data.draw(members, label="group")))
+    m = data.draw(st.integers(1, 6), label="m")
+    shape = data.draw(st.sampled_from(["zeros", "several", "ones"]), label="shape")
+    powers = {
+        "zeros": st.dictionaries(st.integers(0, m - 1), st.just(0)),
+        "several": st.dictionaries(st.integers(0, m - 1), st.integers(0, 4), min_size=min(m, 2)),
+        "ones": st.just(dict.fromkeys(range(m), 1)),
+    }[shape]
+    exponents = data.draw(st.fixed_dictionaries({i: powers for i in group}), label="exponents")
+    start = data.draw(st.integers(0, 1 << 20), label="start")
+    query = pda.PdaQuery(
+        coeffs=(1,) * m, exponents=exponents, participants=group, window=pda.Window(start, m)
+    )
+    rows = st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m)
+    xs = data.draw(st.fixed_dictionaries({i: rows for i in group}), label="xs")
+    got = pda.encode_many(params, [system.enc_keys[i] for i in group], query, xs)
+    assert got == {
+        i: {
+            k: pda.encode_value(
+                params, system.enc_keys[i], group, xs[i][k], query.exponent(i, k), start + k
+            )
+            for k in range(m)
+        }
+        for i in group
+    }
+
+
 # ---------------------------------------------------------------------------
 # user-1 blinding and aggregation
 # ---------------------------------------------------------------------------
@@ -422,6 +461,47 @@ def test_blinded_and_unblinded_aggregate_identically(pda_system):
     )
     oracle = pda.evaluate_query(query, data, params.N)
     assert pda.aggregate(params, system.agg_keys, blinded) == oracle
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_encode_user1_scalars_are_the_nested_loop(pda_system, data):
+    # e_k = c_k * C(x_1k) * prod_{i != 1, 2} C(x_ik) mod N, reduced after
+    # each factor in the order user 1, then the others in group order
+    system, _ = pda_system
+    params = system.params
+    ids = sorted(system.enc_keys)
+    members = st.lists(
+        st.sampled_from(ids), min_size=params.theta_min, max_size=len(ids), unique=True
+    )
+    group = tuple(data.draw(members, label="group"))
+    m = data.draw(st.integers(1, 5), label="m")
+    coeffs = data.draw(st.lists(st.integers(-params.N, 2 * params.N), min_size=m, max_size=m))
+    query = pda.PdaQuery(coeffs=tuple(coeffs), exponents={}, participants=group, window=pda.Window(0, m))
+    encodings = st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m).map(
+        lambda row: dict(enumerate(row))
+    )
+    u1, u2 = query.special_users()
+    expected_users = [i for i in group if i not in (u1, u2)]
+    own = data.draw(encodings, label="own")
+    others = {i: data.draw(encodings, label=f"user {i}") for i in expected_users}
+    cts = dict(enumerate(range(2, m + 2)))
+    scaled = []
+
+    def recording(pk, terms):
+        scaled.extend(terms)
+        return [ct for ct, _ in terms]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paillier, "scale_many", recording)
+        pda.encode_user1(params, system.agg_pk, query, own, others, cts, Rng("u1"))
+    reference = []
+    for k in range(m):
+        e = coeffs[k] * own[k] % params.N
+        for i in expected_users:
+            e = e * others[i][k] % params.N
+        reference.append((cts[k], e))
+    assert scaled == reference
 
 
 def test_single_blinded_term_hides_term_value(pda_system):

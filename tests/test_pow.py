@@ -1,8 +1,9 @@
-"""numtheory.pow: the builtin's results, by libcrypto's BN_mod_exp when wide.
+"""numtheory.pow: the builtin's results, by libcrypto's BN_mod_exp_mont when wide.
 
 A call goes to the library only with plain-int operands, an exponent of
-at least 64 bits and a positive modulus of at least 96 bits; everything
-else, and any failure of the library, goes to `builtins.pow`.
+at least 64 bits and an odd positive modulus of at least 96 bits, whose
+Montgomery context is held across calls; everything else, and any
+failure of the library, goes to `builtins.pow`.
 """
 
 import builtins
@@ -150,28 +151,32 @@ def libcrypto():
     return lib
 
 
-def replacing_bn_mod_exp(lib, bn_mod_exp):
-    """`lib` with its BN_mod_exp replaced by `bn_mod_exp`."""
+def replacing(lib, name, fn):
+    """`lib` with its symbol `name` replaced by `fn`."""
 
     class Patched:
-        def __getattr__(self, name):
-            return getattr(lib, name)
+        def __getattr__(self, attr):
+            return getattr(lib, attr)
 
     patched = Patched()
-    patched.BN_mod_exp = bn_mod_exp
+    setattr(patched, name, fn)
     return patched
+
+
+def counting(calls, fn):
+    def count(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return count
 
 
 @pytest.fixture
 def bn_calls(monkeypatch, libcrypto):
-    """The BN_mod_exp calls `numtheory.pow` makes while the test runs."""
+    """The BN_mod_exp_mont calls `numtheory.pow` makes while the test runs."""
     calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return libcrypto.BN_mod_exp(*args)
-
-    monkeypatch.setattr(numtheory, "_libcrypto", replacing_bn_mod_exp(libcrypto, counting))
+    patched = replacing(libcrypto, "BN_mod_exp_mont", counting(calls, libcrypto.BN_mod_exp_mont))
+    monkeypatch.setattr(numtheory, "_libcrypto", patched)
     return calls
 
 
@@ -190,7 +195,7 @@ WIDE = 1 << 1000 | 1
     "base, exp, mod, routed",
     [
         pytest.param(3, EXP_FLOOR, MOD_FLOOR + 1, True, id="at-both-floors"),
-        pytest.param(-3, EXP_FLOOR, MOD_FLOOR, True, id="negative-base-even-modulus"),
+        pytest.param(-3, EXP_FLOOR, MOD_FLOOR, False, id="negative-base-even-modulus"),
         pytest.param(0, EXP_FLOOR, MOD_FLOOR + 1, True, id="zero-base"),
         pytest.param(3, EXP_FLOOR - 1, WIDE, False, id="63-bit-exponent"),
         pytest.param(3, WIDE, MOD_FLOOR - 1, False, id="95-bit-modulus"),
@@ -206,10 +211,38 @@ def test_only_wide_plain_int_calls_reach_the_library(bn_calls, base, exp, mod, r
 
 
 def test_failed_library_call_falls_back_to_the_builtin(monkeypatch, libcrypto):
-    failing = replacing_bn_mod_exp(libcrypto, lambda *args: 0)
+    failing = replacing(libcrypto, "BN_mod_exp_mont", lambda *args: 0)
     monkeypatch.setattr(numtheory, "_libcrypto", failing)
     mod = (1 << 1000) + 7
     assert numtheory.pow(5, mod - 2, mod) == builtins.pow(5, mod - 2, mod)
+
+
+def test_failed_montgomery_context_falls_back_to_the_builtin(monkeypatch, libcrypto):
+    # a modulus the library could not hold is not cached: the next call
+    # tries again, and no call reaches BN_mod_exp_mont
+    sets, exps = [], []
+    failing = replacing(libcrypto, "BN_MONT_CTX_set", counting(sets, lambda *args: 0))
+    failing.BN_mod_exp_mont = counting(exps, libcrypto.BN_mod_exp_mont)
+    monkeypatch.setattr(numtheory, "_libcrypto", failing)
+    held = numtheory._held.cache_info().currsize
+    mod = (1 << 1000) + 7
+    for _ in range(2):
+        assert numtheory.pow(5, mod - 2, mod) == builtins.pow(5, mod - 2, mod)
+    assert (len(sets), exps) == (2, [])
+    assert numtheory._held.cache_info().currsize == held
+
+
+def odd_moduli(count: int, bits: int) -> list[int]:
+    return [(1 << bits - 1) + 2 * i + 1 for i in range(count)]
+
+
+def test_cycling_more_moduli_than_the_cache_holds(libcrypto):
+    bound = numtheory._held.cache_info().maxsize
+    assert bound == 16
+    exp = EXP_FLOOR + 12345
+    for mod in odd_moduli(3 * bound, 442) * 2:
+        assert numtheory.pow(7, exp, mod) == builtins.pow(7, exp, mod)
+        assert numtheory._held.cache_info().currsize <= bound
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's statm")
@@ -218,11 +251,21 @@ def test_routed_calls_leak_no_memory(libcrypto):
         with open("/proc/self/statm") as f:
             return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
-    mod, exp = MOD_FLOOR + 1, EXP_FLOOR + 1
-    expected = builtins.pow(3, exp, mod)
-    for _ in range(1000):
-        numtheory.pow(3, exp, mod)
+    # every other call is on one held modulus; the rest cycle through one
+    # modulus more than the cache has left, so each of them evicts an
+    # entry and holds a new one
+    exp = EXP_FLOOR + 1
+    kept, *cycled = odd_moduli(numtheory._held.cache_info().maxsize + 2, 96)
+    expected = {mod: builtins.pow(3, exp, mod) for mod in (kept, *cycled)}
+
+    def modulus(i: int) -> int:
+        return cycled[i // 2 % len(cycled)] if i % 2 else kept
+
+    for i in range(1000):
+        numtheory.pow(3, exp, modulus(i))
     before = rss()
-    assert all(numtheory.pow(3, exp, mod) == expected for _ in range(100_000))
-    # five allocations a call that were never freed would be tens of MB
+    for i in range(100_000):
+        assert numtheory.pow(3, exp, modulus(i)) == expected[modulus(i)]
+    # one scratch set or held entry a call that was never freed would be
+    # tens of MB
     assert rss() - before < 4 << 20

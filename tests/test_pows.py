@@ -218,3 +218,34 @@ def test_many_threads_with_a_short_switch_interval(libcrypto, op_counts):
             assert op_counts.pows == {mod: len(items)}
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_share_held_moduli_while_they_are_evicted(libcrypto):
+    # eight threads over 40 moduli, more than the cache holds, switching as
+    # often as the interpreter allows: entries are evicted while another
+    # thread's call still uses them, and every value is still the builtin's
+    rnd = random.Random("evict")
+    moduli = [rnd.getrandbits(1024) | 1 << 1023 | 1 for _ in range(40)]
+    items = [(rnd.randrange(m), rnd.getrandbits(64) | 1 << 63, m) for m in rnd.choices(moduli, k=320)]
+    expected = builtin_pows(items)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with Starts(8) as starts:
+                assert numtheory.pows(items) == expected
+            assert starts.count == 7
+            assert numtheory._held.cache_info().currsize <= 16
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_scratch_sets_are_no_more_than_the_threads(libcrypto, monkeypatch, cores):
+    # each call pops a scratch set or makes one, and pushes it back
+    scratch = []
+    monkeypatch.setattr(numtheory, "_scratch", scratch)
+    items = batch(12, 1041, 1024, seed=cores)
+    with Starts(cores):
+        assert numtheory.pows(items) == builtin_pows(items)
+    assert 1 <= len(scratch) <= cores
