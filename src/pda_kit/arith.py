@@ -13,6 +13,7 @@ blind the key-generation messages so nobody learns another user's share.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -230,16 +231,11 @@ def mul_masks(
     return {key.id: mask for key, mask in zip(keys, masks)}
 
 
-def mul_mask(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -> int:
-    """Party i's multiplicative mask over group P: `mul_masks` of one key."""
-    return mul_masks(params, [key], group)[key.id]
-
-
 def encrypt_mul(
     params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
 ) -> ArithCiphertext:
     p = params.p
-    value = x % p * mul_mask(params, key, group) % p
+    value = x % p * mul_masks(params, [key], group)[key.id] % p
     return ArithCiphertext(
         kind="mul", value=value, participant=key.id, group=tuple(sorted(group))
     )
@@ -252,9 +248,12 @@ def decrypt(params: ArithParams, ciphertexts: Sequence[ArithCiphertext]) -> int:
     if len(kinds) != 1:
         raise MixedKinds(f"mixed ciphertext kinds {sorted(kinds)}")
     group = ciphertexts[0].group
-    senders = sorted(ct.participant for ct in ciphertexts)
-    if senders != sorted(group) or any(ct.group != group for ct in ciphertexts):
-        raise IncompleteGroup("need exactly one ciphertext per group member")
+    senders = Counter(ct.participant for ct in ciphertexts)
+    missing = sorted(set(group) - set(senders))
+    extra = sorted(i for i, count in senders.items() if count > 1 or i not in group)
+    if missing or extra or any(ct.group != group for ct in ciphertexts):
+        kind = f"enc-{ciphertexts[0].kind} ciphertext"
+        raise IncompleteGroup(f"no {kind} from members {missing}; repeated or outside: {extra}")
     if kinds == {"add"}:
         return sum(ct.value for ct in ciphertexts) % params.p
     out = 1

@@ -3,23 +3,25 @@
 Authority-participant: a virtual participant (ID n+1) joins key
 generation; real participants encrypt term factors multiplicatively and
 only the authority, holding the virtual keys, can complete each product
-term.  Single-owner terms would be revealed term-by-term, so they are
-always routed through an extra additive round that discloses only their
-sum.
+term.  Single-owner terms, which that round would reveal one by one, go
+through an extra additive round that discloses only their sum.
 
 All-participants: no authority; broadcasts decrypt for every group
 member, the lowest-ID owner plays the mask-completion role in the extra
 additive round and publishes the recovered sum.
+
+Every reader computes from its own secrets and the messages the bus
+delivers to it; IncompleteGroup names a kind and a sender it lacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import DuplicateId, GroupTooSmall, ResultOverflow
+from .errors import DuplicateId, GroupTooSmall, IncompleteGroup, ResultOverflow
 from .errors import field, hex_field, json_int, json_key
 
 
@@ -165,6 +167,20 @@ def _mul_masks(
     return arith.mul_masks(params, [enc_keys[i] for i in group], group)
 
 
+def _delivered(bus: Bus, kinds: Iterable[str], senders: Sequence[int]) -> list[list[int]]:
+    """Close the open round and read what it delivered, in one pass: for
+    each of `kinds`, the one-value bodies of that kind from `senders`, in
+    their order.  IncompleteGroup names a kind and each sender of none."""
+    got: dict[str, dict[int, int]] = {kind: {} for kind in kinds}
+    for msg in bus.end_round():
+        got[msg.kind][msg.sender] = msg.body[0]
+    for kind, bodies in got.items():
+        missing = [i for i in senders if i not in bodies]
+        if missing:
+            raise IncompleteGroup(f"no {kind} message from participants {missing}")
+    return [[bodies[i] for i in senders] for bodies in got.values()]
+
+
 def _extra_additive(
     bus: Bus,
     params: arith.ArithParams,
@@ -175,7 +191,7 @@ def _extra_additive(
 ) -> int:
     """Owners additively encrypt their (locally pre-summed) single-owner
     terms under their `_sigma_masks` share; the completer finishes the
-    masked sum with its own share.
+    masked sum it receives with its own share.
     """
     p = params.p
     partial = dict.fromkeys(masks, 0)
@@ -183,16 +199,12 @@ def _extra_additive(
         owner = term.owners[0]
         partial[owner] = (partial[owner] + _term_factor(term, owner, data[owner], p, True)) % p
 
+    senders = [i for i in sorted(masks) if i != completer]
     bus.begin_round()
-    masked = 0
-    for i in sorted(masks):
-        if i == completer:
-            continue
-        value = (partial[i] + masks[i]) % p
-        masked += value
-        bus.post(i, "enc-add-sigma", (value,))
-    bus.end_round()
-    return (masked + partial[completer] + masks[completer]) % p
+    for i in senders:
+        bus.post(i, "enc-add-sigma", ((partial[i] + masks[i]) % p,))
+    (masked,) = _delivered(bus, ["enc-add-sigma"], senders)
+    return (sum(masked) + partial[completer] + masks[completer]) % p
 
 
 def _multiplicative_round(
@@ -206,24 +218,23 @@ def _multiplicative_round(
     every multi-owner term times its `_mul_masks` mask, with the lowest
     participant folding in the coefficient.
 
-    Returns the product of each multi-owner term's ciphertexts.
+    Returns the product of each multi-owner term's delivered ciphertexts.
     """
     p = params.p
     fold_owner = min(poly.participants)
+    kinds = {f"enc-mul:{k}": term for k, term in enumerate(poly.terms) if len(term.owners) != 1}
 
     bus.begin_round()
-    products = []
-    for k, term in enumerate(poly.terms):
-        if len(term.owners) == 1:
-            continue
-        product = 1
+    for kind, term in kinds.items():
         for i in poly.participants:
             x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
-            value = x_hat * masks[i] % p
+            bus.post(i, kind, (x_hat * masks[i] % p,))
+    products = []
+    for values in _delivered(bus, kinds, poly.participants):
+        product = 1
+        for value in values:
             product = product * value % p
-            bus.post(i, f"enc-mul:{k}", (value,))
         products.append(product)
-    bus.end_round()
     return products
 
 
@@ -299,6 +310,5 @@ def all_participants_aggregate(
         sigma_sum = _extra_additive(bus, params, sigma, data, sigma_masks, completer=designated)
         bus.begin_round()
         bus.post(designated, "sigma-sum", (sigma_sum,))
-        bus.end_round()
-        total += sigma_sum
+        total += _delivered(bus, ["sigma-sum"], [designated])[0][0]
     return {i: total % params.p for i in group}

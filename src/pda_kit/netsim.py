@@ -12,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult
-from .errors import IncompleteGroup, KeyMissing, ProtocolError, ResultOverflow
+from .errors import IncompleteGroup, KeyMissing, MissingEncoding, ProtocolError, ResultOverflow
 from .rng import Rng
 
 
@@ -97,16 +97,17 @@ def run_arith_group_aggregation(
         raise ValueError("op must be 'add' or 'mul'")
     arith.require_inputs(system.enc_keys, group, values, group)
     encrypt = arith.encrypt_add if op == "add" else arith.encrypt_mul
+    ids = tuple(sorted(group))
 
     def driver(bus: Bus, crng: Rng):
-        cts = [encrypt(system.params, system.enc_keys[i], group, values[i]) for i in sorted(group)]
+        cts = [encrypt(system.params, system.enc_keys[i], ids, values[i]) for i in ids]
         bus.begin_round()
         for ct in cts:
             bus.post(ct.participant, f"enc-{op}", (ct.value,))
-        bus.end_round()
-        return arith.decrypt(system.params, cts)
+        received = [arith.ArithCiphertext(op, m.body[0], m.sender, ids) for m in bus.end_round()]
+        return arith.decrypt(system.params, received)
 
-    result = run_ceremony(driver, tuple(sorted(group)), seed)
+    result = run_ceremony(driver, ids, seed)
     return result.outputs, result
 
 
@@ -167,14 +168,15 @@ def run_pda_aggregation(
     seed: int | str | bytes,
     registry: pda.SlotRegistry | None = None,
 ) -> tuple[int, CeremonyResult]:
-    """Declaration round, then the two broadcast rounds of one evaluation.
+    """Declaration round, then the two broadcast rounds of one evaluation:
+    user 1 computes from the round-2 messages it receives, the aggregator
+    decrypts the 'blinded-term' one, and MissingEncoding names any lacking.
 
     A query that fails validation, names a participant without a key,
     without m values in `data` or with a key that refuses the group, or
     whose term sum the aggregator key cannot hold is refused before its
-    window is claimed.  The window is claimed against the registry
-    before any message is emitted; an overlap aborts with an empty
-    transcript.
+    window is claimed, against the registry, before any message is
+    emitted; an overlap aborts with an empty transcript.
     """
     params = system.params
     query.validate(params)
@@ -208,31 +210,33 @@ def run_pda_aggregation(
         encodings = pda.encode_many(
             params, [system.enc_keys[i] for i in query.participants], query, data
         )
-        own, plain2 = encodings.pop(u1), encodings.pop(u2)
 
         # each sender's encodings for the window travel as one broadcast,
-        # term values in window order
+        # term values in window order; user 1 reads them off its inbox
         bus.begin_round()
         for i in ordinary:
             bus.post(i, "encode", tuple(encodings[i].values()))
-        user2_cts = pda.encode_user2(system.agg_pk, plain2, crng.fork(f"user2:{u2}"))
-        bus.post(u2, "encode-enc", tuple(user2_cts[k] for k in range(query.m)))
-        bus.end_round()
+        user2_cts = pda.encode_user2(system.agg_pk, encodings[u2], crng.fork(f"user2:{u2}"))
+        bus.post(u2, "encode-enc", tuple(user2_cts.values()))
+        inbox: dict[str, dict[int, dict[int, int]]] = {"encode": {}, "encode-enc": {}}
+        for msg in bus.end_round():
+            inbox[msg.kind][msg.sender] = dict(enumerate(msg.body))
 
         blinded = pda.encode_user1(
             params,
             system.agg_pk,
             query,
-            own,
-            encodings,
-            user2_cts,
+            encodings[u1],
+            inbox["encode"],
+            inbox["encode-enc"].get(u2, {}),
             crng.fork(f"user1:{u1}"),
         )
         bus.begin_round()
         bus.post(u1, "blinded-term", tuple(blinded))
-        bus.end_round()
-
-        return pda.aggregate(params, system.agg_keys, blinded)
+        terms = {(m.kind, m.sender): m.body for m in bus.end_round()}.get(("blinded-term", u1), ())
+        if len(terms) != query.m:
+            raise MissingEncoding(f"user {u1}: no 'blinded-term' message of {query.m} terms")
+        return pda.aggregate(params, system.agg_keys, terms)
 
     parties = (AGGREGATOR_ID, *query.participants)
     result = run_ceremony(driver, parties, seed)

@@ -104,14 +104,10 @@ def required_bits(outer_modulus: int, m_max: int) -> int:
     return 2 * outer_modulus.bit_length() + (m_max - 1).bit_length() + 1
 
 
-def encrypt(pk: AggPublicKey, m: int, rng: Rng) -> int:
-    return encrypt_many(pk, [m], rng)[0]
-
-
 def encrypt_many(pk: AggPublicKey, ms: Sequence[int], rng: Rng) -> list[int]:
-    """[encrypt(pk, m, rng) for m in ms]: the same ciphertexts and draws
-    from `rng`, every plaintext checked before the first draw, and the
-    r^n powers as one `pows` batch."""
+    """[(1 + m*n) * r^n mod n^2 for m in ms], one unit r drawn from `rng`
+    for each in turn, every plaintext checked before the first draw, and
+    the r^n powers as one `pows` batch."""
     if not all(0 <= m < pk.n for m in ms):
         raise MessageTooLarge(f"plaintext needs 0 <= m < {pk.n}")
     nsq = pk.nsq
@@ -131,12 +127,8 @@ def decrypt(keys: AggKeyPair, ct: int) -> int:
     return m_p + p * ((m_q - m_p) * p_inv % q)
 
 
-def scale(pk: AggPublicKey, ct: int, k: int) -> int:
-    return scale_many(pk, [(ct, k)])[0]
-
-
 def scale_many(pk: AggPublicKey, terms: Sequence[tuple[int, int]]) -> list[int]:
-    """[scale(pk, ct, k) for ct, k in terms], as one `pows` batch."""
+    """[ct^k mod n^2 for ct, k in terms], which encrypt k times ct's plaintext, as one `pows`."""
     if any(k < 0 for _, k in terms):
         raise ValueError("negative scalars must be sign-normalized first")
     return pows([(ct, k, pk.nsq) for ct, k in terms])

@@ -544,14 +544,14 @@ def encode_user1(
     """
     u1, u2 = query.special_users()
     expected = [i for i in query.participants if i not in (u1, u2)]
+    terms = set(range(query.m))
     for i in expected:
-        got = other_encodings.get(i)
-        if got is None or set(got) != set(range(query.m)):
-            raise MissingEncoding(f"missing encodings from user {i}")
-    if set(user2_cts) != set(range(query.m)):
-        raise MissingEncoding("missing user-2 ciphertexts")
-    if set(own_encodings) != set(range(query.m)):
-        raise MissingEncoding("missing user-1 own encodings")
+        if set(other_encodings.get(i, ())) != terms:
+            raise MissingEncoding(f"user {i}: no 'encode' message of {query.m} terms")
+    if set(user2_cts) != terms:
+        raise MissingEncoding(f"user {u2}: no 'encode-enc' message of {query.m} terms")
+    if set(own_encodings) != terms:
+        raise MissingEncoding(f"user {u1}: no own encoding of each of {query.m} terms")
 
     units = blinding_units(agg_pk, query.m, rng.fork("user1:blind"))
     rows = [own_encodings, *(other_encodings[i] for i in expected)]

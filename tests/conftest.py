@@ -7,6 +7,7 @@ import pytest
 
 import pda_kit
 from pda_kit import netsim, numtheory
+from pda_kit.bus import Bus
 
 MODULES = [
     importlib.import_module(f"pda_kit.{info.name}")
@@ -61,6 +62,24 @@ class OpCounts:
 def op_counts():
     """Fixed-base walks and modexps of the code run inside `with op_counts:`."""
     return OpCounts()
+
+
+@pytest.fixture
+def dropping(monkeypatch):
+    """`dropping(kind, sender)`: from then until the test ends, `Bus.post`
+    loses every message of `kind` from `sender`, so no party receives it
+    and no transcript holds it.  Calls add up, each dropping one more."""
+
+    def drop(kind: str, sender: int) -> None:
+        post = Bus.post
+
+        def lossy(bus, who, what, body, to=None):
+            if (what, who) != (kind, sender):
+                post(bus, who, what, body, to)
+
+        monkeypatch.setattr(Bus, "post", lossy)
+
+    return drop
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from pda_kit import analytics, netsim, numtheory, pda
 from pda_kit.errors import (
     FixedPointOverflow,
     GroupTooSmall,
+    MissingEncoding,
     SingularNormalEquations,
     SlotReused,
 )
@@ -155,6 +156,28 @@ def test_regression_exact_line(small_pda):
     out = analytics.run_plan(small_pda, plan, rows, seed=5, registry=pda.SlotRegistry())
     assert abs(out["coefficients"][0] - 2.0) < 2 ** (-f + 2)
     assert abs(out["intercept"] - 1.0) < 2 ** (-f + 2)
+
+
+def test_message_lost_in_a_step_stops_the_plan_there(small_pda, dropping, monkeypatch):
+    # step 0, A_0_0 = |P|, runs no ceremony; an 'encode' message lost in
+    # step j's ceremony raises that step's MissingEncoding, prefixed with
+    # its round, after steps 1..j claimed their windows and before any
+    # later step claims one
+    plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 8)
+    rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}
+    j = 3
+    inner = netsim.run_pda_aggregation
+
+    def step(system, query, data, seed, registry=None):
+        if query.window == plan.query(j).window:
+            dropping("encode", 4)
+        return inner(system, query, data, seed, registry)
+
+    monkeypatch.setattr(netsim, "run_pda_aggregation", step)
+    registry = pda.SlotRegistry()
+    with pytest.raises(MissingEncoding, match=r"^\[round 2\] user 4: no 'encode' message"):
+        analytics.run_plan(small_pda, plan, rows, seed=5, registry=registry)
+    assert registry.windows == [plan.query(i).window for i in range(1, j + 1)]
 
 
 def _recorded_buses(monkeypatch) -> list:

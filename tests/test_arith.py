@@ -268,10 +268,15 @@ def test_decrypt_errors():
     mul2 = arith.encrypt_mul(TOY, keys[2], (1, 2, 3), 4)
     with pytest.raises(MixedKinds):
         arith.decrypt(TOY, [add1, mul2])
-    with pytest.raises(IncompleteGroup):
+    # a repeated sender is named, and so is every member that sent nothing
+    with pytest.raises(IncompleteGroup, match=r"enc-add .* \[2, 3\]; repeated .*: \[1\]$"):
         arith.decrypt(TOY, [add1, add1])
-    with pytest.raises(IncompleteGroup):
+    with pytest.raises(IncompleteGroup, match="^no ciphertexts$"):
         arith.decrypt(TOY, [])
+    add2 = arith.encrypt_add(TOY, keys[2], (1, 2, 3), 4)
+    outsider = arith.ArithCiphertext("add", 5, 9, (1, 2, 3))
+    with pytest.raises(IncompleteGroup, match=r"members \[3\]; repeated .*: \[9\]$"):
+        arith.decrypt(TOY, [add1, add2, outsider])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +324,9 @@ def test_mul_masks_is_mul_mask_of_every_key(arith_system, op_counts, monkeypatch
     keys = [system.enc_keys[i] for i in group]
     with op_counts:
         masks = arith.mul_masks(params, keys, group)
-    assert masks == {i: arith.mul_mask(params, system.enc_keys[i], group) for i in group}
+    assert masks == {
+        i: arith.mul_masks(params, [system.enc_keys[i]], group)[i] for i in group
+    }
     assert op_counts.walk_calls == {(params.g, p, p - 1): 1}
 
     def no_walk(*args):

@@ -1,0 +1,143 @@
+"""The bus is the one channel of every aggregation.
+
+Each role computes from its own secrets and the messages that
+`Bus.end_round` delivers to it, so a body changed on delivery changes
+the output of every flow, and a message lost on the wire is refused with
+an error naming its kind and its sender, prefixed with its round.
+"""
+
+import pytest
+
+from pda_kit import models, netsim, pda
+from pda_kit.bus import Bus
+from pda_kit.errors import IncompleteGroup, MissingEncoding
+
+
+def term(coeff, powers):
+    return models.PolyTerm(coeff=coeff, powers=tuple(powers.items()))
+
+
+# two multi-owner terms (kinds enc-mul:0 and enc-mul:1) and three
+# single-owner terms, owned by 3, 5 and 6, for the extra additive round
+POLY = models.AggPolynomial(
+    terms=(
+        term(5, {1: 1, 2: 2}),
+        term(3, {2: 1, 4: 1, 6: 3}),
+        term(2, {3: 2}),
+        term(9, {5: 1}),
+        term(4, {6: 2}),
+    ),
+    participants=(1, 2, 3, 4, 5, 6),
+)
+VALUES = {i: 10 + 3 * i for i in range(1, 7)}
+
+
+def framework(systems):
+    system = systems["framework"]
+    ids = (1, 2, 3, 4)
+    query = pda.PdaQuery(
+        coeffs=(3, 5),
+        exponents={i: {0: 1, 1: i % 3} for i in ids},
+        participants=ids,
+        window=pda.Window(0, 2),
+    )
+    data = {i: [7 * i + 1, 2 * i + 5] for i in ids}
+    # a fresh registry each run, so that a second run may reuse the window
+    value, _ = netsim.run_pda_aggregation(
+        system, query, data, seed="channel", registry=pda.SlotRegistry()
+    )
+    return value
+
+
+def authority(systems):
+    system = systems["authority"]
+
+    def driver(bus, rng):
+        return models.authority_aggregate(
+            bus, system.params, system.enc_keys, system.virtual_id, POLY, VALUES
+        )
+
+    return netsim.run_ceremony(driver, system.ids, seed="channel").outputs
+
+
+def all_participants(systems):
+    system = systems["plain"]
+
+    def driver(bus, rng):
+        return models.all_participants_aggregate(
+            bus, system.params, system.enc_keys, POLY, VALUES
+        )
+
+    return netsim.run_ceremony(driver, system.ids, seed="channel").outputs
+
+
+def group_op(op):
+    def flow(systems):
+        system = systems["plain"]
+        value, _ = netsim.run_arith_group_aggregation(system, (1, 2, 3, 5), VALUES, op)
+        return value
+
+    return flow
+
+
+FLOWS = {
+    "run_pda_aggregation": framework,
+    "authority_aggregate": authority,
+    "all_participants_aggregate": all_participants,
+    "group_add": group_op("add"),
+    "group_mul": group_op("mul"),
+}
+
+
+@pytest.fixture
+def systems(pda_system, arith_system, plain_arith_system):
+    return {
+        "framework": pda_system[0],
+        "authority": arith_system[0],
+        "plain": plain_arith_system[0],
+    }
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_every_output_is_computed_from_the_delivered_bodies(systems, flow, monkeypatch):
+    clean = FLOWS[flow](systems)
+    end_round = Bus.end_round
+
+    def plus_one(bus):
+        return [m._replace(body=tuple(v + 1 for v in m.body)) for m in end_round(bus)]
+
+    monkeypatch.setattr(Bus, "end_round", plus_one)
+    assert FLOWS[flow](systems) != clean
+
+
+# (flow, kind, sender, error, round): in the framework query user 1 and
+# user 2 are the special users and 3 and 4 ordinary; in both arith
+# models participant 4 owns a factor of each multi-owner term, and 5
+# and 6 send to the extra additive round, which participant 3 completes
+# without an authority
+DROPS = [
+    ("run_pda_aggregation", "encode", 3, MissingEncoding, 2),
+    ("run_pda_aggregation", "encode-enc", 2, MissingEncoding, 2),
+    ("run_pda_aggregation", "blinded-term", 1, MissingEncoding, 3),
+    ("authority_aggregate", "enc-mul:1", 4, IncompleteGroup, 1),
+    ("authority_aggregate", "enc-add-sigma", 5, IncompleteGroup, 2),
+    ("all_participants_aggregate", "enc-mul:0", 4, IncompleteGroup, 1),
+    ("all_participants_aggregate", "enc-add-sigma", 6, IncompleteGroup, 2),
+    ("all_participants_aggregate", "sigma-sum", 3, IncompleteGroup, 3),
+    ("group_add", "enc-add", 2, IncompleteGroup, 1),
+    ("group_mul", "enc-mul", 5, IncompleteGroup, 1),
+]
+
+
+@pytest.mark.parametrize("flow, kind, sender, error, rnd", DROPS)
+def test_a_lost_message_is_refused_naming_its_sender_and_kind(
+    systems, dropping, flow, kind, sender, error, rnd
+):
+    FLOWS[flow](systems)  # the clean run returns its value
+    dropping(kind, sender)
+    with pytest.raises(error) as info:
+        FLOWS[flow](systems)
+    text = str(info.value)
+    assert text.startswith(f"[round {rnd}] ")
+    assert kind in text
+    assert f"user {sender}:" in text or f"[{sender}]" in text

@@ -1,7 +1,8 @@
 """The eight golden digests of `test_golden.py` with libcrypto switched off.
 
-`numtheory.pow` sends wide exponentiations to libcrypto's BN_mod_exp
-when the library loads, so `test_golden.py` pins that path.  Here the
+`numtheory.pow` sends wide exponentiations to libcrypto's
+BN_mod_exp_mont, on the modulus's held Montgomery context, when the
+library loads, so `test_golden.py` pins that path.  Here the
 same tests and fixtures are collected again, under the same names in
 this module, with the library handle set to None for the whole module,
 so that every pow goes to the builtin and must give the same digests.

@@ -37,14 +37,15 @@ def test_homomorphic_add_toy_15():
     keys = paillier.from_primes(3, 5)  # n = 15
     pk = keys.public()
     rng = Rng("h15")
-    c = paillier.encrypt(pk, 2, rng) * paillier.encrypt(pk, 3, rng) % pk.nsq
+    c2, c3 = paillier.encrypt_many(pk, [2, 3], rng)
+    c = c2 * c3 % pk.nsq
     assert paillier.decrypt(keys, c) == 5
 
 
 def test_scalar_toy_143():
     keys = paillier.from_primes(11, 13)
     pk = keys.public()
-    c = paillier.scale(pk, paillier.encrypt(pk, 2, Rng("s143")), 7)
+    (c,) = paillier.scale_many(pk, [(paillier.encrypt_many(pk, [2], Rng("s143"))[0], 7)])
     assert paillier.decrypt(keys, c) == 14
 
 
@@ -54,7 +55,7 @@ def test_roundtrip_sweep(toy_keys):
     rnd = random.Random(1)
     for _ in range(1000):
         m = rnd.randrange(toy_keys.n)
-        assert paillier.decrypt(toy_keys, paillier.encrypt(pk, m, rng)) == m
+        assert paillier.decrypt(toy_keys, paillier.encrypt_many(pk, [m], rng)[0]) == m
 
 
 def test_homomorphic_properties_sweep(toy_keys):
@@ -64,10 +65,11 @@ def test_homomorphic_properties_sweep(toy_keys):
     for _ in range(100):
         m1 = rnd.randrange(toy_keys.n // 2)
         m2 = rnd.randrange(toy_keys.n // 2)
-        c = paillier.encrypt(pk, m1, rng) * paillier.encrypt(pk, m2, rng) % pk.nsq
+        c1, c2 = paillier.encrypt_many(pk, [m1, m2], rng)
+        c = c1 * c2 % pk.nsq
         assert paillier.decrypt(toy_keys, c) == m1 + m2
         a = rnd.randrange(1, 1000)
-        c2 = paillier.scale(pk, paillier.encrypt(pk, m1, rng), a)
+        (c2,) = paillier.scale_many(pk, [(paillier.encrypt_many(pk, [m1], rng)[0], a)])
         assert paillier.decrypt(toy_keys, c2) == m1 * a % toy_keys.n
 
 
@@ -77,7 +79,7 @@ def test_rerandomization_invariance(toy_keys):
     rnd = random.Random(3)
     for _ in range(50):
         m = rnd.randrange(toy_keys.n)
-        c = paillier.encrypt(pk, m, rng)
+        (c,) = paillier.encrypt_many(pk, [m], rng)
         s = rng.unit(pk.n)
         assert paillier.decrypt(toy_keys, c * pow(s, pk.n, pk.nsq) % pk.nsq) == m
 
@@ -87,7 +89,7 @@ def test_unit_blinding_roundtrip(toy_keys):
     pk = toy_keys.public()
     rng = Rng("blind")
     m = 1234 % toy_keys.n
-    c = paillier.encrypt(pk, m, rng)
+    (c,) = paillier.encrypt_many(pk, [m], rng)
     k = rng.unit(pk.nsq)
     blinded = c * k % pk.nsq
     restored = blinded * pow(k, -1, pk.nsq) % pk.nsq
@@ -96,7 +98,7 @@ def test_unit_blinding_roundtrip(toy_keys):
 
 def test_message_too_large(toy_keys):
     with pytest.raises(MessageTooLarge):
-        paillier.encrypt(toy_keys.public(), toy_keys.n, Rng("x"))
+        paillier.encrypt_many(toy_keys.public(), [toy_keys.n], Rng("x"))
 
 
 def test_invalid_ciphertext(toy_keys):
@@ -154,7 +156,7 @@ def test_from_json_refuses_lambda_that_does_not_split_n():
     keys = paillier.keygen(64, Rng("split64"))
     doc = {"n_a": format(keys.n, "x"), "lambda": "1", "mu": "1"}
     bogus = paillier.AggKeyPair(n=keys.n, lam=1, mu=1, p=keys.p, q=keys.q)
-    assert lambda_decrypt(bogus, paillier.encrypt(keys.public(), 5, Rng("e5"))) != 5
+    assert lambda_decrypt(bogus, paillier.encrypt_many(keys.public(), [5], Rng("e5"))[0]) != 5
     with pytest.raises(InvalidKey, match="lambda"):
         paillier.from_json(doc)
 
@@ -248,7 +250,7 @@ def test_encrypt_many_is_a_loop_of_encrypt(keyring, bits, data):
     seed = data.draw(st.binary(max_size=8), label="seed")
     batch_rng, loop_rng, ref_rng = Rng(seed), Rng(seed), Rng(seed)
     cts = paillier.encrypt_many(pk, ms, batch_rng)
-    assert cts == [paillier.encrypt(pk, m, loop_rng) for m in ms]
+    assert cts == [paillier.encrypt_many(pk, [m], loop_rng)[0] for m in ms]
     assert rng_state(batch_rng) == rng_state(loop_rng)
     ref = [(1 + m * pk.n) * pow(ref_rng.unit(pk.n), pk.n, pk.nsq) % pk.nsq for m in ms]
     assert cts == ref
@@ -274,7 +276,7 @@ def test_scale_many_is_a_loop_of_scale(keyring, bits):
     rnd = random.Random(bits)
     terms = [(rnd.randrange(1, pk.nsq), rnd.randrange(pk.n * pk.n)) for _ in range(5)]
     scaled = paillier.scale_many(pk, terms)
-    assert scaled == [paillier.scale(pk, ct, k) for ct, k in terms]
+    assert scaled == [paillier.scale_many(pk, [term])[0] for term in terms]
     assert scaled == [pow(ct, k, pk.nsq) for ct, k in terms]
     with pytest.raises(ValueError):
         paillier.scale_many(pk, [*terms, (terms[0][0], -1)])

@@ -453,8 +453,8 @@ def test_blinded_and_unblinded_aggregate_identically(pda_system):
         exp = own[k]
         for i in others:
             exp = exp * others[i][k] % params.N
-        v = paillier.scale(pk, cts[k], exp)
-        unblinded.append(paillier.scale(pk, v, query.coeffs[k] % params.N))
+        (v,) = paillier.scale_many(pk, [(cts[k], exp)])
+        unblinded.extend(paillier.scale_many(pk, [(v, query.coeffs[k] % params.N)]))
 
     assert pda.aggregate(params, system.agg_keys, blinded) == pda.aggregate(
         params, system.agg_keys, unblinded
@@ -874,7 +874,7 @@ def test_worst_case_terms_do_not_wrap(pda_system):
     assert query.special_users() == (1, 2)
     top_terms = {k: top for k in range(m_max)}
     rng = Rng("worst-case:user2")
-    user2_cts = {k: paillier.encrypt(pk, top, rng=rng) for k in range(m_max)}
+    user2_cts = dict(enumerate(paillier.encrypt_many(pk, [top] * m_max, rng=rng)))
     blinded = pda.encode_user1(
         params, pk, query, top_terms, {3: top_terms}, user2_cts, Rng("worst-case:user1")
     )

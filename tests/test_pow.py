@@ -183,7 +183,7 @@ def bn_calls(monkeypatch, libcrypto):
 def test_encrypt_makes_one_library_call(bn_calls):
     keys = paillier.keygen(512, Rng("pow:encrypt"))
     bn_calls.clear()
-    ct = paillier.encrypt(keys.public(), 12345, Rng("pow:encrypt:r"))
+    (ct,) = paillier.encrypt_many(keys.public(), [12345], Rng("pow:encrypt:r"))
     assert len(bn_calls) == 1
     assert paillier.decrypt(keys, ct) == 12345
 
