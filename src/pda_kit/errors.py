@@ -117,7 +117,7 @@ class MixedKinds(ProtocolError):
 
 
 class IncompleteGroup(ProtocolError):
-    """Decryption needs exactly one ciphertext per group member."""
+    """A group member's ciphertext, value or ceremony message is missing."""
 
 
 class ResultOverflow(ProtocolError):
@@ -125,7 +125,7 @@ class ResultOverflow(ProtocolError):
 
 
 class MissingEncoding(ProtocolError):
-    """User 1 did not receive every encoded value for the window."""
+    """User 1 or the aggregator did not receive every value of the window."""
 
 
 class SlotReused(ProtocolError):

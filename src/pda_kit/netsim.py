@@ -215,12 +215,12 @@ def run_pda_aggregation(
         # term values in window order; user 1 reads them off its inbox
         bus.begin_round()
         for i in ordinary:
-            bus.post(i, "encode", tuple(encodings[i].values()))
+            bus.post(i, "encode", encodings[i])
         user2_cts = pda.encode_user2(system.agg_pk, encodings[u2], crng.fork(f"user2:{u2}"))
-        bus.post(u2, "encode-enc", tuple(user2_cts.values()))
-        inbox: dict[str, dict[int, dict[int, int]]] = {"encode": {}, "encode-enc": {}}
+        bus.post(u2, "encode-enc", user2_cts)
+        inbox: dict[str, dict[int, tuple[int, ...]]] = {"encode": {}, "encode-enc": {}}
         for msg in bus.end_round():
-            inbox[msg.kind][msg.sender] = dict(enumerate(msg.body))
+            inbox[msg.kind][msg.sender] = msg.body
 
         blinded = pda.encode_user1(
             params,
@@ -228,7 +228,7 @@ def run_pda_aggregation(
             query,
             encodings[u1],
             inbox["encode"],
-            inbox["encode-enc"].get(u2, {}),
+            inbox["encode-enc"].get(u2, ()),
             crng.fork(f"user1:{u1}"),
         )
         bus.begin_round()

@@ -47,6 +47,7 @@ from .bus import Bus
 from .errors import (
     DuplicateId,
     ExtractionFailed,
+    IncompleteGroup,
     NonInvertibleBroadcast,
     NotInSubgroup,
     NotInvertible,
@@ -862,6 +863,9 @@ def ring_exchange(
             bus.post(i, "ring-share", (pick(dict(y)),))
         for m in bus.end_round():
             y[m.sender] = m.body[0]
+    missing = [i for i in ring if i not in y]
+    if missing:
+        raise IncompleteGroup(f"no ring-share message from participants {missing}")
 
     for i in ring:
         if math.gcd(y[i], modulus) != 1:
@@ -880,8 +884,11 @@ def ring_exchange(
         for idx, target in enumerate(ring):
             value = power(current[target], exponents[at(idx + hop)])
             bus.post(at(idx + hop), "ring-relay", (target, value), to=at(idx + hop - 1))
-        for m in bus.end_round():
-            current[m.body[0]] = m.body[1]
+        relayed = {m.sender: m.body for m in bus.end_round()}
+        missing = [i for i in ring if i not in relayed]
+        if missing:
+            raise IncompleteGroup(f"no ring-relay message from participants {missing}")
+        current.update(relayed.values())  # (target, value) pairs
 
     return {i: power(current[i], exponents[i]) for i in ring}
 
@@ -951,8 +958,14 @@ def share_exchange(
                 else:
                     own[i] = share
         sums = {i: share // modulus * inverses[i] for i, share in own.items()}
-        for msg in bus.end_round():
+        delivered = bus.end_round()
+        if len(delivered) != len(ids) * (len(ids) - 1):
+            got = {(msg.sender, msg.to) for msg in delivered}
+            j, i = next((j, i) for j in ids for i in ids if j != i and (j, i) not in got)
+            raise IncompleteGroup(f"user {j}: no '{label}' message to user {i}")
+        for msg in delivered:
             sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]
+        del delivered  # not held while the next degree's round is posted
 
         for i in ids:
             points[i][d] = (base + sums[i]) % modulus

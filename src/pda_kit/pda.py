@@ -462,16 +462,17 @@ def encode_many(
     keys: Sequence[PdaEncKey],
     query: PdaQuery,
     data: Mapping[int, Sequence[int]],
-) -> dict[int, dict[int, int]]:
-    """{key.id: the m encoded values of that user for one query, equal to
-    `encode_value` term by term} for every key, users' values in `data`.
+) -> dict[int, list[int]]:
+    """{key.id: the m encoded values of that user for one query, in term
+    order, each equal to `encode_value`'s}, users' values in `data`.
 
-    Values for terms a user does not appear in are encoded with exponent
-    0 (the mask must still be contributed).  Every key and every user's
-    values are checked before any mask is computed; then the m masks
-    H(t)^s of the window of every user are one fixed-base batch, users
-    in `keys` order, and x^e is taken only where e != 0.  The window's
-    slot exponents a_t are derived once a call, for all of its members.
+    Terms a user does not appear in are encoded with exponent 0 (the
+    mask must still be contributed); an exponent for a term outside
+    0..m-1 is ignored.  Every key and every user's values are checked
+    before any mask is computed; then the m masks H(t)^s of the window
+    of every user are one fixed-base batch, users in `keys` order, and
+    x^e is taken only where e != 0.  The window's slot exponents a_t are
+    derived once a call, for all of its members.
     """
     m = query.m
     if query.window.length != m:
@@ -490,26 +491,17 @@ def encode_many(
     masks = fixed_base_pows(params.h, batch, n, n_tilde)
     out = {}
     for j, key in enumerate(keys):
-        values = out[key.id] = dict(enumerate(masks[j * m : (j + 1) * m]))
+        values = out[key.id] = masks[j * m : (j + 1) * m]
         for k, e in query.exponents.get(key.id, {}).items():
-            if e and k in values:
+            if e and 0 <= k < m:
                 values[k] = pow(data[key.id][k] % n, int(e), n) * values[k] % n
     return out
 
 
-def encode_ordinary(
-    params: PdaParams, key: PdaEncKey, query: PdaQuery, xs: Sequence[int]
-) -> dict[int, int]:
-    """All m encoded values of one user for one query: `encode_many` of one key."""
-    return encode_many(params, [key], query, {key.id: xs})[key.id]
-
-
-def encode_user2(
-    agg_pk: paillier.AggPublicKey, plain: Mapping[int, int], rng: Rng
-) -> dict[int, int]:
-    """User 2's bridge: its ordinary encodings `plain` (term -> value, from
+def encode_user2(agg_pk: paillier.AggPublicKey, plain: Sequence[int], rng: Rng) -> list[int]:
+    """User 2's bridge: its ordinary encodings `plain` (term-ordered, from
     `encode_many`) wrapped in the aggregator's encryption."""
-    return dict(zip(plain, paillier.encrypt_many(agg_pk, list(plain.values()), rng=rng)))
+    return paillier.encrypt_many(agg_pk, plain, rng=rng)
 
 
 def blinding_units(pk: paillier.AggPublicKey, m: int, rng: Rng) -> list[int]:
@@ -528,9 +520,9 @@ def encode_user1(
     params: PdaParams,
     agg_pk: paillier.AggPublicKey,
     query: PdaQuery,
-    own_encodings: Mapping[int, int],
-    other_encodings: Mapping[int, Mapping[int, int]],
-    user2_cts: Mapping[int, int],
+    own_encodings: Sequence[int],
+    other_encodings: Mapping[int, Sequence[int]],
+    user2_cts: Sequence[int],
     rng: Rng,
 ) -> list[int]:
     """Blinded term ciphertexts {K_k * E(C(x_2k))^{e_k}} published by user 1.
@@ -544,24 +536,21 @@ def encode_user1(
     """
     u1, u2 = query.special_users()
     expected = [i for i in query.participants if i not in (u1, u2)]
-    terms = set(range(query.m))
     for i in expected:
-        if set(other_encodings.get(i, ())) != terms:
+        if len(other_encodings.get(i, ())) != query.m:
             raise MissingEncoding(f"user {i}: no 'encode' message of {query.m} terms")
-    if set(user2_cts) != terms:
+    if len(user2_cts) != query.m:
         raise MissingEncoding(f"user {u2}: no 'encode-enc' message of {query.m} terms")
-    if set(own_encodings) != terms:
+    if len(own_encodings) != query.m:
         raise MissingEncoding(f"user {u1}: no own encoding of each of {query.m} terms")
 
     units = blinding_units(agg_pk, query.m, rng.fork("user1:blind"))
-    rows = [own_encodings, *(other_encodings[i] for i in expected)]
-    columns = zip(*(tuple(map(row.__getitem__, range(query.m))) for row in rows))
+    columns = zip(own_encodings, *(other_encodings[i] for i in expected))
     terms = []
-    for k, column in enumerate(columns):
-        e = query.coeffs[k]
+    for e, ct, column in zip(query.coeffs, user2_cts, columns):
         for x in column:
             e = e * x % params.N
-        terms.append((user2_cts[k], e))
+        terms.append((ct, e))
     scaled = paillier.scale_many(agg_pk, terms)
     return [u * c % agg_pk.nsq for u, c in zip(units, scaled)]
 
@@ -570,6 +559,8 @@ def aggregate(
     params: PdaParams, agg_keys: paillier.AggKeyPair, blinded: Sequence[int]
 ) -> int:
     """Multiply, decrypt the integer sum, reduce mod N: exact f(x_P)."""
+    if not blinded:
+        raise MissingEncoding("no blinded term to aggregate")
     acc = 1
     for ct in blinded:
         acc = acc * ct % agg_keys.nsq

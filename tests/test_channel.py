@@ -1,4 +1,4 @@
-"""The bus is the one channel of every aggregation.
+"""The bus is the one channel of every aggregation and key ceremony.
 
 Each role computes from its own secrets and the messages that
 `Bus.end_round` delivers to it, so a body changed on delivery changes
@@ -137,6 +137,49 @@ def test_a_lost_message_is_refused_naming_its_sender_and_kind(
     dropping(kind, sender)
     with pytest.raises(error) as info:
         FLOWS[flow](systems)
+    text = str(info.value)
+    assert text.startswith(f"[round {rnd}] ")
+    assert kind in text
+    assert f"user {sender}:" in text or f"[{sender}]" in text
+
+
+def keygen(systems, ceremony):
+    """The named key ceremony run again over its fixture's parameters and
+    seed: (enc keys, ceremony result)."""
+    if ceremony == "keygen_arith":
+        system, result = netsim.keygen_arith(systems["plain"].params, seed=20_240_502)
+    else:
+        hardened_k = int(ceremony == "keygen_pda_hardened")
+        system, result = netsim.keygen_pda(
+            systems["framework"].params, seed=20_240_503, hardened_k=hardened_k, m_max=16
+        )
+    return system.enc_keys, result
+
+
+# (ceremony, kind, sender, round): both ceremonies open with the ring
+# share, which hardened_k=1 follows with one relay round; the framework's
+# then runs one round per key degree 2 .. 5, and the arith one one round
+# per group size 3 .. 6
+CEREMONY_DROPS = [
+    ("keygen_pda", "ring-share", 3, 1),
+    ("keygen_pda_hardened", "ring-relay", 5, 2),
+    ("keygen_pda", "key-query:3", 2, 3),
+    ("keygen_arith", "keyshare:4", 2, 3),
+]
+
+
+@pytest.mark.parametrize("ceremony, kind, sender, rnd", CEREMONY_DROPS)
+def test_a_lost_key_ceremony_message_is_refused(
+    systems, pda_system, plain_arith_system, dropping, ceremony, kind, sender, rnd
+):
+    keys, result = keygen(systems, ceremony)
+    fixture = {"keygen_pda": pda_system, "keygen_arith": plain_arith_system}.get(ceremony)
+    if fixture is not None:  # the clean run is the fixture's ceremony
+        assert keys == fixture[0].enc_keys
+        assert result.transcript_jsonl() == fixture[1].transcript_jsonl()
+    dropping(kind, sender)
+    with pytest.raises(IncompleteGroup) as info:
+        keygen(systems, ceremony)
     text = str(info.value)
     assert text.startswith(f"[round {rnd}] ")
     assert kind in text

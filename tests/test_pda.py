@@ -324,11 +324,11 @@ def test_encode_ordinary_matches_encode_value(pda_system, data):
     user = data.draw(st.sampled_from(group), label="user")
     xs = data.draw(st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m), label="xs")
     key = system.enc_keys[user]
-    got = pda.encode_ordinary(params, key, query, xs)
-    assert got == {
-        k: pda.encode_value(params, key, group, xs[k], query.exponent(user, k), start + k)
+    got = pda.encode_many(params, [key], query, {user: xs})[user]
+    assert got == [
+        pda.encode_value(params, key, group, xs[k], query.exponent(user, k), start + k)
         for k in range(m)
-    }
+    ]
 
 
 def test_encode_ordinary_requires_membership(pda_system):
@@ -336,7 +336,7 @@ def test_encode_ordinary_requires_membership(pda_system):
     query = _query(system)
     outsider = pda.PdaEncKey(id=99, evaluations={5: 1})
     with pytest.raises(KeyMissing):
-        pda.encode_ordinary(system.params, outsider, query, [1, 1])
+        pda.encode_many(system.params, [outsider], query, {99: [1, 1]})
 
 
 def test_encode_many_is_encode_ordinary_of_every_key(pda_system, op_counts):
@@ -348,7 +348,7 @@ def test_encode_many_is_encode_ordinary_of_every_key(pda_system, op_counts):
     data = {i: [i + k + 2 for k in range(query.m)] for i in ids}
     with op_counts:
         got = pda.encode_many(params, [system.enc_keys[i] for i in reversed(ids)], query, data)
-    assert got == {i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i]) for i in ids}
+    assert got == {i: pda.encode_many(params, [system.enc_keys[i]], query, data)[i] for i in ids}
     assert op_counts.walk_calls == {(params.h, params.N, params.N_tilde): 1}
 
 
@@ -404,14 +404,29 @@ def test_encode_many_matches_encode_value(pda_system, data):
     xs = data.draw(st.fixed_dictionaries({i: rows for i in group}), label="xs")
     got = pda.encode_many(params, [system.enc_keys[i] for i in group], query, xs)
     assert got == {
-        i: {
-            k: pda.encode_value(
+        i: [
+            pda.encode_value(
                 params, system.enc_keys[i], group, xs[i][k], query.exponent(i, k), start + k
             )
             for k in range(m)
-        }
+        ]
         for i in group
     }
+
+
+@pytest.mark.parametrize("outside", [-1, 2])
+def test_encode_many_ignores_an_exponent_outside_the_terms(pda_system, outside):
+    # m = 2: an entry for term -1 or term m leaves every term as it is,
+    # so term -1 does not reach term m-1 as a list index would
+    system, _ = pda_system
+    query = _query(system, start=9800)
+    keys = [system.enc_keys[i] for i in query.participants]
+    data = {i: [i + 3, i + 5] for i in query.participants}
+    clean = pda.encode_many(system.params, keys, query, data)
+    user = query.participants[3]
+    stray = {**query.exponents, user: {**query.exponents[user], outside: 3}}
+    query = dataclasses.replace(query, exponents=stray)
+    assert pda.encode_many(system.params, keys, query, data) == clean
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +451,12 @@ def test_blinded_and_unblinded_aggregate_identically(pda_system):
     rnd = random.Random(8)
     data = {i: [rnd.randrange(params.N) for _ in range(query.m)] for i in query.participants}
     u1, u2 = query.special_users()
-    others = {
-        i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
-        for i in query.participants
-        if i not in (u1, u2)
-    }
-    own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
-    plain2 = pda.encode_ordinary(params, system.enc_keys[u2], query, data[u2])
-    cts = pda.encode_user2(system.agg_pk, plain2, Rng("u2"))
+    encodings = pda.encode_many(
+        params, [system.enc_keys[i] for i in query.participants], query, data
+    )
+    others = {i: encodings[i] for i in query.participants if i not in (u1, u2)}
+    own = encodings[u1]
+    cts = pda.encode_user2(system.agg_pk, encodings[u2], Rng("u2"))
     blinded = pda.encode_user1(params, system.agg_pk, query, own, others, cts, Rng("u1"))
 
     # unblinded: same construction with K_k = 1
@@ -478,14 +491,12 @@ def test_encode_user1_scalars_are_the_nested_loop(pda_system, data):
     m = data.draw(st.integers(1, 5), label="m")
     coeffs = data.draw(st.lists(st.integers(-params.N, 2 * params.N), min_size=m, max_size=m))
     query = pda.PdaQuery(coeffs=tuple(coeffs), exponents={}, participants=group, window=pda.Window(0, m))
-    encodings = st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m).map(
-        lambda row: dict(enumerate(row))
-    )
+    encodings = st.lists(st.integers(0, params.N - 1), min_size=m, max_size=m)
     u1, u2 = query.special_users()
     expected_users = [i for i in group if i not in (u1, u2)]
     own = data.draw(encodings, label="own")
     others = {i: data.draw(encodings, label=f"user {i}") for i in expected_users}
-    cts = dict(enumerate(range(2, m + 2)))
+    cts = list(range(2, m + 2))
     scaled = []
 
     def recording(pk, terms):
@@ -518,14 +529,12 @@ def test_single_blinded_term_hides_term_value(pda_system):
             for i in query.participants
         }
         u1, u2 = query.special_users()
-        others = {
-            i: pda.encode_ordinary(params, system.enc_keys[i], query, data[i])
-            for i in query.participants
-            if i not in (u1, u2)
-        }
-        own = pda.encode_ordinary(params, system.enc_keys[u1], query, data[u1])
-        plain2 = pda.encode_ordinary(params, system.enc_keys[u2], query, data[u2])
-        cts = pda.encode_user2(system.agg_pk, plain2, Rng(f"u2:{trial}"))
+        encodings = pda.encode_many(
+            params, [system.enc_keys[i] for i in query.participants], query, data
+        )
+        others = {i: encodings[i] for i in query.participants if i not in (u1, u2)}
+        own = encodings[u1]
+        cts = pda.encode_user2(system.agg_pk, encodings[u2], Rng(f"u2:{trial}"))
         blinded = pda.encode_user1(
             params, system.agg_pk, query, own, others, cts, Rng(f"u1:{trial}")
         )
@@ -542,9 +551,14 @@ def test_user1_missing_encoding(pda_system):
     system, _ = pda_system
     query = _query(system)
     with pytest.raises(MissingEncoding):
-        pda.encode_user1(
-            system.params, system.agg_pk, query, {0: 1, 1: 1}, {}, {0: 1, 1: 1}, Rng("x")
-        )
+        pda.encode_user1(system.params, system.agg_pk, query, [1, 1], {}, [1, 1], Rng("x"))
+
+
+def test_aggregate_refuses_no_blinded_term(pda_system):
+    # an empty product would decrypt to 0, a value the query never had
+    system, _ = pda_system
+    with pytest.raises(MissingEncoding, match="no blinded term"):
+        pda.aggregate(system.params, system.agg_keys, [])
 
 
 def test_aggregate_constant_and_zero_polynomials(pda_system):
@@ -872,9 +886,9 @@ def test_worst_case_terms_do_not_wrap(pda_system):
         window=pda.Window(0, m_max),
     )
     assert query.special_users() == (1, 2)
-    top_terms = {k: top for k in range(m_max)}
+    top_terms = [top] * m_max
     rng = Rng("worst-case:user2")
-    user2_cts = dict(enumerate(paillier.encrypt_many(pk, [top] * m_max, rng=rng)))
+    user2_cts = paillier.encrypt_many(pk, [top] * m_max, rng=rng)
     blinded = pda.encode_user1(
         params, pk, query, top_terms, {3: top_terms}, user2_cts, Rng("worst-case:user1")
     )
