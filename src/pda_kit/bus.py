@@ -31,8 +31,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .errors import IncompleteGroup, UnexpectedMessage
 
 
 def _hex_len(value: int) -> int:
@@ -54,7 +56,7 @@ def _delivery_order(msg: Message) -> tuple:
     return (msg.sender, -1 if msg.to is None else msg.to, msg.kind)
 
 
-_SENDER, _TO, _KIND, _BODY = map(attrgetter, ("sender", "to", "kind", "body"))
+_SENDER, _KIND, _BODY, _TO = map(itemgetter, range(1, 5))  # of a Message, or a tuple in its order
 
 # (bound, typecode) of the unsigned array typecodes, narrowest first
 _WIDTHS = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
@@ -116,11 +118,15 @@ class _Round(NamedTuple):
             end = start + ((h + 1) >> 1)
             values.append(int.from_bytes(packed[start:end], "little"))
             start = end
-        unread, recipients, kinds = iter(values), (None, *parties), self.kinds
-        columns = zip(self.senders, self.recipients, self.kind_ids, self.lengths)
-        for sender, to, kind, length in columns:
-            body = tuple(islice(unread, length))
-            yield Message(rnd, parties[sender], kinds[kind], body, recipients[to])
+        unread = iter(values)
+        for sender, to, kind, length in self.headers(parties):
+            yield Message(rnd, sender, kind, tuple(islice(unread, length)), to)
+
+    def headers(self, parties: tuple[int, ...]) -> Iterator[tuple[int, int | None, str, int]]:
+        """(sender, recipient or None, kind, body length) of each message, in delivery order."""
+        recipients, kinds = (None, *parties), self.kinds
+        for s, r, k, length in zip(self.senders, self.recipients, self.kind_ids, self.lengths):
+            yield parties[s], recipients[r], kinds[k], length
 
 
 class Bus:
@@ -170,6 +176,29 @@ class Bus:
         self._pending = None
         self._closed.append(closed)
         return ordered
+
+    def shape(self, entries: Iterable[tuple[int, int | None, str, int]]) -> _Round:
+        """Headers of the round `deliver` expects: one per (sender, to, kind, body length)."""
+        heads = sorted([(s, -1 if to is None else to, kind, n) for s, to, kind, n in entries])
+        rows = [(0, s, kind, (), None if to < 0 else to) for s, to, kind, _ in heads]  # no bodies
+        shape = _Round.of(rows, self._senders, self._recipients)  # in `_delivery_order`
+        return shape._replace(lengths=_narrow([head[3] for head in heads]))
+
+    def deliver(self, shape: _Round, missing: type = IncompleteGroup) -> list[Message]:
+        """`end_round`, once its headers are `shape`'s: `missing` names a message
+        the round lacks, UnexpectedMessage one it repeats or `shape` does not hold."""
+        delivered = self.end_round()
+        if self._closed[-1][:5] != shape[:5]:  # column by column, with no pass over the messages
+            want, got = (Counter(r.headers(self.parties)) for r in (shape, self._closed[-1]))
+            arrived = {head[:3] for head in got}
+            lost = [head for head in want if head[:3] not in arrived]
+            for sender, to, kind, length in lost or got - want:  # the first fault, a loss first
+                message = f"'{kind}' message" + ("" if to is None else f" to user {to}")
+                if lost:
+                    raise missing(f"user {sender}: no {message}")
+                fault = "repeated" if want[sender, to, kind, length] else "unexpected"
+                raise UnexpectedMessage(f"user {sender}: {fault} {message} (body length {length})")
+        return delivered
 
     # --- queries -------------------------------------------------------------
 

@@ -117,7 +117,11 @@ class MixedKinds(ProtocolError):
 
 
 class IncompleteGroup(ProtocolError):
-    """A group member's ciphertext, value or ceremony message is missing."""
+    """A member's ciphertext, value or a message `Bus.deliver` expects is missing."""
+
+
+class UnexpectedMessage(ProtocolError):
+    """`Bus.deliver` got a repeated message, one it did not expect or a wrong-length body."""
 
 
 class ResultOverflow(ProtocolError):
@@ -125,7 +129,7 @@ class ResultOverflow(ProtocolError):
 
 
 class MissingEncoding(ProtocolError):
-    """User 1 or the aggregator did not receive every value of the window."""
+    """A window value, or the message carrying it, did not reach user 1 or the aggregator."""
 
 
 class SlotReused(ProtocolError):

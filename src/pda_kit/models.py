@@ -11,17 +11,17 @@ member, the lowest-ID owner plays the mask-completion role in the extra
 additive round and publishes the recovered sum.
 
 Every reader computes from its own secrets and the messages the bus
-delivers to it; IncompleteGroup names a kind and a sender it lacks.
+delivers to it, once `Bus.deliver` has checked their round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from . import arith
 from .bus import Bus
-from .errors import DuplicateId, GroupTooSmall, IncompleteGroup, ResultOverflow
+from .errors import DuplicateId, GroupTooSmall, ResultOverflow
 from .errors import field, hex_field, json_int, json_key
 
 
@@ -99,7 +99,7 @@ def evaluate_plaintext(poly: AggPolynomial, data: Mapping[int, int], p: int) -> 
 
 
 def check_no_overflow(poly: AggPolynomial, data: Mapping[int, int]) -> int:
-    """Exact integer value of f; raises when the mod-p result would wrap.
+    """Exact integer value of f, not reduced mod p; `assert_fits` raises if it would wrap.
 
     Only callable where plaintext data is available (tests, fixtures);
     the protocol itself cannot detect the condition.
@@ -167,18 +167,12 @@ def _mul_masks(
     return arith.mul_masks(params, [enc_keys[i] for i in group], group)
 
 
-def _delivered(bus: Bus, kinds: Iterable[str], senders: Sequence[int]) -> list[list[int]]:
-    """Close the open round and read what it delivered, in one pass: for
-    each of `kinds`, the one-value bodies of that kind from `senders`, in
-    their order.  IncompleteGroup names a kind and each sender of none."""
-    got: dict[str, dict[int, int]] = {kind: {} for kind in kinds}
-    for msg in bus.end_round():
-        got[msg.kind][msg.sender] = msg.body[0]
-    for kind, bodies in got.items():
-        missing = [i for i in senders if i not in bodies]
-        if missing:
-            raise IncompleteGroup(f"no {kind} message from participants {missing}")
-    return [[bodies[i] for i in senders] for bodies in got.values()]
+def _delivered(bus: Bus, kinds: Collection[str], senders: Sequence[int]) -> list[list[int]]:
+    """For each of `kinds`, the one-value bodies from `senders` in their order,
+    once `Bus.deliver` has checked the round holds one message of each."""
+    shape = bus.shape((i, None, kind, 1) for kind in kinds for i in senders)
+    got = {(m.kind, m.sender): m.body[0] for m in bus.deliver(shape)}
+    return [[got[kind, i] for i in senders] for kind in kinds]
 
 
 def _extra_additive(

@@ -104,7 +104,8 @@ def run_arith_group_aggregation(
         bus.begin_round()
         for ct in cts:
             bus.post(ct.participant, f"enc-{op}", (ct.value,))
-        received = [arith.ArithCiphertext(op, m.body[0], m.sender, ids) for m in bus.end_round()]
+        delivered = bus.deliver(bus.shape((i, None, f"enc-{op}", 1) for i in ids))
+        received = [arith.ArithCiphertext(op, m.body[0], m.sender, ids) for m in delivered]
         return arith.decrypt(system.params, received)
 
     result = run_ceremony(driver, ids, seed)
@@ -170,7 +171,8 @@ def run_pda_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Declaration round, then the two broadcast rounds of one evaluation:
     user 1 computes from the round-2 messages it receives, the aggregator
-    decrypts the 'blinded-term' one, and MissingEncoding names any lacking.
+    decrypts the 'blinded-term' one, and `Bus.deliver` refuses a round
+    that lacks a message (MissingEncoding) or holds another.
 
     A query that fails validation, names a participant without a key,
     without m values in `data` or with a key that refuses the group, or
@@ -198,13 +200,10 @@ def run_pda_aggregation(
     ordinary = [i for i in query.participants if i not in (u1, u2)]
 
     def driver(bus: Bus, crng: Rng):
+        declaration = (query.window.start, query.window.length, *sorted(query.participants))
         bus.begin_round()
-        bus.post(
-            AGGREGATOR_ID,
-            "declare",
-            (query.window.start, query.window.length, *sorted(query.participants)),
-        )
-        bus.end_round()
+        bus.post(AGGREGATOR_ID, "declare", declaration)
+        bus.deliver(bus.shape([(AGGREGATOR_ID, None, "declare", len(declaration))]))
 
         # the masks of every participant are one batch
         encodings = pda.encode_many(
@@ -218,25 +217,23 @@ def run_pda_aggregation(
             bus.post(i, "encode", encodings[i])
         user2_cts = pda.encode_user2(system.agg_pk, encodings[u2], crng.fork(f"user2:{u2}"))
         bus.post(u2, "encode-enc", user2_cts)
-        inbox: dict[str, dict[int, tuple[int, ...]]] = {"encode": {}, "encode-enc": {}}
-        for msg in bus.end_round():
-            inbox[msg.kind][msg.sender] = msg.body
+        shape = [(i, None, "encode", query.m) for i in ordinary]
+        shape.append((u2, None, "encode-enc", query.m))
+        inbox = {msg.sender: msg.body for msg in bus.deliver(bus.shape(shape), MissingEncoding)}
 
         blinded = pda.encode_user1(
             params,
             system.agg_pk,
             query,
             encodings[u1],
-            inbox["encode"],
-            inbox["encode-enc"].get(u2, ()),
+            inbox,
+            inbox[u2],
             crng.fork(f"user1:{u1}"),
         )
         bus.begin_round()
         bus.post(u1, "blinded-term", tuple(blinded))
-        terms = {(m.kind, m.sender): m.body for m in bus.end_round()}.get(("blinded-term", u1), ())
-        if len(terms) != query.m:
-            raise MissingEncoding(f"user {u1}: no 'blinded-term' message of {query.m} terms")
-        return pda.aggregate(params, system.agg_keys, terms)
+        (terms,) = bus.deliver(bus.shape([(u1, None, "blinded-term", query.m)]), MissingEncoding)
+        return pda.aggregate(params, system.agg_keys, terms.body)
 
     parties = (AGGREGATOR_ID, *query.participants)
     result = run_ceremony(driver, parties, seed)

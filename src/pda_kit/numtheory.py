@@ -47,7 +47,6 @@ from .bus import Bus
 from .errors import (
     DuplicateId,
     ExtractionFailed,
-    IncompleteGroup,
     NonInvertibleBroadcast,
     NotInSubgroup,
     NotInvertible,
@@ -851,21 +850,19 @@ def ring_exchange(
     power = unit_power(modulus, factors)
     late = late or {}
 
+    early = [i for i in ring if i not in late]
     bus.begin_round()
-    for i in ring:
-        if i not in late:
-            bus.post(i, "ring-share", (power(generator, exponents[i]),))
-    y = {m.sender: m.body[0] for m in bus.end_round()}
+    for i in early:
+        bus.post(i, "ring-share", (power(generator, exponents[i]),))
+    shape = bus.shape((i, None, "ring-share", 1) for i in early)
+    y = {m.sender: m.body[0] for m in bus.deliver(shape)}
 
     if late:
         bus.begin_round()
         for i, pick in late.items():
             bus.post(i, "ring-share", (pick(dict(y)),))
-        for m in bus.end_round():
-            y[m.sender] = m.body[0]
-    missing = [i for i in ring if i not in y]
-    if missing:
-        raise IncompleteGroup(f"no ring-share message from participants {missing}")
+        shape = bus.shape((i, None, "ring-share", 1) for i in late)
+        y.update((m.sender, m.body[0]) for m in bus.deliver(shape))
 
     for i in ring:
         if math.gcd(y[i], modulus) != 1:
@@ -884,11 +881,8 @@ def ring_exchange(
         for idx, target in enumerate(ring):
             value = power(current[target], exponents[at(idx + hop)])
             bus.post(at(idx + hop), "ring-relay", (target, value), to=at(idx + hop - 1))
-        relayed = {m.sender: m.body for m in bus.end_round()}
-        missing = [i for i in ring if i not in relayed]
-        if missing:
-            raise IncompleteGroup(f"no ring-relay message from participants {missing}")
-        current.update(relayed.values())  # (target, value) pairs
+        hands = ((at(idx + hop), at(idx + hop - 1), "ring-relay", 2) for idx in range(len(ring)))
+        current.update(m.body for m in bus.deliver(bus.shape(hands)))  # (target, value) pairs
 
     return {i: power(current[i], exponents[i]) for i in ring}
 
@@ -939,6 +933,7 @@ def share_exchange(
     except NotInSubgroup as exc:
         raise ExtractionFailed(f"{kind} blinds do not multiply to 1 mod M") from exc
     inverses = {j: mod_inv(low, modulus) for j, low in zip(ids, lows)}
+    shape = bus.shape((j, i, kind, 1) for j in ids for i in ids if i != j)
 
     for d in degrees:
         label = f"{kind}:{d}"
@@ -958,11 +953,7 @@ def share_exchange(
                 else:
                     own[i] = share
         sums = {i: share // modulus * inverses[i] for i, share in own.items()}
-        delivered = bus.end_round()
-        if len(delivered) != len(ids) * (len(ids) - 1):
-            got = {(msg.sender, msg.to) for msg in delivered}
-            j, i = next((j, i) for j in ids for i in ids if j != i and (j, i) not in got)
-            raise IncompleteGroup(f"user {j}: no '{label}' message to user {i}")
+        delivered = bus.deliver(shape._replace(kinds=shape.kinds and (label,)))  # () if one party
         for msg in delivered:
             sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]
         del delivered  # not held while the next degree's round is posted

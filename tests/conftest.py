@@ -82,6 +82,43 @@ def dropping(monkeypatch):
     return drop
 
 
+# what each fault of `faulty` puts on the wire in place of a message
+_FAULTS = {
+    "duplicate": lambda msg: [msg, msg],
+    "lost+duplicate": lambda msg: [],
+    "stray": lambda msg: [msg, msg._replace(kind="noise")],
+    "empty": lambda msg: [msg._replace(body=())],
+    "longer": lambda msg: [msg._replace(body=(*msg.body, 1))],
+}
+
+
+@pytest.fixture
+def faulty(monkeypatch):
+    """`faulty(kind, sender, fault)`: from then until the test ends, the
+    first message of `kind` from `sender` in each round reaches every
+    party with one fault: it arrives twice ("duplicate"); it is
+    lost and the round's first other message arrives twice
+    ("lost+duplicate"); a copy of kind "noise" arrives too ("stray"); or
+    its body is empty ("empty") or one value longer ("longer").  The
+    fault is made as the round closes, so the transcript holds it."""
+
+    def reshape(kind: str, sender: int, fault: str) -> None:
+        end_round = Bus.end_round
+
+        def faulty_end_round(bus):
+            pending = bus._pending or []
+            hits = [k for k, msg in enumerate(pending) if (msg.kind, msg.sender) == (kind, sender)]
+            if hits:
+                pending[hits[0] : hits[0] + 1] = _FAULTS[fault](pending[hits[0]])
+                if fault == "lost+duplicate" and pending:
+                    pending.append(pending[0])
+            return end_round(bus)
+
+        monkeypatch.setattr(Bus, "end_round", faulty_end_round)
+
+    return reshape
+
+
 @pytest.fixture(scope="session")
 def arith_system():
     """Toy arith system with authority (ids 1..7, virtual id 7)."""

@@ -6,11 +6,16 @@ the output of every flow, and a message lost on the wire is refused with
 an error naming its kind and its sender, prefixed with its round.
 """
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pda_kit import models, netsim, pda
 from pda_kit.bus import Bus
-from pda_kit.errors import IncompleteGroup, MissingEncoding
+from pda_kit.errors import IncompleteGroup, MissingEncoding, ProtocolError, UnexpectedMessage
 
 
 def term(coeff, powers):
@@ -184,3 +189,123 @@ def test_a_lost_key_ceremony_message_is_refused(
     assert text.startswith(f"[round {rnd}] ")
     assert kind in text
     assert f"user {sender}:" in text or f"[{sender}]" in text
+
+
+# the faults of the `faulty` fixture; a round of one message has no other
+# message to duplicate in place of a lost one
+FAULTS = ("duplicate", "lost+duplicate", "stray", "empty", "longer")
+SOLE = {"blinded-term", "sigma-sum"}
+FAULT_CASES = [
+    (*drop[:3], fault)
+    for drop in [*DROPS, *CEREMONY_DROPS]
+    for fault in FAULTS
+    if fault != "lost+duplicate" or drop[1] not in SOLE
+]
+MISSING = {flow: error for flow, _, _, error, _ in DROPS}
+ROUNDS = {(flow, kind): rnd for flow, kind, *_, rnd in [*DROPS, *CEREMONY_DROPS]}
+# the recipient of the first message of each addressed kind from its sender
+ADDRESSED = {"ring-relay": 4, "key-query:3": 1, "keyshare:4": 1}
+
+
+def expected_refusal(flow, kind, sender, fault):
+    """(error class, text after the round prefix) that `fault` on the
+    message must raise: a loss is named before any other fault."""
+    to = f" to user {ADDRESSED[kind]}" if kind in ADDRESSED else ""
+    if fault == "lost+duplicate":
+        return MISSING.get(flow, IncompleteGroup), f"user {sender}: no '{kind}' message{to}"
+    if fault == "duplicate":
+        return UnexpectedMessage, f"user {sender}: repeated '{kind}' message{to}"
+    if fault == "stray":
+        return UnexpectedMessage, f"user {sender}: unexpected 'noise' message{to}"
+    length = "0)" if fault == "empty" else ""  # one value more than the kind's
+    text = f"user {sender}: unexpected '{kind}' message{to} (body length {length}"
+    return UnexpectedMessage, text
+
+
+@pytest.mark.parametrize("flow, kind, sender, fault", FAULT_CASES)
+def test_a_repeated_stray_or_reshaped_message_is_refused(
+    systems, pda_system, plain_arith_system, faulty, flow, kind, sender, fault
+):
+    if flow in FLOWS:
+        run = functools.partial(FLOWS[flow], systems)
+        run()  # the clean run returns its value
+    else:
+        run = functools.partial(keygen, systems, flow)
+        keys, result = run()
+        fixture = {"keygen_pda": pda_system, "keygen_arith": plain_arith_system}.get(flow)
+        if fixture is not None:  # the clean run is the fixture's ceremony
+            assert keys == fixture[0].enc_keys
+            assert result.transcript_jsonl() == fixture[1].transcript_jsonl()
+    faulty(kind, sender, fault)
+    error, text = expected_refusal(flow, kind, sender, fault)
+    with pytest.raises(error) as info:
+        run()
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"[round {ROUNDS[flow, kind]}] {text}")
+
+
+# the property test's toy run: a six-user framework key generation at
+# kappa=16 (ring share, then key degrees 2 .. 5), then one aggregation
+TOY_QUERY = pda.PdaQuery(
+    coeffs=(3, 5),
+    exponents={i: {0: 1, 1: i % 3} for i in (1, 2, 4, 6)},
+    participants=(1, 2, 4, 6),
+    window=pda.Window(0, 2),
+)
+TOY_DATA = {i: [7 * i + 1, 2 * i + 5] for i in (1, 2, 4, 6)}
+POSTS = {
+    "drop": lambda post, msg: None,
+    "duplicate": lambda post, msg: [post(*msg), post(*msg)],
+    "empty": lambda post, msg: post(*msg[:2], (), msg[3]),
+    "longer": lambda post, msg: post(*msg[:2], (*msg[2], 1), msg[3]),
+    "stray": lambda post, msg: [post(*msg), post(msg[0], "noise", *msg[2:])],
+}
+
+
+def toy_run(params):
+    system, _ = netsim.keygen_pda(params, seed="faults", m_max=4)
+    value, _ = netsim.run_pda_aggregation(
+        system, TOY_QUERY, TOY_DATA, seed="faults", registry=pda.SlotRegistry()
+    )
+    return value
+
+
+@pytest.fixture(scope="module")
+def toy_posts(pda_system):
+    """The toy run's parameters and the number of messages its clean run posts."""
+    params = pda_system[0].params
+    posted = itertools.count()
+    post = Bus.post
+
+    def counted_post(bus, *msg, **to):
+        next(posted)
+        post(bus, *msg, **to)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Bus, "post", counted_post)
+        assert toy_run(params) == pda.evaluate_query(TOY_QUERY, TOY_DATA, params.N)
+    return params, next(posted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_one_faulty_message_ends_the_run_in_a_protocol_error(toy_posts, data):
+    # whichever message is faulty, and however, the run neither returns a
+    # value nor lets a built-in exception escape: it names its round
+    params, total = toy_posts
+    target = data.draw(st.integers(0, total - 1), label="message")
+    fault = data.draw(st.sampled_from(sorted(POSTS)), label="fault")
+    posted = itertools.count()
+    post = Bus.post
+
+    def faulty_post(bus, sender, kind, body, to=None):
+        msg = (sender, kind, tuple(body), to)
+        if next(posted) == target:
+            POSTS[fault](lambda *m: post(bus, *m), msg)
+        else:
+            post(bus, *msg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Bus, "post", faulty_post)
+        with pytest.raises(ProtocolError, match=r"^\[round \d+\] "):
+            toy_run(params)

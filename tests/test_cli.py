@@ -585,6 +585,23 @@ def test_keygen_unwritable_transcript_writes_no_keys(keyring, tmp_path, capsys):
     assert not (keys / "aggregator.json").exists()
 
 
+def test_keygen_refuses_a_duplicated_share_and_writes_no_keys(keyring, tmp_path, capsys, faulty):
+    # user 1's key-query share to user 2 arrives twice in round 2, the
+    # one key degree of three users; the refusal keeps the error contract
+    params, _ = keyring
+    keys = tmp_path / "keys"
+    faulty("key-query:2", 1, "duplicate")
+    code = run_cli("keygen", "--params", params, "--keys", keys, "--seed", "34")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "UnexpectedMessage",
+        "detail": "[round 2] user 1: repeated 'key-query:2' message to user 2 (body length 1)",
+    }
+    assert not keys.exists()
+
+
 @pytest.mark.parametrize(
     "change, error", [({"n_min": 2}, "GroupTooSmall"), ({"p": "f"}, "InvalidParams")]
 )
