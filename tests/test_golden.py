@@ -8,6 +8,7 @@ is; a change to the protocol or to its randomness shows up here.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -69,6 +70,14 @@ GOLDEN = {
     "all_participants_aggregate": (
         "485470b9d685b03524fe588546e83976"
         "9755e2eb939bee811e895ad3e32040b2"
+    ),
+    "group_add": (
+        "af8a988fc734bab3feb7024307a340c4"
+        "6c89b563353872db1311cbca1f622641"
+    ),
+    "group_mul": (
+        "6dc3a800dbb915ac51f85998821eeac7"
+        "97b30f71ddf78f4dfae440c404731483"
     ),
 }
 
@@ -158,3 +167,14 @@ def test_all_participants_aggregate_digest(arith_golden):
     assert set(out.values()) == {models.evaluate_plaintext(poly, data, system.params.p)}
     expected = GOLDEN["all_participants_aggregate"]
     assert digest(bus.transcript_jsonl(), format(out[1], "x")) == expected
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_group_aggregation_digest(arith_golden, op):
+    system, _ = arith_golden
+    ids = (1, 2, 3, 4, 5, 6)
+    data = {i: 10 + 3 * i for i in ids}
+    value, result = netsim.run_arith_group_aggregation(system, ids, data, op)
+    combine = sum if op == "add" else math.prod
+    assert value == combine(data.values()) % system.params.p
+    assert digest(result.transcript_jsonl(), format(value, "x")) == GOLDEN[f"group_{op}"]

@@ -1,4 +1,4 @@
-"""The eight golden digests of `test_golden.py` with libcrypto switched off.
+"""The ten golden digests of `test_golden.py` with libcrypto switched off.
 
 `numtheory.pow` sends wide exponentiations to libcrypto's
 BN_mod_exp_mont, on the modulus's held Montgomery context, when the
