@@ -262,8 +262,10 @@ def read_rows(
 
     Rows become users 1..n in file order unless a 'user' column is present.
     Cells are read as `kind`: float for analytics, int for values mod N,
-    which a float cannot carry exactly.  An empty, missing, non-numeric or
-    non-finite cell, or a repeated user, raises ValueError naming its row.
+    which a float cannot carry exactly.  An empty, non-numeric or
+    non-finite cell, a row with more or fewer cells than the header, or a
+    repeated user raises ValueError naming its row, and a repeated header
+    column one naming the column.
     """
 
     def cell(record: dict, idx: int, column: str, kind: type) -> int | float:
@@ -279,11 +281,18 @@ def read_rows(
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = reader.fieldnames
+        if header is None:
             raise ValueError("empty CSV")
-        names = [c for c in reader.fieldnames if c not in ("user",)]
+        repeated = [c for c in header if header.count(c) > 1]
+        if repeated:
+            raise ValueError(f"header: column {repeated[0]!r} repeated")
+        names = [c for c in header if c not in ("user",)]
         rows: dict[int, dict[str, int | float]] = {}
         for idx, record in enumerate(reader, start=1):
+            if None in record or None in record.values():  # DictReader's filler for a ragged row
+                side = "more" if None in record else "fewer"
+                raise ValueError(f"row {idx}: {side} cells than the header's {len(header)}")
             user = cell(record, idx, "user", int) if "user" in record else idx
             if user in rows:
                 raise ValueError(f"row {idx}: repeated user {user}")

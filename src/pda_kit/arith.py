@@ -4,8 +4,11 @@ Each user ends up holding one polynomial-share R_i^(k) per usable group
 size k, the evaluation at x=i of a jointly generated hidden polynomial
 with zero constant term over Z_{p(p-1)}.  Weighted by the shared
 denominator-cleared Lagrange coefficients, any k of them sum to zero
-mod p(p-1) -- hence mod p for additive masks and mod p-1 for exponents,
-which is exactly what Encrypt/Decrypt rely on.
+mod p(p-1) -- hence mod p for additive masks and mod p-1 for exponents.
+The scheme is these masks: a member encrypts x_i as it posts, with one
+addition, x_i + R_i*lambda_i mod p, or one multiplication,
+x_i * g^{R_i*lambda_i} mod p, and the masks cancel in the sum or
+product of the group's posts.
 
 Master keys live mod p^2(p-1)^2 and multiply to 1 across all users; they
 blind the key-generation messages so nobody learns another user's share.
@@ -13,7 +16,6 @@ blind the key-generation messages so nobody learns another user's share.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,7 +25,6 @@ from .errors import (
     IncompleteGroup,
     InvalidParams,
     KeyMissing,
-    MixedKinds,
     field,
     hex_field,
     json_key,
@@ -105,14 +106,6 @@ class ArithEncKey:
         )
 
 
-@dataclass(frozen=True)
-class ArithCiphertext:
-    kind: str  # "add" | "mul"
-    value: int
-    participant: int
-    group: tuple[int, ...]
-
-
 def setup(kappa: int, n: int, n_min: int, rng: Rng) -> ArithParams:
     """Public parameters: a safe prime p of kappa bits and a random g in Z_p*."""
     if not 3 <= n_min <= n:
@@ -174,7 +167,7 @@ def keygen(
 
 
 # ---------------------------------------------------------------------------
-# encryption
+# masks
 # ---------------------------------------------------------------------------
 
 def require_inputs(
@@ -207,18 +200,6 @@ def mask_exponent(params: ArithParams, key: ArithEncKey, group: Sequence[int]) -
     return key.shares[k] * lam
 
 
-def encrypt_add(
-    params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
-) -> ArithCiphertext:
-    mask = mask_exponent(params, key, group)
-    return ArithCiphertext(
-        kind="add",
-        value=(x + mask) % params.p,
-        participant=key.id,
-        group=tuple(sorted(group)),
-    )
-
-
 def mul_masks(
     params: ArithParams, keys: Sequence[ArithEncKey], group: Sequence[int]
 ) -> dict[int, int]:
@@ -229,36 +210,3 @@ def mul_masks(
     exponents = [mask_exponent(params, key, group) % (p - 1) for key in keys]
     masks = fixed_base_pows(params.g, exponents, p, p - 1)
     return {key.id: mask for key, mask in zip(keys, masks)}
-
-
-def encrypt_mul(
-    params: ArithParams, key: ArithEncKey, group: Sequence[int], x: int
-) -> ArithCiphertext:
-    p = params.p
-    value = x % p * mul_masks(params, [key], group)[key.id] % p
-    return ArithCiphertext(
-        kind="mul", value=value, participant=key.id, group=tuple(sorted(group))
-    )
-
-
-def decrypt(params: ArithParams, ciphertexts: Sequence[ArithCiphertext]) -> int:
-    if not ciphertexts:
-        raise IncompleteGroup("no ciphertexts")
-    kinds = {ct.kind for ct in ciphertexts}
-    if len(kinds) != 1:
-        raise MixedKinds(f"mixed ciphertext kinds {sorted(kinds)}")
-    group = ciphertexts[0].group
-    senders = Counter(ct.participant for ct in ciphertexts)
-    missing = sorted(set(group) - set(senders))
-    extra = sorted(i for i, count in senders.items() if count > 1 or i not in group)
-    if missing or extra or any(ct.group != group for ct in ciphertexts):
-        kind = f"enc-{ciphertexts[0].kind} ciphertext"
-        raise IncompleteGroup(f"no {kind} from members {missing}; repeated or outside: {extra}")
-    if kinds == {"add"}:
-        return sum(ct.value for ct in ciphertexts) % params.p
-    out = 1
-    for ct in ciphertexts:
-        out = out * ct.value % params.p
-    return out
-
-

@@ -112,12 +112,8 @@ class KeyMissing(ProtocolError):
     """No key share exists for the requested group size."""
 
 
-class MixedKinds(ProtocolError):
-    """Additive and multiplicative ciphertexts cannot be combined."""
-
-
 class IncompleteGroup(ProtocolError):
-    """A member's ciphertext, value or a message `Bus.deliver` expects is missing."""
+    """A member's value, or a message `Bus.deliver` expects, is missing."""
 
 
 class UnexpectedMessage(ProtocolError):

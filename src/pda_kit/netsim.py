@@ -7,12 +7,14 @@ each scheme's system (set-up and key ceremony) and run its aggregations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import arith, paillier, pda
 from .bus import Bus, CeremonyResult
-from .errors import IncompleteGroup, KeyMissing, MissingEncoding, ProtocolError, ResultOverflow
+from .errors import GroupTooSmall, IncompleteGroup, KeyMissing, MissingEncoding
+from .errors import ProtocolError, ResultOverflow
 from .rng import Rng
 
 
@@ -89,24 +91,36 @@ def run_arith_group_aggregation(
 ) -> tuple[int, CeremonyResult]:
     """Single sum or product over one group: exactly one broadcast round.
 
-    A member without a key or a value is refused before the ceremony,
-    and every ciphertext is built before the round opens, so a group or
-    key that encryption refuses leaves an empty transcript.
+    Each member posts x_i + R_i*lambda_i mod p for a sum, or
+    x_i * g^{R_i*lambda_i} mod p for a product, whose masks are one
+    fixed-base batch for the group; the masks cancel in the sum or
+    product of the bodies `Bus.deliver` hands back.
+
+    A member without a key or a value is refused before the ceremony, and
+    a group below n_min or a key without its size before the round opens,
+    so every refusal leaves an empty transcript.
     """
     if op not in ("add", "mul"):
         raise ValueError("op must be 'add' or 'mul'")
     arith.require_inputs(system.enc_keys, group, values, group)
-    encrypt = arith.encrypt_add if op == "add" else arith.encrypt_mul
-    ids = tuple(sorted(group))
+    params, ids = system.params, tuple(sorted(group))
+    p = params.p
 
     def driver(bus: Bus, crng: Rng):
-        cts = [encrypt(system.params, system.enc_keys[i], ids, values[i]) for i in ids]
+        if len(ids) < params.n_min:
+            raise GroupTooSmall(f"|P|={len(ids)} below n_min={params.n_min}")
+        if op == "add":
+            masks = {i: arith.mask_exponent(params, system.enc_keys[i], ids) for i in ids}
+            posts = [(values[i] + masks[i]) % p for i in ids]
+        else:
+            masks = arith.mul_masks(params, [system.enc_keys[i] for i in ids], ids)
+            posts = [values[i] % p * masks[i] % p for i in ids]
         bus.begin_round()
-        for ct in cts:
-            bus.post(ct.participant, f"enc-{op}", (ct.value,))
+        for i, body in zip(ids, posts):
+            bus.post(i, f"enc-{op}", (body,))
         delivered = bus.deliver(bus.shape((i, None, f"enc-{op}", 1) for i in ids))
-        received = [arith.ArithCiphertext(op, m.body[0], m.sender, ids) for m in delivered]
-        return arith.decrypt(system.params, received)
+        bodies = [m.body[0] for m in delivered]
+        return (sum(bodies) if op == "add" else math.prod(bodies)) % p
 
     result = run_ceremony(driver, ids, seed)
     return result.outputs, result

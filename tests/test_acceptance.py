@@ -42,20 +42,13 @@ def test_criterion_1_arith_correctness():
                         group = tuple(sorted(rnd.sample(ids, size)))
                         xs = {i: rnd.randrange(params.p) for i in group}
                         if op == "add":
-                            cts = [
-                                arith.encrypt_add(params, system.enc_keys[i], group, xs[i])
-                                for i in group
-                            ]
                             expected = sum(xs.values()) % params.p
                         else:
-                            cts = [
-                                arith.encrypt_mul(params, system.enc_keys[i], group, xs[i])
-                                for i in group
-                            ]
                             expected = 1
                             for v in xs.values():
                                 expected = expected * v % params.p
-                        assert arith.decrypt(params, cts) == expected, (
+                        value, _ = netsim.run_arith_group_aggregation(system, group, xs, op)
+                        assert value == expected, (
                             f"exact mismatch at kappa={kappa} n={n} size={size} op={op}"
                         )
                         vectors += 1

@@ -297,3 +297,24 @@ def test_read_rows_int_cells_stay_exact(tmp_path):
     csv_path.write_text("x\n1\n2.5\n")
     with pytest.raises(ValueError, match="row 2, column 'x': not an integer"):
         analytics.read_rows(csv_path, int)
+
+
+@pytest.mark.parametrize(
+    "csv_text, where",
+    [
+        ("user,x,x\n1,3,7\n2,4,8\n", "header: column 'x' repeated"),
+        ("x,y,x\n3,1,7\n4,2,8\n", "header: column 'x' repeated"),
+        ("user,x,user\n1,3,1\n2,4,2\n", "header: column 'user' repeated"),
+        ("x,y\n1,2\n1,2,9\n", "row 2: more cells than the header's 2"),
+        ("x,y\n1,2\n1\n3,4\n", "row 2: fewer cells than the header's 2"),
+        ("user,x,y\n1,2,3\n2,4\n", "row 2: fewer cells than the header's 3"),
+    ],
+)
+def test_read_rows_refuses_a_ragged_table(tmp_path, csv_text, where):
+    # no cell is dropped or read as missing: a repeated column, a long row
+    # and a short row are refused by name, for either cell kind
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(csv_text)
+    for kind in (float, int):
+        with pytest.raises(ValueError, match=f"^{where}$"):
+            analytics.read_rows(csv_path, kind)

@@ -13,10 +13,8 @@ from pda_kit.errors import (
     BadField,
     ExtractionFailed,
     GroupTooSmall,
-    IncompleteGroup,
     InvalidParams,
     KeyMissing,
-    MixedKinds,
     NonInvertibleBroadcast,
     RingTooSmall,
 )
@@ -213,7 +211,7 @@ def test_keygen_extraction_failed():
 
 
 # ---------------------------------------------------------------------------
-# encrypt / decrypt on the frozen toy
+# the group round on the frozen toy
 # ---------------------------------------------------------------------------
 
 TOY = arith.ArithParams(p=11, g=2, n=3, n_min=3)
@@ -227,56 +225,40 @@ def toy_keys():
     }
 
 
-def test_encrypt_add_frozen():
+def toy_round(xs, op):
+    """(bodies posted in member order, result) of the toy keys' round over (1, 2, 3)."""
+    system = netsim.ArithSystem(params=TOY, master_keys={}, enc_keys=toy_keys(), ids=(1, 2, 3))
+    value, result = netsim.run_arith_group_aggregation(system, (1, 2, 3), xs, op)
+    return [m.body[0] for m in result.bus.messages()], value
+
+
+def test_group_add_frozen():
+    posted, value = toy_round({1: 4, 2: 7, 3: 9}, "add")
+    assert posted == [6, 6, 8]
+    assert value == 9  # (4+7+9) mod 11
+
+
+def test_group_mul_frozen():
+    posted, value = toy_round({1: 3, 2: 4, 3: 5}, "mul")
+    assert posted == [4, 5, 3]
+    assert value == 5  # (3*4*5) mod 11
+
+
+def test_posting_zero_posts_the_pure_mask():
     keys = toy_keys()
-    xs = {1: 4, 2: 7, 3: 9}
-    cts = [arith.encrypt_add(TOY, keys[i], (1, 2, 3), xs[i]) for i in (1, 2, 3)]
-    assert [ct.value for ct in cts] == [6, 6, 8]
-    assert arith.decrypt(TOY, cts) == 9  # (4+7+9) mod 11
-
-
-def test_encrypt_mul_frozen():
-    keys = toy_keys()
-    xs = {1: 3, 2: 4, 3: 5}
-    cts = [arith.encrypt_mul(TOY, keys[i], (1, 2, 3), xs[i]) for i in (1, 2, 3)]
-    assert [ct.value for ct in cts] == [4, 5, 3]
-    assert arith.decrypt(TOY, cts) == 5  # (3*4*5) mod 11
-
-
-def test_encrypt_zero_is_pure_mask():
-    keys = toy_keys()
-    ct = arith.encrypt_add(TOY, keys[1], (1, 2, 3), 0)
+    posted, _ = toy_round({1: 0, 2: 7, 3: 9}, "add")
     lam = 3  # weight of id 1 in {1,2,3}
-    assert ct.value == keys[1].shares[3] * lam % 11
+    assert posted[0] == keys[1].shares[3] * lam % 11
 
 
-def test_encrypt_errors():
+def test_mask_exponent_errors():
     keys = toy_keys()
     with pytest.raises(GroupTooSmall):
-        arith.encrypt_add(TOY, keys[1], (1, 2), 4)
+        arith.mask_exponent(TOY, keys[1], (1, 2))
     with pytest.raises(KeyMissing):
-        arith.encrypt_add(TOY, arith.ArithEncKey(id=9, shares={3: 1}), (1, 2, 3), 4)
+        arith.mask_exponent(TOY, arith.ArithEncKey(id=9, shares={3: 1}), (1, 2, 3))
     with pytest.raises(KeyMissing):
-        arith.encrypt_add(
-            TOY, arith.ArithEncKey(id=1, shares={4: 1}), (1, 2, 3), 4
-        )
-
-
-def test_decrypt_errors():
-    keys = toy_keys()
-    add1 = arith.encrypt_add(TOY, keys[1], (1, 2, 3), 4)
-    mul2 = arith.encrypt_mul(TOY, keys[2], (1, 2, 3), 4)
-    with pytest.raises(MixedKinds):
-        arith.decrypt(TOY, [add1, mul2])
-    # a repeated sender is named, and so is every member that sent nothing
-    with pytest.raises(IncompleteGroup, match=r"enc-add .* \[2, 3\]; repeated .*: \[1\]$"):
-        arith.decrypt(TOY, [add1, add1])
-    with pytest.raises(IncompleteGroup, match="^no ciphertexts$"):
-        arith.decrypt(TOY, [])
-    add2 = arith.encrypt_add(TOY, keys[2], (1, 2, 3), 4)
-    outsider = arith.ArithCiphertext("add", 5, 9, (1, 2, 3))
-    with pytest.raises(IncompleteGroup, match=r"members \[3\]; repeated .*: \[9\]$"):
-        arith.decrypt(TOY, [add1, add2, outsider])
+        arith.mask_exponent(TOY, arith.ArithEncKey(id=1, shares={4: 1}), (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +290,8 @@ def test_multiplicative_masks_cancel(arith_system, data):
     ids = sorted(system.enc_keys)
     members = st.lists(st.sampled_from(ids), min_size=params.n_min, max_size=len(ids), unique=True)
     group = tuple(sorted(data.draw(members, label="group")))
-    prod = 1
-    for i in group:
-        prod = prod * arith.encrypt_mul(params, system.enc_keys[i], group, 1).value % params.p
-    assert prod == 1
+    masks = arith.mul_masks(params, [system.enc_keys[i] for i in group], group)
+    assert math.prod(masks.values()) % params.p == 1
 
 
 def test_mul_masks_is_mul_mask_of_every_key(arith_system, op_counts, monkeypatch):
@@ -346,13 +326,13 @@ def test_end_to_end_random_sweep(plain_arith_system):
         size = rnd.randint(params.n_min, len(ids))
         group = tuple(sorted(rnd.sample(ids, size)))
         xs = {i: rnd.randrange(params.p) for i in group}
-        adds = [arith.encrypt_add(params, system.enc_keys[i], group, xs[i]) for i in group]
-        assert arith.decrypt(params, adds) == sum(xs.values()) % params.p
-        muls = [arith.encrypt_mul(params, system.enc_keys[i], group, xs[i]) for i in group]
+        total, _ = netsim.run_arith_group_aggregation(system, group, xs, "add")
+        assert total == sum(xs.values()) % params.p
+        product, _ = netsim.run_arith_group_aggregation(system, group, xs, "mul")
         expected = 1
         for v in xs.values():
             expected = expected * v % params.p
-        assert arith.decrypt(params, muls) == expected
+        assert product == expected
 
 
 def test_key_json_roundtrip(small_system):

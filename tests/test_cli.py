@@ -356,6 +356,9 @@ def test_aggregate_refuses_aggregator_key_whose_lambda_does_not_split_n(
         ("y\n1\n2\n3\n", "no feature column"),
         ("x\n2\n4\n6\n", "regress needs a 'y' column"),
         ("user,x,y\n2,1,3\n3,2,5\n4,3,7\n", "user IDs [4] outside 1..3"),
+        ("user,x,x,y\n1,2,1,3\n2,4,2,5\n3,6,3,7\n", "header: column 'x' repeated"),
+        ("x,y\n2,1\n4,2,9\n6,3\n", "row 2: more cells than the header's 2"),
+        ("x,y\n2,1\n4,2\n6\n", "row 3: fewer cells than the header's 2"),
     ],
 )
 def test_demo_rejects_bad_data(tmp_path, capsys, monkeypatch, csv_text, where):

@@ -122,9 +122,10 @@ def test_authority_random_polynomials(arith_system):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_posted_factors_equal_encrypt_mul(arith_system, data):
+def test_posted_factors_equal_their_masked_factors(arith_system, data):
     # with one mask per participant, every enc-mul:{k} broadcast still
-    # equals encrypt_mul of that participant's factor of term k
+    # equals that participant's factor of term k times the mask a
+    # single-key mul_masks call gives it
     system, _ = arith_system
     params, keys = system.params, system.enc_keys
     p = params.p
@@ -156,7 +157,8 @@ def test_posted_factors_equal_encrypt_mul(arith_system, data):
     for k, t in enumerate(terms):
         for i in members:
             factor = pow(xs[i], t.power_of(i), p) * (t.coeff if i == members[0] else 1) % p
-            expected[i, f"enc-mul:{k}"] = arith.encrypt_mul(params, keys[i], group, factor).value
+            mask = arith.mul_masks(params, [keys[i]], group)[i]
+            expected[i, f"enc-mul:{k}"] = factor * mask % p
     assert posted == expected
 
 

@@ -88,17 +88,37 @@ def test_ceremony_error_carries_round_context():
 
 
 @pytest.mark.parametrize("op", ["add", "mul"])
-def test_refused_arith_group_aggregation_opens_no_round(plain_arith_system, op):
-    # every ciphertext is built before the round opens, so a group below
-    # n_min or a key without the group's size is refused at round 0
+def test_refused_arith_group_aggregation_opens_no_round(plain_arith_system, op, monkeypatch):
+    # every mask is computed before the round opens, so an empty group, a
+    # group below n_min or a key without the group's size is refused at
+    # round 0, on a bus that never opened a round
     system, _ = plain_arith_system
     values = {i: i + 1 for i in system.ids}
-    with pytest.raises(GroupTooSmall, match=r"^\[round 0\]"):
-        netsim.run_arith_group_aggregation(system, (1, 2), values, op)
+    buses = []
+    monkeypatch.setattr(netsim, "Bus", lambda parties: buses.append(Bus(parties)) or buses[-1])
+    for group in ((), (1, 2)):
+        with pytest.raises(GroupTooSmall, match=r"^\[round 0\]"):
+            netsim.run_arith_group_aggregation(system, group, values, op)
     keys = {**system.enc_keys, 3: arith.ArithEncKey(id=3, shares={})}
     lacking = dataclasses.replace(system, enc_keys=keys)
     with pytest.raises(KeyMissing, match=r"^\[round 0\]"):
         netsim.run_arith_group_aggregation(lacking, (1, 2, 3), values, op)
+    assert [bus.round_no for bus in buses] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_arith_group_aggregation_walks_its_masks_in_one_batch(plain_arith_system, op_counts, op):
+    # a product's masks are one fixed-base batch for the whole group, not
+    # one a member; a sum's additive masks need no walk
+    system, _ = plain_arith_system
+    params = system.params
+    p = params.p
+    values = {i: 7 * i + 2 for i in system.ids}
+    with op_counts:
+        value, _ = netsim.run_arith_group_aggregation(system, system.ids, values, op)
+    combine = sum if op == "add" else math.prod
+    assert value == combine(values.values()) % p
+    assert op_counts.walk_calls == ({(params.g, p, p - 1): 1} if op == "mul" else {})
 
 
 def test_traffic_report_schema(pda_system):
