@@ -264,8 +264,8 @@ def read_rows(
     Cells are read as `kind`: float for analytics, int for values mod N,
     which a float cannot carry exactly.  An empty, non-numeric or
     non-finite cell, a row with more or fewer cells than the header, or a
-    repeated user raises ValueError naming its row, and a repeated header
-    column one naming the column.
+    repeated user raises ValueError naming its row, and a header column
+    without a name, or repeated, one naming the column.
     """
 
     def cell(record: dict, idx: int, column: str, kind: type) -> int | float:
@@ -284,9 +284,10 @@ def read_rows(
         header = reader.fieldnames
         if header is None:
             raise ValueError("empty CSV")
-        repeated = [c for c in header if header.count(c) > 1]
-        if repeated:
-            raise ValueError(f"header: column {repeated[0]!r} repeated")
+        wrong = [f"column {k} has no name" for k, c in enumerate(header, 1) if not c.strip()]
+        wrong += [f"column {c!r} repeated" for c in header if header.count(c) > 1]
+        if wrong:
+            raise ValueError(f"header: {wrong[0]}")
         names = [c for c in header if c not in ("user",)]
         rows: dict[int, dict[str, int | float]] = {}
         for idx, record in enumerate(reader, start=1):

@@ -87,7 +87,6 @@ def run_arith_group_aggregation(
     group: Sequence[int],
     values: Mapping[int, int],
     op: str,
-    seed: int | str | bytes = 0,
 ) -> tuple[int, CeremonyResult]:
     """Single sum or product over one group: exactly one broadcast round.
 
@@ -122,7 +121,7 @@ def run_arith_group_aggregation(
         bodies = [m.body[0] for m in delivered]
         return (sum(bodies) if op == "add" else math.prod(bodies)) % p
 
-    result = run_ceremony(driver, ids, seed)
+    result = run_ceremony(driver, ids, 0)  # the driver draws nothing
     return result.outputs, result
 
 

@@ -27,6 +27,7 @@ loaded or on the cores, only timings do.
 from __future__ import annotations
 
 import builtins
+import contextlib
 import ctypes
 import ctypes.util
 import functools
@@ -887,11 +888,20 @@ def ring_exchange(
     return {i: power(current[i], exponents[i]) for i in ring}
 
 
+# Median ms of one keygen's `share_exchange`, inline / forked with 2 workers
+# on 2 cores (11 alternating runs, CPython 3.11, x86-64 VM shared with others):
+#   n / messages     8 / 336      16 / 3,360    20 / 6,840    24 / 12,144
+#   kappa=48 pda     4.2 / 16.6   31.4 / 46.9   59.0 / 44.3   103 / 69.0
+#   kappa=512 arith  11.2 / 14.7  84.4 / 63.4   168 / 122     240 / 180
+# The floor lies above both crossings and every toy system of the tests.
+_FORK_FLOOR = 10_000  # messages a call, n(n-1) a degree
+
+
 def share_exchange(
     bus: Bus,
     modulus: int,
     blinds: Mapping[int, int],
-    degrees: Iterable[int],
+    degrees: Sequence[int],
     coefficients: Callable[[int, int], Sequence[int]],
     kind: str,
 ) -> dict[int, dict[int, int]]:
@@ -922,6 +932,10 @@ def share_exchange(
     call, then one half-width product a share.  When prod_j a_j != 1
     (mod M), no party's product is a (1+M) power, and ExtractionFailed
     names `kind` before any round opens, so the bus stays empty.
+
+    From `_FORK_FLOOR` messages a call on two or more cores, each degree's
+    coefficient draws and evaluation run in forked workers, which never
+    see the bus; a worker that fails leaves its degrees to this process.
     """
     ids = sorted(blinds)
     m2 = modulus * modulus
@@ -935,30 +949,61 @@ def share_exchange(
     inverses = {j: mod_inv(low, modulus) for j, low in zip(ids, lows)}
     shape = bus.shape((j, i, kind, 1) for j in ids for i in ids if i != j)
 
-    for d in degrees:
-        label = f"{kind}:{d}"
+    def sender(d: int) -> list[list[int]]:
         # values[x][j] = blind_j * q_j(ids[x]) mod M
         polys = [[low * c for c in coefficients(j, d)] for j, low in zip(ids, lows)]
-        values = evaluate_packed(polys, ids, modulus)
+        return evaluate_packed(polys, ids, modulus)
 
-        bus.begin_round()
-        own = {}
-        for j, blind, row in zip(ids, reduced, zip(*values)):
-            for i, v in zip(ids, row):
-                share = blind + modulus * v
-                if share >= m2:
-                    share -= m2
-                if i != j:
-                    bus.post(j, label, (share,), to=i)
-                else:
-                    own[i] = share
-        sums = {i: share // modulus * inverses[i] for i, share in own.items()}
-        delivered = bus.deliver(shape._replace(kinds=shape.kinds and (label,)))  # () if one party
-        for msg in delivered:
-            sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]
-        del delivered  # not held while the next degree's round is posted
+    def work(ds: Sequence[int], writer, reader) -> None:
+        reader.close()  # the pipe breaks once the parent and every later worker are gone
+        with contextlib.suppress(BaseException):  # even an interrupt: the parent computes the rest
+            for d in ds:
+                writer.send(sender(d))
 
-        for i in ids:
-            points[i][d] = (base + sums[i]) % modulus
+    forked = _cores() > 1 and len(ids) * (len(ids) - 1) * len(degrees) >= _FORK_FLOOR
+    if forked:  # imported here, so that a call below the floor never loads it
+        import multiprocessing
+        forked = hasattr(os, "fork") and not multiprocessing.current_process().daemon
+    count = min(_cores(), len(degrees)) if forked else 0  # a daemon may start no process
+    workers = []  # (process, reading end)
+    try:
+        for w in range(count):  # worker w computes degrees w, w + count, ...
+            fork = multiprocessing.get_context("fork")
+            reader, writer = fork.Pipe(duplex=False)
+            worker = fork.Process(target=work, args=(degrees[w::count], writer, reader))
+            worker.start()
+            workers.append((worker, reader))
+            writer.close()  # the worker holds the only writing end, so its exit is an EOF here
+        for idx, d in enumerate(degrees):
+            label = f"{kind}:{d}"
+            values = None
+            with contextlib.suppress(EOFError, OSError):  # a stopped worker's degree is done here
+                values = workers[idx % count][1].recv() if count else None
+            values = sender(d) if values is None else values
+
+            bus.begin_round()
+            own = {}
+            for j, blind, row in zip(ids, reduced, zip(*values)):
+                for i, v in zip(ids, row):
+                    share = blind + modulus * v
+                    if share >= m2:
+                        share -= m2
+                    if i != j:
+                        bus.post(j, label, (share,), to=i)
+                    else:
+                        own[i] = share
+            sums = {i: share // modulus * inverses[i] for i, share in own.items()}
+            delivered = bus.deliver(shape._replace(kinds=shape.kinds and (label,)))  # () if one party
+            for msg in delivered:
+                sums[msg.to] += msg.body[0] // modulus * inverses[msg.sender]
+            del delivered  # not held while the next degree's round is posted
+
+            for i in ids:
+                points[i][d] = (base + sums[i]) % modulus
+    finally:
+        for worker, reader in workers:
+            reader.close()
+            worker.terminate()
+            worker.join()
 
     return points

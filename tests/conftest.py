@@ -64,6 +64,31 @@ def op_counts():
     return OpCounts()
 
 
+def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
+    """Through `patch`, every `numtheory.share_exchange` call forks its
+    workers whatever its size: the fork floor is 0 and the process sees
+    two cores.  Returns the list of the `evaluate_packed` calls made in
+    this process, one entry each, so that a degree computed here and not
+    in a worker shows."""
+    here = []
+    evaluate = numtheory.evaluate_packed
+
+    def recorded(polys, xs, modulus):
+        here.append(len(polys))
+        return evaluate(polys, xs, modulus)
+
+    patch.setattr(numtheory, "_FORK_FLOOR", 0)
+    patch.setattr(numtheory, "_cores", lambda: 2)
+    patch.setattr(numtheory, "evaluate_packed", recorded)
+    return here
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """`fork_every_ceremony` until the test ends."""
+    return fork_every_ceremony(monkeypatch)
+
+
 @pytest.fixture
 def dropping(monkeypatch):
     """`dropping(kind, sender)`: from then until the test ends, `Bus.post`

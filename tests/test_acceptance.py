@@ -205,7 +205,7 @@ def test_criterion_5_communication():
     # round counts
     asys, _ = netsim.build_arith_system(kappa=16, n=5, n_min=3, seed="c5:rounds")
     values = {i: i + 1 for i in asys.ids}
-    _, ares = netsim.run_arith_group_aggregation(asys, asys.ids, values, "add", seed=1)
+    _, ares = netsim.run_arith_group_aggregation(asys, asys.ids, values, "add")
     assert ares.round_count == 1
 
     psys, _ = netsim.build_pda_system(kappa=16, n=5, theta_min=3, seed="c5:pda", m_max=4)

@@ -308,6 +308,9 @@ def test_read_rows_int_cells_stay_exact(tmp_path):
         ("x,y\n1,2\n1,2,9\n", "row 2: more cells than the header's 2"),
         ("x,y\n1,2\n1\n3,4\n", "row 2: fewer cells than the header's 2"),
         ("user,x,y\n1,2,3\n2,4\n", "row 2: fewer cells than the header's 3"),
+        ("x,y,\n1,2,\n3,4,\n", "header: column 3 has no name"),
+        ("x,,y\n1,,2\n3,,4\n", "header: column 2 has no name"),
+        ("x,y, \n1,2,3\n", "header: column 3 has no name"),
     ],
 )
 def test_read_rows_refuses_a_ragged_table(tmp_path, csv_text, where):

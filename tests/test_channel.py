@@ -8,6 +8,7 @@ an error naming its kind and its sender, prefixed with its round.
 
 import functools
 import itertools
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,32 @@ def test_a_lost_key_ceremony_message_is_refused(
     assert text.startswith(f"[round {rnd}] ")
     assert kind in text
     assert f"user {sender}:" in text or f"[{sender}]" in text
+
+
+@pytest.mark.parametrize("ceremony, kind, sender, fault", [
+    ("keygen_pda", "key-query:3", 2, "duplicate"),
+    ("keygen_arith", "keyshare:4", 2, "lost"),
+])
+def test_a_forked_key_ceremony_refuses_a_fault_as_the_inline_one(
+    systems, faulty, dropping, request, ceremony, kind, sender, fault
+):
+    # the bus side stays in this process, so a fault in a round whose
+    # shares the workers computed is refused with the inline text, and no
+    # worker outlives the refusal
+    if fault == "lost":
+        dropping(kind, sender)
+    else:
+        faulty(kind, sender, fault)
+    with pytest.raises(ProtocolError) as inline:
+        keygen(systems, ceremony)
+    here = request.getfixturevalue("forked")
+    with pytest.raises(ProtocolError) as forked:
+        keygen(systems, ceremony)
+    assert here == []  # every degree up to the refused one came from a worker
+    assert type(forked.value) is type(inline.value)
+    assert str(forked.value) == str(inline.value)
+    assert str(forked.value).startswith(f"[round {ROUNDS[ceremony, kind]}] user {sender}: ")
+    assert multiprocessing.active_children() == []
 
 
 # the faults of the `faulty` fixture; a round of one message has no other

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import shlex
 import shutil
 from pathlib import Path
@@ -359,6 +360,7 @@ def test_aggregate_refuses_aggregator_key_whose_lambda_does_not_split_n(
         ("user,x,x,y\n1,2,1,3\n2,4,2,5\n3,6,3,7\n", "header: column 'x' repeated"),
         ("x,y\n2,1\n4,2,9\n6,3\n", "row 2: more cells than the header's 2"),
         ("x,y\n2,1\n4,2\n6\n", "row 3: fewer cells than the header's 2"),
+        ("x,y,\n2,1,\n4,2,\n6,3,\n", "header: column 3 has no name"),
     ],
 )
 def test_demo_rejects_bad_data(tmp_path, capsys, monkeypatch, csv_text, where):
@@ -603,6 +605,28 @@ def test_keygen_refuses_a_duplicated_share_and_writes_no_keys(keyring, tmp_path,
         "detail": "[round 2] user 1: repeated 'key-query:2' message to user 2 (body length 1)",
     }
     assert not keys.exists()
+
+
+def test_a_forked_keygen_refuses_a_duplicated_share_in_one_line(
+    keyring, tmp_path, capfd, faulty, forked
+):
+    # the same refusal with the key degree's shares from a worker: the
+    # process's own stderr, the worker's included, holds the one JSON line
+    params, _ = keyring
+    keys = tmp_path / "keys"
+    faulty("key-query:2", 1, "duplicate")
+    code = run_cli("keygen", "--params", params, "--keys", keys, "--seed", "34")
+    captured = capfd.readouterr()
+    assert code == 1
+    assert forked == []
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "UnexpectedMessage",
+        "detail": "[round 2] user 1: repeated 'key-query:2' message to user 2 (body length 1)",
+    }
+    assert not keys.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import builtins
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -883,6 +885,72 @@ def test_share_exchange_takes_one_dlog_and_n_inverses(monkeypatch, n, degrees):
     monkeypatch.setattr(numtheory, "mod_inv", counted("inv", mod_inv))
     share_exchange(Bus(ids), modulus, blinds, degrees, lambda j, d: [j] * d, "share")
     assert calls == {"dlog": 1, "inv": n}
+
+
+def blinds_to_one(modulus: int, ids: list[int]) -> dict[int, int]:
+    """Seeded blinds of `ids`, units mod modulus^2, whose product is 1."""
+    m2 = modulus * modulus
+    rng = Rng(f"blinds:{modulus}:{ids}")
+    blinds = {j: rng.fork(f"blind:{j}").unit(m2) for j in ids[:-1]}
+    blinds[ids[-1]] = mod_inv(math.prod(blinds.values()), m2)
+    return blinds
+
+
+def test_a_draw_failing_in_a_worker_fails_the_call_before_its_round(forked, capfd):
+    # degree 3 is worker 1's: it stops there without a word, and the
+    # degree computed here raises the draw's own error, with no other
+    # exception attached
+    modulus, ids = (1 << 61) - 1, [1, 2, 3, 4]
+
+    def coefficients(j, d):
+        if d == 3:
+            raise ValueError(f"party {j} drew nothing at degree {d}")
+        return [j] * d
+
+    bus = Bus(ids)
+    with pytest.raises(ValueError, match=r"^party 1 drew nothing at degree 3$") as info:
+        share_exchange(bus, modulus, blinds_to_one(modulus, ids), [2, 3, 4], coefficients, "s")
+    assert info.value.__context__ is None
+    assert forked == []  # degree 2 came from worker 0
+    assert [{m.kind for m in messages} for messages in bus.rounds] == [{"s:2"}]
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_worker_that_dies_leaves_its_degrees_to_the_caller(request):
+    # the worker of degrees 3 and 5 exits at 3 without a word: both are
+    # computed in this process, and points and transcript are the inline ones
+    modulus, ids, degrees = (1 << 61) - 1, [1, 2, 3, 4, 5], [2, 3, 4, 5]
+    blinds, caller = blinds_to_one(modulus, ids), os.getpid()
+
+    def coefficients(j, d):
+        if d == 3 and os.getpid() != caller:
+            os._exit(1)
+        return [j + d] * d
+
+    inline_bus = Bus(ids)
+    inline = share_exchange(inline_bus, modulus, blinds, degrees, coefficients, "s")
+    here = request.getfixturevalue("forked")
+    bus = Bus(ids)
+    points = share_exchange(bus, modulus, blinds, degrees, coefficients, "s")
+    assert here == [len(ids), len(ids)]
+    assert points == inline
+    assert bus.transcript_jsonl() == inline_bus.transcript_jsonl()
+    assert multiprocessing.active_children() == []
+
+
+def four_party_points() -> dict[int, dict[int, int]]:
+    modulus, ids = (1 << 61) - 1, [1, 2, 3, 4]
+    blinds = blinds_to_one(modulus, ids)
+    return share_exchange(Bus(ids), modulus, blinds, [2, 3], lambda j, d: [j] * d, "s")
+
+
+def test_a_pool_worker_runs_its_ceremony_inline(forked):
+    # a pool's worker is a daemon, which may start no process of its own
+    points = four_party_points()
+    assert forked == []  # here, both degrees came from workers
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(four_party_points) == points
 
 
 # A 512-bit safe prime, from gen_safe_prime(512, Rng("crt-test")).
