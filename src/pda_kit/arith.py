@@ -167,7 +167,7 @@ def keygen(
 
 
 # ---------------------------------------------------------------------------
-# masks
+# masks and the round
 # ---------------------------------------------------------------------------
 
 def require_inputs(
@@ -210,3 +210,40 @@ def mul_masks(
     exponents = [mask_exponent(params, key, group) % (p - 1) for key in keys]
     masks = fixed_base_pows(params.g, exponents, p, p - 1)
     return {key.id: mask for key, mask in zip(keys, masks)}
+
+
+def masked_round(
+    bus: Bus,
+    p: int,
+    op: str,
+    values: Mapping[str, Mapping[int, int]],
+    masks: Mapping[int, int],
+    completer: int | None = None,
+) -> list[int]:
+    """The protocol's one round: for each kind of `values`, {member: x},
+    every member but `completer` broadcasts x + mask (op "add") or
+    x * mask (op "mul") mod p under its `masks` entry.  Returns each
+    kind's sum or product mod p of the delivered bodies, reduced at every
+    step, with the completer's masked value folded in: it never posts."""
+    add = op == "add"
+
+    def masked(i: int, x: int) -> int:
+        return (x + masks[i]) % p if add else x * masks[i] % p
+
+    posts = [
+        (kind, i, masked(i, x))
+        for kind, xs in values.items()
+        for i, x in xs.items()
+        if i != completer
+    ]
+    totals = {
+        kind: (0 if add else 1) if completer is None else masked(completer, xs[completer])
+        for kind, xs in values.items()
+    }
+    bus.begin_round()
+    for kind, i, body in posts:
+        bus.post(i, kind, (body,))
+    for msg in bus.deliver(bus.shape((i, None, kind, 1) for kind, i, _ in posts)):
+        total, body = totals[msg.kind], msg.body[0]
+        totals[msg.kind] = (total + body) % p if add else total * body % p
+    return list(totals.values())

@@ -10,14 +10,17 @@ All-participants: no authority; broadcasts decrypt for every group
 member, the lowest-ID owner plays the mask-completion role in the extra
 additive round and publishes the recovered sum.
 
-Every reader computes from its own secrets and the messages the bus
-delivers to it, once `Bus.deliver` has checked their round.
+Both flows are one implementation, each round a values-and-masks
+builder and one `arith.masked_round` call, the virtual participant
+completing both rounds of the authority flow.  Every reader computes
+from its own secrets and the messages the bus delivers to it, once
+`Bus.deliver` has checked their round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import arith
 from .bus import Bus
@@ -130,31 +133,19 @@ def _term_factor(term: PolyTerm, user: int, x: int, p: int, fold_coeff: bool) ->
     return value
 
 
-def _sigma_masks(
-    params: arith.ArithParams,
-    enc_keys: Mapping[int, arith.ArithEncKey],
-    sigma: Sequence[PolyTerm],
-    completer: int,
-) -> dict[int, int]:
-    """Each additive mask share of the extra additive round, over the
-    owners of the single-owner terms plus the completer."""
-    group = tuple(sorted({term.owners[0] for term in sigma} | {completer}))
-    if len(group) < params.n_min:
-        raise GroupTooSmall(f"sigma group of {len(group)} below n_min={params.n_min}")
-    return {i: arith.mask_exponent(params, enc_keys[i], group) for i in group}
-
-
-def _mul_masks(
+def _mul_round(
     params: arith.ArithParams,
     enc_keys: Mapping[int, arith.ArithEncKey],
     poly: AggPolynomial,
+    data: Mapping[int, int],
     group: tuple[int, ...],
-) -> dict[int, int]:
-    """Each member's multiplicative mask over `group`, one fixed-base
-    batch for the group; none when `poly` has no multi-owner term to put
-    them on.
+) -> tuple[dict[str, dict[int, int]], dict[int, int]]:
+    """Values and masks of the multiplicative round: every member's factor
+    of every multi-owner term, the lowest participant folding in the
+    coefficient and a member outside `poly` (the virtual participant)
+    with factor 1, and one fixed-base batch of masks; none without such terms.
 
-    A member puts this one mask on its factor of every multi-owner term,
+    A member puts its one mask on its factor of every multi-owner term,
     so the ratio of two of its ciphertexts is its value to a public
     power: the leak "arith masks repeat" of ROADMAP.md item 6.  Computing
     the mask once here makes that sharing visible but does not create
@@ -162,78 +153,74 @@ def _mul_masks(
     """
     if len(group) < params.n_min:
         raise GroupTooSmall(f"group of {len(group)} below n_min={params.n_min}")
-    if all(len(term.owners) == 1 for term in poly.terms):
-        return {}
-    return arith.mul_masks(params, [enc_keys[i] for i in group], group)
+    terms = {f"enc-mul:{k}": term for k, term in enumerate(poly.terms) if len(term.owners) != 1}
+    if not terms:
+        return {}, {}
+    p, fold_owner, members = params.p, min(poly.participants), set(poly.participants)
+
+    def factor(term: PolyTerm, i: int) -> int:
+        return _term_factor(term, i, data[i], p, i == fold_owner) if i in members else 1
+
+    values = {kind: {i: factor(term, i) for i in group} for kind, term in terms.items()}
+    return values, arith.mul_masks(params, [enc_keys[i] for i in group], group)
 
 
-def _delivered(bus: Bus, kinds: Collection[str], senders: Sequence[int]) -> list[list[int]]:
-    """For each of `kinds`, the one-value bodies from `senders` in their order,
-    once `Bus.deliver` has checked the round holds one message of each."""
-    shape = bus.shape((i, None, kind, 1) for kind in kinds for i in senders)
-    got = {(m.kind, m.sender): m.body[0] for m in bus.deliver(shape)}
-    return [[got[kind, i] for i in senders] for kind in kinds]
-
-
-def _extra_additive(
-    bus: Bus,
+def _sigma_round(
     params: arith.ArithParams,
+    enc_keys: Mapping[int, arith.ArithEncKey],
     sigma: Sequence[PolyTerm],
     data: Mapping[int, int],
-    masks: Mapping[int, int],
     completer: int,
-) -> int:
-    """Owners additively encrypt their (locally pre-summed) single-owner
-    terms under their `_sigma_masks` share; the completer finishes the
-    masked sum it receives with its own share.
-    """
-    p = params.p
-    partial = dict.fromkeys(masks, 0)
+) -> tuple[dict[str, dict[int, int]], dict[int, int]]:
+    """Values and masks of the extra additive round over the single-owner
+    terms' owners and the completer: each member's own such terms summed
+    (0 for a completer that owns none), under its additive mask share."""
+    group = tuple(sorted({term.owners[0] for term in sigma} | {completer}))
+    if len(group) < params.n_min:
+        raise GroupTooSmall(f"sigma group of {len(group)} below n_min={params.n_min}")
+    p, partial = params.p, dict.fromkeys(group, 0)
     for term in sigma:
         owner = term.owners[0]
         partial[owner] = (partial[owner] + _term_factor(term, owner, data[owner], p, True)) % p
-
-    senders = [i for i in sorted(masks) if i != completer]
-    bus.begin_round()
-    for i in senders:
-        bus.post(i, "enc-add-sigma", ((partial[i] + masks[i]) % p,))
-    (masked,) = _delivered(bus, ["enc-add-sigma"], senders)
-    return (sum(masked) + partial[completer] + masks[completer]) % p
+    masks = {i: arith.mask_exponent(params, enc_keys[i], group) for i in group}
+    return {"enc-add-sigma": partial}, masks
 
 
-def _multiplicative_round(
+def _aggregate(
     bus: Bus,
     params: arith.ArithParams,
+    enc_keys: Mapping[int, arith.ArithEncKey],
+    virtual_id: int | None,
     poly: AggPolynomial,
     data: Mapping[int, int],
-    masks: Mapping[int, int],
-) -> list[int]:
-    """The round both flows share: each participant broadcasts its factor of
-    every multi-owner term times its `_mul_masks` mask, with the lowest
-    participant folding in the coefficient.
-
-    Returns the product of each multi-owner term's delivered ciphertexts.
-    """
-    p = params.p
-    fold_owner = min(poly.participants)
-    kinds = {f"enc-mul:{k}": term for k, term in enumerate(poly.terms) if len(term.owners) != 1}
-
-    bus.begin_round()
-    for kind, term in kinds.items():
-        for i in poly.participants:
-            x_hat = _term_factor(term, i, data[i], p, fold_coeff=(i == fold_owner))
-            bus.post(i, kind, (x_hat * masks[i] % p,))
-    products = []
-    for values in _delivered(bus, kinds, poly.participants):
-        product = 1
-        for value in values:
-            product = product * value % p
-        products.append(product)
-    return products
+) -> int:
+    """Both flows: f(x_P) mod p from the multiplicative round, then the
+    extra additive round if `poly` has single-owner terms.  A virtual
+    participant completes both rounds; without one, the lowest-ID owner
+    completes the additive round and broadcasts the sum."""
+    poly.validate()
+    if virtual_id in poly.participants:
+        raise DuplicateId(f"virtual participant {virtual_id} is among the participants")
+    p, sigma = params.p, [term for term in poly.terms if len(term.owners) == 1]
+    group = tuple(sorted({*poly.participants, virtual_id} - {None}))
+    arith.require_inputs(enc_keys, group, data, poly.participants)
+    mul = _mul_round(params, enc_keys, poly, data, group)
+    if sigma:
+        completer = min(term.owners[0] for term in sigma) if virtual_id is None else virtual_id
+        add = _sigma_round(params, enc_keys, sigma, data, completer)
+    total = sum(arith.masked_round(bus, p, "mul", *mul, completer=virtual_id))
+    if sigma:
+        (sigma_sum,) = arith.masked_round(bus, p, "add", *add, completer=completer)
+        if virtual_id is None:
+            bus.begin_round()
+            bus.post(completer, "sigma-sum", (sigma_sum,))
+            sigma_sum = bus.deliver(bus.shape([(completer, None, "sigma-sum", 1)]))[0].body[0]
+        total += sigma_sum
+    return total % p
 
 
 # ---------------------------------------------------------------------------
-# authority-participant model
+# the two deployment flows
 # ---------------------------------------------------------------------------
 
 def authority_aggregate(
@@ -255,25 +242,8 @@ def authority_aggregate(
     Every participant's key and value, and every mask (so every group
     and key share), are checked before the first post.
     """
-    poly.validate()
-    if virtual_id in poly.participants:
-        raise DuplicateId(f"virtual participant {virtual_id} is among the participants")
-    sigma = [term for term in poly.terms if len(term.owners) == 1]
-    group = tuple(sorted(set(poly.participants) | {virtual_id}))
-    arith.require_inputs(enc_keys, group, data, poly.participants)
-    masks = _mul_masks(params, enc_keys, poly, group)
-    if sigma:
-        sigma_masks = _sigma_masks(params, enc_keys, sigma, virtual_id)
-    products = _multiplicative_round(bus, params, poly, data, masks)
-    total = sum(masks[virtual_id] * product for product in products)
-    if sigma:
-        total += _extra_additive(bus, params, sigma, data, sigma_masks, completer=virtual_id)
-    return total % params.p
+    return _aggregate(bus, params, enc_keys, virtual_id, poly, data)
 
-
-# ---------------------------------------------------------------------------
-# all-participants model
-# ---------------------------------------------------------------------------
 
 def all_participants_aggregate(
     bus: Bus,
@@ -290,19 +260,5 @@ def all_participants_aggregate(
     participant's key and value, and every mask, are checked before the
     first post.
     """
-    poly.validate()
-    sigma = [term for term in poly.terms if len(term.owners) == 1]
-    group = tuple(sorted(poly.participants))
-    arith.require_inputs(enc_keys, group, data, group)
-    masks = _mul_masks(params, enc_keys, poly, group)
-    if sigma:
-        designated = min(term.owners[0] for term in sigma)
-        sigma_masks = _sigma_masks(params, enc_keys, sigma, designated)
-    products = _multiplicative_round(bus, params, poly, data, masks)
-    total = sum(products)
-    if sigma:
-        sigma_sum = _extra_additive(bus, params, sigma, data, sigma_masks, completer=designated)
-        bus.begin_round()
-        bus.post(designated, "sigma-sum", (sigma_sum,))
-        total += _delivered(bus, ["sigma-sum"], [designated])[0][0]
-    return {i: total % params.p for i in group}
+    total = _aggregate(bus, params, enc_keys, None, poly, data)
+    return dict.fromkeys(sorted(poly.participants), total)

@@ -7,7 +7,6 @@ each scheme's system (set-up and key ceremony) and run its aggregations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -88,7 +87,7 @@ def run_arith_group_aggregation(
     values: Mapping[int, int],
     op: str,
 ) -> tuple[int, CeremonyResult]:
-    """Single sum or product over one group: exactly one broadcast round.
+    """Single sum or product over one group: one `arith.masked_round`, no completer.
 
     Each member posts x_i + R_i*lambda_i mod p for a sum, or
     x_i * g^{R_i*lambda_i} mod p for a product, whose masks are one
@@ -103,23 +102,16 @@ def run_arith_group_aggregation(
         raise ValueError("op must be 'add' or 'mul'")
     arith.require_inputs(system.enc_keys, group, values, group)
     params, ids = system.params, tuple(sorted(group))
-    p = params.p
 
     def driver(bus: Bus, crng: Rng):
         if len(ids) < params.n_min:
             raise GroupTooSmall(f"|P|={len(ids)} below n_min={params.n_min}")
         if op == "add":
             masks = {i: arith.mask_exponent(params, system.enc_keys[i], ids) for i in ids}
-            posts = [(values[i] + masks[i]) % p for i in ids]
         else:
             masks = arith.mul_masks(params, [system.enc_keys[i] for i in ids], ids)
-            posts = [values[i] % p * masks[i] % p for i in ids]
-        bus.begin_round()
-        for i, body in zip(ids, posts):
-            bus.post(i, f"enc-{op}", (body,))
-        delivered = bus.deliver(bus.shape((i, None, f"enc-{op}", 1) for i in ids))
-        bodies = [m.body[0] for m in delivered]
-        return (sum(bodies) if op == "add" else math.prod(bodies)) % p
+        xs = {f"enc-{op}": {i: values[i] for i in ids}}
+        return arith.masked_round(bus, params.p, op, xs, masks)[0]
 
     result = run_ceremony(driver, ids, 0)  # the driver draws nothing
     return result.outputs, result

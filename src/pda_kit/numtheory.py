@@ -29,7 +29,6 @@ from __future__ import annotations
 import builtins
 import contextlib
 import ctypes
-import ctypes.util
 import functools
 import hashlib
 import math
@@ -145,11 +144,18 @@ _BN_EXP_FLOOR = 1 << 63  # exponents of at least 64 bits
 def _load_libcrypto() -> ctypes.CDLL | None:
     """libcrypto with the ten BN calls `pow` makes typed; None where it is
     not found, predates OpenSSL 1.1 (no BN_bn2binpad) or lacks one."""
-    path = ctypes.util.find_library("crypto")
-    if path is None:
+    for soname in ("libcrypto.so.3", "libcrypto.so.1.1", None):
+        if soname is None:  # last: find_library imports subprocess and runs `ldconfig -p`
+            from ctypes.util import find_library
+            soname = find_library("crypto")
+            if soname is None:
+                return None  # CDLL(None) would open the main program
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(soname)
+            break
+    else:
         return None
     try:
-        lib = ctypes.CDLL(path)
         bn = ctx = mont = ctypes.c_void_p
         for name, restype, argtypes in (
             ("BN_bin2bn", bn, (ctypes.c_char_p, ctypes.c_int, bn)),
@@ -165,7 +171,7 @@ def _load_libcrypto() -> ctypes.CDLL | None:
         ):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):
+    except AttributeError:
         return None
     return lib
 

@@ -261,6 +261,40 @@ def test_mask_exponent_errors():
         arith.mask_exponent(TOY, arith.ArithEncKey(id=1, shares={4: 1}), (1, 2, 3))
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_masked_round_gives_the_plain_sum_or_product(data):
+    # under the toy keys' masks, which cancel over (1, 2, 3): each kind's
+    # plain sum or product mod p, one message per kind from every member
+    # but the completer, which never posts
+    group, keys, p = (1, 2, 3), toy_keys(), TOY.p
+    op = data.draw(st.sampled_from(["add", "mul"]), label="op")
+    completer = data.draw(st.sampled_from([None, *group]), label="completer")
+    if op == "add":
+        masks = {i: arith.mask_exponent(TOY, keys[i], group) for i in group}
+    else:
+        masks = arith.mul_masks(TOY, [keys[i] for i in group], group)
+    xs = st.fixed_dictionaries({i: st.integers(0, 3 * p) for i in group})
+    values = {f"enc-{op}:{k}": v for k, v in enumerate(data.draw(st.lists(xs, min_size=1)))}
+    bus = Bus(group)
+    got = arith.masked_round(bus, p, op, values, masks, completer)
+    reduce = sum if op == "add" else math.prod
+    assert got == [reduce(row.values()) % p for row in values.values()]
+    (sent,) = bus.rounds
+    senders = [i for i in group if i != completer]
+    assert sorted((m.kind, m.sender) for m in sent) == sorted(
+        (kind, i) for kind in values for i in senders
+    )
+
+
+@pytest.mark.parametrize("completer", [None, 1])
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_masked_round_without_values_is_one_empty_round(op, completer):
+    bus = Bus((1, 2, 3))
+    assert arith.masked_round(bus, TOY.p, op, {}, {}, completer) == []
+    assert bus.rounds == [[]]
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import ctypes.util
 import math
 import operator
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -23,6 +25,7 @@ from pda_kit.rng import Rng
 
 MOD_FLOOR = 1 << 95  # the narrowest modulus the library gets: 96 bits
 EXP_FLOOR = 1 << 63  # the narrowest exponent the library gets: 64 bits
+SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")  # opened before find_library is asked
 
 
 def widths(lo: int, hi: int):
@@ -115,10 +118,43 @@ class Symbols:
 
 def test_no_libcrypto_found_leaves_the_backend_off(monkeypatch):
     opened = []
+
+    def cdll(name, *args, **kwargs):
+        if name in SONAMES:
+            raise OSError(f"{name}: cannot open shared object file")
+        opened.append(name)
+
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: opened.append(args))
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert numtheory._load_libcrypto() is None
     assert opened == []  # CDLL(None) would open the main program
+
+
+def test_a_soname_that_opens_spares_find_library(tmp_path):
+    # find_library imports subprocess and runs `ldconfig -p`; where the
+    # soname of OpenSSL 3 or 1.1 opens, a fresh interpreter importing
+    # numtheory loads libcrypto without importing ctypes.util at all
+    opens = []
+    for name in SONAMES:
+        try:
+            opens.append(ctypes.CDLL(name))
+        except OSError:
+            pass
+    if not opens:
+        pytest.skip("neither libcrypto soname opens here")
+    probe = (
+        "import sys\n"
+        "from pda_kit import numtheory\n"
+        "print(numtheory._libcrypto is not None,"
+        " 'ctypes.util' in sys.modules, 'subprocess' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(numtheory.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False", "False"]
 
 
 def test_libcrypto_before_openssl_1_1_leaves_the_backend_off(monkeypatch):
