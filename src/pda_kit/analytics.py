@@ -20,8 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import netsim, pda
+from . import netsim, numtheory, pda
 from .errors import FixedPointOverflow, GroupTooSmall, IncompleteGroup, SingularNormalEquations
+from .errors import SlotReused
 from .rng import Rng
 
 
@@ -183,6 +184,26 @@ def plan_linear_regression(
 # execution
 # ---------------------------------------------------------------------------
 
+# Median ms of one `run_plan`, a kappa=48 regression over all n users,
+# inline / with its encodings computed ahead by one forked worker on 2
+# cores (11 to 21 alternating runs, CPython 3.11, x86-64 VM shared with
+# others), by n x ceremonies and masks:
+#   8x4     256      7.0 / 9.7      40x4    6,400     28.0 / 29.0
+#   8x13    832     19.4 / 16.8     24x13   7,488     54.6 / 42.9
+#   16x4    1,024   16.1 / 15.8     32x13   13,312    67.2 / 48.2
+#   16x13   3,328   52.2 / 40.3     64x53   217,088    711 / 429
+# A plan of few ceremonies gains nothing up to 6,400 masks, as its first
+# step waits for the worker; the floor lies above that and above every
+# plan of the tests.  What travels was chosen by paired `regress_n64`
+# runs (`op_p50_s`, 10 pairs): with user 2's encryptions computed in the
+# worker too, a fit took 0.564 s against 0.441 s for the encodings alone
+# (faster in 9 of 10), as the worker then holds the critical path (its
+# CPU 0.60 s a fit against the caller's 0.42 s; 0.48 s and 0.49 s with
+# the encodings alone).  Two such workers on the same 2 cores took 0.587 s
+# against one's 0.557 s (8 alternating fits in one process).
+_PLAN_FLOOR = 10_000  # masks a plan, |P|^2 a ceremony
+
+
 def run_plan(
     system: netsim.PdaSystem,
     plan: QueryPlan,
@@ -195,10 +216,18 @@ def run_plan(
     A step over the constant column, Σ 1 = |P|, is public and taken
     locally; its window stays in the plan but no ceremony runs on it.
     Every participant's row and every column a step names are checked,
-    and every step's values and sum against N/2, before the first
-    ceremony, so a plan refused with IncompleteGroup or
-    FixedPointOverflow claims no window.
+    every step's values and sum against N/2, and every ceremony step's
+    window against the registry, before the first ceremony, so a plan
+    refused with IncompleteGroup, FixedPointOverflow or SlotReused
+    (naming the step) claims no window.
     `out["traffic"]` holds each step's bus rounds and bytes sent.
+
+    From `_PLAN_FLOOR` masks a plan on two or more cores, each
+    ceremony's encodings, which depend on the senders' own keys and
+    values alone, are computed ahead in a forked worker, while this
+    process runs every step's checks, claim and bus, user 2's
+    encryptions, user 1 and the aggregator; a step whose encodings do
+    not arrive is computed here at its turn.
     """
     n_mod = system.params.N
     root = Rng(seed)
@@ -223,28 +252,49 @@ def run_plan(
                 raise FixedPointOverflow(
                     f"step {step.name}: |sum| {total} does not fit below {n_mod}/2"
                 )
-    for idx, step in enumerate(plan.steps):
-        if idx not in residues:
-            sums[step.name] = float(len(ids))
-            traffic[step.name] = {"rounds": 0, "bytes": 0}
-            continue
+    registry = registry if registry is not None else system.registry
+    for idx in residues:
+        window = plan.query(idx).window
+        clash = registry.overlapping(window)
+        if clash is not None:
+            raise SlotReused(
+                f"step {plan.steps[idx].name}: window [{window.start},{window.end}) "
+                f"overlaps consumed [{clash.start},{clash.end})"
+            )
+
+    def step_data(idx: int) -> dict[int, list[int]]:
         data = {i: [1] * len(ids) for i in ids}
         for k, (owner, residue) in enumerate(zip(ids, residues[idx])):
             data[owner][k] = residue
-        value, result = netsim.run_pda_aggregation(
-            system,
-            plan.query(idx),
-            data,
-            seed=root.fork(f"step:{idx}").take(32),
-            registry=registry,
-        )
-        sums[step.name] = fixed_decode(
-            value, 1 << (plan.frac_bits * len(step.columns)), n_mod
-        )
-        traffic[step.name] = {
-            "rounds": result.round_count,
-            "bytes": sum(result.bus.sent.values()),
-        }
+        return data
+
+    def encodings(idx: int) -> dict[int, list[int]]:
+        return netsim._encodings(system, plan.query(idx), step_data(idx))
+
+    fork = len(ids) ** 2 * len(residues) >= _PLAN_FLOOR
+    if fork:  # the workers inherit the group's weights instead of each building them
+        numtheory.lagrange_weights(ids)
+    with numtheory._forked(encodings, list(residues), fork, spare=1) as ahead:
+        for idx, step in enumerate(plan.steps):
+            if idx not in residues:
+                sums[step.name] = float(len(ids))
+                traffic[step.name] = {"rounds": 0, "bytes": 0}
+                continue
+            value, result = netsim._aggregation(
+                system,
+                plan.query(idx),
+                step_data(idx),
+                root.fork(f"step:{idx}").take(32),
+                registry,
+                ahead.__next__,
+            )
+            sums[step.name] = fixed_decode(
+                value, 1 << (plan.frac_bits * len(step.columns)), n_mod
+            )
+            traffic[step.name] = {
+                "rounds": result.round_count,
+                "bytes": sum(result.bus.sent.values()),
+            }
     out = plan.postprocess(sums)
     out["sums"] = sums
     out["traffic"] = traffic

@@ -185,6 +185,32 @@ def run_pda_aggregation(
     window is claimed, against the registry, before any message is
     emitted; an overlap aborts with an empty transcript.
     """
+
+    def encoded() -> dict[int, list[int]]:
+        return _encodings(system, query, data)
+
+    return _aggregation(system, query, data, seed, registry, encoded)
+
+
+def _encodings(
+    system: PdaSystem, query: pda.PdaQuery, data: Mapping[int, Sequence[int]]
+) -> dict[int, list[int]]:
+    """Every participant's encodings for one aggregation, from its own key
+    and values alone; the masks of every participant are one batch."""
+    keys = [system.enc_keys[i] for i in query.participants]
+    return pda.encode_many(system.params, keys, query, data)
+
+
+def _aggregation(
+    system: PdaSystem,
+    query: pda.PdaQuery,
+    data: Mapping[int, Sequence[int]],
+    seed: int | str | bytes,
+    registry: pda.SlotRegistry | None,
+    encoded: Callable[[], dict[int, list[int]]],
+) -> tuple[int, CeremonyResult]:
+    """`run_pda_aggregation`, with the encodings `_encodings` returns taken
+    from `encoded()` once the declaration round is over."""
     params = system.params
     query.validate(params)
     missing = sorted(set(query.participants) - set(system.enc_keys))
@@ -210,10 +236,7 @@ def run_pda_aggregation(
         bus.post(AGGREGATOR_ID, "declare", declaration)
         bus.deliver(bus.shape([(AGGREGATOR_ID, None, "declare", len(declaration))]))
 
-        # the masks of every participant are one batch
-        encodings = pda.encode_many(
-            params, [system.enc_keys[i] for i in query.participants], query, data
-        )
+        encodings = encoded()
 
         # each sender's encodings for the window travel as one broadcast,
         # term values in window order; user 1 reads them off its inbox

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile, zip_longest
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -903,6 +903,58 @@ def ring_exchange(
 _FORK_FLOOR = 10_000  # messages a call, n(n-1) a degree
 
 
+@contextlib.contextmanager
+def _forked(compute: Callable, items: Sequence, fork: bool, spare: int = 0) -> Iterator[Iterator]:
+    """Yields an iterator of compute(item) for each of `items`, in order.
+
+    When `fork` holds, the process may use two or more cores, `os.fork`
+    exists and the process is not a daemon (a daemon may start no
+    process), the values come from forked workers, one per core but
+    `spare` and at most one per item: worker w of K computes items w,
+    w + K, ... and sends each through its own pipe, running ahead of
+    the caller by what the pipe holds.  Otherwise each is computed when
+    the iterator reaches it.  An item whose value does not arrive,
+    because its worker failed or was killed, is computed in the caller
+    at its turn, so errors are the inline ones.  Every worker is reaped
+    when the block exits, however it exits.
+    """
+    forked = fork and _cores() > 1
+    if forked:  # imported here, so that a call below its floor never loads it
+        import multiprocessing
+        forked = hasattr(os, "fork") and not multiprocessing.current_process().daemon
+    count = min(_cores() - spare, len(items)) if forked else 0
+
+    def work(share: Sequence, writer, reader) -> None:
+        reader.close()  # the pipe breaks once the caller and every later worker are gone
+        with contextlib.suppress(BaseException):  # even an interrupt: the caller computes the rest
+            for item in share:
+                writer.send(compute(item))
+
+    def results() -> Iterator:
+        for idx, item in enumerate(items):
+            got = ()
+            if count:
+                with contextlib.suppress(EOFError, OSError):  # a stopped worker's item is done here
+                    got = (workers[idx % count][1].recv(),)
+            yield got[0] if got else compute(item)
+
+    workers = []  # (process, reading end)
+    try:
+        for w in range(count):
+            context = multiprocessing.get_context("fork")
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=work, args=(items[w::count], writer, reader))
+            worker.start()
+            workers.append((worker, reader))
+            writer.close()  # the worker holds the only writing end, so its exit is an EOF here
+        yield results()
+    finally:
+        for worker, reader in workers:
+            reader.close()
+            worker.terminate()
+            worker.join()
+
+
 def share_exchange(
     bus: Bus,
     modulus: int,
@@ -960,33 +1012,10 @@ def share_exchange(
         polys = [[low * c for c in coefficients(j, d)] for j, low in zip(ids, lows)]
         return evaluate_packed(polys, ids, modulus)
 
-    def work(ds: Sequence[int], writer, reader) -> None:
-        reader.close()  # the pipe breaks once the parent and every later worker are gone
-        with contextlib.suppress(BaseException):  # even an interrupt: the parent computes the rest
-            for d in ds:
-                writer.send(sender(d))
-
-    forked = _cores() > 1 and len(ids) * (len(ids) - 1) * len(degrees) >= _FORK_FLOOR
-    if forked:  # imported here, so that a call below the floor never loads it
-        import multiprocessing
-        forked = hasattr(os, "fork") and not multiprocessing.current_process().daemon
-    count = min(_cores(), len(degrees)) if forked else 0  # a daemon may start no process
-    workers = []  # (process, reading end)
-    try:
-        for w in range(count):  # worker w computes degrees w, w + count, ...
-            fork = multiprocessing.get_context("fork")
-            reader, writer = fork.Pipe(duplex=False)
-            worker = fork.Process(target=work, args=(degrees[w::count], writer, reader))
-            worker.start()
-            workers.append((worker, reader))
-            writer.close()  # the worker holds the only writing end, so its exit is an EOF here
-        for idx, d in enumerate(degrees):
+    fork = len(ids) * (len(ids) - 1) * len(degrees) >= _FORK_FLOOR
+    with _forked(sender, degrees, fork) as evaluated:
+        for d, values in zip(degrees, evaluated):
             label = f"{kind}:{d}"
-            values = None
-            with contextlib.suppress(EOFError, OSError):  # a stopped worker's degree is done here
-                values = workers[idx % count][1].recv() if count else None
-            values = sender(d) if values is None else values
-
             bus.begin_round()
             own = {}
             for j, blind, row in zip(ids, reduced, zip(*values)):
@@ -1006,10 +1035,5 @@ def share_exchange(
 
             for i in ids:
                 points[i][d] = (base + sums[i]) % modulus
-    finally:
-        for worker, reader in workers:
-            reader.close()
-            worker.terminate()
-            worker.join()
 
     return points

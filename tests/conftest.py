@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import pda_kit
-from pda_kit import netsim, numtheory
+from pda_kit import analytics, netsim, numtheory
 from pda_kit.bus import Bus
 
 MODULES = [
@@ -65,11 +65,11 @@ def op_counts():
 
 
 def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
-    """Through `patch`, every `numtheory.share_exchange` call forks its
-    workers whatever its size: the fork floor is 0 and the process sees
-    two cores.  Returns the list of the `evaluate_packed` calls made in
-    this process, one entry each, so that a degree computed here and not
-    in a worker shows."""
+    """Through `patch`, every `numtheory.share_exchange` and
+    `analytics.run_plan` call forks its workers whatever its size: both
+    fork floors are 0 and the process sees two cores.  Returns the list
+    of the `evaluate_packed` calls made in this process, one entry each,
+    so that a degree computed here and not in a worker shows."""
     here = []
     evaluate = numtheory.evaluate_packed
 
@@ -78,6 +78,7 @@ def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
         return evaluate(polys, xs, modulus)
 
     patch.setattr(numtheory, "_FORK_FLOOR", 0)
+    patch.setattr(analytics, "_PLAN_FLOOR", 0)
     patch.setattr(numtheory, "_cores", lambda: 2)
     patch.setattr(numtheory, "evaluate_packed", recorded)
     return here

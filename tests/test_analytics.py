@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -166,14 +167,14 @@ def test_message_lost_in_a_step_stops_the_plan_there(small_pda, dropping, monkey
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 8)
     rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}
     j = 3
-    inner = netsim.run_pda_aggregation
+    inner = netsim._aggregation
 
-    def step(system, query, data, seed, registry=None):
+    def step(system, query, data, seed, registry, encoded):
         if query.window == plan.query(j).window:
             dropping("encode", 4)
-        return inner(system, query, data, seed, registry)
+        return inner(system, query, data, seed, registry, encoded)
 
-    monkeypatch.setattr(netsim, "run_pda_aggregation", step)
+    monkeypatch.setattr(netsim, "_aggregation", step)
     registry = pda.SlotRegistry()
     with pytest.raises(MissingEncoding, match=r"^\[round 2\] user 4: no 'encode' message"):
         analytics.run_plan(small_pda, plan, rows, seed=5, registry=registry)
@@ -192,6 +193,62 @@ def _recorded_buses(monkeypatch) -> list:
 
     monkeypatch.setattr(netsim, "run_ceremony", recording)
     return buses
+
+
+def test_a_plan_meeting_a_consumed_window_claims_nothing(small_pda, forked, monkeypatch):
+    # step 3's window is already consumed: the plan is refused naming that
+    # step before its first ceremony and before any worker is forked, and
+    # claims no window
+    plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 8)
+    rows = {i: {"x": float(i), "y": 2.0 * i + 1.0} for i in range(1, 6)}
+    buses = _recorded_buses(monkeypatch)
+    entered = []
+    monkeypatch.setattr(numtheory, "_forked", lambda *args, **kwargs: entered.append(args))
+    registry = pda.SlotRegistry([plan.query(3).window])
+    refusal = r"^step b_0: window \[15,20\) overlaps consumed \[15,20\)$"
+    with pytest.raises(SlotReused, match=refusal):
+        analytics.run_plan(small_pda, plan, rows, seed=5, registry=registry)
+    assert registry.windows == [plan.query(3).window]
+    assert buses == [] and entered == []
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+def test_a_plan_worker_that_fails_leaves_its_step_to_the_caller(
+    small_pda, fault, request, monkeypatch, capfd
+):
+    # forced to fork, the plan's worker stops at step j, raising or exiting
+    # without a word: step j and every later one are encoded in this
+    # process, and the output and every step's transcript are the inline ones
+    plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 8)
+    rows = {i: {"x": 1.5 * i - 4.0, "y": 2.0 * i + 1.0} for i in range(1, 6)}
+    j, caller, here = 2, os.getpid(), []
+    inner = netsim._encodings
+
+    def encodings(system, query, data):
+        if os.getpid() == caller:
+            here.append(query.window)
+        elif query.window == plan.query(j).window:
+            if fault == "raise":
+                raise ValueError(f"no encodings at step {j}")
+            os._exit(1)
+        return inner(system, query, data)
+
+    def run():
+        here.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            buses = _recorded_buses(patch)
+            out = analytics.run_plan(small_pda, plan, rows, seed=11, registry=pda.SlotRegistry())
+        return out, [bus.transcript_jsonl() for bus in buses]
+
+    monkeypatch.setattr(netsim, "_encodings", encodings)
+    inline = run()  # a toy plan, below the floor
+    assert here == [plan.query(i).window for i in range(1, len(plan.steps))]
+    request.getfixturevalue("forked")
+    assert run() == inline
+    assert here == [plan.query(i).window for i in range(j, len(plan.steps))]
+    with pytest.raises(ChildProcessError):  # no worker running, nor exited and not reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
