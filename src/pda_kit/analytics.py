@@ -184,24 +184,14 @@ def plan_linear_regression(
 # execution
 # ---------------------------------------------------------------------------
 
-# Median ms of one `run_plan`, a kappa=48 regression over all n users,
-# inline / with its encodings computed ahead by one forked worker on 2
-# cores (11 to 21 alternating runs, CPython 3.11, x86-64 VM shared with
-# others), by n x ceremonies and masks:
-#   8x4     256      7.0 / 9.7      40x4    6,400     28.0 / 29.0
-#   8x13    832     19.4 / 16.8     24x13   7,488     54.6 / 42.9
-#   16x4    1,024   16.1 / 15.8     32x13   13,312    67.2 / 48.2
-#   16x13   3,328   52.2 / 40.3     64x53   217,088    711 / 429
-# A plan of few ceremonies gains nothing up to 6,400 masks, as its first
-# step waits for the worker; the floor lies above that and above every
-# plan of the tests.  What travels was chosen by paired `regress_n64`
-# runs (`op_p50_s`, 10 pairs): with user 2's encryptions computed in the
-# worker too, a fit took 0.564 s against 0.441 s for the encodings alone
-# (faster in 9 of 10), as the worker then holds the critical path (its
-# CPU 0.60 s a fit against the caller's 0.42 s; 0.48 s and 0.49 s with
-# the encodings alone).  Two such workers on the same 2 cores took 0.587 s
-# against one's 0.557 s (8 alternating fits in one process).
-_PLAN_FLOOR = 10_000  # masks a plan, |P|^2 a ceremony
+# What travels was chosen by paired `regress_n64` runs (`op_p50_s`, 10
+# pairs, CPython 3.11, x86-64 VM shared with others): with user 2's
+# encryptions computed in the worker too, a fit took 0.564 s against
+# 0.441 s for the encodings alone (faster in 9 of 10), as the worker then
+# holds the critical path (its CPU 0.60 s a fit against the caller's
+# 0.42 s; 0.48 s and 0.49 s with the encodings alone).  Two such workers
+# on the same 2 cores took 0.587 s against one's 0.557 s (8 alternating
+# fits in one process), so the plan leaves one core spare.
 
 
 def run_plan(
@@ -222,12 +212,12 @@ def run_plan(
     (naming the step) claims no window.
     `out["traffic"]` holds each step's bus rounds and bytes sent.
 
-    From `_PLAN_FLOOR` masks a plan on two or more cores, each
-    ceremony's encodings, which depend on the senders' own keys and
-    values alone, are computed ahead in a forked worker, while this
-    process runs every step's checks, claim and bus, user 2's
-    encryptions, user 1 and the aggregator; a step whose encodings do
-    not arrive is computed here at its turn.
+    Where the process may fork on two or more cores
+    (`numtheory._forked`), each ceremony's encodings, which depend on
+    the senders' own keys and values alone, are computed ahead in a
+    forked worker, while this process runs every step's checks, claim
+    and bus, user 2's encryptions, user 1 and the aggregator; a step
+    whose encodings do not arrive is computed here at its turn.
     """
     n_mod = system.params.N
     root = Rng(seed)
@@ -271,10 +261,10 @@ def run_plan(
     def encodings(idx: int) -> dict[int, list[int]]:
         return netsim._encodings(system, plan.query(idx), step_data(idx))
 
-    fork = len(ids) ** 2 * len(residues) >= _PLAN_FLOOR
-    if fork:  # the workers inherit the group's weights instead of each building them
+    if residues:  # a worker inherits the group's weights instead of building them
+        plan.query(min(residues)).validate(system.params)  # a bad group: its first step's error
         numtheory.lagrange_weights(ids)
-    with numtheory._forked(encodings, list(residues), fork, spare=1) as ahead:
+    with numtheory._forked(encodings, list(residues), True, spare=1) as ahead:
         for idx, step in enumerate(plan.steps):
             if idx not in residues:
                 sums[step.name] = float(len(ids))

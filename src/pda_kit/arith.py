@@ -123,7 +123,7 @@ def initialize(
     bus: Bus,
     params: ArithParams,
     rng: Rng,
-    ids: Sequence[int] | None = None,
+    ids: Sequence[int],
 ) -> dict[int, int]:
     """Ring share: every party ends up with K_i, with prod K_i = 1 mod p^2(p-1)^2.
 
@@ -133,7 +133,6 @@ def initialize(
     factorization p^2 * 2^2 * q^2, q = (p-1)/2, is public, so its powers
     are taken by CRT.
     """
-    ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     m2 = params.master_modulus
     g1 = rng.fork("init:g1").unit(m2)
     r = {i: rng.fork(f"init:party:{i}").randrange(1, m2) for i in ids}

@@ -140,7 +140,6 @@ def rushing_attack_demo(
             bus,
             params,
             crng.fork("ring"),
-            ids=ids,
             k_collusion=hardened_k,
             late={attacker: lambda y: y[after] * shift % nt},
         )

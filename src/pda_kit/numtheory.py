@@ -1,8 +1,8 @@
 """Modular big-integer substrate shared by both aggregation schemes.
 
 Covers probabilistic prime generation (safe primes and correlated
-semiprimes), fixed-base exponentiation (a large batch modulo a narrow
-odd modulus walks a cached comb of the base's powers for every
+semiprimes), fixed-base exponentiation (a batch modulo a narrow odd
+modulus walks a cached comb of the base's powers for every
 exponent at once in numpy limb arrays; any other batch is one `pows`
 call), denominator-cleared Lagrange weights (built once per
 group), the (1+M)-subgroup discrete log, the public slot exponent a_t
@@ -36,7 +36,6 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, takewhile, zip_longest
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -341,14 +340,14 @@ def fixed_base_pows(
 ) -> list[int]:
     """[pow(base, e, modulus) for e in exponents], each 0 <= e < bound.
 
-    Every exponent is range-checked before any is computed.  A batch of
-    at least _VECTOR_FLOOR exponents modulo an odd modulus above 1 and
-    below _VECTOR_CEILING walks all its exponents at once
-    (`_vector_walk`); every other batch is one `pows` call.
+    Every exponent is range-checked before any is computed.  A non-empty
+    batch modulo an odd modulus above 1 and below _VECTOR_CEILING walks
+    all its exponents at once (`_vector_walk`); every other batch is one
+    `pows` call.
     """
     if exponents and not (0 <= min(exponents) and max(exponents) < bound):
         raise ValueError(f"exponent outside [0, {bound})")
-    if len(exponents) >= _VECTOR_FLOOR and modulus & 1 and 1 < modulus < _VECTOR_CEILING:
+    if exponents and modulus & 1 and 1 < modulus < _VECTOR_CEILING:
         return _vector_walk(base, exponents, modulus, max(1, (bound - 1).bit_length()))
     return pows([(base, e, modulus) for e in exponents])
 
@@ -372,16 +371,22 @@ def fixed_base_pows(
 #       160         38 / 33      14 / 32     8.4 / 32     6.7 / 34     4.3 / 35
 #       192         64 / 34      23 / 33      15 / 33      11 / 34     8.2 / 35
 #       256        108 / 53      41 / 47      28 / 53      23 / 45      16 / 44
-# A table, cached, takes 4 ms to build at 107 bits and 28 ms at 256.  So
-# a batch of at least _VECTOR_FLOOR exponents modulo an odd modulus below
-# _VECTOR_CEILING takes the vector walk, which wins there by 2 to 22
-# times, by 12 at the kappa=48 round's 4,096 masks.  Every other batch,
-# the arith scheme's few masks and the kappa=512 masks included, is one
-# `pows` call and builds no table.  No workload's batch lies near either
-# edge, so a change to either needs a new row.
+# A table, cached, takes 4 ms to build at 107 bits and 28 ms at 256.
+# Small batches, walk with the table cached / walk building it / `pows`
+# (`pows` on held contexts, the builtin below 96 bits; same machine,
+# median of 3 runs):
+#   modulus bits   batch of 1         4              16            64             4,096
+#        64        193 / 1,400 / 14   49 / 350 / 13  13 / 88 / 13  3.7 / 22 / 13  0.6 / 1 / 14
+#       107        470 / 2,900 / 9    112 / 750 / 9  29 / 200 / 9  8.1 / 46 / 9   1.1 / 2 / 9
+# `pows` wins below 16 to 64 exponents, but no workload makes such a
+# batch below the ceiling: a kappa=48 round walks 4,096 masks, and the
+# kappa=512 masks and the arith scheme's 512-bit p lie above it.  So
+# every non-empty batch modulo an odd modulus below _VECTOR_CEILING takes
+# the vector walk, and every other batch is one `pows` call and builds no
+# table.  No workload's batch lies near the ceiling, so a change to it
+# needs a new row.
 _LIMB = 27
 _LIMB_MASK = (1 << _LIMB) - 1
-_VECTOR_FLOOR = 512
 _VECTOR_CEILING = 1 << 191  # moduli of at least 192 bits go to `pows`
 
 
@@ -701,15 +706,21 @@ def _lagrange_weights(ids: tuple[int, ...]) -> Mapping[int, int]:
     if any(i <= 0 for i in ids):
         raise ValueError("IDs must be positive")
 
-    exact: dict[int, Fraction] = {}
+    # L_{i,P}(0) = prod(-j) / prod(i - j) over j != i, put in lowest terms
+    # by one gcd a weight.  Exact fractions, which reduce after every
+    # factor, took 6 ms at 32 ids against 0.13 ms (CPython 3.11, x86-64),
+    # and a group's first use pays that inside its first round.
+    reduced: dict[int, tuple[int, int]] = {}
     for i in ids:
-        value = Fraction(1)
+        num = den = 1
         for j in ids:
             if j != i:
-                value *= Fraction(-j, i - j)
-        exact[i] = value
-    scale = math.lcm(*[v.denominator for v in exact.values()])
-    return MappingProxyType({i: int(v * scale) for i, v in exact.items()})
+                num *= -j
+                den *= i - j
+        common = math.gcd(num, den)
+        reduced[i] = (num // common, den // common)
+    scale = math.lcm(*[abs(den) for _, den in reduced.values()])
+    return MappingProxyType({i: num * scale // den for i, (num, den) in reduced.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +741,7 @@ def dlog_one_plus_m(y: int, m: int) -> int:
 _HASH_DOMAIN = b"pda-kit/hash-to-subgroup/v1"
 
 
-def slot_exponent(t: int, n_tilde: int, seed: bytes = b"") -> int:
+def slot_exponent(t: int, n_tilde: int, seed: bytes) -> int:
     """Public exponent a_t = XOF(seed || t) mod N~ of the slot hash H(t) = h^{a_t}."""
     if t < 0:
         raise ValueError("time slots are non-negative")
@@ -746,7 +757,7 @@ def slot_exponent(t: int, n_tilde: int, seed: bytes = b"") -> int:
     return int.from_bytes(hashlib.shake_256(material).digest(width), "big") % n_tilde
 
 
-def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes = b"") -> int:
+def hash_to_subgroup(t: int, h: int, n: int, n_tilde: int, seed: bytes) -> int:
     """Deterministic H(t) = h^{a_t} mod N, with a_t = slot_exponent(t).
 
     Output lies in <h>; when h has order dividing N~ the result is an
@@ -919,7 +930,7 @@ def _forked(compute: Callable, items: Sequence, fork: bool, spare: int = 0) -> I
     when the block exits, however it exits.
     """
     forked = fork and _cores() > 1
-    if forked:  # imported here, so that a call below its floor never loads it
+    if forked:  # imported here, so that a process that never forks never loads it
         import multiprocessing
         forked = hasattr(os, "fork") and not multiprocessing.current_process().daemon
     count = min(_cores() - spare, len(items)) if forked else 0

@@ -362,11 +362,10 @@ def ring_share(
     bus: Bus,
     params: PdaParams,
     rng: Rng,
-    ids: Sequence[int] | None = None,
     k_collusion: int = 0,
     late: Mapping[int, Callable[[dict[int, int]], int]] | None = None,
 ) -> dict[int, int]:
-    """Ring exchange yielding Y_i with prod Y_i = 1 mod N~.
+    """Ring exchange among users 1..n yielding Y_i with prod Y_i = 1 mod N~.
 
     Base form (k_collusion=0): Y_i = (y_{i+1} * y_{i-1}^{-1})^{r_i}.
     Hardened form: the base y_{i+k+1} * y_{i-1}^{-1} is relayed through
@@ -376,9 +375,8 @@ def ring_share(
     `late` maps a rushing party to a callback picking its broadcast after
     it has observed the others' (see `ring_exchange`).
     """
-    ids = tuple(ids) if ids is not None else tuple(range(1, params.n + 1))
     nt = params.N_tilde
-    r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in ids}
+    r = {i: rng.fork(f"ring:party:{i}").unit(nt) for i in range(1, params.n + 1)}
     return ring_exchange(bus, nt, params.g_tilde, r, hops=k_collusion, late=late)
 
 

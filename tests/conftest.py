@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import pda_kit
-from pda_kit import analytics, netsim, numtheory
+from pda_kit import netsim, numtheory
 from pda_kit.bus import Bus
 
 MODULES = [
@@ -66,10 +66,11 @@ def op_counts():
 
 def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
     """Through `patch`, every `numtheory.share_exchange` and
-    `analytics.run_plan` call forks its workers whatever its size: both
-    fork floors are 0 and the process sees two cores.  Returns the list
-    of the `evaluate_packed` calls made in this process, one entry each,
-    so that a degree computed here and not in a worker shows."""
+    `analytics.run_plan` call forks its workers whatever its size: the
+    key ceremony's fork floor is 0 and the process sees two cores.
+    Returns the list of the `evaluate_packed` calls made in this process,
+    one entry each, so that a degree computed here and not in a worker
+    shows."""
     here = []
     evaluate = numtheory.evaluate_packed
 
@@ -78,10 +79,18 @@ def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
         return evaluate(polys, xs, modulus)
 
     patch.setattr(numtheory, "_FORK_FLOOR", 0)
-    patch.setattr(analytics, "_PLAN_FLOOR", 0)
     patch.setattr(numtheory, "_cores", lambda: 2)
     patch.setattr(numtheory, "evaluate_packed", recorded)
     return here
+
+
+def one_core_and_pows(patch: pytest.MonkeyPatch) -> None:
+    """Through `patch`, the process sees one core, so that every key
+    ceremony and plan runs in it and `pows` starts no thread, and the
+    vector walk's ceiling is 0, so that every fixed-base batch is one
+    `pows` call."""
+    patch.setattr(numtheory, "_cores", lambda: 1)
+    patch.setattr(numtheory, "_VECTOR_CEILING", 0)
 
 
 @pytest.fixture
@@ -170,14 +179,3 @@ def pda_system():
         kappa=16, n=6, theta_min=3, seed=20_240_503, m_max=16
     )
     return system, result
-
-
-@pytest.fixture(scope="session")
-def wide_pda_system():
-    """Framework system of 40 users at kappa=24 holding only the degree of
-    the whole group, so that an aggregation over all of them walks its
-    n * m round-1 masks in numtheory's vector walk once m >= 13."""
-    system, _ = netsim.build_pda_system(
-        kappa=24, n=40, theta_min=3, seed=20_240_504, m_max=40, degrees=[39]
-    )
-    return system

@@ -257,7 +257,7 @@ def test_criterion_6_collusion_threshold():
         for trial in range(50):
             bus = Bus(range(1, n + 1))
             crng = Rng(f"c6:{d}:{trial}")
-            y = pda.ring_share(bus, params, crng.fork("ring"), ids=range(1, n + 1))
+            y = pda.ring_share(bus, params, crng.fork("ring"))
             keys = pda.keygen(bus, params, crng.fork("q"), y, degrees=[d])
             ids = sorted(keys)
             victim = ids[rnd.randrange(len(ids))]

@@ -218,7 +218,8 @@ def test_a_plan_worker_that_fails_leaves_its_step_to_the_caller(
 ):
     # forced to fork, the plan's worker stops at step j, raising or exiting
     # without a word: step j and every later one are encoded in this
-    # process, and the output and every step's transcript are the inline ones
+    # process, and the output and every step's transcript are the inline
+    # ones, which one core gives
     plan = analytics.plan_linear_regression([1, 2, 3, 4, 5], ["x"], 8)
     rows = {i: {"x": 1.5 * i - 4.0, "y": 2.0 * i + 1.0} for i in range(1, 6)}
     j, caller, here = 2, os.getpid(), []
@@ -241,7 +242,9 @@ def test_a_plan_worker_that_fails_leaves_its_step_to_the_caller(
         return out, [bus.transcript_jsonl() for bus in buses]
 
     monkeypatch.setattr(netsim, "_encodings", encodings)
-    inline = run()  # a toy plan, below the floor
+    with pytest.MonkeyPatch.context() as one_core:
+        one_core.setattr(numtheory, "_cores", lambda: 1)
+        inline = run()
     assert here == [plan.query(i).window for i in range(1, len(plan.steps))]
     request.getfixturevalue("forked")
     assert run() == inline
@@ -251,16 +254,17 @@ def test_a_plan_worker_that_fails_leaves_its_step_to_the_caller(
     assert capfd.readouterr() == ("", "")
 
 
-def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
-    # each ceremony's round 1 walks 40 * 40 masks in one vector walk; with
-    # the floor patched above that batch they go to `pows`, and the
-    # plan's output and every ceremony's transcript and traffic agree
-    system = wide_pda_system
+def test_vector_walk_leaves_run_plan_unchanged(small_pda, monkeypatch):
+    # on one core, so that every step is encoded in this process, each
+    # ceremony's round 1 walks its 5 * 5 masks in one vector walk; with
+    # the ceiling patched to 0 they go to `pows`, and the plan's output and
+    # every ceremony's transcript and traffic agree
+    system = small_pda
     ids = sorted(system.enc_keys)
     plan = analytics.plan_linear_regression(ids, ["x"], 4)
     rows = {i: {"x": float(i % 7), "y": float(3 * (i % 7) - 2 + i % 3)} for i in ids}
     steps = sum(1 for step in plan.steps if step.columns)
-    assert len(ids) * len(ids) >= numtheory._VECTOR_FLOOR
+    monkeypatch.setattr(numtheory, "_cores", lambda: 1)
 
     def run():
         with pytest.MonkeyPatch.context() as patch:
@@ -272,7 +276,7 @@ def test_vector_walk_leaves_run_plan_unchanged(wide_pda_system, monkeypatch):
         return walks, out, [(bus.transcript_jsonl(), bus.traffic_report()) for bus in buses]
 
     vector = run()
-    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", len(ids) ** 2 + 1)
+    monkeypatch.setattr(numtheory, "_VECTOR_CEILING", 0)
     scalar = run()
     assert (vector[0], scalar[0]) == (steps, 0)
     assert vector[1:] == scalar[1:]

@@ -221,6 +221,7 @@ def test_aggregate_rejects_params_with_h_outside_subgroup(keyring, tmp_path, cap
         "user,x0,x\n1,5,1\n2,7,1\n3,1,3\n",  # x0 and x, but no x1
         "user,value\n1,5\n2,7\n3,1\n",  # neither x<k> nor x
         "user,x0,x1\n1,5,1\n1,7,1\n2,7,1\n3,1,3\n",  # repeated user
+        "user,x0,x1\n1,5,1\n3,1,3\n",  # no row for user 2
     ],
 )
 def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
@@ -235,6 +236,16 @@ def test_aggregate_rejects_bad_data(keyring, tmp_path, capsys, csv_text):
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "bad-data"
     assert (keys / "registry.jsonl").read_text() == claimed
+
+
+def test_aggregate_refuses_a_key_directory_without_user_keys(keyring, tmp_path, capsys):
+    params, _ = keyring
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", tmp_path,
+        "--query", FIXTURES / "toy_query.json", "--data", FIXTURES / "toy_data.csv", "--seed", "17",
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "missing-keys"
 
 
 def test_aggregate_refuses_query_wider_than_aggregator_key(keyring, tmp_path, capsys):

@@ -3,14 +3,15 @@
 Each digest covers the `transcript_jsonl()` of every ceremony a plan
 runs, in order, followed by the JSON of its output: every sum, the
 post-processed values and each step's traffic.  Every plan runs as
-shipped, with libcrypto off (`test_golden_builtin.py`'s way) and with
-every key ceremony and plan forked (`test_golden_forked.py`'s way), and
-must give the same digest on all three.
+shipped, with libcrypto off (`test_golden_builtin.py`'s way), with every
+key ceremony and plan forked (`test_golden_forked.py`'s way) and on one
+core with every mask through `pows` (`test_golden_one_core.py`'s way),
+and must give the same digest on all four.
 """
 
 import pytest
 
-from conftest import fork_every_ceremony
+from conftest import fork_every_ceremony, one_core_and_pows
 from pda_kit import analytics, netsim, numtheory, pda
 from test_analytics import _recorded_buses
 from test_golden import digest
@@ -32,12 +33,14 @@ def plan_system():
     return netsim.build_pda_system(24, 6, 3, seed="golden:plans", m_max=6)[0]
 
 
-@pytest.fixture(params=["shipped", "builtin", "forked"])
+@pytest.fixture(params=["shipped", "builtin", "forked", "one-core"])
 def path(request, monkeypatch):
     if request.param == "builtin":
         monkeypatch.setattr(numtheory, "_libcrypto", None)
     elif request.param == "forked":
         fork_every_ceremony(monkeypatch)
+    elif request.param == "one-core":
+        one_core_and_pows(monkeypatch)
     return request.param
 
 

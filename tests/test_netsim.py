@@ -328,14 +328,12 @@ def _whole_group_query(system, m: int, start: int) -> tuple[pda.PdaQuery, dict]:
     return query, data
 
 
-def test_vector_walk_leaves_the_aggregation_unchanged(wide_pda_system, monkeypatch):
-    # round 1 walks the n * m = 1,280 masks of every user in one vector
-    # walk; with the floor patched above that batch the same call goes to
-    # `pows`, and value, transcript and traffic agree
-    system = wide_pda_system
-    query, data = _whole_group_query(system, m=32, start=0)
-    batch = len(query.participants) * query.m
-    assert batch >= numtheory._VECTOR_FLOOR > query.m
+def test_vector_walk_leaves_the_aggregation_unchanged(pda_system, monkeypatch):
+    # round 1 walks the n * m = 96 masks of every user in one vector walk;
+    # with the ceiling patched to 0 the same call goes to `pows`, and
+    # value, transcript and traffic agree
+    system, _ = pda_system
+    query, data = _whole_group_query(system, m=16, start=0)
 
     def run():
         before = _limb_lookups()
@@ -345,17 +343,17 @@ def test_vector_walk_leaves_the_aggregation_unchanged(wide_pda_system, monkeypat
         return _limb_lookups() - before, value, result.transcript_jsonl(), result.traffic_report()
 
     vector = run()
-    monkeypatch.setattr(numtheory, "_VECTOR_FLOOR", batch + 1)
+    monkeypatch.setattr(numtheory, "_VECTOR_CEILING", 0)
     scalar = run()
     assert (vector[0], scalar[0]) == (1, 0)
     assert vector[1:] == scalar[1:]
     assert vector[1] == pda.evaluate_query(query, data, system.params.N)
 
 
-def test_aggregation_walks_its_masks_in_one_batch(wide_pda_system, op_counts):
+def test_aggregation_walks_its_masks_in_one_batch(pda_system, op_counts):
     # the masks of every user, user 2's included, are one fixed-base
     # batch: one call, not one a user, for the n * m masks
-    system = wide_pda_system
+    system, _ = pda_system
     params = system.params
     query, data = _whole_group_query(system, m=16, start=100)
     with op_counts:

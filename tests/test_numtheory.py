@@ -80,18 +80,17 @@ def limb_lookups() -> int:
 
 
 def vector_batch(es: list[int]) -> list[int]:
-    """es, then zeros up to _VECTOR_FLOOR exponents: a batch that takes
-    the vector walk modulo an odd modulus below the ceiling, and whose
-    filler costs the reference pows nothing at any width."""
-    return [*es, *[0] * (numtheory._VECTOR_FLOOR - len(es))]
+    """es, then zeros up to 512 exponents: a batch as wide as a round's,
+    whose filler costs the reference pows nothing at any width."""
+    return [*es, *[0] * (512 - len(es))]
 
 
 def check_batch(base: int, es: list[int], modulus: int, bound: int) -> None:
     """fixed_base_pows gives pow's values, by the vector walk exactly when
-    the (odd) modulus is below the ceiling and the batch reaches the floor."""
+    the batch is not empty and the (odd) modulus is below the ceiling."""
     before = limb_lookups()
     assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
-    walked = len(es) >= numtheory._VECTOR_FLOOR and modulus < numtheory._VECTOR_CEILING
+    walked = bool(es) and modulus < numtheory._VECTOR_CEILING
     assert (limb_lookups() > before) == walked
 
 
@@ -99,17 +98,17 @@ def check_batch(base: int, es: list[int], modulus: int, bound: int) -> None:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_matches_pow(bits, data):
-    # one exponent, which goes to `pows`
+    # one exponent, walked below the ceiling and sent to `pows` above it
     base, modulus, bound = mask_shape(bits)
     e = data.draw(st.integers(0, bound - 1), label="e")
-    assert fixed_base_pows(base, [e], modulus, bound) == [pow(base, e, modulus)]
+    check_batch(base, [e], modulus, bound)
 
 
 @pytest.mark.parametrize("bits", sorted(SHAPES))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fixed_base_pow_extreme_digits(bits, data):
-    # in a batch of _VECTOR_FLOOR exponents, a few whose every byte below
+    # in a batch of 512 exponents, a few whose every byte below
     # the bound's top byte is 0 or 255: the vector walk's first and last
     # entry of each row
     base, modulus, bound = mask_shape(bits)
@@ -122,7 +121,7 @@ def test_fixed_base_pow_extreme_digits(bits, data):
 @pytest.mark.parametrize("bits", sorted(SHAPES))
 def test_fixed_base_pow_edges(bits):
     # 0, 1, either side of the bound's top bit and bound - 1 in a batch of
-    # _VECTOR_FLOOR exponents; one exponent out of range refuses the batch
+    # 512 exponents; one exponent out of range refuses the batch
     base, modulus, bound = mask_shape(bits)
     top = 1 << SHAPES[bits] - 1  # bound's top bit
     check_batch(base, vector_batch([0, 1, top - 1, top, bound - top, bound - 1]), modulus, bound)
@@ -132,13 +131,15 @@ def test_fixed_base_pow_edges(bits):
 
 
 def test_fixed_base_pow_small_and_unreduced():
-    # bound 1 admits only e = 0, and modulus 1 gives pow's 0; a base at or
-    # above the modulus gives pow's values in a vector batch too
+    # bound 1 admits only e = 0, and modulus 1 gives pow's 0; an empty
+    # batch builds no limb table; a base at or above the modulus gives
+    # pow's values in a vector batch too
     assert fixed_base_pows(7, [0], 11, 1) == [1]
+    check_batch(7, [], 11, 5)
     assert fixed_base_pows(7, [0], 1, 5) == [pow(7, 0, 1)] == [0]
     for modulus in (11, mask_shape(104)[1]):
         for base in (modulus, modulus + 2, 5 * modulus + 123, (1 << 300) + 1):
-            es = list(range(numtheory._VECTOR_FLOOR))
+            es = list(range(512))
             check_batch(base, es, modulus, len(es))
 
 
@@ -187,32 +188,29 @@ def test_fixed_base_pows_checks_the_batch_before_any_walk(data):
                 fixed_base_pows(base, batch, modulus, bound)
 
 
-FLOOR = numtheory._VECTOR_FLOOR
 ROUTING_CASES = {
-    # name: (modulus, batch size); every modulus but one is odd
-    "479-bit": ((1 << 478) + 2 * 479 + 1, FLOOR),
-    "480-bit": ((1 << 479) + 2 * 480 + 1, FLOOR),
-    "even": ((1 << 106) + 2, FLOOR),
-    "1": (1, FLOOR),
-    "ceiling": (numtheory._VECTOR_CEILING + 1, FLOOR),
-    "floor-1": (mask_shape(104)[1], FLOOR - 1),
+    # name: modulus; every modulus but one is odd
+    "479-bit": (1 << 478) + 2 * 479 + 1,
+    "480-bit": (1 << 479) + 2 * 480 + 1,
+    "even": (1 << 106) + 2,
+    "1": 1,
+    "ceiling": numtheory._VECTOR_CEILING + 1,
 }
 
 
 @pytest.mark.parametrize("library", [True, False], ids=["libcrypto", "builtin"])
 @pytest.mark.parametrize("case", sorted(ROUTING_CASES))
 def test_batches_off_the_vector_walk_go_to_pows(library, case):
-    # a 479-bit and a 480-bit modulus, an even modulus, modulus 1, an odd
-    # modulus at the ceiling and a batch one short of the floor: whether
-    # or not libcrypto loaded, the whole batch is one `pows` call, equal
-    # to the builtin pow, and no limb table is looked up
+    # a 479-bit and a 480-bit modulus, an even modulus, modulus 1 and an
+    # odd modulus at the ceiling: whether or not libcrypto loaded, the
+    # whole batch is one `pows` call, equal to the builtin pow, and no limb
+    # table is looked up
     if library and numtheory._libcrypto is None:
         pytest.skip("libcrypto did not load")
-    modulus, size = ROUTING_CASES[case]
+    modulus = ROUTING_CASES[case]
     rnd = random.Random(case)
     bound = 1 << 96
-    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(6))]
-    es = vector_batch(es)[:size]
+    es = vector_batch([0, bound - 1, *(rnd.randrange(bound) for _ in range(6))])
     base = rnd.randrange(modulus + 5)
     calls = []
     inner = numtheory.pows
@@ -252,7 +250,9 @@ def test_limb_table_size():
 
 # The vector walk's modulus widths: from 2 bits (3, the least odd modulus
 # above 1) to the ceiling, with every whole count of 27-bit limbs and the
-# widths one bit on either side, where the limb count changes.
+# widths one bit on either side, where the limb count changes.  Odd moduli
+# up to 2^16 are drawn on their own too: arith params read from a file
+# may have p = 5 or 7.
 VECTOR_CEILING_BITS = numtheory._VECTOR_CEILING.bit_length() - 1
 VECTOR_BITS = sorted(
     {2, 3, VECTOR_CEILING_BITS}
@@ -263,16 +263,15 @@ VECTOR_BITS = sorted(
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_vector_walk_matches_pow(data):
-    # a batch of _VECTOR_FLOOR exponents takes the vector walk (its limb
-    # table is looked up) and one exponent fewer goes to `pows`; both
-    # give pow's values, for odd moduli of every width below the ceiling,
-    # bases 0, 1, m - 1, unreduced ones and any other, and exponents 0 and
-    # bound - 1 among random ones
-    floor = numtheory._VECTOR_FLOOR
+    # a batch of 1 to 3 exponents or of 512 takes the vector walk (its
+    # limb table is looked up) and gives pow's values, for odd moduli of
+    # every width below the ceiling, bases 0, 1, m - 1, unreduced ones and
+    # any other, and exponents 0 and bound - 1 among random ones
     bits = data.draw(st.sampled_from(VECTOR_BITS) | st.integers(2, VECTOR_CEILING_BITS), label="bits")
     top = data.draw(st.booleans(), label="top")  # the widest modulus of its width
     low = (1 << bits) - 1 if top else 1 << bits - 1
-    modulus = data.draw(st.integers(low, (1 << bits) - 1), label="modulus") | 1
+    widths = st.integers(low, (1 << bits) - 1)
+    modulus = data.draw(widths | st.integers(3, 1 << 16), label="modulus") | 1
     base = data.draw(
         st.sampled_from([0, 1, modulus - 1])
         | st.integers(modulus, 3 * modulus)
@@ -280,13 +279,14 @@ def test_vector_walk_matches_pow(data):
         label="base",
     )
     bound = data.draw(st.integers(1, 1 << data.draw(st.integers(0, 200), label="width")), label="bound")
-    size = data.draw(st.sampled_from([floor - 1, floor]), label="size")
+    size = data.draw(st.sampled_from([1, 2, 3, 512]), label="size")
     es = [0, bound - 1, *data.draw(st.lists(st.integers(0, bound - 1), max_size=8), label="es")]
     rnd = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
     es += [rnd.randrange(bound) for _ in range(size - len(es))]
+    es = es[-size:]
     before = limb_lookups()
     assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
-    assert (limb_lookups() > before) == (size == floor)
+    assert limb_lookups() > before
 
 
 @pytest.mark.parametrize("bits", VECTOR_BITS)
@@ -297,7 +297,7 @@ def test_vector_walk_at_every_limb_count(bits):
     rnd = random.Random(bits)
     modulus = rnd.getrandbits(bits) | 1 << bits - 1 | 1
     base, bound = rnd.randrange(modulus), 1 << 96
-    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(numtheory._VECTOR_FLOOR - 2))]
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(510))]
     before = limb_lookups()
     assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
     assert limb_lookups() > before
@@ -314,7 +314,7 @@ def test_even_moduli_one_and_wide_moduli_walk_per_exponent(modulus):
     # `pows` and builds no limb table
     bound = 1 << 96
     rnd = random.Random(modulus)
-    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(numtheory._VECTOR_FLOOR))]
+    es = [0, bound - 1, *(rnd.randrange(bound) for _ in range(510))]
     base = rnd.randrange(modulus + 5)
     before = limb_lookups()
     assert fixed_base_pows(base, es, modulus, bound) == [pow(base, e, modulus) for e in es]
@@ -329,7 +329,7 @@ def test_even_moduli_one_and_wide_moduli_walk_per_exponent(modulus):
 def test_vector_walk_of_a_base_sharing_a_factor_with_the_modulus(modulus, base):
     # base^e is 0 mod the modulus from some e on, which the walk's last
     # Montgomery product can leave as the modulus itself
-    es = list(range(numtheory._VECTOR_FLOOR))
+    es = list(range(512))
     assert fixed_base_pows(base, es, modulus, len(es)) == [pow(base, e, modulus) for e in es]
 
 
@@ -547,6 +547,12 @@ def test_pocklington_refuses_factor_outside_its_hypothesis(cand, factor):
         numtheory._pocklington(cand, factor)
 
 
+def test_pocklington_rejects_on_a_proper_factor():
+    # 561 = 3 * 11 * 17 passes Fermat to base 2, and 560 = 35 * 16 with
+    # gcd(2^16 - 1, 561) = 51, a proper factor
+    assert not numtheory._pocklington(561, 35)
+
+
 def test_arith_params_load_runs_full_rounds(monkeypatch):
     from pda_kit import arith
 
@@ -577,6 +583,12 @@ def test_lift_correlated_prime_from_23():
     assert not trial_division_prime(93)
     assert trial_division_prime(139)
     assert (p - 1) % 23 == 0
+
+
+def test_lift_correlated_prime_at_a_toy_width():
+    # a=2 gives 21, which the sieve rejects; a=3 gives 31, above 5^2, so it
+    # takes the Miller-Rabin test in place of Pocklington's proof
+    assert lift_correlated_prime(5) == 31
 
 
 def _check_moduli(mod: CorrelatedModuli, kappa: int):
@@ -713,7 +725,7 @@ def test_hash_lands_in_toy_subgroup():
     subgroup = {pow(16, k, 55) for k in range(5)}
     assert subgroup == {1, 16, 26, 31, 36}
     for t in range(20):
-        assert hash_to_subgroup(t, 16, 55, 5) in subgroup
+        assert hash_to_subgroup(t, 16, 55, 5, b"") in subgroup
 
 
 def test_slot_exponent_is_deterministic():
@@ -723,7 +735,7 @@ def test_slot_exponent_is_deterministic():
         t = rnd.getrandbits(rnd.choice((8, 40, 80)))
         assert slot_exponent(t, n_tilde, b"seed") == slot_exponent(t, n_tilde, b"seed")
     with pytest.raises(ValueError):
-        slot_exponent(-1, n_tilde)
+        slot_exponent(-1, n_tilde, b"seed")
 
 
 def test_hash_is_root_of_unity_on_real_params():

@@ -200,9 +200,10 @@ for name, flow, size in (("authority", _authority, 7), ("members", _members, 6))
 # analytics.run_plan
 # ---------------------------------------------------------------------------
 
-def _plan(wire, x=2.0, window_start=0, rows=None):
-    plan = analytics.plan_mean_variance(IDS, frac_bits=8, window_start=window_start)
-    rows = {i: {"x": x + i} for i in IDS} if rows is None else rows
+def _plan(wire, x=2.0, window_start=0, rows=None, ids=IDS):
+    # theta_min=1 leaves the group to the system's own checks
+    plan = analytics.plan_mean_variance(ids, frac_bits=8, theta_min=1, window_start=window_start)
+    rows = {i: {"x": x + i} for i in ids} if rows is None else rows
     return analytics.run_plan(wire.framework, plan, rows, seed=1, registry=wire.registry)
 
 
@@ -221,6 +222,9 @@ PLAN = {
     "plan-missing-column": (
         IncompleteGroup, lambda w: _plan(w, rows={i: {"y": i} for i in IDS})
     ),
+    # refused as the first ceremony's query is, on any number of cores
+    "plan-one-member": (GroupBelowThreshold, lambda w: _plan(w, ids=[2])),
+    "plan-id-zero": (InvalidQuery, lambda w: _plan(w, ids=[0, 1, 2, 3])),
 }
 
 
