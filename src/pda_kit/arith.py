@@ -239,7 +239,6 @@ def masked_round(
         kind: (0 if add else 1) if completer is None else masked(completer, xs[completer])
         for kind, xs in values.items()
     }
-    bus.begin_round()
     for kind, i, body in posts:
         bus.post(i, kind, (body,))
     for msg in bus.deliver(bus.shape((i, None, kind, 1) for kind, i, _ in posts)):

@@ -136,23 +136,16 @@ class Bus:
         self._senders = {party: i for i, party in enumerate(self.parties)}
         self._recipients = {party: i for i, party in enumerate((None, *self.parties))}
         self._closed: list[_Round] = []
-        self._pending: list[Message] | None = None
+        self._pending: list[Message] = []  # the open round's posts
 
     # --- round lifecycle ---------------------------------------------------
+    # A round opens with its first post and closes with `deliver`.
 
     @property
     def round_no(self) -> int:
-        return len(self._closed) + (1 if self._pending is not None else 0)
-
-    def begin_round(self) -> int:
-        if self._pending is not None:
-            raise RuntimeError("previous round still open")
-        self._pending = []
-        return self.round_no
+        return len(self._closed) + (1 if self._pending else 0)
 
     def post(self, sender: int, kind: str, body: Sequence[int], to: int | None = None) -> None:
-        if self._pending is None:
-            raise RuntimeError("no open round")
         rnd = len(self._closed) + 1
         if sender not in self._senders:
             raise ValueError(f"round {rnd}: sender {sender} is not a party of the bus")
@@ -161,8 +154,7 @@ class Bus:
         self._pending.append(Message(rnd, sender, kind, tuple(map(int, body)), to))
 
     def end_round(self) -> list[Message]:
-        if self._pending is None:
-            raise RuntimeError("no open round")
+        """Closes the open round, or an empty one if nothing was posted."""
         ordered = sorted(self._pending, key=_delivery_order)
         try:
             closed = _Round.of(ordered, self._senders, self._recipients)
@@ -173,7 +165,7 @@ class Bus:
                         f"round {msg.round_no}: party {msg.sender} posted a negative value"
                     ) from None
             raise
-        self._pending = None
+        self._pending = []
         self._closed.append(closed)
         return ordered
 

@@ -212,7 +212,6 @@ def _aggregate(
     if sigma:
         (sigma_sum,) = arith.masked_round(bus, p, "add", *add, completer=completer)
         if virtual_id is None:
-            bus.begin_round()
             bus.post(completer, "sigma-sum", (sigma_sum,))
             sigma_sum = bus.deliver(bus.shape([(completer, None, "sigma-sum", 1)]))[0].body[0]
         total += sigma_sum

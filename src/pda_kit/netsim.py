@@ -232,7 +232,6 @@ def _aggregation(
 
     def driver(bus: Bus, crng: Rng):
         declaration = (query.window.start, query.window.length, *sorted(query.participants))
-        bus.begin_round()
         bus.post(AGGREGATOR_ID, "declare", declaration)
         bus.deliver(bus.shape([(AGGREGATOR_ID, None, "declare", len(declaration))]))
 
@@ -240,7 +239,6 @@ def _aggregation(
 
         # each sender's encodings for the window travel as one broadcast,
         # term values in window order; user 1 reads them off its inbox
-        bus.begin_round()
         for i in ordinary:
             bus.post(i, "encode", encodings[i])
         user2_cts = pda.encode_user2(system.agg_pk, encodings[u2], crng.fork(f"user2:{u2}"))
@@ -258,7 +256,6 @@ def _aggregation(
             inbox[u2],
             crng.fork(f"user1:{u1}"),
         )
-        bus.begin_round()
         bus.post(u1, "blinded-term", tuple(blinded))
         (terms,) = bus.deliver(bus.shape([(u1, None, "blinded-term", query.m)]), MissingEncoding)
         return pda.aggregate(params, system.agg_keys, terms.body)

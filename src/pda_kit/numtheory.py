@@ -869,14 +869,12 @@ def ring_exchange(
     late = late or {}
 
     early = [i for i in ring if i not in late]
-    bus.begin_round()
     for i in early:
         bus.post(i, "ring-share", (power(generator, exponents[i]),))
     shape = bus.shape((i, None, "ring-share", 1) for i in early)
     y = {m.sender: m.body[0] for m in bus.deliver(shape)}
 
     if late:
-        bus.begin_round()
         for i, pick in late.items():
             bus.post(i, "ring-share", (pick(dict(y)),))
         shape = bus.shape((i, None, "ring-share", 1) for i in late)
@@ -895,7 +893,6 @@ def ring_exchange(
         for idx, i in enumerate(ring)
     }
     for hop in range(hops, 0, -1):
-        bus.begin_round()
         for idx, target in enumerate(ring):
             value = power(current[target], exponents[at(idx + hop)])
             bus.post(at(idx + hop), "ring-relay", (target, value), to=at(idx + hop - 1))
@@ -1027,7 +1024,6 @@ def share_exchange(
     with _forked(sender, degrees, fork) as evaluated:
         for d, values in zip(degrees, evaluated):
             label = f"{kind}:{d}"
-            bus.begin_round()
             own = {}
             for j, blind, row in zip(ids, reduced, zip(*values)):
                 for i, v in zip(ids, row):

@@ -1,7 +1,9 @@
 import importlib
+import os
 import pkgutil
 import threading
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -99,25 +101,93 @@ def forked(monkeypatch):
     return fork_every_ceremony(monkeypatch)
 
 
+# name: (how a route is forced, what this process must not do on it), the
+# second among "library" (a libcrypto call), "walk" (a vector walk),
+# "fork" (a forked worker), "degree" (a key degree evaluated) and "item"
+# (an item of a `numtheory._forked` call, a key degree or a plan step,
+# computed here)
+ROUTES = {
+    "shipped": (lambda patch: None, set()),
+    "builtin": (lambda patch: patch.setattr(numtheory, "_libcrypto", None), {"library"}),
+    "forked": (fork_every_ceremony, {"degree", "item"}),
+    "one-core": (one_core_and_pows, {"walk", "fork"}),
+}
+
+
+class Route(NamedTuple):
+    """A route of `ROUTES`, and what this process did while it held."""
+
+    name: str
+    seen: set
+    unseen: set
+
+    def taken(self) -> None:
+        done = sorted(self.seen & self.unseen)
+        assert not done, f"on the {self.name} route this process did {done}"
+
+
+def _record(patch: pytest.MonkeyPatch, seen: set) -> None:
+    """Through `patch`, each thing a route may forbid adds its name to
+    `seen` when this process does it (set.add holds from any thread)."""
+
+    def noted(name, inner):
+        def call(*args, **kwargs):
+            seen.add(name)
+            return inner(*args, **kwargs)
+
+        return call
+
+    fork, forked = os.fork, numtheory._forked
+
+    def parent_fork():
+        pid = fork()
+        if pid:
+            seen.add("fork")
+        return pid
+
+    def recorded_forked(compute, *args, **kwargs):
+        return forked(noted("item", compute), *args, **kwargs)
+
+    patch.setattr(numtheory, "_mont_exp", noted("library", numtheory._mont_exp))
+    patch.setattr(numtheory, "_limb_comb", noted("walk", numtheory._limb_comb))
+    patch.setattr(numtheory, "evaluate_packed", noted("degree", numtheory.evaluate_packed))
+    patch.setattr(numtheory, "_forked", recorded_forked)
+    patch.setattr(os, "fork", parent_fork)
+
+
+@pytest.fixture(scope="module", params=list(ROUTES))
+def route(request):
+    """Each route of `ROUTES` in turn, forced and recorded for the whole
+    module: every fixed-seed run must give the same digests on each, and
+    `Route.taken` shows that the run did not leave it."""
+    force, unseen = ROUTES[request.param]
+    with pytest.MonkeyPatch.context() as patch:
+        seen: set = set()
+        _record(patch, seen)
+        force(patch)
+        yield Route(request.param, seen, unseen)
+
+
+def drop_posts(patch: pytest.MonkeyPatch, kind: str, sender: int) -> None:
+    """Through `patch`, `Bus.post` loses every message of `kind` from
+    `sender`, so no party receives it and no transcript holds it.  Calls
+    add up, each dropping one more."""
+    post = Bus.post
+
+    def lossy(bus, who, what, body, to=None):
+        if (what, who) != (kind, sender):
+            post(bus, who, what, body, to)
+
+    patch.setattr(Bus, "post", lossy)
+
+
 @pytest.fixture
 def dropping(monkeypatch):
-    """`dropping(kind, sender)`: from then until the test ends, `Bus.post`
-    loses every message of `kind` from `sender`, so no party receives it
-    and no transcript holds it.  Calls add up, each dropping one more."""
-
-    def drop(kind: str, sender: int) -> None:
-        post = Bus.post
-
-        def lossy(bus, who, what, body, to=None):
-            if (what, who) != (kind, sender):
-                post(bus, who, what, body, to)
-
-        monkeypatch.setattr(Bus, "post", lossy)
-
-    return drop
+    """`dropping(kind, sender)`: `drop_posts` until the test ends."""
+    return lambda kind, sender: drop_posts(monkeypatch, kind, sender)
 
 
-# what each fault of `faulty` puts on the wire in place of a message
+# what each fault of `fault_rounds` puts on the wire in place of a message
 _FAULTS = {
     "duplicate": lambda msg: [msg, msg],
     "lost+duplicate": lambda msg: [],
@@ -127,31 +197,32 @@ _FAULTS = {
 }
 
 
+def fault_rounds(patch: pytest.MonkeyPatch, kind: str, sender: int, fault: str) -> None:
+    """Through `patch`, the first message of `kind` from `sender` in each
+    round reaches every party with one fault: it arrives twice
+    ("duplicate"); it is lost and the round's first other message
+    arrives twice ("lost+duplicate"); a copy of kind "noise" arrives too
+    ("stray"); or its body is empty ("empty") or one value longer
+    ("longer").  The fault is made as the round closes, so the
+    transcript holds it."""
+    end_round = Bus.end_round
+
+    def faulty_end_round(bus):
+        pending = bus._pending
+        hits = [k for k, msg in enumerate(pending) if (msg.kind, msg.sender) == (kind, sender)]
+        if hits:
+            pending[hits[0] : hits[0] + 1] = _FAULTS[fault](pending[hits[0]])
+            if fault == "lost+duplicate" and pending:
+                pending.append(pending[0])
+        return end_round(bus)
+
+    patch.setattr(Bus, "end_round", faulty_end_round)
+
+
 @pytest.fixture
 def faulty(monkeypatch):
-    """`faulty(kind, sender, fault)`: from then until the test ends, the
-    first message of `kind` from `sender` in each round reaches every
-    party with one fault: it arrives twice ("duplicate"); it is
-    lost and the round's first other message arrives twice
-    ("lost+duplicate"); a copy of kind "noise" arrives too ("stray"); or
-    its body is empty ("empty") or one value longer ("longer").  The
-    fault is made as the round closes, so the transcript holds it."""
-
-    def reshape(kind: str, sender: int, fault: str) -> None:
-        end_round = Bus.end_round
-
-        def faulty_end_round(bus):
-            pending = bus._pending or []
-            hits = [k for k, msg in enumerate(pending) if (msg.kind, msg.sender) == (kind, sender)]
-            if hits:
-                pending[hits[0] : hits[0] + 1] = _FAULTS[fault](pending[hits[0]])
-                if fault == "lost+duplicate" and pending:
-                    pending.append(pending[0])
-            return end_round(bus)
-
-        monkeypatch.setattr(Bus, "end_round", faulty_end_round)
-
-    return reshape
+    """`faulty(kind, sender, fault)`: `fault_rounds` until the test ends."""
+    return lambda kind, sender, fault: fault_rounds(monkeypatch, kind, sender, fault)
 
 
 @pytest.fixture(scope="session")

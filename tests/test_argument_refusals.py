@@ -8,15 +8,8 @@ empty wire and unchanged registry, are in `test_refusals.py`.
 import pytest
 
 from pda_kit import analytics, attacks, numtheory, paillier, pda
-from pda_kit.bus import Bus
 from pda_kit.errors import MissingEncoding, SingularSystem
 from pda_kit.rng import Rng
-
-
-def _open_twice():
-    bus = Bus([1, 2])
-    bus.begin_round()
-    bus.begin_round()
 
 
 def _query(m=2, length=2):
@@ -87,11 +80,6 @@ CASES = {
         "user 1: no own encoding of each of 2 terms",
         lambda s, t: _user1(s, [1], [1, 1]),
     ),
-    "bus-begin-twice": (RuntimeError, "previous round still open", lambda s, t: _open_twice()),
-    "bus-post-closed": (
-        RuntimeError, "no open round", lambda s, t: Bus([1, 2]).post(1, "x", (1,))
-    ),
-    "bus-end-closed": (RuntimeError, "no open round", lambda s, t: Bus([1, 2]).end_round()),
     "read-rows-empty": (ValueError, "empty CSV", lambda s, t: _empty_csv(t)),
     # points x = 1 and 4 of a degree-2 polynomial mod 15: after the first
     # column, the second pivot is 4^2 - 4 = 12, which shares 3 with 15

@@ -73,10 +73,10 @@ def test_bus_matches_a_list_of_messages(ceremony):
     bus = Bus(parties)
     model = []
     for rnd, posts in enumerate(posted, 1):
-        assert bus.begin_round() == rnd
         for sender, kind, body, to in posts:
             bus.post(sender, kind, body, to=to)
-        assert bus.round_no == rnd
+            assert bus.round_no == rnd  # the round opened with its first post
+        assert bus.round_no == (rnd if posts else rnd - 1)
         model.append(_model_round(rnd, posts))
         assert bus.end_round() == model[-1]
         assert bus.round_no == rnd
@@ -108,7 +108,6 @@ def test_bus_gives_back_party_ids_of_any_order_and_width(ceremony, data):
     model = []
     for rnd, posts in enumerate(posted, 1):
         posts = [(relabel[s], k, body, relabel.get(to)) for s, k, body, to in posts]
-        bus.begin_round()
         for sender, kind, body, to in posts:
             bus.post(sender, kind, body, to=to)
         bus.end_round()
@@ -185,10 +184,8 @@ def test_closed_bus_holds_containers_per_round_not_per_message(monkeypatch):
 
 def test_bus_refuses_a_negative_body_value():
     bus = Bus([0, 1, 2])
-    bus.begin_round()
     bus.post(1, "share", (0, 7), to=2)
     bus.end_round()
-    bus.begin_round()
     bus.post(1, "share", (5,), to=0)
     bus.post(2, "share", (0, -1))
     with pytest.raises(ValueError, match="round 2: party 2 posted a negative value"):
@@ -199,14 +196,13 @@ def test_bus_refuses_a_negative_body_value():
 
 def test_bus_refuses_a_party_it_does_not_have():
     bus = Bus([0, 1, 2])
-    bus.begin_round()
     bus.post(1, "share", (7,), to=2)
     bus.end_round()
-    bus.begin_round()
     with pytest.raises(ValueError, match="round 2: sender 3 is not a party of the bus"):
         bus.post(3, "share", (5,))
     with pytest.raises(ValueError, match="round 2: recipient 4 is not a party of the bus"):
         bus.post(1, "share", (5,), to=4)
+    assert bus.round_no == 1  # a refused post opens no round
     bus.post(2, "share", (5,), to=0)
     bus.end_round()
     assert bus.rounds == [

@@ -1,9 +1,12 @@
-"""Fixed-seed ceremonies pinned by SHA-256.
+"""Fixed-seed ceremonies pinned by SHA-256, on every route of `conftest.ROUTES`.
 
 Each digest covers a run's `transcript_jsonl()` followed by the JSON of
 what it outputs (keys, masks, aggregates).  Code that reshapes a
 ceremony without changing the protocol must leave every digest as it
-is; a change to the protocol or to its randomness shows up here.
+is; a change to the protocol or to its randomness shows up here.  The
+systems are built again on each route, as shipped, with libcrypto off,
+with every key ceremony forked and on one core with every mask through
+`pows`, and every digest must be the same on all four.
 """
 
 import hashlib
@@ -26,12 +29,12 @@ def keys_json(keys) -> dict:
 
 
 @pytest.fixture(scope="module")
-def arith_golden():
+def arith_golden(route):
     return netsim.build_arith_system(16, 6, 3, seed="golden:arith", with_authority=True)
 
 
 @pytest.fixture(scope="module")
-def pda_golden():
+def pda_golden(route):
     return {
         k: netsim.build_pda_system(16, 7, 3, seed="golden:pda", hardened_k=k)
         for k in (0, 1)
@@ -178,3 +181,7 @@ def test_group_aggregation_digest(arith_golden, op):
     combine = sum if op == "add" else math.prod
     assert value == combine(data.values()) % system.params.p
     assert digest(result.transcript_jsonl(), format(value, "x")) == GOLDEN[f"group_{op}"]
+
+
+def test_the_route_was_taken(route, arith_golden, pda_golden):
+    route.taken()

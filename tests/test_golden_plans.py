@@ -1,18 +1,16 @@
-"""`analytics.run_plan` pinned by SHA-256, on the three paths of the goldens.
+"""`analytics.run_plan` pinned by SHA-256, on every route of `conftest.ROUTES`.
 
 Each digest covers the `transcript_jsonl()` of every ceremony a plan
 runs, in order, followed by the JSON of its output: every sum, the
 post-processed values and each step's traffic.  Every plan runs as
-shipped, with libcrypto off (`test_golden_builtin.py`'s way), with every
-key ceremony and plan forked (`test_golden_forked.py`'s way) and on one
-core with every mask through `pows` (`test_golden_one_core.py`'s way),
-and must give the same digest on all four.
+shipped, with libcrypto off, with every key ceremony and plan forked
+and on one core with every mask through `pows`, and must give the same
+digest on all four.
 """
 
 import pytest
 
-from conftest import fork_every_ceremony, one_core_and_pows
-from pda_kit import analytics, netsim, numtheory, pda
+from pda_kit import analytics, netsim, pda
 from test_analytics import _recorded_buses
 from test_golden import digest
 
@@ -29,19 +27,8 @@ GOLDEN_PLANS = {
 
 
 @pytest.fixture(scope="module")
-def plan_system():
+def plan_system(route):
     return netsim.build_pda_system(24, 6, 3, seed="golden:plans", m_max=6)[0]
-
-
-@pytest.fixture(params=["shipped", "builtin", "forked", "one-core"])
-def path(request, monkeypatch):
-    if request.param == "builtin":
-        monkeypatch.setattr(numtheory, "_libcrypto", None)
-    elif request.param == "forked":
-        fork_every_ceremony(monkeypatch)
-    elif request.param == "one-core":
-        one_core_and_pows(monkeypatch)
-    return request.param
 
 
 def plan_digest(system, plan, rows, seed, fitted=False) -> str:
@@ -57,7 +44,7 @@ def plan_digest(system, plan, rows, seed, fitted=False) -> str:
     return digest("".join(bus.transcript_jsonl() for bus in buses), out)
 
 
-def test_regression_plan_digest(plan_system, path):
+def test_regression_plan_digest(plan_system):
     plan = analytics.plan_linear_regression(range(1, 7), ["a", "b"], 6, window_start=5)
     rows = {
         i: {"a": 1.5 * i - 4.0, "b": float((i * i) % 5) - 2.25, "y": 3.0 * i - 7.5 + (i % 2)}
@@ -67,8 +54,12 @@ def test_regression_plan_digest(plan_system, path):
     assert got == GOLDEN_PLANS["regression"]
 
 
-def test_mean_variance_plan_digest(plan_system, path):
+def test_mean_variance_plan_digest(plan_system):
     plan = analytics.plan_mean_variance([2, 3, 4, 5, 6], 10, column="v")
     rows = {i: {"v": -2.5 * i + 3.125 * (i % 3)} for i in range(2, 7)}
     got = plan_digest(plan_system, plan, rows, "golden:plan:mean")
     assert got == GOLDEN_PLANS["mean_variance"]
+
+
+def test_the_route_was_taken(route, plan_system):
+    route.taken()

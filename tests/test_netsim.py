@@ -20,7 +20,6 @@ def test_payload_byte_accounting():
     assert hex_len(0x10) == 2
     assert hex_len(1 << 255) == 64
     bus = Bus([1, 2, 3])
-    bus.begin_round()
     bus.post(1, "x", (0x10, 0xF))
     bus.post(2, "y", (0xABC,), to=3)
     bus.end_round()
@@ -33,7 +32,6 @@ def test_payload_byte_accounting():
 
 def test_messages_are_immutable_and_delivered_in_order():
     bus = Bus([1, 2, 3])
-    bus.begin_round()
     posted = [(3, "b", 1), (1, "b", 3), (2, "a", None), (1, "a", 3), (1, "c", None), (1, "a", 2)]
     for sender, kind, to in posted:
         bus.post(sender, kind, [True, 0x1F], to=to)
@@ -79,7 +77,6 @@ def test_aggregation_transcript_deterministic(pda_system):
 
 def test_ceremony_error_carries_round_context():
     def driver(bus, rng):
-        bus.begin_round()
         bus.end_round()
         raise RingTooSmall("two parties make no ring")
 
