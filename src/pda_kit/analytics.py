@@ -31,9 +31,14 @@ from .rng import Rng
 # ---------------------------------------------------------------------------
 
 def to_scaled(x: float, frac_bits: int) -> int:
-    """Signed integer round(x * 2^f)."""
-    scaled = x * (1 << frac_bits)
-    return int(scaled + 0.5) if scaled >= 0 else -int(-scaled + 0.5)
+    """Signed integer round(x * 2^f), exact, halves away from zero."""
+    if not math.isfinite(x):
+        raise FixedPointOverflow(f"{x} has no fixed-point value")
+    num, den = x.as_integer_ratio()
+    scaled, rest = divmod(abs(num) << frac_bits, den)
+    if 2 * rest >= den:
+        scaled += 1
+    return scaled if num >= 0 else -scaled
 
 
 def to_residue(raw: int, modulus: int) -> int:

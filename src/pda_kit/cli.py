@@ -78,9 +78,9 @@ def _read_rows(path: str, kind: type) -> tuple[list[str], dict[int, dict]]:
 def cmd_gen_params(args) -> None:
     rng = Rng(_seed(args)).fork("setup")
     if args.scheme == "arith":
-        params = arith.setup(args.kappa, args.n, args.min_group or 3, rng)
+        params = arith.setup(args.kappa, args.n, args.min_group, rng)
     else:
-        params = pda.setup(args.kappa, args.n, args.min_group or 3, rng)
+        params = pda.setup(args.kappa, args.n, args.min_group, rng)
     _emit(params.to_json(), args.out)
 
 
@@ -109,11 +109,12 @@ def cmd_keygen(args) -> None:
     report.update(
         users=len(system.enc_keys), rounds=result.round_count, traffic=result.traffic_report()
     )
-    # the transcript goes first, so a path that cannot be written leaves no key files
-    if args.transcript:
-        Path(args.transcript).write_text(result.transcript_jsonl())
+    # directory, transcript, key files: a --keys path that cannot be a
+    # directory leaves no transcript, and an unwritable transcript no keys
     keys_dir = Path(args.keys)
     keys_dir.mkdir(parents=True, exist_ok=True)
+    if args.transcript:
+        Path(args.transcript).write_text(result.transcript_jsonl())
     for name, text in files.items():
         (keys_dir / name).write_text(text)
     _emit(report, args.out)
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["pda", "arith"], default="pda")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-min", "--theta-min", dest="min_group", type=int, default=None)
+    p.add_argument("--n-min", "--theta-min", dest="min_group", type=int, default=3)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_params)
@@ -341,6 +342,8 @@ def main(argv=None) -> int:
         error, detail, status = exc.code, exc.detail, 2
     except FileNotFoundError as exc:
         error, detail, status = "missing-file", str(exc), 2
+    except OSError as exc:
+        error, detail, status = "bad-path", str(exc), 2
     except ProtocolError as exc:
         error, detail, status = type(exc).__name__, str(exc), 1
     except ValueError as exc:

@@ -36,7 +36,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import islice, takewhile, zip_longest
+from itertools import takewhile, zip_longest
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -519,24 +519,19 @@ def _sieved(n: int, pair: bool = False) -> bool:
     return math.gcd(n * (2 * n + 1) if pair else n, _SIEVE_PRODUCT) == 1
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS, *, skip: int = 0) -> bool:
-    """Sieve, then `rounds` Miller-Rabin rounds, leaving out the first
-    `skip` of them for a caller that has run `_miller_rabin(n, skip)`."""
-    return _sieved(n) and (n < _TRIAL_BOUND or _miller_rabin(n, rounds, skip))
+def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+    """Sieve, then `rounds` Miller-Rabin rounds."""
+    return _sieved(n) and (n < _TRIAL_BOUND or _miller_rabin(n, rounds))
 
 
-def _miller_rabin(n: int, rounds: int, skip: int = 0) -> bool:
-    """Miller-Rabin rounds skip .. rounds-1 on an odd n >= 5, with no sieve.
-
-    The bases of fewer rounds are a prefix of those of more, so the
-    rounds left out are exactly those of `_miller_rabin(n, skip)`.
-    """
+def _miller_rabin(n: int, rounds: int) -> bool:
+    """`rounds` Miller-Rabin rounds on an odd n >= 5, with no sieve."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in islice(_mr_bases(n, rounds), skip, None):
+    for a in _mr_bases(n, rounds):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -591,12 +586,11 @@ def gen_safe_prime(bits: int, rng: Rng) -> int:
 
     Candidates restart at a fresh random point every iteration to avoid
     the bias of increment-only scans.  Deterministic given the stream.
-    q and p are sieved together, once, then screened with one
-    Miller-Rabin round each, before either gets the full test.  No round
-    rejects a prime, so the screens reject nothing the full tests would
-    accept.  The random q gets the rounds its width needs, of which its
-    screen was the first (through the public test, which sieves the rare
-    q that reaches it again); p = 2q + 1 is then proven prime from q.
+    q and p are sieved together, once, and q is screened with one
+    Miller-Rabin round.  p is then proven prime from q by Pocklington,
+    whose first step, a Fermat test, screens p.  Last, q gets the full
+    test its width needs, which discards a proof that leaned on a
+    composite q.  No step rejects a prime.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
@@ -607,9 +601,8 @@ def gen_safe_prime(bits: int, rng: Rng) -> int:
         if (
             _sieved(q, pair=True)
             and _miller_rabin(q, 1)
-            and _miller_rabin(p, 1)
-            and is_probable_prime(q, rounds, skip=1)
             and _pocklington(p, q)
+            and is_probable_prime(q, rounds)
         ):
             return p
 
@@ -636,14 +629,12 @@ class CorrelatedModuli:
 
 
 def lift_correlated_prime(p_tilde: int) -> int:
-    """The prime p = 2*a*p_tilde + 1 for the smallest a >= 2 (p_tilde prime)."""
+    """The prime p = 2*a*p_tilde + 1 for the smallest a >= 2, proven from the
+    prime p_tilde; ValueError if the search reaches p_tilde^2 first."""
     a = 2
     while True:
         cand = 2 * a * p_tilde + 1
-        if p_tilde * p_tilde > cand:
-            if _sieved(cand) and _pocklington(cand, p_tilde):
-                return cand
-        elif is_probable_prime(cand):  # only at toy widths
+        if _sieved(cand) and _pocklington(cand, p_tilde):
             return cand
         a += 1
 

@@ -1,8 +1,11 @@
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pda_kit import analytics, netsim, numtheory, pda
 from pda_kit.errors import (
@@ -56,6 +59,32 @@ def test_fixed_point_product_scale():
 def test_fixed_point_overflow():
     with pytest.raises(FixedPointOverflow):
         analytics.to_residue(analytics.to_scaled(10.0, 8), 100)
+
+
+def _round_half_away(v: Fraction) -> int:
+    whole = math.floor(abs(v) + Fraction(1, 2))
+    return whole if v >= 0 else -whole
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    f=st.integers(min_value=0, max_value=2000),
+)
+def test_to_scaled_is_exact(x, f):
+    assert analytics.to_scaled(x, f) == _round_half_away(Fraction(x) * 2**f)
+
+
+def test_to_scaled_rounds_exactly_and_halves_away_from_zero():
+    assert analytics.to_scaled(float(2**52 + 1), 0) == 2**52 + 1
+    assert analytics.to_scaled(0.49999999999999994, 0) == 0
+    assert analytics.to_scaled(-2.5, 0) == -3
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_to_scaled_refuses_a_non_finite_value(x):
+    with pytest.raises(FixedPointOverflow):
+        analytics.to_scaled(x, 16)
 
 
 # ---------------------------------------------------------------------------

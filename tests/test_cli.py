@@ -400,6 +400,27 @@ def test_demo_stats(tmp_path, capsys):
     assert abs(out["variance"] - 8.0 / 3.0) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "csv_text, frac_bits",
+    [("x\n1e308\n2\n3\n", "16"), ((FIXTURES / "toy_data.csv").read_text(), "2000")],
+    ids=["cell-1e308", "frac-bits-2000"],
+)
+def test_demo_value_too_wide_is_fixed_point_overflow(
+    tmp_path, capsys, monkeypatch, csv_text, frac_bits
+):
+    data = tmp_path / "d.csv"
+    data.write_text(csv_text)
+    # refused before the first ceremony, so no window is claimed
+    monkeypatch.setattr(netsim, "_aggregation", lambda *a, **k: pytest.fail("a ceremony ran"))
+    code = run_cli(
+        "demo", "stats", "--data", data, "--kappa", "16", "--frac-bits", frac_bits, "--seed", "21"
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "FixedPointOverflow"
+
+
 def test_demo_regress_line(capsys, monkeypatch):
     degrees = []
     inner = netsim.build_pda_system
@@ -464,6 +485,22 @@ def test_missing_file_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "missing-file"
+
+
+def test_registry_that_is_a_directory_is_bad_path(keyring, tmp_path, capsys):
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    (copy / "registry.jsonl").unlink()
+    (copy / "registry.jsonl").mkdir()
+    code = run_cli(
+        "aggregate", "--params", params, "--keys", copy, "--query", FIXTURES / "toy_query.json",
+        "--data", FIXTURES / "toy_data.csv", "--seed", "34",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "bad-path"
 
 
 def test_missing_data_file_error(keyring, tmp_path, capsys):
@@ -599,6 +636,22 @@ def test_keygen_unwritable_transcript_writes_no_keys(keyring, tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "missing-file"
     assert list(keys.glob("user_*.json")) == []
     assert not (keys / "aggregator.json").exists()
+
+
+def test_keygen_keys_path_that_is_a_file_is_bad_path(keyring, tmp_path, capsys):
+    params, _ = keyring
+    keys = tmp_path / "keys"
+    keys.write_text("")
+    transcript = tmp_path / "t.jsonl"
+    code = run_cli(
+        "keygen", "--params", params, "--keys", keys, "--seed", "33",
+        "--transcript", transcript,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "bad-path"
+    assert not transcript.exists()
 
 
 def test_keygen_refuses_a_duplicated_share_and_writes_no_keys(keyring, tmp_path, capsys, faulty):
@@ -763,6 +816,8 @@ def test_json_file_that_is_not_utf8_is_bad_json(tmp_path, capsys):
         ("1", "gen-params --kappa 3 --n 5 --out {tmp}/p.json"),
         ("1", "gen-params --kappa 16 --n 2 --out {tmp}/p.json"),
         ("1", "gen-params --scheme arith --kappa 3 --n 5 --out {tmp}/p.json"),
+        ("1", "gen-params --n-min 0 --kappa 16 --n 5 --out {tmp}/p.json"),
+        ("1", "gen-params --scheme arith --n-min 0 --kappa 16 --n 5 --out {tmp}/p.json"),
         ("1", "demo stats --kappa 4 --data {tmp}/d.csv"),
         ("1", "attack collusion --degree 0"),
         ("1", "keygen --params {params} --keys {tmp}/k --m-max 0"),
@@ -780,6 +835,7 @@ def test_bad_argument_is_bad_args(keyring, tmp_path, capsys, monkeypatch, seed, 
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "bad-args"
     assert not (tmp_path / "k").exists()
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_readme_cli_block_parses(tmp_path, monkeypatch, capsys):

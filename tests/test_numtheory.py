@@ -585,10 +585,26 @@ def test_lift_correlated_prime_from_23():
     assert (p - 1) % 23 == 0
 
 
-def test_lift_correlated_prime_at_a_toy_width():
-    # a=2 gives 21, which the sieve rejects; a=3 gives 31, above 5^2, so it
-    # takes the Miller-Rabin test in place of Pocklington's proof
-    assert lift_correlated_prime(5) == 31
+def test_every_safe_prime_of_6_to_14_bits_lifts_below_its_square():
+    # gen_correlated_moduli draws p~ of kappa >= 6 bits; the lift proves p
+    # from p~ by Pocklington, which needs p < p~^2
+    safe = [
+        p
+        for p in range(2**5 + 1, 2**14, 2)
+        if trial_division_prime(p) and trial_division_prime((p - 1) // 2)
+    ]
+    assert len(safe) == 166
+    for p_tilde in safe:
+        p = lift_correlated_prime(p_tilde)
+        assert p < p_tilde * p_tilde and (p - 1) % (2 * p_tilde) == 0
+        assert trial_division_prime(p)
+
+
+def test_lift_correlated_prime_refuses_a_lift_past_the_square():
+    # a=2 gives 21, which the sieve rejects; a=3 gives 31, above 5^2, where
+    # Pocklington's proof from 5 does not apply
+    with pytest.raises(ValueError):
+        lift_correlated_prime(5)
 
 
 def _check_moduli(mod: CorrelatedModuli, kappa: int):

@@ -9,7 +9,9 @@ stay the same.  Before the staged sieve the same searches made 93, 93,
 the base its screen had already tried, the searches made 81, 90, 70
 and 77; with the octave gcds from 2000 to 2^16, which cost more than
 the BN_mod_exp rounds they saved, they made 80, 89, 69 and 76, and the
-keygen 117.
+keygen 117.  When Pocklington's Fermat step took over the screen of
+2q + 1, and q's full test ran all its rounds again, no count moved; the
+512-bit searches were pinned before that change.
 """
 
 import builtins
@@ -42,6 +44,15 @@ SAFE_PRIME_128 = {0: 92, 1: 92, 2: 70, 3: 80}
 def test_safe_prime_search_pows(pows, seed):
     numtheory.gen_safe_prime(128, Rng(f"screens:safe:128:{seed}"))
     assert pows[0] == SAFE_PRIME_128[seed]
+
+
+SAFE_PRIME_512 = {1: 86, 4: 148, 7: 184}
+
+
+@pytest.mark.parametrize("seed", sorted(SAFE_PRIME_512))
+def test_safe_prime_search_pows_at_512_bits(pows, seed):
+    numtheory.gen_safe_prime(512, Rng(f"screens:safe:512:{seed}"))
+    assert pows[0] == SAFE_PRIME_512[seed]
 
 
 def test_aggregator_keygen_pows(pows):
