@@ -41,10 +41,18 @@ def to_scaled(x: float, frac_bits: int) -> int:
     return scaled if num >= 0 else -scaled
 
 
+def _check_fits(value: int, modulus: int, what: str) -> None:
+    """FixedPointOverflow naming `what` and both widths unless |value| < N/2."""
+    if 2 * abs(value) >= modulus:
+        raise FixedPointOverflow(
+            f"{what} of {abs(value).bit_length()} bits does not fit below N/2, "
+            f"N of {modulus.bit_length()} bits"
+        )
+
+
 def to_residue(raw: int, modulus: int) -> int:
     """Signed integer into Z_N; |raw| must stay below N/2."""
-    if 2 * abs(raw) >= modulus:
-        raise FixedPointOverflow(f"|{raw}| does not fit below {modulus}/2")
+    _check_fits(raw, modulus, "|value|")
     return raw % modulus
 
 
@@ -214,7 +222,8 @@ def run_plan(
     every step's values and sum against N/2, and every ceremony step's
     window against the registry, before the first ceremony, so a plan
     refused with IncompleteGroup, FixedPointOverflow or SlotReused
-    (naming the step) claims no window.
+    (naming the step, and for a value too wide the participant with the
+    widest, with widths in bits) claims no window.
     `out["traffic"]` holds each step's bus rounds and bytes sent.
 
     Where the process may fork on two or more cores
@@ -241,12 +250,10 @@ def run_plan(
     for idx, step in enumerate(plan.steps):
         if step.columns:
             raws = [step.monomial(rows[owner], plan.frac_bits) for owner in ids]
-            residues[idx] = [to_residue(raw, n_mod) for raw in raws]
-            total = abs(sum(raws))
-            if 2 * total >= n_mod:
-                raise FixedPointOverflow(
-                    f"step {step.name}: |sum| {total} does not fit below {n_mod}/2"
-                )
+            owner, widest = max(zip(ids, raws), key=lambda pair: abs(pair[1]))
+            _check_fits(widest, n_mod, f"step {step.name}: participant {owner}: |value|")
+            residues[idx] = [raw % n_mod for raw in raws]
+            _check_fits(sum(raws), n_mod, f"step {step.name}: |sum|")
     registry = registry if registry is not None else system.registry
     for idx in residues:
         window = plan.query(idx).window

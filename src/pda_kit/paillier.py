@@ -31,8 +31,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import numtheory
 from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
-from .numtheory import SMALL_PRIMES, _search_rounds, is_probable_prime, mod_inv, pow, pows
+from .numtheory import (
+    SMALL_PRIMES,
+    _first_odd,
+    _search_rounds,
+    is_probable_prime,
+    mod_inv,
+    pow,
+    pows,
+)
 from .rng import Rng
 
 
@@ -74,11 +83,12 @@ def from_primes(p: int, q: int) -> AggKeyPair:
 
 
 def _random_prime(bits: int, rng: Rng) -> int:
+    """The first of rng's `bits`-bit draws that passes the test its width
+    needs, searched in blocks (`numtheory._first_odd`), in forked workers
+    from `numtheory._PRIME_SEARCH_FLOOR` bits."""
     rounds = _search_rounds(bits)
-    while True:
-        cand = rng.odd_with_top_bit(bits)
-        if is_probable_prime(cand, rounds):
-            return cand
+    fork = bits >= numtheory._PRIME_SEARCH_FLOOR
+    return _first_odd(rng, bits, lambda cand: is_probable_prime(cand, rounds), fork)
 
 
 def keygen(bits: int, rng: Rng) -> AggKeyPair:

@@ -48,6 +48,7 @@ from .numtheory import (
     lagrange_weights,
     mod_inv,
     pow,
+    pows,
     ring_exchange,
     share_exchange,
     slot_exponent,
@@ -399,7 +400,8 @@ def keygen(
     telescope to 1, so with its own factor these multiply to
     (1+N~)^{q^(d)(i)}, and user i reads q^(d)(i), one point on the hidden
     zero-constant sum polynomial, off them with one half-width product a
-    factor, without forming the product (`share_exchange`).
+    factor, without forming the product (`share_exchange`).  The blinds
+    Y_j^{N~} are one `pows` batch.
 
     `degrees` restricts generation to a subset (the default is the full
     range); restricting is an optimization for large ceremonies that need
@@ -407,7 +409,7 @@ def keygen(
     """
     nt = params.N_tilde
     ks = degrees if degrees is not None else range(2, len(y_shares))
-    blinds = {j: pow(y, nt, nt * nt) for j, y in y_shares.items()}
+    blinds = dict(zip(y_shares, pows([(y, nt, nt * nt) for y in y_shares.values()])))
 
     def coefficients(j: int, d: int) -> list[int]:
         return [rng.fork(f"keygen:party:{j}:d:{d}:c:{t}").unit(nt) for t in range(1, d + 1)]

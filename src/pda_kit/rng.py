@@ -22,7 +22,9 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 
 
 class Rng:
-    """SHA-256 counter-mode byte stream."""
+    """SHA-256 counter-mode byte stream: block c is SHA-256(key || c), so
+    any position of the stream can be reached without the bytes before it
+    (`skip`)."""
 
     __slots__ = ("_key", "_counter", "_buffer")
 
@@ -40,12 +42,33 @@ class Rng:
         return child
 
     def take(self, n: int) -> bytes:
+        """The next n bytes.  Past two blocks, each block is hashed from a
+        copy of one keyed SHA-256 state, which costs about a third less a
+        block than a fresh hash (4 KB: 78 us against 113 us); a short take,
+        the common one, hashes afresh."""
         buffer = self._buffer
+        if n - len(buffer) > 64:
+            keyed, blocks, start = hashlib.sha256(self._key), [buffer], self._counter
+            self._counter += (n - len(buffer)) // 32
+            for counter in range(start, self._counter):
+                block = keyed.copy()
+                block.update(counter.to_bytes(8, "big"))
+                blocks.append(block.digest())
+            buffer = b"".join(blocks)
         while len(buffer) < n:
             buffer += hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
             self._counter += 1
         self._buffer = buffer[n:]
         return buffer[:n]
+
+    def skip(self, n: int) -> None:
+        """Move past the next n bytes exactly as `take(n)` would: whole
+        blocks are jumped over, and only the one n ends inside is hashed."""
+        rest = n - len(self._buffer)
+        if rest > 0:
+            self._counter += rest // 32
+            self._buffer, n = b"", rest % 32
+        self.take(n)
 
     def getrandbits(self, k: int) -> int:
         if k <= 0:
@@ -71,9 +94,21 @@ class Rng:
 
     def odd_with_top_bit(self, bits: int) -> int:
         """Random odd integer of exactly `bits` bits (prime-search candidates)."""
+        return self.odds_with_top_bit(bits, 1)[0]
+
+    def odds_with_top_bit(self, bits: int, count: int) -> list[int]:
+        """`count` successive `odd_with_top_bit(bits)` draws, from one `take`:
+        each is the top bits - 1 bits of its own ceil((bits - 1) / 8)
+        bytes, with the top and the low bit set."""
         if bits < 2:
             raise ValueError("need at least 2 bits")
-        return (1 << (bits - 1)) | self.getrandbits(bits - 1) | 1
+        size = (bits + 6) // 8
+        shift, top = size * 8 - (bits - 1), 1 << (bits - 1)
+        raw = self.take(size * count)
+        return [
+            top | int.from_bytes(raw[k : k + size], "big") >> shift | 1
+            for k in range(0, size * count, size)
+        ]
 
     def unit(self, modulus: int) -> int:
         """Random element of [1, modulus) coprime to the modulus."""

@@ -67,9 +67,10 @@ def op_counts():
 
 
 def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
-    """Through `patch`, every `numtheory.share_exchange` and
-    `analytics.run_plan` call forks its workers whatever its size: the
-    key ceremony's fork floor is 0 and the process sees two cores.
+    """Through `patch`, every `numtheory.share_exchange`,
+    `analytics.run_plan` and prime search forks its workers whatever its
+    size: the key ceremony's and both searches' fork floors are 0 and the
+    process sees two cores.
     Returns the list of the `evaluate_packed` calls made in this process,
     one entry each, so that a degree computed here and not in a worker
     shows."""
@@ -81,6 +82,8 @@ def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
         return evaluate(polys, xs, modulus)
 
     patch.setattr(numtheory, "_FORK_FLOOR", 0)
+    patch.setattr(numtheory, "_SAFE_SEARCH_FLOOR", 0)
+    patch.setattr(numtheory, "_PRIME_SEARCH_FLOOR", 0)
     patch.setattr(numtheory, "_cores", lambda: 2)
     patch.setattr(numtheory, "evaluate_packed", recorded)
     return here
@@ -104,8 +107,8 @@ def forked(monkeypatch):
 # name: (how a route is forced, what this process must not do on it), the
 # second among "library" (a libcrypto call), "walk" (a vector walk),
 # "fork" (a forked worker), "degree" (a key degree evaluated) and "item"
-# (an item of a `numtheory._forked` call, a key degree or a plan step,
-# computed here)
+# (an item of a `numtheory._forked` call, a key degree, a plan step or a
+# block of a prime search, computed here)
 ROUTES = {
     "shipped": (lambda patch: None, set()),
     "builtin": (lambda patch: patch.setattr(numtheory, "_libcrypto", None), {"library"}),

@@ -128,9 +128,14 @@ def test_plan_sum_overflow_rejected():
     plan = analytics.QueryPlan(tuple(ids), 0, [step], 0, lambda sums: {}, "sum of x")
     rows = {i: {"x": float(x)} for i in ids}
     registry = pda.SlotRegistry()
-    with pytest.raises(FixedPointOverflow, match="sum_x"):
+    with pytest.raises(FixedPointOverflow, match="sum_x") as refused:
         analytics.run_plan(system, plan, rows, seed=5, registry=registry)
     assert registry.windows == []  # rejected before any window is claimed
+    width = system.params.N.bit_length()
+    total = (x * len(ids)).bit_length()
+    assert str(refused.value) == (
+        f"step sum_x: |sum| of {total} bits does not fit below N/2, N of {width} bits"
+    )
 
 
 def test_plan_overflow_at_last_step_runs_no_ceremony(monkeypatch):

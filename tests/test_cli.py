@@ -421,6 +421,21 @@ def test_demo_value_too_wide_is_fixed_point_overflow(
     assert json.loads(captured.err)["error"] == "FixedPointOverflow"
 
 
+def test_a_too_wide_cell_names_its_step_and_participant_in_bits(tmp_path, capsys):
+    # 1e308 * 2^16 is a 1,040-bit value: its width is printed, not its 313 digits
+    data = tmp_path / "d.csv"
+    data.write_text("x\n2\n1e308\n3\n")
+    code = run_cli(
+        "demo", "stats", "--data", data, "--kappa", "16", "--frac-bits", "16", "--seed", "21"
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FixedPointOverflow",
+        "detail": "step sum_x: participant 2: |value| of 1040 bits does not fit below N/2, "
+        "N of 40 bits",
+    }
+
+
 def test_demo_regress_line(capsys, monkeypatch):
     degrees = []
     inner = netsim.build_pda_system

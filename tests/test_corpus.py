@@ -54,8 +54,8 @@ PINNED = {
         "9d219018bf44fe005120dc628dac98a6"
     ),
     "run_plan": (  # 11 cases
-        "299768f9982c88cf52e0bd6f801cc66c"
-        "6cdfd08627ab7df4a90f02edc4ffbcf6"
+        "c11335d350007384826373f729bc1b63"
+        "7f81cc62cb4abf6d44ff9fe515ba44b7"
     ),
 }
 

@@ -24,6 +24,9 @@ from pda_kit.rng import Rng
 
 @pytest.fixture
 def pows(monkeypatch):
+    """The count of modular pows in this process, which sees one core: a
+    search's blocks then run here, not in forked workers whose counts
+    die with them."""
     count = [0]
     native = builtins.pow
 
@@ -34,6 +37,7 @@ def pows(monkeypatch):
 
     for module in (numtheory, paillier):
         monkeypatch.setattr(module, "pow", counting, raising=False)
+    monkeypatch.setattr(numtheory, "_cores", lambda: 1)
     return count
 
 
