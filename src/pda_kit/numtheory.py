@@ -17,11 +17,14 @@ All values are plain Python ints; modular results are reduced into
 
 The module's `pow` is the builtin's, except that a wide modular
 exponentiation goes to OpenSSL's BN_mod_exp_mont on a held Montgomery
-context (`_held`) through ctypes when libcrypto loads; `paillier` and
-`pda` import it.  `pows` takes a batch of independent exponentiations
-and spreads wide library calls over the process's cores.  Results are
-the builtin's, so transcripts do not depend on whether the library
-loaded or on the cores, only timings do.
+context (`_held`) through ctypes when libcrypto loads: the modulus's
+own, or where that is faster an odd multiple of it that fills a multiple
+of eight 64-bit limbs, whose results are reduced by the modulus;
+`paillier` and `pda` import it.  `pows` takes a batch of independent
+exponentiations and spreads wide library calls over the process's
+cores.  Results are the builtin's, so transcripts do not depend on
+whether the library loaded, on the padding or on the cores, only
+timings do.
 """
 
 from __future__ import annotations
@@ -202,12 +205,48 @@ def pow(base, exp, mod=None):
     return builtins.pow(base, exp, mod)
 
 
+# Padding.  OpenSSL's x86-64 bn_mul_mont takes its mul4x kernel only at
+# a limb count (64-bit words) that is a multiple of 4 from 8 up, and its
+# sqr8x squaring only at a multiple of 8; any other width runs a generic
+# loop.  Since m divides m*k, x^e mod m*k mod m is x^e mod m, so `_Held`
+# may hold an odd multiple m*k that fills the next multiple of 8 limbs,
+# P for m's L, with k = 2^(64P - b - 1) + 1 for m's b bits, and
+# `_mont_exp` reduces each result mod m.  Exact / padded per call,
+# ranges over three runs of medians of 21 (from 1,041 bits) or 501
+# interleaved calls (CPython 3.11, OpenSSL 3.0, x86-64 with BMI2/ADX,
+# 2 cores shared with other work):
+#   modulus (limbs)                 exponent     exact          padded         speed-up
+#   n^2 4,172 bits (66 -> 72)       2,086 bits   17.7-26.6 ms   12.0-14.8 ms   1.48-1.84
+#   n^2 4,172 bits (66 -> 72)       1,040 bits    9.4-13.2 ms    7.1-7.4 ms    1.31-1.80
+#   p^2 2,086 bits (33 -> 40)       1,042 bits    3.1-3.4 ms     2.2-2.3 ms    1.40-1.48
+#   n^2 442 bits (7 -> 8)           221 bits      32-52 us       30-43 us      1.07-1.21
+#   n^2 442 bits (7 -> 8)           104 bits      18-32 us       17-27 us      1.05-1.16
+#   N 1,041 bits (17 -> 24)         1,023 bits    0.63-0.96 ms   0.73-0.90 ms  0.86-1.07
+#   p^2 221 bits (4 -> 8)           110 bits      12-21 us       19-29 us      0.64-0.71
+# A sweep of L from 2 to 79 at half- and full-width exponents, as
+# speed-ups: 2 to 6 limbs 0.54-0.96; 9 to 12, 0.54-0.78; 17, 0.86; 18
+# and 19, 0.96-1.21; 20, 0.89-0.93; 25, 1.02-1.30; 28, 1.00-1.01; 36 to
+# 76 at a multiple of 4, 1.08-1.51; every width the rule below pads,
+# 1.02-2.16 (7 limbs 1.06-1.23, 13 limbs 1.02-1.08).  So m pads when
+# that widens it by at most a quarter, or by at most an eighth where L is
+# a multiple of 4 (mul4x already runs there; padding adds only sqr8x):
+# pda_agg_k512's n^2, p^2 and q^2 and regress_n64's n^2 pad, and its
+# 221-bit p^2 and q^2, the kappa=512 N and every 8-, 16- or 32-limb
+# modulus stay exact.
+
+
 class _Held:
-    """An odd modulus's BIGNUM and Montgomery context, which calls on any
-    thread share read-only (as OpenSSL's RSA does), freed with the last
-    reference: an entry evicted while a call holds it lives until then."""
+    """A modulus's BIGNUM and Montgomery context, or those of its padded
+    odd multiple, which calls on any thread share read-only (as OpenSSL's
+    RSA does), freed with the last reference: an entry evicted while a
+    call holds it lives until then."""
 
     def __init__(self, lib: ctypes.CDLL, mod: int):
+        bits = mod.bit_length()
+        limbs = -(-bits // 64)
+        wider = -limbs % 8  # limbs to the next multiple of 8
+        if wider and wider * (8 if limbs % 4 == 0 else 4) <= limbs:
+            mod *= (1 << 64 * (limbs + wider) - bits - 1) + 1
         self.size = (mod.bit_length() + 7) // 8
         self.bn = lib.BN_bin2bn(mod.to_bytes(self.size, "big"), self.size, None)
         self.mont, ctx = lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
@@ -244,7 +283,7 @@ def _mont_exp(lib: ctypes.CDLL, base: int, exp: int, mod: int) -> int | None:
         ok = None not in scratch and None not in (lib.BN_bin2bn(x, len(x), bn) for x, bn in operands)
         if ok and lib.BN_mod_exp_mont(r, b, e, held.bn, ctx, held.mont):
             if lib.BN_bn2binpad(r, out, held.size) == held.size:
-                return int.from_bytes(out.raw, "big")
+                return int.from_bytes(out.raw, "big") % mod
         return None
     finally:
         if None not in scratch:
@@ -261,13 +300,17 @@ def _mont_exp(lib: ctypes.CDLL, base: int, exp: int, mod: int) -> int | None:
 # Median us of a batch, serial / spread on 2 cores, for random odd moduli
 # and exponents as wide as the modulus or as a Paillier one (CPython
 # 3.11, OpenSSL 3, x86-64 Xeon shared with other work; the first two rows
-# on held contexts, at a quieter time):
+# on held contexts, at a quieter time; the last two on held 40- and
+# 72-limb padded multiples, medians of 61 and 15):
 #   modulus / exponent bits   2 calls          4 calls          8 calls
 #        768 / 768            333 / 526        666 / 518      1,378 / 1,048
 #       1041 / 1024         1,120 / 874      2,232 / 1,605    4,265 / 2,643
 #       1280 / 1280         2,516 / 1,526    4,200 / 2,846    7,062 / 4,703
-#       2086 / 1043         6,142 / 3,984   11,324 / 7,768
-#       4172 / 2086        41,804 / 27,942  84,045 / 55,984
+#       2086 / 1043         4,935 / 2,898    9,434 / 5,238   16,161 / 9,825
+#       4172 / 2086        24,510 / 14,871  56,255 / 33,892  120,005 / 61,318
+# In runs where other work held the second core the padded rows tied
+# (2086 bits, 2 calls: 4,049 / 4,237; 4 calls 8,585 / 8,760), and none
+# lost by more than 5 %.
 # At 768 bits two calls lose and four win; from 1,041 bits every batch
 # wins, so a batch is spread only when every call goes to the library
 # modulo at least 1,024 bits: the framework's masks at kappa=512 (h mod a

@@ -12,6 +12,7 @@ import ctypes.util
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 import types
@@ -85,6 +86,40 @@ def test_pow_is_the_builtin_at_protocol_widths(mod_bits, exp_bits, data):
     mod = data.draw(widths(mod_bits, mod_bits)) | 1
     exp = data.draw(widths(exp_bits, exp_bits))
     base = data.draw(st.integers(-2 * mod, 2 * mod))
+    assert numtheory.pow(base, exp, mod) == builtins.pow(base, exp, mod)
+
+
+def limb_modulus(limbs: int) -> int:
+    """An odd modulus of exactly `limbs` 64-bit limbs, its top bit placed
+    by the limb count."""
+    rnd = random.Random(limbs)
+    bits = 64 * limbs - rnd.randrange(64)
+    return rnd.getrandbits(bits) | 1 << (bits - 1) | 1
+
+
+@pytest.mark.parametrize("limbs", range(1, 81))
+def test_pow_is_the_builtin_at_every_limb_count(limbs):
+    # the library holds a modulus of 7, 13 to 15, 21 to 23, 26, 27 or
+    # from 29 limbs up as an odd multiple filling a multiple of 8 limbs,
+    # and reduces each result; the edge bases give the edge results 0, 1
+    # and m - 1 (the builtin computes them cheaply), and a random base a
+    # value at each width
+    mod = limb_modulus(limbs)
+    rnd = random.Random(-limbs)
+    for exp_bits in (64, max(64, mod.bit_length() // 2), mod.bit_length()):
+        exp = rnd.getrandbits(exp_bits) | 1 << (exp_bits - 1)
+        for base in (0, 1, mod - 1):
+            assert numtheory.pow(base, exp, mod) == builtins.pow(base, exp, mod), (base, exp_bits)
+    base = mod + rnd.randrange(mod)  # above the modulus
+    exp = rnd.getrandbits(64) | 1 << 63
+    assert numtheory.pow(base, exp, mod) == builtins.pow(base, exp, mod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mod=widths(96, 5000), exp=widths(64, 1100), data=st.data())
+def test_pow_is_the_builtin_modulo_any_odd_width(mod, exp, data):
+    mod |= 1
+    base = data.draw(st.integers(0, 3 * mod))
     assert numtheory.pow(base, exp, mod) == builtins.pow(base, exp, mod)
 
 
@@ -246,26 +281,81 @@ def test_only_wide_plain_int_calls_reach_the_library(bn_calls, base, exp, mod, r
     assert len(bn_calls) == routed
 
 
-def test_failed_library_call_falls_back_to_the_builtin(monkeypatch, libcrypto):
-    failing = replacing(libcrypto, "BN_mod_exp_mont", lambda *args: 0)
+def bn_value(lib, bn) -> int:
+    """A BIGNUM's value, read back from the library."""
+    out = ctypes.create_string_buffer(1024)
+    assert lib.BN_bn2binpad(bn, out, len(out)) == len(out)
+    return int.from_bytes(out.raw, "big")
+
+
+def limb_count(x: int) -> int:
+    return -(-x.bit_length() // 64)
+
+
+# an exact modulus (1,001 bits, 16 limbs) and a padded one (4,172 bits,
+# 66 limbs, held as 72), each with its exponent
+FALLBACKS = [
+    pytest.param((1 << 1000) + 7, (1 << 1000) + 5, 16, id="exact-1001-bits"),
+    pytest.param((1 << 4171) + 7, (1 << 2085) + 5, 72, id="padded-4172-bits"),
+]
+
+
+@pytest.mark.parametrize("mod, exp, held_limbs", FALLBACKS)
+def test_failed_library_call_falls_back_to_the_builtin(monkeypatch, libcrypto, mod, exp, held_limbs):
+    moduli = []
+
+    def fail(r, b, e, m, ctx, mont):
+        moduli.append(bn_value(libcrypto, m))
+        return 0
+
+    failing = replacing(libcrypto, "BN_mod_exp_mont", fail)
     monkeypatch.setattr(numtheory, "_libcrypto", failing)
-    mod = (1 << 1000) + 7
-    assert numtheory.pow(5, mod - 2, mod) == builtins.pow(5, mod - 2, mod)
+    assert numtheory.pow(5, exp, mod) == builtins.pow(5, exp, mod)
+    (held,) = moduli
+    assert held % mod == 0 and limb_count(held) == held_limbs
 
 
-def test_failed_montgomery_context_falls_back_to_the_builtin(monkeypatch, libcrypto):
+@pytest.mark.parametrize("mod, exp, held_limbs", FALLBACKS)
+def test_failed_montgomery_context_falls_back_to_the_builtin(monkeypatch, libcrypto, mod, exp, held_limbs):
     # a modulus the library could not hold is not cached: the next call
     # tries again, and no call reaches BN_mod_exp_mont
     sets, exps = [], []
-    failing = replacing(libcrypto, "BN_MONT_CTX_set", counting(sets, lambda *args: 0))
+
+    def refuse(mont, m, ctx):
+        sets.append(bn_value(libcrypto, m))
+        return 0
+
+    failing = replacing(libcrypto, "BN_MONT_CTX_set", refuse)
     failing.BN_mod_exp_mont = counting(exps, libcrypto.BN_mod_exp_mont)
     monkeypatch.setattr(numtheory, "_libcrypto", failing)
     held = numtheory._held.cache_info().currsize
-    mod = (1 << 1000) + 7
     for _ in range(2):
-        assert numtheory.pow(5, mod - 2, mod) == builtins.pow(5, mod - 2, mod)
+        assert numtheory.pow(5, exp, mod) == builtins.pow(5, exp, mod)
     assert (len(sets), exps) == (2, [])
+    assert all(m % mod == 0 and limb_count(m) == held_limbs for m in sets)
     assert numtheory._held.cache_info().currsize == held
+
+
+@pytest.mark.parametrize(
+    "limbs, held_limbs",
+    [(4, 4), (7, 8), (13, 16), (16, 16), (17, 17), (20, 20), (32, 32), (33, 40), (36, 40), (49, 56), (66, 72)],
+)
+def test_moduli_pad_to_a_multiple_of_eight_limbs_where_that_pays(libcrypto, limbs, held_limbs):
+    # 7 limbs is regress_n64's n^2, 33 and 66 pda_agg_k512's p^2 and n^2;
+    # 4, 16, 17 and 32 limbs hold every other workload modulus, and 20
+    # limbs already runs OpenSSL's mul4x kernel, so it is not widened by
+    # a fifth
+    mod = limb_modulus(limbs)
+    held = numtheory._held(libcrypto, mod)
+    value = bn_value(libcrypto, held.bn)
+    if held_limbs == limbs:
+        assert held.size == (mod.bit_length() + 7) // 8
+        assert value == mod
+    else:
+        assert held.size == 8 * held_limbs
+        assert limb_count(value) == held_limbs
+        assert value % mod == 0 and value & 1
+    assert numtheory._held(libcrypto, mod) is held  # keyed by the modulus itself
 
 
 def odd_moduli(count: int, bits: int) -> list[int]:

@@ -220,12 +220,14 @@ def test_many_threads_with_a_short_switch_interval(libcrypto, op_counts):
         sys.setswitchinterval(interval)
 
 
-def test_threads_share_held_moduli_while_they_are_evicted(libcrypto):
+@pytest.mark.parametrize("bits", [1024, 4172])
+def test_threads_share_held_moduli_while_they_are_evicted(libcrypto, bits):
     # eight threads over 40 moduli, more than the cache holds, switching as
     # often as the interpreter allows: entries are evicted while another
-    # thread's call still uses them, and every value is still the builtin's
+    # thread's call still uses them, and every value is still the builtin's,
+    # on exact moduli (16 limbs) and on padded ones (66 limbs held as 72)
     rnd = random.Random("evict")
-    moduli = [rnd.getrandbits(1024) | 1 << 1023 | 1 for _ in range(40)]
+    moduli = [rnd.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(40)]
     items = [(rnd.randrange(m), rnd.getrandbits(64) | 1 << 63, m) for m in rnd.choices(moduli, k=320)]
     expected = builtin_pows(items)
     interval = sys.getswitchinterval()
