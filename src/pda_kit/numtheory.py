@@ -37,6 +37,8 @@ import functools
 import hashlib
 import math
 import os
+import pickle
+import signal
 import sys
 import threading
 import weakref
@@ -630,27 +632,29 @@ def _pocklington(cand: int, factor: int) -> bool:
 # `odd_with_top_bit(bits)` of the stream, and block b holds draws b*B to
 # b*B + B - 1, screened on its own copy of the stream moved on to its
 # first draw (`Rng.skip`) and only up to its first hit.  A search that may
-# fork hands its blocks to `_forked`; any other, or one on one core or in
-# a daemon, runs them in order here.  Either way the search keeps the
+# fork hands its blocks to `_forked`; any other, or one on one core,
+# runs them in order here.  Either way the search keeps the
 # first hit in stream order, and inline the screen sees exactly the
 # candidates a loop of draws would.  Median ms of one search, inline /
-# forked with 2 workers, over 10 seeds, inline first on even seeds
-# (CPython 3.11, OpenSSL 3, 2 cores of an x86-64 VM shared with others):
+# forked with 2 workers, over 10 seeds, inline first on even seeds, the
+# middle of three such runs (CPython 3.11, OpenSSL 3, 2 cores of an
+# x86-64 VM shared with others):
 #   bits          128          256          384          512          768          1,043
-#   safe prime    5.9 / 15.5   70.5 / 57.0  132 / 78.9   302 / 211
-#   plain prime                                          3.3 / 15.9   9.3 / 20.4   63.9 / 56.1
-# (forked was faster on 0, 7, 7 and 9 of the 10 seeds for a safe prime,
-# and on 0, 1 and 6 for a plain one).  On the kappa=512 set-up's four
-# searches, blocks of 128 draws took 3 to 4 % less than blocks of 64
-# (medians of three runs of 8 or 16), and blocks of 256 were slower at
-# 1,043 bits, where such a block holds about 38 exponentiations.
-# Forking costs 8 to 10 ms.  A safe-prime search screens thousands of
-# cheap candidates, and forked wins from about 256 bits; a plain prime
-# search hundreds of costly ones, and forked wins only from about 1,000
-# bits.  So each kind has its floor, of the prime's bits; the kappa=48
-# searches (48-bit safe primes, 111-bit Paillier primes) lie below both,
-# and the kappa=512 ones (512-bit safe primes, 1,043-bit Paillier
-# primes) above.
+#   safe prime    6.8 / 10.7   57.3 / 45.0  84.1 / 56.7  311 / 174
+#   plain prime                                          6.6 / 12.8   13.3 / 18.2  45.0 / 37.9
+# (forked was faster on 0-2, 0-7, 7-9 and 10 of the 10 seeds for a safe
+# prime, and on 1-2, 1-2 and 5-7 for a plain one).  On the kappa=512
+# set-up's four searches, blocks of 128 draws took 3 to 4 % less than
+# blocks of 64 (medians of three runs of 8 or 16), and blocks of 256 were
+# slower at 1,043 bits, where such a block holds about 38
+# exponentiations.  Forking costs 3 to 7 ms, of which starting, hearing
+# from and reaping two workers that return at once take about 4.  A
+# safe-prime search screens thousands of cheap candidates, and forked
+# wins from about 256 bits; a plain prime search hundreds of costly ones,
+# and forked wins only from about 1,000 bits.  So each kind has its
+# floor, of the prime's bits; the kappa=48 searches (48-bit safe
+# primes, 111-bit Paillier primes) lie below both, and the kappa=512
+# ones (512-bit safe primes, 1,043-bit Paillier primes) above.
 _SEARCH_BLOCK = 128  # draws a block
 _SAFE_SEARCH_FLOOR = 256  # safe-prime bits from which a search forks
 _PRIME_SEARCH_FLOOR = 1024  # prime bits from which a plain prime search forks
@@ -988,10 +992,11 @@ def ring_exchange(
 
 
 # Median ms of one keygen's `share_exchange`, inline / forked with 2 workers
-# on 2 cores (11 alternating runs, CPython 3.11, x86-64 VM shared with others):
+# on 2 cores, 11 alternating runs, the middle of three such runs (CPython
+# 3.11, x86-64 VM shared with others):
 #   n / messages     8 / 336      16 / 3,360    20 / 6,840    24 / 12,144
-#   kappa=48 pda     4.2 / 16.6   31.4 / 46.9   59.0 / 44.3   103 / 69.0
-#   kappa=512 arith  11.2 / 14.7  84.4 / 63.4   168 / 122     240 / 180
+#   kappa=48 pda     4.4 / 9.2    34.6 / 28.9   61.6 / 49.7   113 / 80.5
+#   kappa=512 arith  12.9 / 15.9  97.7 / 74.9   204 / 138     354 / 241
 # The floor lies above both crossings and every toy system of the tests.
 _FORK_FLOOR = 10_000  # messages a call, n(n-1) a degree
 
@@ -1000,53 +1005,56 @@ _FORK_FLOOR = 10_000  # messages a call, n(n-1) a degree
 def _forked(compute: Callable, items: Sequence, fork: bool, spare: int = 0) -> Iterator[Iterator]:
     """Yields an iterator of compute(item) for each of `items`, in order.
 
-    When `fork` holds, the process may use two or more cores, `os.fork`
-    exists and the process is not a daemon (a daemon may start no
-    process), the values come from forked workers, one per core but
-    `spare` and at most one per item: worker w of K computes items w,
-    w + K, ... and sends each through its own pipe, running ahead of
+    When `fork` holds, the process may use two or more cores and
+    `os.fork` exists, the values come from forked workers, one per core
+    but `spare` and at most one per item: worker w of K computes items
+    w, w + K, ... and pickles each into its own pipe, running ahead of
     the caller by what the pipe holds.  Otherwise each is computed when
     the iterator reaches it.  An item whose value does not arrive,
-    because its worker failed or was killed, is computed in the caller
-    at its turn, so errors are the inline ones.  Every worker is reaped
-    when the block exits, however it exits.
+    because its worker could not start, failed or was killed, is
+    computed in the caller at its turn, so errors are the inline ones.
+    A worker leaves by `os._exit`, so it never returns into the
+    caller's code nor flushes the stdio buffers it inherited, and every
+    worker is killed and reaped when the block exits, however it exits.
     """
-    forked = fork and _cores() > 1
-    if forked:  # imported here, so that a process that never forks never loads it
-        import multiprocessing
-        forked = hasattr(os, "fork") and not multiprocessing.current_process().daemon
-    count = min(_cores() - spare, len(items)) if forked else 0
-
-    def work(share: Sequence, writer, reader) -> None:
-        reader.close()  # the pipe breaks once the caller and every later worker are gone
-        with contextlib.suppress(BaseException):  # even an interrupt: the caller computes the rest
-            for item in share:
-                writer.send(compute(item))
+    count = min(_cores() - spare, len(items)) if fork and _cores() > 1 and hasattr(os, "fork") else 0
 
     def results() -> Iterator:
         for idx, item in enumerate(items):
             got = ()
-            if count:
-                with contextlib.suppress(EOFError, OSError):  # a stopped worker's item is done here
-                    got = (workers[idx % count][1].recv(),)
+            if count:  # a value cut short or never sent is computed here
+                with contextlib.suppress(EOFError, OSError, pickle.UnpicklingError):
+                    got = (pickle.load(readers[idx % count]),)
             yield got[0] if got else compute(item)
 
-    workers = []  # (process, reading end)
+    pids, readers = [], []
     try:
         for w in range(count):
-            context = multiprocessing.get_context("fork")
-            reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(target=work, args=(items[w::count], writer, reader))
-            worker.start()
-            workers.append((worker, reader))
-            writer.close()  # the worker holds the only writing end, so its exit is an EOF here
+            read_fd, write_fd = os.pipe()
+            pid = None
+            with contextlib.suppress(OSError):  # a worker that cannot start sends nothing
+                pid = os.fork()
+            if pid == 0:  # worker w, which even an interrupt ends quietly
+                try:
+                    os.close(read_fd)  # its pipe breaks once the caller and later workers are gone
+                    with contextlib.suppress(BaseException), open(write_fd, "wb") as writer:
+                        for item in items[w::count]:
+                            pickle.dump(compute(item), writer)
+                            writer.flush()
+                finally:
+                    os._exit(0)
+            if pid:
+                pids.append(pid)
+            os.close(write_fd)  # now the worker's exit, or its failure to start, is an EOF here
+            readers.append(open(read_fd, "rb"))
         yield results()
     finally:
-        for worker, reader in workers:
+        for reader in readers:
             reader.close()
-            worker.terminate()
-        for worker, _ in workers:  # joined after every signal, so they exit together
-            worker.join()
+        for pid in pids:  # SIGKILL, which no inherited handler can catch
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:  # reaped after every signal, so they exit together
+            os.waitpid(pid, 0)
 
 
 def share_exchange(

@@ -89,6 +89,16 @@ def fork_every_ceremony(patch: pytest.MonkeyPatch) -> list[int]:
     return here
 
 
+def assert_no_child() -> None:
+    """This process has no child: none running, and none exited and not
+    reaped.  Raises AssertionError, which a pool's worker hands back."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is running, or exited and not reaped")
+
+
 def one_core_and_pows(patch: pytest.MonkeyPatch) -> None:
     """Through `patch`, the process sees one core, so that every key
     ceremony and plan runs in it and `pows` starts no thread, and the

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child
 from pda_kit import analytics, netsim, numtheory, pda
 from pda_kit.errors import (
     FixedPointOverflow,
@@ -283,8 +284,7 @@ def test_a_plan_worker_that_fails_leaves_its_step_to_the_caller(
     request.getfixturevalue("forked")
     assert run() == inline
     assert here == [plan.query(i).window for i in range(j, len(plan.steps))]
-    with pytest.raises(ChildProcessError):  # no worker running, nor exited and not reaped
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child()
     assert capfd.readouterr() == ("", "")
 
 

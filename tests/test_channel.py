@@ -8,12 +8,12 @@ an error naming its kind and its sender, prefixed with its round.
 
 import functools
 import itertools
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child
 from pda_kit import models, netsim, pda
 from pda_kit.bus import Bus
 from pda_kit.errors import IncompleteGroup, MissingEncoding, ProtocolError, UnexpectedMessage
@@ -215,7 +215,7 @@ def test_a_forked_key_ceremony_refuses_a_fault_as_the_inline_one(
     assert type(forked.value) is type(inline.value)
     assert str(forked.value) == str(inline.value)
     assert str(forked.value).startswith(f"[round {ROUNDS[ceremony, kind]}] user {sender}: ")
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 # the faults of the `faulty` fixture; a round of one message has no other

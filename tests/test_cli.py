@@ -1,11 +1,11 @@
 import json
-import multiprocessing
 import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
+from conftest import assert_no_child
 from pda_kit import cli, netsim, paillier
 from pda_kit.rng import Rng
 
@@ -705,7 +705,7 @@ def test_a_forked_keygen_refuses_a_duplicated_share_in_one_line(
         "detail": "[round 2] user 1: repeated 'key-query:2' message to user 2 (body length 1)",
     }
     assert not keys.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 import builtins
+import errno
 import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child, fork_every_ceremony
 from pda_kit import numtheory
 from pda_kit.bus import Bus
 from pda_kit.errors import (
@@ -941,7 +945,7 @@ def test_a_draw_failing_in_a_worker_fails_the_call_before_its_round(forked, capf
     assert info.value.__context__ is None
     assert forked == []  # degree 2 came from worker 0
     assert [{m.kind for m in messages} for messages in bus.rounds] == [{"s:2"}]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert capfd.readouterr() == ("", "")
 
 
@@ -964,7 +968,7 @@ def test_a_worker_that_dies_leaves_its_degrees_to_the_caller(request):
     assert here == [len(ids), len(ids)]
     assert points == inline
     assert bus.transcript_jsonl() == inline_bus.transcript_jsonl()
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def four_party_points() -> dict[int, dict[int, int]]:
@@ -973,12 +977,95 @@ def four_party_points() -> dict[int, dict[int, int]]:
     return share_exchange(Bus(ids), modulus, blinds, [2, 3], lambda j, d: [j] * d, "s")
 
 
-def test_a_pool_worker_runs_its_ceremony_inline(forked):
-    # a pool's worker is a daemon, which may start no process of its own
-    points = four_party_points()
-    assert forked == []  # here, both degrees came from workers
+def forked_four_party_points() -> tuple[dict[int, dict[int, int]], list[int]]:
+    """`four_party_points` with every ceremony forked, and the degrees
+    evaluated in this process; it leaves no child."""
+    with pytest.MonkeyPatch.context() as patch:
+        here = fork_every_ceremony(patch)
+        points = four_party_points()
+    assert_no_child()
+    return points, here
+
+
+def test_a_pool_worker_forks_its_own_ceremony():
+    # a pool's worker is a daemon, and forks its workers as any process does
+    inline = four_party_points()
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply(four_party_points) == points
+        points, here = pool.apply_async(forked_four_party_points).get(timeout=60)
+    assert here == []  # in the pool's worker, both degrees came from its own workers
+    assert points == inline
+
+
+def test_a_worker_that_cannot_start_leaves_its_degrees_to_the_caller(monkeypatch):
+    # the second fork fails as at the process limit: worker 0 computes
+    # degree 2, and degree 3, worker 1's, is computed here
+    inline = four_party_points()
+    here = fork_every_ceremony(monkeypatch)
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(os.getpid())
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    assert four_party_points() == inline
+    assert len(calls) == 2
+    assert here == [4]
+    assert_no_child()
+
+
+def test_a_value_that_cannot_be_pickled_is_computed_here(monkeypatch):
+    # worker 1 cannot pickle item 3's value, after writing out more of it
+    # than a pipe holds: this process computes it and that worker's later
+    # items, and every value arrives in order
+    monkeypatch.setattr(numtheory, "_cores", lambda: 2)
+    caller, here = os.getpid(), []
+
+    def local():  # a local function pickles in no process
+        pass
+
+    def compute(item):
+        if os.getpid() == caller:
+            here.append(item)
+        return [item] * 100_000 + ([local] if item == 3 else [])
+
+    with numtheory._forked(compute, range(8), True) as values:
+        assert list(values) == [[i] * 100_000 + ([local] if i == 3 else []) for i in range(8)]
+    assert here == [3, 5, 7]
+    assert_no_child()
+
+
+def test_a_forked_keygen_writes_no_line_twice(tmp_path):
+    # a worker never flushes the stdio buffers it inherited: a line printed
+    # but not yet flushed before a forked keygen is written once, by the
+    # caller, even where each worker ends by itself before it is killed;
+    # and forking loads no `multiprocessing`
+    probe = (
+        "import os, sys\n"
+        "from pda_kit import netsim, numtheory\n"
+        "numtheory._FORK_FLOOR, numtheory._cores = 0, lambda: 2\n"
+        "fork, kill, forks = os.fork, os.kill, []\n"
+        "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+        "def ended_then_killed(pid, sig):\n"
+        "    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)\n"
+        "    kill(pid, sig)\n"
+        "os.kill = ended_then_killed\n"
+        "print('before')\n"
+        "netsim.build_pda_system(16, 6, 3, 'unflushed', m_max=6)\n"
+        "assert forks and 'multiprocessing' not in sys.modules\n"
+        "print('done')\n"
+    )
+    src = os.path.dirname(os.path.dirname(numtheory.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)  # so that the probe's stdout, a pipe, is block-buffered
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "before\ndone\n"
 
 
 # A 512-bit safe prime, from gen_safe_prime(512, Rng("crt-test")).

@@ -695,7 +695,7 @@ def _claim_after_barrier(path, start, barrier, outcomes):
 def test_registry_two_processes_cannot_claim_one_window(tmp_path):
     path = tmp_path / "registry.jsonl"
     path.write_text('{"start": 0, "len": 4}\n{"start": 4')  # with a torn tail
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")  # spawn would start a resource tracker, left as a child
     barrier, outcomes = ctx.Barrier(2), ctx.Queue()
     procs = [
         ctx.Process(target=_claim_after_barrier, args=(path, start, barrier, outcomes))

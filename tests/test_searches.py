@@ -9,11 +9,11 @@ would, and leave the stream where that loop leaves it.
 """
 
 import copy
-import multiprocessing
 import os
 
 import pytest
 
+from conftest import assert_no_child
 from pda_kit import numtheory, paillier
 from pda_kit.rng import Rng
 
@@ -114,7 +114,7 @@ def test_a_safe_prime_search_is_the_loop_of_draws(monkeypatch, route, bits):
     rng = mid_block(f"search:safe:{bits}", offset)
     assert numtheory.gen_safe_prime(bits, rng) == p
     assert rng.take(64) == expected.take(64)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("route", sorted(SEARCH_ROUTES))
@@ -139,7 +139,7 @@ def test_an_aggregator_key_is_the_same_forked_and_on_one_core(monkeypatch, bits)
             after[route] = rng.take(64)
     assert keys["forked"] == keys["one-core"]
     assert after["forked"] == after["one-core"]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_a_worker_that_dies_leaves_its_blocks_to_the_caller(monkeypatch):
@@ -167,7 +167,7 @@ def test_a_worker_that_dies_leaves_its_blocks_to_the_caller(monkeypatch):
     assert numtheory.gen_safe_prime(bits, rng) == p
     assert rng.take(64) == expected.take(64)
     assert doomed <= set(here)  # block 1 was screened here
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_a_screen_that_raises_in_a_worker_raises_here(monkeypatch):
@@ -178,7 +178,7 @@ def test_a_screen_that_raises_in_a_worker_raises_here(monkeypatch):
 
     with pytest.raises(ArithmeticError, match="screen refused 300 bits"):
         numtheory._first_odd(Rng("search:raises"), 300, screen, True)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_only_searches_from_their_floors_may_fork(monkeypatch):
