@@ -50,12 +50,6 @@ def _check_fits(value: int, modulus: int, what: str) -> None:
         )
 
 
-def to_residue(raw: int, modulus: int) -> int:
-    """Signed integer into Z_N; |raw| must stay below N/2."""
-    _check_fits(raw, modulus, "|value|")
-    return raw % modulus
-
-
 def fixed_decode(raw: int, total_scale: int, modulus: int) -> float:
     """Re-sign a residue (values above N/2 are negative) and unscale."""
     value = raw % modulus

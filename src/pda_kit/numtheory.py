@@ -4,14 +4,14 @@ Covers probabilistic prime generation (safe primes and correlated
 semiprimes; a wide search screens blocks of draws on every core),
 fixed-base exponentiation (a batch modulo a narrow odd modulus walks a
 cached comb of the base's powers for every exponent at once in numpy
-limb arrays; any other batch is one `pows` call), denominator-cleared Lagrange weights (built once per
-group), the (1+M)-subgroup discrete log, the public slot exponent a_t
-of the hash H(t) = h^{a_t} into the hidden subgroup, and the two key
-ceremonies both schemes run on the bus: the ring exchange (by CRT on a
-ring whose factorization is public) and the blinded (1+M)-power share
-exchange (every share of a degree from one packed evaluation).  The
-schemes differ only in the ring (p^2(p-1)^2 or N~^2) and in what they
-feed these ceremonies.
+limb arrays; any other batch is one `pows` call), denominator-cleared
+Lagrange weights (built once per group), the (1+M)-subgroup discrete
+log, the public slot exponent a_t of the hash H(t) = h^{a_t} into the
+hidden subgroup, and the two key ceremonies both schemes run on the
+bus: the ring exchange (by CRT on a ring whose factorization is public)
+and the blinded (1+M)-power share exchange (every share of a degree
+from one packed evaluation).  The schemes differ only in the ring
+(p^2(p-1)^2 or N~^2) and in what they feed these ceremonies.
 All values are plain Python ints; modular results are reduced into
 [0, modulus).
 
@@ -116,34 +116,37 @@ _TRIAL_BOUND = 1 << 16
 
 # Wide modular exponentiation.  CPython's pow reduces each step by long
 # division; OpenSSL's BN_mod_exp_mont uses Montgomery multiplication for
-# an odd modulus, but a call through ctypes costs 15 to 25 us of
-# conversion and allocation.  Per call, in us, builtin / BN_mod_exp, for
-# a random odd modulus and an exponent of the given width; CPython 3.11,
-# OpenSSL 3, x86-64 Xeon:
-#   modulus bits   exponent 8   exponent 32   exponent 64   exponent = modulus
-#        64         1.9 / 22     10 / 23       17 / 36       21 / 32
-#        96         2.7 / 23     14 / 24       24 / 25       38 / 29
-#       128         3.8 / 25     17 / 15       26 / 19       46 / 25
-#       256         5.8 / 16     27 / 23       44 / 19       173 / 35
-#       448                                                  616 / 109
-#       512                                                  970 / 95
-#      1024          49 / 25    202 / 32      346 / 43       4,795 / 381
-#      4172         453 / 155  2,083 / 405   4,342 / 736    249,316 / 39,165
-# So the library gets an exponent of at least 64 bits modulo at least 96
-# bits, where the two tie at the corner and BN wins by up to 14 times
-# beyond it; pda-kit's short exponents are data exponents of a few bits
-# modulo N, where the builtin wins.  Those calls also rebuilt the
-# modulus's Montgomery context (R^2 mod m and m') and a BN_CTX each time.
-# `_held` keeps the context of the 16 moduli used last and `_scratch` a
-# call's BN_CTX and operands, which cuts a call (us, per-call / held):
-# 442-bit modulus, 221-bit exponent (regress_n64's encryptions) 34 / 29;
-# 104-bit exponent (its scales) 24 / 17; 512 / 511 bits 59 / 53; 96 / 64
-# bits 13.5 / 6.9; from 1,041 bits nothing.  No workload's call lies near
-# a floor, so both stay.  An even modulus (BN_mod_exp_mont refuses it;
-# pda-kit's are odd), a negative exponent, a bool, an int subclass or any
-# other type, a modulus that is not positive, a library that did not
-# load or a failed call go to the builtin.
-_BN_MOD_FLOOR = 1 << 95  # moduli of at least 96 bits
+# an odd modulus.  `_held` keeps the Montgomery context (R^2 mod m and
+# m') of the 16 moduli used last and `_scratch` a call's BN_CTX and
+# operands, so a library call adds only its conversion through ctypes.
+# Per call, in us, for a random odd modulus and an exponent of the given
+# widths (min of 5 x 20,000 calls, 5 x 2,000 at 1,041 bits; CPython
+# 3.11, OpenSSL 3, 2 cores of an x86-64 VM shared with other work):
+#   modulus / exponent bits   builtin   held library
+#          3 / 64                 2.5       11.6
+#         32 / 64                14.1       12.4
+#         40 / 64                13.9       12.2
+#         64 / 64                14.2       11.7
+#         72 / 72                20.9        9.2
+#         80 / 80                19.4        8.4
+#         88 / 88                21.4        8.5
+#         95 / 95                29.0        9.0
+#        128 / 128               52.0       10.8
+#        107 / 2                  0.5        8.8
+#      1,041 / 2                  3.6       11.2
+#      1,041 / 1,023          5,089          814
+# Over other runs the builtin won with a 64-bit exponent below 32 bits of
+# modulus (24 bits: 5.3-8.2 against 12.1-22.4) and the two tied from 32
+# to 48 bits.  So the library gets every exponent of at least 64 bits,
+# and the builtin every shorter one, among them pda-kit's data exponents
+# of 1 to 3 modulo N (107 or 1,041 bits).  No second width is needed:
+# every exponent pda-kit raises is below its modulus, so an exponent of
+# 64 bits or more already means a modulus of at least 64 bits.  Only a
+# malformed params or key file could raise a narrower modulus to such a
+# power, and it still gets the builtin's value.  An even modulus
+# (BN_mod_exp_mont refuses it; pda-kit's are odd), a modulus below 2, a
+# negative exponent, a bool, an int subclass or any other type, a
+# library that did not load or a failed call go to the builtin.
 _BN_EXP_FLOOR = 1 << 63  # exponents of at least 64 bits
 
 
@@ -191,7 +194,7 @@ def _routed(base, exp, mod) -> bool:
         type(exp) is int
         and exp >= _BN_EXP_FLOOR
         and type(mod) is int
-        and mod >= _BN_MOD_FLOOR
+        and mod > 1
         and mod & 1 == 1
         and type(base) is int
     )
@@ -420,8 +423,8 @@ def fixed_base_pows(
 #       256        108 / 53      41 / 47      28 / 53      23 / 45      16 / 44
 # A table, cached, takes 4 ms to build at 107 bits and 28 ms at 256.
 # Small batches, walk with the table cached / walk building it / `pows`
-# (`pows` on held contexts, the builtin below 96 bits; same machine,
-# median of 3 runs):
+# (`pows` on held contexts at 107 bits, the builtin for the 56-bit
+# exponents at 64; same machine, median of 3 runs):
 #   modulus bits   batch of 1         4              16            64             4,096
 #        64        193 / 1,400 / 14   49 / 350 / 13  13 / 88 / 13  3.7 / 22 / 13  0.6 / 1 / 14
 #       107        470 / 2,900 / 9    112 / 750 / 9  29 / 200 / 9  8.1 / 46 / 9   1.1 / 2 / 9
@@ -678,6 +681,15 @@ def _first_odd(rng: Rng, bits: int, screen: Callable[[int], bool], fork: bool) -
         index, cand = next(filter(None, blocks))
     rng.skip((index + 1) * size)
     return cand
+
+
+def gen_prime(bits: int, rng: Rng) -> int:
+    """The first of rng's `bits`-bit draws that passes the test its width
+    needs, searched in blocks (`_first_odd`), in forked workers from
+    _PRIME_SEARCH_FLOOR bits."""
+    rounds = _search_rounds(bits)
+    fork = bits >= _PRIME_SEARCH_FLOOR
+    return _first_odd(rng, bits, lambda cand: is_probable_prime(cand, rounds), fork)
 
 
 def gen_safe_prime(bits: int, rng: Rng) -> int:

@@ -31,17 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import numtheory
 from .errors import InvalidCiphertext, InvalidKey, MessageTooLarge, hex_field
-from .numtheory import (
-    SMALL_PRIMES,
-    _first_odd,
-    _search_rounds,
-    is_probable_prime,
-    mod_inv,
-    pow,
-    pows,
-)
+from .numtheory import SMALL_PRIMES, gen_prime, mod_inv, pow, pows
 from .rng import Rng
 
 
@@ -82,23 +73,14 @@ def from_primes(p: int, q: int) -> AggKeyPair:
     return AggKeyPair(n=n, lam=lam, mu=mod_inv(lam, n), p=min(p, q), q=max(p, q))
 
 
-def _random_prime(bits: int, rng: Rng) -> int:
-    """The first of rng's `bits`-bit draws that passes the test its width
-    needs, searched in blocks (`numtheory._first_odd`), in forked workers
-    from `numtheory._PRIME_SEARCH_FLOOR` bits."""
-    rounds = _search_rounds(bits)
-    fork = bits >= numtheory._PRIME_SEARCH_FLOOR
-    return _first_odd(rng, bits, lambda cand: is_probable_prime(cand, rounds), fork)
-
-
 def keygen(bits: int, rng: Rng) -> AggKeyPair:
     """Standard keypair with an exactly `bits`-bit modulus."""
     if bits < 6:
         raise ValueError("modulus below 6 bits is meaningless")
     half = (bits + 1) // 2
     while True:
-        p = _random_prime(half, rng)
-        q = _random_prime(bits - half + 1, rng)
+        p = gen_prime(half, rng)
+        q = gen_prime(bits - half + 1, rng)
         if (p * q).bit_length() != bits:
             continue
         try:

@@ -29,8 +29,10 @@ def small_pda():
 
 def test_fixed_encode_frozen():
     n = (1 << 31) - 1
-    assert analytics.to_residue(analytics.to_scaled(1.5, 4), n) == 24
-    assert analytics.to_residue(analytics.to_scaled(-0.25, 4), n) == n - 4
+    for x, residue in ((1.5, 24), (-0.25, n - 4)):
+        raw = analytics.to_scaled(x, 4)
+        analytics._check_fits(raw, n, "|value|")
+        assert raw % n == residue
     assert analytics.fixed_decode(24, 1 << 4, n) == 1.5
     assert analytics.fixed_decode(n - 4, 1 << 4, n) == -0.25
 
@@ -41,8 +43,9 @@ def test_fixed_point_roundtrip_tolerance():
     f = 16
     for _ in range(200):
         x = rnd.uniform(-1000, 1000)
-        raw = analytics.to_residue(analytics.to_scaled(x, f), n)
-        assert abs(analytics.fixed_decode(raw, 1 << f, n) - x) <= 2**-f
+        raw = analytics.to_scaled(x, f)
+        analytics._check_fits(raw, n, "|value|")
+        assert abs(analytics.fixed_decode(raw % n, 1 << f, n) - x) <= 2**-f
 
 
 def test_fixed_point_product_scale():
@@ -53,13 +56,14 @@ def test_fixed_point_product_scale():
         a = rnd.uniform(-30, 30)
         b = rnd.uniform(-30, 30)
         raw = analytics.to_scaled(a, f) * analytics.to_scaled(b, f)
-        got = analytics.fixed_decode(analytics.to_residue(raw, n), 1 << (2 * f), n)
+        analytics._check_fits(raw, n, "|value|")
+        got = analytics.fixed_decode(raw % n, 1 << (2 * f), n)
         assert abs(got - a * b) <= 2 ** (-f + 1) * (abs(a) + abs(b))
 
 
 def test_fixed_point_overflow():
-    with pytest.raises(FixedPointOverflow):
-        analytics.to_residue(analytics.to_scaled(10.0, 8), 100)
+    with pytest.raises(FixedPointOverflow, match="of 12 bits does not fit below N/2, N of 7 bits"):
+        analytics._check_fits(analytics.to_scaled(10.0, 8), 100, "|value|")
 
 
 def _round_half_away(v: Fraction) -> int:

@@ -357,6 +357,23 @@ def test_aggregate_refuses_aggregator_key_whose_lambda_does_not_split_n(
     assert "lambda" in detail
 
 
+def test_aggregate_refuses_aggregator_key_with_negative_lambda(keyring, tmp_path, capsys):
+    # -lambda and -mu mod n still invert each other mod n
+    params, keys = keyring
+    copy = tmp_path / "keys"
+    shutil.copytree(keys, copy)
+    doc = json.loads((copy / "aggregator.json").read_text())
+    n = int(doc["n_a"], 16)
+    doc["lambda"] = format(-int(doc["lambda"], 16), "x")
+    doc["mu"] = format(-int(doc["mu"], 16) % n, "x")
+    (copy / "aggregator.json").write_text(json.dumps(doc))
+    query = _toy_query_at_200(tmp_path)
+    detail = _aggregate_refused(
+        copy, params, query, FIXTURES / "toy_data.csv", capsys, "InvalidKey"
+    )
+    assert "lambda is not positive" in detail
+
+
 @pytest.mark.parametrize(
     "csv_text, where",
     [

@@ -161,6 +161,17 @@ def test_from_json_refuses_lambda_that_does_not_split_n():
         paillier.from_json(doc)
 
 
+def test_from_json_refuses_a_negative_lambda(toy_keys):
+    # -lambda and -mu mod n still invert each other mod n, so only the
+    # split's own check refuses them
+    n = toy_keys.n
+    lam, mu = -toy_keys.lam, -toy_keys.mu % n
+    assert mu * lam % n == 1
+    doc = {"n_a": format(n, "x"), "lambda": format(lam, "x"), "mu": format(mu, "x")}
+    with pytest.raises(InvalidKey, match="lambda is not positive"):
+        paillier.from_json(doc)
+
+
 @pytest.mark.parametrize(
     "lam",
     [lambda k: k.p - 1, lambda k: (k.q - 1) * 2, lambda k: k.lam // 2, lambda k: k.n - 1],

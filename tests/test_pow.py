@@ -1,9 +1,9 @@
 """numtheory.pow: the builtin's results, by libcrypto's BN_mod_exp_mont when wide.
 
 A call goes to the library only with plain-int operands, an exponent of
-at least 64 bits and an odd positive modulus of at least 96 bits, whose
-Montgomery context is held across calls; everything else, and any
-failure of the library, goes to `builtins.pow`.
+at least 64 bits and an odd modulus above 1, whose Montgomery context is
+held across calls; everything else, and any failure of the library,
+goes to `builtins.pow`.
 """
 
 import builtins
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from pda_kit import numtheory, paillier
 from pda_kit.rng import Rng
 
-MOD_FLOOR = 1 << 95  # the narrowest modulus the library gets: 96 bits
 EXP_FLOOR = 1 << 63  # the narrowest exponent the library gets: 64 bits
 SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")  # opened before find_library is asked
 
@@ -44,8 +43,8 @@ def outcome(fn, *args):
 
 
 moduli = st.one_of(
-    st.sampled_from([0, 1, 2, -1, -2, MOD_FLOOR - 1, MOD_FLOOR, MOD_FLOOR + 1, 2 * MOD_FLOOR - 1]),
-    widths(2, 160),  # odd and even, on both sides of 96 bits
+    st.sampled_from([0, 1, 2, 3, -1, -2, -3, 1 << 63, (1 << 63) + 1, (1 << 64) - 1]),
+    widths(2, 160),  # odd and even, narrow and wide
     widths(2, 160).map(operator.neg),
     st.booleans(),
 )
@@ -116,7 +115,7 @@ def test_pow_is_the_builtin_at_every_limb_count(limbs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(mod=widths(96, 5000), exp=widths(64, 1100), data=st.data())
+@given(mod=widths(2, 5000), exp=widths(64, 1100), data=st.data())
 def test_pow_is_the_builtin_modulo_any_odd_width(mod, exp, data):
     mod |= 1
     base = data.draw(st.integers(0, 3 * mod))
@@ -124,13 +123,13 @@ def test_pow_is_the_builtin_modulo_any_odd_width(mod, exp, data):
 
 
 def test_pow_keeps_the_builtin_signature():
-    assert numtheory.pow(base=3, exp=EXP_FLOOR + 1, mod=MOD_FLOOR + 1) == builtins.pow(
-        3, EXP_FLOOR + 1, MOD_FLOOR + 1
+    assert numtheory.pow(base=3, exp=(1 << 63) + 1, mod=(1 << 95) + 1) == builtins.pow(
+        3, (1 << 63) + 1, (1 << 95) + 1
     )
     assert numtheory.pow(2, 10) == 1024
     assert numtheory.pow(2.0, 0.5) == builtins.pow(2.0, 0.5)
     with pytest.raises(TypeError):
-        numtheory.pow(2.0, EXP_FLOOR, MOD_FLOOR)
+        numtheory.pow(2.0, 1 << 63, 1 << 95)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +264,14 @@ WIDE = 1 << 1000 | 1
 @pytest.mark.parametrize(
     "base, exp, mod, routed",
     [
-        pytest.param(3, EXP_FLOOR, MOD_FLOOR + 1, True, id="at-both-floors"),
-        pytest.param(-3, EXP_FLOOR, MOD_FLOOR, False, id="negative-base-even-modulus"),
-        pytest.param(0, EXP_FLOOR, MOD_FLOOR + 1, True, id="zero-base"),
+        pytest.param(3, EXP_FLOOR, WIDE, True, id="at-the-exponent-floor"),
+        pytest.param(-3, EXP_FLOOR, 1 << 95, False, id="negative-base-even-modulus"),
+        pytest.param(0, EXP_FLOOR, WIDE, True, id="zero-base"),
         pytest.param(3, EXP_FLOOR - 1, WIDE, False, id="63-bit-exponent"),
-        pytest.param(3, WIDE, MOD_FLOOR - 1, False, id="95-bit-modulus"),
+        pytest.param(3, WIDE, (1 << 95) - 1, True, id="95-bit-modulus"),
+        pytest.param(3, EXP_FLOOR, (1 << 63) + 1, True, id="64-bit-modulus"),
+        pytest.param(3, WIDE, 1, False, id="modulus-1"),
+        pytest.param(3, WIDE, 1 << 79, False, id="even-80-bit-modulus"),
         pytest.param(3, WIDE, -WIDE, False, id="negative-modulus"),
         pytest.param(3, -WIDE, WIDE, False, id="negative-exponent"),
         pytest.param(True, WIDE, WIDE, False, id="bool-base"),

@@ -75,7 +75,7 @@ def loop_safe_prime(bits: int, rng: Rng) -> int:
 
 
 def loop_prime(bits: int, rng: Rng) -> int:
-    """paillier._random_prime as one loop of single draws."""
+    """numtheory.gen_prime as one loop of single draws."""
     rounds = numtheory._search_rounds(bits)
     while True:
         cand = rng.odd_with_top_bit(bits)
@@ -124,7 +124,7 @@ def test_a_prime_search_is_the_loop_of_draws(monkeypatch, route, bits):
     p = loop_prime(bits, expected)
     SEARCH_ROUTES[route](monkeypatch)
     rng = mid_block(f"search:prime:{bits}", 7)
-    assert paillier._random_prime(bits, rng) == p
+    assert numtheory.gen_prime(bits, rng) == p
     assert rng.take(64) == expected.take(64)
 
 
@@ -195,11 +195,11 @@ def test_only_searches_from_their_floors_may_fork(monkeypatch):
     monkeypatch.setattr(numtheory, "_forked", recording)
     monkeypatch.setattr(numtheory, "_cores", lambda: 1)  # searched here either way
     numtheory.gen_safe_prime(48, Rng("search:floor"))
-    paillier._random_prime(111, Rng("search:floor"))
-    paillier._random_prime(numtheory._PRIME_SEARCH_FLOOR - 1, Rng("search:floor"))
+    numtheory.gen_prime(111, Rng("search:floor"))
+    numtheory.gen_prime(numtheory._PRIME_SEARCH_FLOOR - 1, Rng("search:floor"))
     assert routes == [False, False, False]
     assert numtheory._SAFE_SEARCH_FLOOR <= 512 and numtheory._PRIME_SEARCH_FLOOR <= 1043
     routes.clear()
     numtheory.gen_safe_prime(512, Rng("search:floor"))
-    paillier._random_prime(1043, Rng("search:floor"))
+    numtheory.gen_prime(1043, Rng("search:floor"))
     assert routes[0] and routes[-1]
